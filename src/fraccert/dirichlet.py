@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .operator import _gl
 from .params import FracParams
 from .profiles import positive_fundamental
 
@@ -200,7 +201,7 @@ def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                          T: float, s: float) -> np.ndarray:
     """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels."""
     two_s = 2.0 * s
-    x16, w16 = _gl_pair()
+    x16, w16 = _gl(16)
     lo, hi = _TAIL_VE[:-1], _TAIL_VE[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     v = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
@@ -209,12 +210,6 @@ def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     integrand = (v ** (two_s - 1.0))[None, :] * gsum
     w_flat = (w16[None, :] * half[:, None]).ravel()
     return T ** (-two_s) * integrand @ w_flat
-
-
-def _gl_pair():
-    from .operator import _gl
-    return _gl(16)
-
 
 
 def _pair_weights(K: int, h: float, s: float) -> np.ndarray:
@@ -276,7 +271,7 @@ def _rate_profile_integral(s: float, e: float) -> float:
     """
     key = (s, e)
     if key not in _BL_CACHE:
-        x16, w16 = _gl_pair()
+        x16, w16 = _gl(16)
 
         def integrate(edges: np.ndarray, fn) -> float:
             lo, hi = edges[:-1], edges[1:]
@@ -307,7 +302,7 @@ def _boundary_row_data(problem: GridProblem, x_i: float, sgn: float, delta: floa
                        g_b: float) -> float:
     """int_delta^{3 delta} t^(-1-2s) (g(x_i + sgn t) - g_b) dt for the data side."""
     s = problem.params.s
-    x16, w16 = _gl_pair()
+    x16, w16 = _gl(16)
     edges = np.linspace(delta, 3.0 * delta, 9)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -519,7 +514,7 @@ def verify_hopf_ratio(problem: GridProblem, stability_tol: float = 0.2) -> HopfR
 
     def estimate(p: GridProblem) -> tuple[float, float]:
         sol = solve_dirichlet(p)
-        delta = _distance(p)
+        delta = p.distance_to_complement()
         ratio = sol.values / delta ** p.params.s
         mass = float((p.rhs_values() * delta ** p.params.s).sum() * p.h)
         return float(ratio.min()), float(ratio.min() / mass)
@@ -528,15 +523,6 @@ def verify_hopf_ratio(problem: GridProblem, stability_tol: float = 0.2) -> HopfR
     _, c_ref = estimate(problem.refined())
     stable = abs(c_ref - c_est) <= stability_tol * abs(c_est)
     return HopfReport(min_ratio, c_est, c_ref, stable)
-
-
-def _distance(problem: GridProblem) -> np.ndarray:
-    x = problem.nodes()
-    d = np.full_like(x, np.inf)
-    for a, b in problem.intervals:
-        mask = (x > a) & (x < b)
-        d[mask] = np.minimum(x[mask] - a, b - x[mask])
-    return d
 
 
 @dataclass(frozen=True)

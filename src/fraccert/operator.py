@@ -21,7 +21,11 @@ three zones are handled separately:
 
 Spherical means are exact for n = 1 (two-point average) and for piecewise
 profiles in n = 3 (antiderivative of rho*u); n = 2 uses panelled polar-angle
-quadrature split at every circle/breakpoint crossing.
+quadrature split at every circle/breakpoint crossing.  The n = 2 mean is
+batched: every circle radius t the outer rule asks for in one call becomes
+an integral id in a single flat panel list, and ``_adaptive_many`` refines
+all of them at once, each against its own tolerance and panel budget.  The
+same engine, with one id, runs the middle and tail zones.
 """
 
 from __future__ import annotations
@@ -102,58 +106,77 @@ def _panel_values(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                   lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-panel (integral, rule error, inner-error floor) from a 16/8 point pair.
 
-    The rule error shrinks under bisection; the floor (error carried by the
-    integrand itself, e.g. an inner quadrature) does not, so the two are kept
-    apart to guide splitting.
+    ``f`` receives the nodes panel by panel (24 per panel: the 16-point rule,
+    then the 8-point rule), so ``t.reshape(lo.size, -1)`` lines them up with
+    their panels.  The rule error shrinks under bisection; the floor (error
+    carried by the integrand itself, e.g. an inner quadrature) does not, so
+    the two are kept apart to guide splitting.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x16, w16 = _gl(16)
     x8, w8 = _gl(8)
-    t = np.concatenate([
-        (mid[:, None] + half[:, None] * x16[None, :]).ravel(),
-        (mid[:, None] + half[:, None] * x8[None, :]).ravel(),
-    ])
-    vals, errs = f(t)
+    vals, errs = f((mid[:, None] + half[:, None] * np.concatenate([x16, x8])[None, :]).ravel())
     k = lo.size
-    v16 = vals[: 16 * k].reshape(k, 16)
-    v8 = vals[16 * k:].reshape(k, 8)
-    e16 = errs[: 16 * k].reshape(k, 16)
-    i16 = (v16 * w16).sum(axis=1) * half
-    i8 = (v8 * w8).sum(axis=1) * half
-    floor = (np.abs(e16) * w16).sum(axis=1) * half
+    vals = vals.reshape(k, 24)
+    i16 = (vals[:, :16] * w16).sum(axis=1) * half
+    i8 = (vals[:, 16:] * w8).sum(axis=1) * half
+    floor = (np.abs(errs.reshape(k, 24)[:, :16]) * w16).sum(axis=1) * half
     return i16, np.abs(i16 - i8), floor
 
 
-def _adaptive(f, edges: np.ndarray, tol: float, max_panels: int):
-    """Adaptive bisection on fixed initial edges; returns (value, err, panels, ok).
+def _adaptive_many(panel_fn, ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol, max_panels: int,
+                   m: int, initial: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+    """Adaptive bisection of m independent integrals at once, on one flat panel list.
 
-    Splits only on the reducible rule error; the inner-error floor is
-    reported but never chased.
+    Panel j belongs to integral ``ids[j]``; ``panel_fn(ids, lo, hi)`` returns
+    per-panel (integral, rule error, floor) as ``_panel_values`` does, and
+    ``initial`` may hand in its values on the starting panels.  ``tol`` is a
+    scalar or one tolerance per integral.  Each integral stops splitting on
+    its own tolerance or panel budget while the others go on.  Splits follow
+    the reducible rule error only (the floor is reported but never chased).
+    Returns per-integral arrays (value, err, panels, ok).
     """
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    vals, errs, floors = _panel_values(f, lo, hi)
+    vals, errs, floors = panel_fn(ids, lo, hi) if initial is None else initial
+    half_tol = 0.5 * tol
     while True:
-        rule_err = errs.sum()
-        goal = max(0.5 * tol, tol - floors.sum())
-        if rule_err <= goal or lo.size >= max_panels:
-            break
-        threshold = max(goal / (2.0 * lo.size), rule_err / (8.0 * lo.size))
-        split = errs > threshold
-        if not split.any():
-            split = errs >= errs.max()
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        fresh_vals, fresh_errs, fresh_floors = _panel_values(
-            f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        )
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([vals[~split], fresh_vals])
-        floors = np.concatenate([floors[~split], fresh_floors])
-        errs = np.concatenate([errs[~split], fresh_errs])
-    total_err = errs.sum() + floors.sum()
-    return vals.sum(), total_err, lo.size, errs.sum() <= max(0.5 * tol, tol - floors.sum())
+        count = np.bincount(ids, minlength=m)
+        rule = np.bincount(ids, errs, m)
+        floor = np.bincount(ids, floors, m)
+        goal = np.maximum(half_tol, tol - floor)
+        live = (rule > goal) & (count < max_panels)
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            return np.bincount(ids, vals, m), rule + floor, count, rule <= goal
+        # max(goal / 2, rule / 8) / count is the per-panel share a panel must exceed to split
+        threshold = np.maximum(0.5 * goal, 0.125 * rule) / count
+        split = (errs > threshold[ids]) & live[ids]
+        splits = np.bincount(ids[split], minlength=m)
+        if np.count_nonzero(splits) < n_live:
+            # a live integral with no panel above its threshold splits its worst one(s)
+            lacking = live & (splits == 0)
+            worst = np.zeros(m)
+            np.maximum.at(worst, ids, errs)
+            split |= lacking[ids] & (errs >= worst[ids])
+        keep = ~split
+        left, right = lo[split], hi[split]
+        mid = 0.5 * (left + right)
+        halves = np.concatenate([ids[split], ids[split]])
+        new_lo, new_hi = np.concatenate([left, mid]), np.concatenate([mid, right])
+        fresh_vals, fresh_errs, fresh_floors = panel_fn(halves, new_lo, new_hi)
+        ids = np.concatenate([ids[keep], halves])
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[keep], fresh_vals])
+        errs = np.concatenate([errs[keep], fresh_errs])
+        floors = np.concatenate([floors[keep], fresh_floors])
+
+
+def _adaptive(f, edges: np.ndarray, tol: float, max_panels: int):
+    """One adaptive integral on fixed initial edges; returns (value, err, panels, ok)."""
+    lo, hi = edges[:-1], edges[1:]
+    value, err, panels, ok = _adaptive_many(lambda ids, a, b: _panel_values(f, a, b),
+                                            np.zeros(lo.size, dtype=np.intp), lo, hi, tol, max_panels, 1)
+    return value[0], err[0], int(panels[0]), bool(ok[0])
 
 
 def _with_geometric_fill(edges: Sequence[float], ratio: float = 4.0) -> np.ndarray:
@@ -215,43 +238,78 @@ def _mean_radial_n3_generic(u_vec: Callable, r: float, order: int = 32) -> Calla
     return mean
 
 
-def _angular_edges(r: float, t: float, breaks: Sequence[float], singular_origin: bool) -> np.ndarray:
-    """Polar-angle panel edges for the circle of radius t around radius r."""
-    rho_min, rho_max = abs(r - t), r + t
-    cuts = [b for b in breaks if rho_min < b < rho_max]
-    if singular_origin and rho_min < 0.05 * rho_max:
-        level = 2.0 * max(rho_min, 1e-300)
-        while level < 0.25 * rho_max:
-            cuts.append(level)
-            level *= 4.0
-    args = [(b * b - r * r - t * t) / (2.0 * r * t) for b in cuts]
-    thetas = sorted(math.acos(min(1.0, max(-1.0, a))) for a in args)
-    return np.asarray([0.0] + thetas + [math.pi])
+def _angular_edges(r: float, t: np.ndarray, breaks: Sequence[float],
+                   singular_origin: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial polar-angle panels (ids, lo, hi) of the circles of radii t around radius r.
+
+    Circle i is cut on [0, pi] wherever it crosses a breakpoint and, around a
+    singular origin it nearly touches, at the levels 2 rho_min 4^k below
+    rho_max / 4.  The panels come flat, circle after circle, in angle order.
+    """
+    rho_min, rho_max = np.abs(r - t), r + t
+    b = np.asarray(breaks, dtype=float)
+    circle, which = np.nonzero((rho_min[:, None] < b) & (b < rho_max[:, None]))
+    owners, cuts = [circle], [b[which]]
+    if singular_origin:
+        near = np.flatnonzero(rho_min < 0.05 * rho_max)
+        start = 2.0 * np.maximum(rho_min[near], 1e-300)
+        top = 0.25 * rho_max[near]
+        # one candidate level past the log estimate absorbs its rounding; ``below`` keeps the real ones
+        count = np.maximum(np.ceil(np.log(top / start) / math.log(4.0)), 0.0).astype(np.intp) + 1
+        circle = np.repeat(near, count)
+        k = np.arange(circle.size) - np.repeat(np.cumsum(count) - count, count)
+        level = np.repeat(start, count) * 4.0 ** k  # exact: 4^k only shifts the exponent
+        below = level < np.repeat(top, count)
+        owners.append(circle[below])
+        cuts.append(level[below])
+    ids, cuts = np.concatenate(owners), np.concatenate(cuts)
+    tc = t[ids]
+    theta = np.arccos(np.clip((cuts * cuts - r * r - tc * tc) / (2.0 * r * tc), -1.0, 1.0))
+    order = np.lexsort((theta, ids))
+    ids, theta = ids[order], theta[order]
+    # circle i has one panel more than cuts; cut j closes panel j + ids[j] and opens the next
+    per_circle = np.bincount(ids, minlength=t.size) + 1
+    lo = np.zeros(per_circle.sum())
+    hi = np.full(lo.size, math.pi)
+    at = np.arange(ids.size) + ids
+    hi[at] = theta
+    lo[at + 1] = theta
+    return np.repeat(np.arange(t.size), per_circle), lo, hi
+
+
+_N2_CHUNK = 512  # panels per integrand call: bounds the temporaries of a large circle batch
 
 
 def _mean_radial_n2(u_vec: Callable, r: float, breaks: Sequence[float],
                     singular_origin: bool, rel_tol: float, mag_hint: float = 1.0) -> Callable:
-
-    def one(t: float) -> tuple[float, float]:
-        edges = _angular_edges(r, t, breaks, singular_origin)
-
-        def f_theta(theta: np.ndarray):
-            # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
-            rho = np.sqrt((r - t) ** 2 + 4.0 * r * t * np.cos(0.5 * theta) ** 2)
-            vals = u_vec(rho)
-            return vals, np.zeros_like(vals)
-
-        rough, _, _, _ = _adaptive(f_theta, edges, tol=np.inf, max_panels=len(edges))
-        tol_abs = rel_tol * max(abs(rough), mag_hint) * math.pi
-        val, err, _, _ = _adaptive(f_theta, edges, tol=tol_abs, max_panels=80)
-        return val / math.pi, err / math.pi
+    """Angular means over the circles of radii t, all circles of a call in one adaptive pass."""
 
     def mean(t: np.ndarray):
-        vals = np.empty_like(t)
-        errs = np.empty_like(t)
-        for i, ti in enumerate(t):
-            vals[i], errs[i] = one(float(ti))
-        return vals, errs
+        t = np.asarray(t, dtype=float)
+        gap2, four_rt = (r - t) ** 2, 4.0 * r * t
+
+        def chunk(ids, lo, hi):
+            a, c = gap2[ids, None], four_rt[ids, None]
+
+            def f_theta(theta: np.ndarray):
+                # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
+                rho = np.sqrt(a + c * np.cos(0.5 * theta.reshape(ids.size, -1)) ** 2)
+                vals = u_vec(rho.ravel())
+                return vals, np.zeros_like(vals)
+
+            return _panel_values(f_theta, lo, hi)
+
+        def circle_panels(ids, lo, hi):
+            parts = [chunk(ids[j:j + _N2_CHUNK], lo[j:j + _N2_CHUNK], hi[j:j + _N2_CHUNK])
+                     for j in range(0, ids.size, _N2_CHUNK)]
+            return tuple(np.concatenate(col) for col in zip(*parts))
+
+        ids, lo, hi = _angular_edges(r, t, breaks, singular_origin)
+        # the initial panels give both the scale of each mean and the first refinement step
+        first = circle_panels(ids, lo, hi)
+        tol_abs = rel_tol * np.maximum(np.abs(np.bincount(ids, first[0], t.size)), mag_hint) * math.pi
+        val, err, _, _ = _adaptive_many(circle_panels, ids, lo, hi, tol_abs, 80, t.size, first)
+        return val / math.pi, err / math.pi
 
     return mean
 

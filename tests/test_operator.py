@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fraccert.errors import DivergenceError, DomainError, EvaluationPointError
-from fraccert.operator import QuadSpec, OperatorValue, eval_pointwise, eval_radial, scaling_identity_check
+from fraccert.operator import (QuadSpec, OperatorValue, _adaptive, _angular_edges, eval_pointwise,
+                               eval_radial, scaling_identity_check)
 from fraccert.params import FracParams
 from fraccert.profiles import RadialProfile, make_fundamental, power_profile
 
@@ -193,3 +194,66 @@ def test_operator_value_reports_panels():
     ov = eval_radial(make_fundamental(P1H), 2.0, P1H)
     assert isinstance(ov, OperatorValue)
     assert ov.panels_used > 0 and ov.error_estimate >= 0.0
+
+
+def _circle_edges(r: float, t: float, breaks, singular_origin: bool) -> np.ndarray:
+    """Per-circle reference: crossings and origin levels built one by one in plain Python."""
+    rho_min, rho_max = abs(r - t), r + t
+    cuts = [b for b in breaks if rho_min < b < rho_max]
+    if singular_origin and rho_min < 0.05 * rho_max:
+        level = 2.0 * max(rho_min, 1e-300)
+        while level < 0.25 * rho_max:
+            cuts.append(level)
+            level *= 4.0
+    thetas = sorted(math.acos(min(1.0, max(-1.0, (b * b - r * r - t * t) / (2.0 * r * t)))) for b in cuts)
+    return np.asarray([0.0] + thetas + [math.pi])
+
+
+@pytest.mark.parametrize("singular_origin", [False, True])
+def test_angular_edges_match_per_circle_construction(singular_origin):
+    r, breaks = 3.0, (1.0, 4.0, 10.0)
+    t = np.asarray([
+        r, r * (1.0 + 1e-12), r * (1.0 - 1e-12),  # through the origin (~500 levels) or 3e-12 from it
+        0.5,                                       # radii 2.5..3.5: crosses no breakpoint
+        1.5, 2.2, 2.95, 3.1, 6.5, 20.0,            # crossings and near-origin circles
+    ])
+    ids, lo, hi = _angular_edges(r, t, breaks, singular_origin)
+    assert np.all(np.diff(ids) >= 0) and np.all(hi >= lo)
+    for i, ti in enumerate(t):
+        want = _circle_edges(r, float(ti), breaks, singular_origin)
+        mine = ids == i
+        got = np.concatenate([lo[mine], hi[mine][-1:]])
+        assert got.size == want.size, f"t={ti!r}"
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(hi[mine][:-1], lo[mine][1:])
+    if singular_origin:
+        assert np.count_nonzero(ids == 0) > 400  # t = r exactly: levels down to 2e-300
+    assert np.count_nonzero(ids == 3) == 1
+
+
+# n = 2 values of the per-circle implementation this batched one replaced:
+# (u, s, r, value, error_estimate, panels_used, converged) at default tolerances
+_PLANAR_PINS = [
+    ("fundamental", 0.4, 1.5, -4.6610931816185724e-11, 3.7230206651124897e-09, 92, True),
+    ("fundamental", 0.4, 7.0, -2.1404175538102145e-12, 1.7099519675853423e-10, 92, True),
+    ("fundamental", 0.75, 1.5, 9.392097592199605e-12, 3.780738484928572e-09, 51, False),
+    ("fundamental", 0.75, 7.0, 4.31933215642985e-13, 1.7502421544071045e-10, 51, False),
+    ("bubble", 0.5, 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
+]
+
+
+@pytest.mark.parametrize("kind,s,r,value,err,panels,converged", _PLANAR_PINS)
+def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, converged):
+    p = FracParams(2, s)
+    u = make_fundamental(p) if kind == "fundamental" else (
+        lambda rho: (1.0 + np.asarray(rho, dtype=float) ** 2) ** -1.2)
+    ov = eval_radial(u, r, p)
+    assert abs(ov.value - value) <= err + ov.error_estimate
+    assert (ov.panels_used, ov.converged) == (panels, converged)
+
+
+def test_adaptive_engine_stops_on_nan_integrand():
+    # a NaN error estimate can never meet the tolerance nor pick a panel to split
+    f = lambda t: (np.where(t > 0.5, np.nan, t), np.zeros_like(t))
+    value, err, panels, ok = _adaptive(f, np.linspace(0.0, 1.0, 3), 1e-9, 600)
+    assert not ok and panels == 2 and math.isnan(value)
