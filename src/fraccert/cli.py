@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chains import ChainId, SamplePolicy, Verdict, measure_rate, verify_chain
+from .chains import (ChainId, SamplePolicy, Verdict, VerificationReport, chain_info,
+                     measure_rate, verify_chain)
 from .constants import choose_constants
 from .dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, solve_dirichlet,
                         verify_comparison, verify_hopf_ratio, verify_kslap,
                         verify_measure_lemma, verify_qsmp)
-from .errors import FraccertError
+from .errors import DegenerateInputError, FraccertError
 from .hypotheses import check_f2, check_f2prime, check_f3prime, check_f4prime, spec_from_dict
 from .hypotheses import Verdict as HVerdict
 from .liouville import (CandidateFamily, default_r_grid, nonexistence_scan,
@@ -96,15 +97,16 @@ def cmd_barrier(args) -> int:
 def cmd_verify_chain(args) -> int:
     params = _params(args)
     chain = ChainId(args.chain.upper())
-    if args.auto_constants:
-        try:
+    constants = _constants(args)
+    # bound chains take --r0/--r as given; sign chains with bound parts get their amplitude chosen
+    try:
+        if args.auto_constants and chain_info(chain).parts:
             constants = choose_constants(chain.value, params, r0=args.r0, r=args.r)
-        except FraccertError:
-            constants = _constants(args)
+    except DegenerateInputError as exc:
+        rep = VerificationReport(chain, params, constants, (), float("nan"), Verdict.INCONCLUSIVE,
+                                 notes=(str(exc),))
     else:
-        constants = _constants(args)
-    policy = SamplePolicy(points=args.samples)
-    rep = verify_chain(chain, params, constants, policy, _quad(args))
+        rep = verify_chain(chain, params, constants, SamplePolicy(points=args.samples), _quad(args))
     payload = {
         "chain": chain.value, "n": args.n, "s": args.s,
         "constants": constants, "verdict": rep.verdict.value,

@@ -2,57 +2,37 @@
 
 Each combined barrier needs its bump amplitude large enough that the negative
 bump contribution dominates the positive part of the cut profile on the
-region of interest.  The amplitudes are found by probing both pieces with the
-quadrature engine on sampled radii at two working radii, reducing them to the
-rate constants of the underlying envelopes, and applying a factor-2 safety
-cushion.  Selection failures raise rather than silently passing defaults on.
+region of interest.  The probes come from the chain table: a sign chain
+names its (positive, negative) bound chains and the constant it sets, and
+each bound chain supplies its barrier, sampling region and rate law.  Both
+envelope constants are sampled with the quadrature engine, and the amplitude
+is their ratio with a factor-2 safety cushion.  Selection failures raise
+rather than silently passing defaults on.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .chains import ChainId, SamplePolicy, _region_samples, chain_info
 from .errors import ConfigurationError, DegenerateInputError
 from .operator import QuadSpec, eval_radial
 from .params import FracParams
-from .profiles import BarrierConstants, BarrierKind, make_barrier
+from .profiles import BarrierConstants, make_barrier
 
-__all__ = ["choose_constants", "ChoiceProbe"]
+__all__ = ["choose_constants"]
 
 _PROBE_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=1e-10)
 
 
-@dataclass(frozen=True)
-class ChoiceProbe:
-    """Sampled envelope constants behind a constant choice (for reports)."""
-
-    positive_const: float
-    negative_const: float
-    radii: tuple[float, float]
-
-
-def _annulus_samples(r0: float, r: float, count: int) -> np.ndarray:
-    return np.geomspace(r0 * 1.02, r * 0.98, count)
-
-
-def _probe_annulus(kind: BarrierKind, constants: BarrierConstants, params: FracParams,
-                   rate, count: int, quad: QuadSpec, reduce_fn) -> float:
-    prof = make_barrier(kind, constants, params)
-    xs = _annulus_samples(constants.base_radius, constants.outer_radius, count)
+def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams,
+              policy: SamplePolicy, quad: QuadSpec) -> float:
+    """Sampled envelope constant of a bound chain: envelope_sign * max(value / rate)."""
+    spec = chain_info(chain)
+    prof = make_barrier(spec.barrier, constants, params)
+    xs = _region_samples(spec, constants, policy)
     vals = np.asarray([eval_radial(prof, float(x), params, quad).value for x in xs])
-    return float(reduce_fn(vals / rate(xs, constants.outer_radius)))
-
-
-def _probe_exterior(kind: BarrierKind, constants: BarrierConstants, params: FracParams,
-                    rate, count: int, quad: QuadSpec, reduce_fn) -> float:
-    prof = make_barrier(kind, constants, params)
-    r = constants.outer_radius
-    xs = np.geomspace(2.0 * r * 1.02, 40.0 * r, count)
-    vals = np.asarray([eval_radial(prof, float(x), params, quad).value for x in xs])
-    return float(reduce_fn(vals / rate(xs, r)))
+    return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
 
 
 def choose_constants(chain: str, params: FracParams, quad: QuadSpec = _PROBE_QUAD,
@@ -69,72 +49,28 @@ def choose_constants(chain: str, params: FracParams, quad: QuadSpec = _PROBE_QUA
         r = 10.0 * r0
     if r <= r0:
         raise ConfigurationError("outer radius must exceed the base radius")
+    name = chain.upper()
+    spec = chain_info(name) if name in ChainId.__members__ else None
+    if spec is None or spec.parts is None:
+        raise ConfigurationError(f"no constants to choose for chain {name!r}")
     base = BarrierConstants(base_radius=r0, outer_radius=r)
-    chain = chain.upper()
-
-    def ratio_or_fail(pos: float, neg: float, what: str) -> float:
-        if not (neg > 0.0 and np.isfinite(pos)):
-            raise DegenerateInputError(
-                f"constant selection for {what} inconclusive: envelope probes "
-                f"pos={pos:.3e}, neg={neg:.3e}"
-            )
-        return pos / neg
-
-    if chain == "LVC":
-        rate = lambda xs, rr: 1.0 / rr
-        pos = max(
-            _probe_annulus(BarrierKind.POWER_RAMP, base, params, rate, probe_points, quad, np.max),
-            _probe_annulus(BarrierKind.POWER_RAMP,
-                           base.with_updates(outer_radius=2.0 * r), params,
-                           lambda xs, rr: 1.0 / rr, probe_points, quad, np.max),
+    policy = SamplePolicy(points=probe_points, exterior_span=40.0)
+    positive, negative = spec.parts
+    pos = _envelope(positive, base, params, policy, quad)
+    if name == "LVC":  # the ramp's envelope is also probed at twice the working radius
+        pos = max(pos, _envelope(positive, base.with_updates(outer_radius=2.0 * r),
+                                 params, policy, quad))
+    neg = _envelope(negative, base, params, policy, quad)
+    if not (neg > 0.0 and np.isfinite(pos)):
+        raise DegenerateInputError(
+            f"constant selection for {name} inconclusive: envelope probes "
+            f"pos={pos:.3e}, neg={neg:.3e}"
         )
-        neg = _probe_annulus(BarrierKind.POWER_BUMP, base, params, rate, probe_points, quad,
-                             lambda v: np.min(-v))
-        coef = 2.0 * ratio_or_fail(pos, neg, "LVC")
-        return base.with_updates(power_bump_coef=coef)
-
-    if chain == "NBBN":
-        rate = lambda xs, rr: math.log(2.0 * rr) / rr
-        pos = _probe_annulus(BarrierKind.LOG_CUT, base, params, rate, probe_points, quad, np.max)
-        neg = _probe_annulus(BarrierKind.LOG_BUMP, base, params, rate, probe_points, quad,
-                             lambda v: np.min(-v))
-        coef = 2.0 * ratio_or_fail(pos, neg, "NBBN")
-        return base.with_updates(log_bump_coef=coef)
-
-    if chain == "NITU":
-        two_s = 2.0 * params.s
-        rate = lambda xs, rr: rr ** (-two_s)
-        pos = _probe_annulus(BarrierKind.COMPLEMENT_RAMP, base, params, rate, probe_points, quad, np.max)
-        neg = _probe_annulus(BarrierKind.PLATEAU_BUMP, base, params, rate, probe_points, quad,
-                             lambda v: np.min(-v))
-        coef = 2.0 * ratio_or_fail(pos, neg, "NITU")
-        return base.with_updates(plateau_height=coef)
-
-    if chain == "RI":
-        n2s = params.n + 2.0 * params.s
-        two_s = 2.0 * params.s
-        pos_rate = lambda xs, rr: rr**two_s / (xs - rr) ** n2s
-        neg_rate = lambda xs, rr: rr**two_s / (xs + 2.0 * rr) ** n2s
-        pos = _probe_exterior(BarrierKind.EXTERIOR_POWER, base, params, pos_rate,
-                              probe_points, quad, np.max)
-        neg = _probe_exterior(BarrierKind.POWER_SHELL, base, params, neg_rate,
-                              probe_points, quad, lambda v: np.min(-v))
-        # the envelopes differ by ((|x|+2r)/(|x|-r))^(n+2s), worst at |x| = 2r
-        mu = 2.0 * ratio_or_fail(pos, neg, "RI") * 4.0**n2s
-        return base.with_updates(shell_coef=mu)
-
-    if chain == "VASK":
-        n2s = params.n + 2.0 * params.s
-        xs = np.geomspace(1.05, 100.0, probe_points)
-        capped = make_barrier(BarrierKind.CAPPED_POWER, base, params)
-        indicator = make_barrier(BarrierKind.BALL_INDICATOR, base, params)
-        vc = np.asarray([eval_radial(capped, float(x), params, quad).value for x in xs])
-        vi = np.asarray([eval_radial(indicator, float(x), params, quad).value for x in xs])
-        pos = float(np.max(vc * (xs - 1.0) ** n2s))
-        neg = float(np.min(-vi * (1.0 + xs) ** n2s))
-        coef = 2.0 * ratio_or_fail(pos, neg, "VASK")
+    coef = 2.0 * (pos / neg)
+    n2s = params.n + 2.0 * params.s
+    if name == "RI":  # the envelopes differ by ((|x|+2r)/(|x|-r))^(n+2s), worst at |x| = 2r
+        coef *= 4.0**n2s
+    if name == "VASK":
         beta = 2.0 ** (1.0 / n2s)
-        r_sign = 1.05 * (beta + 1.0) / (beta - 1.0)
-        return base.with_updates(indicator_coef=coef, exterior_sign_radius=r_sign)
-
-    raise ConfigurationError(f"no constants to choose for chain {chain!r}")
+        base = base.with_updates(exterior_sign_radius=1.05 * (beta + 1.0) / (beta - 1.0))
+    return base.with_updates(**{spec.constant: coef})

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
-from .operator import _gl
+from .operator import _gauss_nodes
 from .params import FracParams
 from .profiles import positive_fundamental
 
@@ -201,15 +201,11 @@ def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                          T: float, s: float) -> np.ndarray:
     """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels."""
     two_s = 2.0 * s
-    x16, w16 = _gl(16)
-    lo, hi = _TAIL_VE[:-1], _TAIL_VE[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    v = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
+    v, w = _gauss_nodes(_TAIL_VE)
     t = T / v
     gsum = g(xs[:, None] + t[None, :]) + g(xs[:, None] - t[None, :])
     integrand = (v ** (two_s - 1.0))[None, :] * gsum
-    w_flat = (w16[None, :] * half[:, None]).ravel()
-    return T ** (-two_s) * integrand @ w_flat
+    return T ** (-two_s) * integrand @ w
 
 
 def _pair_weights(K: int, h: float, s: float) -> np.ndarray:
@@ -271,13 +267,9 @@ def _rate_profile_integral(s: float, e: float) -> float:
     """
     key = (s, e)
     if key not in _BL_CACHE:
-        x16, w16 = _gl(16)
-
         def integrate(edges: np.ndarray, fn) -> float:
-            lo, hi = edges[:-1], edges[1:]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            tau = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
-            return float(fn(tau) @ (w16[None, :] * half[:, None]).ravel())
+            tau, w = _gauss_nodes(edges)
+            return float(fn(tau) @ w)
 
         def pair_gap(tau: np.ndarray) -> np.ndarray:
             # 2 - (1-tau)^e - (1+tau)^e, series below the cancellation threshold
@@ -302,14 +294,10 @@ def _boundary_row_data(problem: GridProblem, x_i: float, sgn: float, delta: floa
                        g_b: float) -> float:
     """int_delta^{3 delta} t^(-1-2s) (g(x_i + sgn t) - g_b) dt for the data side."""
     s = problem.params.s
-    x16, w16 = _gl(16)
-    edges = np.linspace(delta, 3.0 * delta, 9)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
+    t, w = _gauss_nodes(np.linspace(delta, 3.0 * delta, 9))
     g = problem.exterior.evaluate(x_i + sgn * t, problem.params)
     vals = t ** (-1.0 - 2.0 * s) * (g - g_b)
-    return float(vals @ (w16[None, :] * half[:, None]).ravel())
+    return float(vals @ w)
 
 
 class _Assembly:

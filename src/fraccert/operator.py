@@ -102,6 +102,14 @@ def _gl(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_NODES[npts]
 
 
+def _gauss_nodes(edges: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes and weights of the composite npts-point Gauss rule on the panels of ``edges``."""
+    x, w = _gl(npts)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (w[None, :] * half[:, None]).ravel()
+
+
 def _panel_values(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                   lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-panel (integral, rule error, inner-error floor) from a 16/8 point pair.
@@ -171,12 +179,19 @@ def _adaptive_many(panel_fn, ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, to
         floors = np.concatenate([floors[keep], fresh_floors])
 
 
-def _adaptive(f, edges: np.ndarray, tol: float, max_panels: int):
+def _adaptive(f, edges: np.ndarray, tol: float, max_panels: int, initial=None):
     """One adaptive integral on fixed initial edges; returns (value, err, panels, ok)."""
     lo, hi = edges[:-1], edges[1:]
     value, err, panels, ok = _adaptive_many(lambda ids, a, b: _panel_values(f, a, b),
-                                            np.zeros(lo.size, dtype=np.intp), lo, hi, tol, max_panels, 1)
+                                            np.zeros(lo.size, dtype=np.intp), lo, hi, tol, max_panels, 1,
+                                            initial)
     return value[0], err[0], int(panels[0]), bool(ok[0])
+
+
+def _first_panels(f, edges: np.ndarray):
+    """Panel values on the starting edges, and their sum in the engine's summation order."""
+    first = _panel_values(f, edges[:-1], edges[1:])
+    return first, np.bincount(np.zeros(first[0].size, dtype=np.intp), first[0], 1)[0]
 
 
 def _with_geometric_fill(edges: Sequence[float], ratio: float = 4.0) -> np.ndarray:
@@ -408,8 +423,8 @@ def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
     near_val, near_err = _near_zone(u_x, mean_fn, s, h, near_model)
 
     edges = _with_geometric_fill(sorted({h, t_top} | {t for t in kink_ts if h < t < t_top}))
-    # run once cheaply to learn the scale, then refine against the mixed tolerance
-    mid_val, mid_err, n_panels, _ = _adaptive(integrand, edges, tol=np.inf, max_panels=len(edges))
+    # the starting panels give the scale; the refinement against the mixed tolerance reuses them
+    mid_first, mid_val = _first_panels(integrand, edges)
 
     if exact_zero_tail_from is not None:
         # the mean vanishes beyond t_top: only the exact constant part remains
@@ -421,12 +436,12 @@ def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
             return w * (u_x - m_vals), w * m_errs
 
         v_edges = np.asarray([0.0] + [2.0 ** (-k) for k in range(12, -1, -1)])
-        rough, _, _, _ = _adaptive(tail_integrand, v_edges, tol=np.inf, max_panels=16)
+        tail_first, rough = _first_panels(tail_integrand, v_edges)
         component_scale = abs(near_val) + abs(mid_val) + t_top ** (-two_s) * abs(rough)
         tol_run = max(quad.abs_tol, quad.rel_tol * component_scale) / prefac
         tail_int, tail_ierr, tail_panels, _ = _adaptive(
             tail_integrand, v_edges, tol=0.25 * tol_run * t_top ** two_s,
-            max_panels=quad.max_subdivisions // 3,
+            max_panels=quad.max_subdivisions // 3, initial=tail_first,
         )
         tail_val = t_top ** (-two_s) * tail_int
         tail_err = t_top ** (-two_s) * tail_ierr
@@ -434,7 +449,8 @@ def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
     component_scale = abs(near_val) + abs(mid_val) + abs(tail_val)
     tol_run = max(quad.abs_tol, quad.rel_tol * component_scale) / prefac
     mid_val, mid_err, n_panels, mid_ok = _adaptive(
-        integrand, edges, tol=max(0.5 * tol_run, 0.0), max_panels=quad.max_subdivisions
+        integrand, edges, tol=max(0.5 * tol_run, 0.0), max_panels=quad.max_subdivisions,
+        initial=mid_first,
     )
 
     total = prefac * (near_val + mid_val + tail_val)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,51 @@ def test_chosen_constants_carry_safety_margin(lvc_constants):
     halved = lvc_constants.with_updates(power_bump_coef=0.55 * lvc_constants.power_bump_coef)
     rep = verify_chain(ChainId.LVC, P_POS, halved, FAST)
     assert rep.verdict is Verdict.PASS
+
+
+# choose_constants as the five hand-written selection branches gave it (r0 = 2, r = 20)
+_CHOSEN = {
+    ("LVC", 1, 0.75): {"power_bump_coef": 5.513960028917069},
+    ("NBBN", 1, 0.5): {"log_bump_coef": 9.980387455122791},
+    ("NITU", 3, 0.5): {"plateau_height": 7.171550001492998},
+    ("VASK", 3, 0.5): {"indicator_coef": 3.6921631904060015,
+                       "exterior_sign_radius": 12.148948366554817},
+    ("RI", 3, 0.5): {"shell_coef": 760.4374543957551},
+    ("LVC", 1, 0.8): {"power_bump_coef": 5.519111711296011},
+}
+
+
+@pytest.mark.parametrize("chain,n,s", list(_CHOSEN))
+def test_choose_constants_pinned(chain, n, s):
+    got = dataclasses.asdict(choose_constants(chain, FracParams(n, s), r0=2.0, r=20.0))
+    want = dataclasses.asdict(BarrierConstants(base_radius=2.0, outer_radius=20.0,
+                                               **_CHOSEN[(chain, n, s)]))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if value is None:
+            assert got[key] is None, key
+        else:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+def test_sign_chain_parts_are_opposite_bound_chains():
+    fields = {f.name for f in dataclasses.fields(BarrierConstants)}
+    paired = [chain for chain in ChainId if chain_info(chain).parts]
+    assert {c.value for c in paired} == {"LVC", "NBBN", "NITU", "RI", "VASK"}
+    for chain in ChainId:
+        info = chain_info(chain)
+        if info.constant is not None:
+            assert info.constant in fields, chain
+        if info.parts is None:
+            continue
+        assert info.kind == "sign" and info.constant is not None
+        positive, negative = (chain_info(part) for part in info.parts)
+        assert positive.kind == negative.kind == "bound"
+        assert (positive.envelope_sign, negative.envelope_sign) == (+1, -1)
+        assert positive.rate is not None and negative.rate is not None
+
+
+def test_choose_constants_rejects_chains_without_parts():
+    for chain in ("CA3D", "CA1_00", "nonsense"):
+        with pytest.raises(ConfigurationError):
+            choose_constants(chain, P_POS)

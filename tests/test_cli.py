@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 
+import fraccert.cli
 from fraccert.cli import main
+from fraccert.errors import ConfigurationError, DegenerateInputError
 from fraccert.reporting import SCHEMA_VERSION, to_json
 
 
@@ -32,6 +34,41 @@ def test_verify_chain_pass_exit_zero(capsys, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["body"]["verdict"] == "PASS"
     assert len(doc["body"]["samples"]) == 40
+
+
+def test_verify_chain_bound_chain_uses_given_constants(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("bound chains take --r0/--r as given")
+
+    monkeypatch.setattr(fraccert.cli, "choose_constants", never)
+    code, out = run(capsys, "verify-chain", "--chain", "CA3D", "--n", "1", "--s", "0.75",
+                    "--r0", "2", "--r", "25", "--samples", "40")
+    assert code == 0
+    body = json.loads(out)["body"]
+    assert body["verdict"] == "PASS"
+    assert body["constants"]["base_radius"] == 2.0
+    assert body["constants"]["outer_radius"] == 25.0
+    assert body["constants"]["power_bump_coef"] == 1.0
+
+
+def test_verify_chain_failed_selection_is_inconclusive(capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateInputError("envelope probes degenerate")
+
+    monkeypatch.setattr(fraccert.cli, "choose_constants", degenerate)
+    argv = ("verify-chain", "--chain", "LVC", "--n", "1", "--s", "0.75", "--samples", "40")
+    code, out = run(capsys, *argv)
+    assert code == 2
+    body = json.loads(out)["body"]
+    assert body["verdict"] == "INCONCLUSIVE"
+    assert body["notes"] == ["envelope probes degenerate"]
+    assert body["samples"] == []
+
+    def misconfigured(*args, **kwargs):
+        raise ConfigurationError("bad radii")
+
+    monkeypatch.setattr(fraccert.cli, "choose_constants", misconfigured)
+    assert main(list(argv)) == 3
 
 
 def test_unknown_command_is_usage_error(capsys):
