@@ -5,8 +5,20 @@ the operator is split into the half-cell around the node (quadratic Taylor
 correction), exact kernel integrals over whole cells out to a truncation
 distance, and a closed-form/quadrature tail fed by the exterior data.  All
 off-diagonal weights are nonpositive and every row is strictly diagonally
-dominant, so the assembled matrix is an M-matrix and ordered data produce
+dominant, so the operator matrix is an M-matrix and ordered data produce
 ordered solutions.
+
+The matrix is never formed.  It is A = c_ns (T_SS + E_C P_C^T): T is the
+symmetric Toeplitz kernel on the hull lattice of the domain and T_SS its
+restriction to the interior indices S; E_C holds every edit, all of which sit
+in the layer columns C (nodes within 2.5h of an endpoint, 3 per endpoint):
+the dist^s cell-average column scaling and the rewritten boundary rows.  T^-1
+is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
+products by FFT, after one Levinson solve for its first column), gap nodes
+of the hull are eliminated through the capacitance (T^-1)_GG, and the edits
+through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  Memory is O(n |C|)
+and a solve O(n log n); the sign-pattern and dominance checks read the
+kernel vector and the layer columns.
 
 Verifiers on top of the solver estimate the boundary-rate ratio, the
 forcing-mass lower bound on annuli, compact-set positivity constants, and the
@@ -21,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
 from .operator import _gauss_nodes
@@ -50,6 +62,15 @@ ANNULUS_TARGET = ((-2.0, -1.0), (1.0, 2.0))
 _ALIGN_TOL = 1e-9
 
 
+def _on_nodes(vals: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
+    """Values for the points x: a 0-d result broadcasts, any other shape mismatch raises."""
+    if vals.ndim == 0:
+        return np.full(x.shape, float(vals))
+    if vals.shape != x.shape:
+        raise ConfigurationError(f"{what} has shape {vals.shape}, expected {x.shape}")
+    return vals
+
+
 @dataclass(frozen=True)
 class ExteriorData:
     """Values of the unknown outside the domain.
@@ -73,10 +94,7 @@ class ExteriorData:
             return np.zeros_like(x)
         if self.kind == "fundamental":
             return np.asarray(positive_fundamental(params)(np.abs(x)), dtype=float)
-        out = np.asarray(self.fn(x), dtype=float)
-        if out.shape != x.shape:
-            out = np.asarray([float(self.fn(float(v))) for v in x])
-        return out
+        return _on_nodes(np.asarray(self.fn(x), dtype=float), x, "exterior data")
 
     def has_tail(self) -> bool:
         return self.kind == "fundamental"
@@ -122,28 +140,16 @@ class GridProblem:
     # -- lattice ----------------------------------------------------------
 
     def interior_indices(self) -> np.ndarray:
-        idx: list[int] = []
-        for a, b in self.intervals:
-            ia, ib = round(a / self.h), round(b / self.h)
-            idx.extend(range(ia, ib))
-        return np.asarray(idx, dtype=int)
+        return np.concatenate([np.arange(round(a / self.h), round(b / self.h))
+                               for a, b in self.intervals])
 
     def nodes(self) -> np.ndarray:
         return (self.interior_indices() + 0.5) * self.h
 
     def rhs_values(self) -> np.ndarray:
         x = self.nodes()
-        if callable(self.rhs):
-            vals = np.asarray(self.rhs(x), dtype=float)
-            if vals.shape != x.shape:
-                vals = np.asarray([float(self.rhs(float(v))) for v in x])
-            return vals
-        if np.ndim(self.rhs) == 0:
-            return np.full(x.shape, float(self.rhs))
-        vals = np.asarray(self.rhs, dtype=float)
-        if vals.shape != x.shape:
-            raise ConfigurationError("rhs sample array does not match the node count")
-        return vals
+        return _on_nodes(np.asarray(self.rhs(x) if callable(self.rhs) else self.rhs, dtype=float),
+                         x, "rhs")
 
     def distance_to_complement(self) -> np.ndarray:
         x = self.nodes()
@@ -152,6 +158,14 @@ class GridProblem:
             mask = (x > a) & (x < b)
             d[mask] = np.minimum(x[mask] - a, b - x[mask])
         return d
+
+    def window(self) -> int:
+        """Truncation window K: kernel cells run to K h, data beyond it enter as a tail."""
+        span = self.intervals[-1][1] - self.intervals[0][0]
+        l_ext = self.truncation_radius if self.truncation_radius else 4.0 * max(1.0, span)
+        if l_ext < 2.0 * span:
+            raise ConfigurationError("truncation radius must be at least twice the domain span")
+        return int(round(l_ext / self.h))
 
     def refined(self, factor: int = 2) -> "GridProblem":
         return GridProblem(self.intervals, self.h / factor, self.params, self.rhs,
@@ -208,45 +222,28 @@ def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     return T ** (-two_s) * integrand @ w
 
 
-def _pair_weights(K: int, h: float, s: float) -> np.ndarray:
+def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
     """Weights omega[m] multiplying the pair difference 2u_i - u_{i+m} - u_{i-m}.
 
     Exact kernel integrals against local quadratic models of the (even) pair
     difference: the first cell pins the parabola at the origin, later cells
-    use the three-point Lagrange parabola.  Index m runs to K+1; omega[0]=0.
+    use the three-point Lagrange parabola.  The moments of cell k are taken
+    about its centre kh by a 12-point Gauss rule: moments about the origin
+    cancel catastrophically for large k.  Index m runs to K+1; omega[0]=0.
     Returns (omega, first-cell share of omega[1]).
     """
     two_s = 2.0 * s
     omega = np.zeros(K + 2)
-
-    def ints(a: np.ndarray, b: np.ndarray):
-        i0 = (a ** (-two_s) - b ** (-two_s)) / two_s
-        if abs(two_s - 1.0) < 1e-12:
-            i1 = np.log(b / a)
-        else:
-            i1 = (b ** (1.0 - two_s) - a ** (1.0 - two_s)) / (1.0 - two_s)
-        i2 = (b ** (2.0 - two_s) - a ** (2.0 - two_s)) / (2.0 - two_s)
-        return i0, i1, i2
-
     # first cell [h/2, 3h/2]: model H(t) = H_1 (t/h)^2, exact through 0
-    _, _, i2f = ints(np.asarray([0.5 * h]), np.asarray([1.5 * h]))
-    first_cell = float(i2f[0]) / h**2
+    first_cell = ((1.5 * h) ** (2.0 - two_s) - (0.5 * h) ** (2.0 - two_s)) / (2.0 - two_s) / h**2
     omega[1] += first_cell
-
     if K >= 2:
-        k = np.arange(2, K + 1, dtype=float)
-        a, b, kh = (k - 0.5) * h, (k + 0.5) * h, k * h
-        i0, i1, i2 = ints(a, b)
-        m0 = i0
-        m1 = i1 - kh * i0
-        m2 = i2 - 2.0 * kh * i1 + kh**2 * i0
-        v_minus = (m2 - h * m1) / (2.0 * h**2)
-        v_zero = m0 - m2 / h**2
-        v_plus = (m2 + h * m1) / (2.0 * h**2)
-        ki = np.arange(2, K + 1)
-        np.add.at(omega, ki - 1, v_minus)
-        np.add.at(omega, ki, v_zero)
-        np.add.at(omega, ki + 1, v_plus)
+        off, w = _gauss_nodes(np.asarray([-0.5, 0.5]) * h, 12)  # t - kh across one cell
+        f = (np.arange(2, K + 1)[:, None] * h + off) ** (-1.0 - two_s) * w
+        m0, m1, m2 = (f @ np.stack([np.ones_like(off), off, off**2], axis=1)).T
+        omega[1:K] += (m2 - h * m1) / (2.0 * h**2)
+        omega[2:K + 1] += m0 - m2 / h**2
+        omega[3:K + 2] += (m2 + h * m1) / (2.0 * h**2)
 
     if omega[1:].min() < 0.0:
         raise ConfigurationError("quadratic cell weights lost positivity")
@@ -290,66 +287,40 @@ def _rate_profile_integral(s: float, e: float) -> float:
     return _BL_CACHE[key]
 
 
-def _boundary_row_data(problem: GridProblem, x_i: float, sgn: float, delta: float,
-                       g_b: float) -> float:
-    """int_delta^{3 delta} t^(-1-2s) (g(x_i + sgn t) - g_b) dt for the data side."""
-    s = problem.params.s
-    t, w = _gauss_nodes(np.linspace(delta, 3.0 * delta, 9))
-    g = problem.exterior.evaluate(x_i + sgn * t, problem.params)
-    vals = t ** (-1.0 - 2.0 * s) * (g - g_b)
-    return float(vals @ w)
-
-
 class _Assembly:
+    """The operator A = c_ns (T_SS + E_C P_C^T), its exterior rhs and its solver."""
+
     def __init__(self, problem: GridProblem):
         p = problem
-        s = p.params.s
+        s, h, c_ns = p.params.s, p.h, p.params.c_ns
         two_s = 2.0 * s
-        h = p.h
-        c_ns = p.params.c_ns
         li = p.interior_indices()
-        hull_lo = p.intervals[0][0]
-        hull_hi = p.intervals[-1][1]
-        span = hull_hi - hull_lo
-        l_ext = p.truncation_radius if p.truncation_radius else 4.0 * max(1.0, span)
-        if l_ext < 2.0 * span:
-            raise ConfigurationError("truncation radius must be at least twice the domain span")
-        K = int(round(l_ext / h))
-
-        omega, omega_first_cell = _pair_weights(K, h, s)
+        K = p.window()
+        N = int(li[-1] - li[0]) + 1  # hull size
+        if N > K:
+            raise ConfigurationError("truncation window smaller than the domain span")
+        omega, omega1 = _pair_weights(K, h, s)
         c2 = (h / 2.0) ** (2.0 - two_s) / (2.0 - two_s) / h**2
         T = (K + 0.5) * h
         tail_k = T ** (-two_s) / two_s
-
-        n = li.size
-        D = np.abs(li[:, None] - li[None, :])
-        if D.max() >= K:
-            raise ConfigurationError("truncation window smaller than the domain span")
+        t = -omega[:N]
+        t[1:2] -= c2
+        t[0] = 2.0 * omega.sum() + 2.0 * c2 + 2.0 * tail_k
 
         # couplings into boundary-layer nodes carry the dist^s cell-average
-        # factor: a cell integral sampling a layer node sees the average of
-        # the boundary-rate profile, not its center value
-        xs_nodes = (li + 0.5) * h
-        delta_arr = np.asarray([
-            min(min(x - a, b - x) for a, b in p.intervals if a < x < b) for x in xs_nodes
-        ])
-        phi = np.ones(n)
-        gb_arr = np.zeros(n)
-        layer = delta_arr <= 2.5 * h
-        for i in np.nonzero(layer)[0]:
-            d = delta_arr[i]
-            phi[i] = ((d + 0.5 * h) ** (1.0 + s) - (d - 0.5 * h) ** (1.0 + s)) / (
-                h * (1.0 + s) * d**s
-            )
-            x_b = min((e for a, b in p.intervals for e in (a, b)), key=lambda e: abs(e - xs_nodes[i]))
-            gb_arr[i] = float(p.exterior.evaluate(
-                np.asarray([x_b + math.copysign(1e-12, x_b - xs_nodes[i])]), p.params)[0])
-
-        OmD = omega[D]
-        A = -OmD * phi[None, :]
-        A[D == 1] -= c2
-        np.fill_diagonal(A, 2.0 * omega.sum() + 2.0 * c2 + 2.0 * tail_k)
-        layer_rhs = OmD @ ((1.0 - phi) * gb_arr)
+        # factor phi: a cell integral sampling a layer node sees the average
+        # of the boundary-rate profile, not its center value
+        x = (li + 0.5) * h
+        delta = p.distance_to_complement()
+        C = np.nonzero(delta <= 2.5 * h)[0]
+        dC, iC = delta[C], np.arange(C.size)
+        phi = ((dC + 0.5 * h) ** (1.0 + s) - (dC - 0.5 * h) ** (1.0 + s)) / (h * (1.0 + s) * dC**s)
+        ends = np.asarray(p.intervals).ravel()
+        x_b = ends[np.abs(ends[None, :] - x[C, None]).argmin(axis=1)]
+        g_b = p.exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), p.params)
+        DC = np.abs(li[:, None] - li[C][None, :])
+        AC = -omega[DC] * phi - c2 * (DC == 1)  # the layer columns A[:, C] / c_ns
+        AC[C, iC] = t[0]
 
         # Nodes touching the boundary: both the quadratic near-cell model and
         # the first-cell parabola are wrong where the solution carries the
@@ -359,63 +330,113 @@ class _Assembly:
         # interior neighbour; the beyond-boundary part is fed by the exterior
         # data.  The neighbour weight is negative (the s+1 profile integral
         # is), so the M-matrix sign pattern survives.
-        li_set = set(int(v) for v in li)
-        omega_cell1 = omega_first_cell
-        self.boundary_fix_rhs = layer_rhs
-        q_s = _rate_profile_integral(s, s)
-        for i in range(n):
-            delta = delta_arr[i]
-            if delta > 0.75 * h:
-                continue
-            g_b = gb_arr[i]
-            x_b = min((e for a, b in p.intervals for e in (a, b)), key=lambda e: abs(e - xs_nodes[i]))
-            sgn = math.copysign(1.0, x_b - xs_nodes[i])
-            coef = delta ** (-two_s) * q_s
-            A[i, i] += coef - 2.0 * c2 - 2.0 * omega_cell1
-            self.boundary_fix_rhs[i] += coef * g_b + _boundary_row_data(
-                p, xs_nodes[i], sgn, delta, g_b)
-            for j in range(n):
-                if j != i and abs(li[j] - li[i]) == 1:
-                    A[i, j] += c2 + omega_cell1 * phi[j]
-            # the dropped stencils may have leaned on an exterior neighbor
-            for lnb in (li[i] - 1, li[i] + 1):
-                if int(lnb) not in li_set:
-                    x_nb = (lnb + 0.5) * h
-                    g_nb = float(p.exterior.evaluate(np.asarray([x_nb]), p.params)[0])
-                    self.boundary_fix_rhs[i] -= (c2 + omega_cell1) * g_nb
-        A *= c_ns
+        rows = np.nonzero(dC <= 0.75 * h)[0]
+        iB, dB = C[rows], dC[rows, None]
+        coef = dB[:, 0] ** (-two_s) * _rate_profile_integral(s, s)
+        AC[iB, rows] += coef - 2.0 * c2 - 2.0 * omega1
+        AC[iB] += (DC[iB] == 1) * (c2 + omega1 * phi)
+        reach = K + 1
+        lat = np.arange(li[0] - reach, li[-1] + reach + 1)
+        g = p.exterior.evaluate((lat + 0.5) * h, p.params)
+        tau, w = _gauss_nodes(np.linspace(1.0, 3.0, 9))
+        side = np.sign(x_b[rows] - x[iB])[:, None]
+        gd = p.exterior.evaluate(x[iB, None] + side * dB * tau, p.params) - g_b[rows, None]
+        fix = omega[DC] @ ((1.0 - phi) * g_b)
+        fix[iB] += coef * g_b[rows] + ((dB * tau) ** (-1.0 - two_s) * gd) @ w * dB[:, 0]
+        # the dropped stencils may have leaned on an exterior neighbour
+        nb = li[iB, None] + np.asarray([-1, 1])
+        fix[iB] -= (c2 + omega1) * (g[nb - lat[0]] * np.isin(nb, li, invert=True)).sum(axis=1)
 
         # exterior contribution on the rhs
-        reach = K + 1
-        lat_lo, lat_hi = li.min() - reach, li.max() + reach
-        lat = np.arange(lat_lo, lat_hi + 1)
-        xs_lat = (lat + 0.5) * h
-        gvals = p.exterior.evaluate(xs_lat, p.params)
-        interior_pos = li - lat_lo
-        gvals[interior_pos] = 0.0
-        kernel = np.zeros(2 * reach + 1)
-        kernel[reach + 1:] = omega[1:]
-        kernel[:reach] = omega[1:][::-1]
-        kernel[reach + 1] += c2
-        kernel[reach - 1] += c2
-        conv = np.convolve(gvals, kernel, mode="valid")  # positions lat_lo+reach .. lat_hi-reach
-        ext = conv[li - (lat_lo + reach)]
+        g[li - lat[0]] = 0.0
+        kernel = np.concatenate([omega[:0:-1], [0.0], omega[1:]])
+        kernel[[reach - 1, reach + 1]] += c2
+        ext = np.convolve(g, kernel, mode="valid")[li - li[0]] if g.any() else 0.0
         if p.exterior.has_tail():
-            g_line = lambda x: p.exterior.evaluate(np.asarray(x, dtype=float), p.params)
-            ext = ext + _exterior_tail_batch(g_line, (li + 0.5) * h, T, s)
-        self.ext_rhs = c_ns * (ext + self.boundary_fix_rhs)
+            ext = ext + _exterior_tail_batch(lambda y: p.exterior.evaluate(y, p.params), x, T, s)
+        self.ext_rhs = c_ns * (ext + fix)
 
-        # M-matrix sanity: nonpositive off-diagonals, strict dominance
-        off = A - np.diag(np.diag(A))
-        if off.max() > 1e-14 * abs(A).max():
+        # M-matrix sanity: nonpositive off-diagonals (those of T are -omega
+        # and -c2), strict dominance.  The margin diag - sum_j!=i |A_ij| of
+        # hull row q of T is spare + R[q+1] + R[N-q], with R the tail sums of
+        # the kernel mass |t_m| and spare = t_0 - 2 sum_m |t_m| summed exactly
+        # (2 tail_k up to the rounding of t_0); gap and layer columns correct it
+        off = AC.copy()
+        off[C, iC] = -np.inf
+        if off.max() > 1e-14 * max(t[0], np.abs(AC).max()):
             raise ConfigurationError("assembly lost the M-matrix sign pattern")
-        dominance = np.diag(A) - np.abs(off).sum(axis=1)
-        if dominance.min() <= 0.0:
+        mass = omega.copy()
+        mass[1] += c2
+        R = np.cumsum(mass[::-1])[::-1]
+        spare = math.fsum([t[0], *(-2.0 * mass[1:]).tolist()])
+        q = li - li[0]
+        gaps = np.stack([q[:-1] + 1, q[1:] - 1])[:, np.diff(q) > 1]
+        dist = np.abs(q[:, None, None] - gaps.T[None])  # row to both ends of each gap
+        near, far = dist.min(axis=2), dist.max(axis=2)
+        corr = np.abs(t[DC]) - np.abs(AC)
+        corr[C, iC] = AC[C, iC] - t[0]
+        margin = spare + R[q + 1] + R[N - q] + (R[near] - R[far + 1]).sum(axis=1) + corr.sum(axis=1)
+        if margin.min() <= 0.0:
             raise ConfigurationError("assembly lost row diagonal dominance")
+        self.dominance = c_ns * margin
 
-        self.matrix = A
-        self.lu = lu_factor(A)
-        self.nodes = (li + 0.5) * h
+        # solver: Gohberg-Semencul T^-1 from the first column x of T^-1,
+        # T^-1 = (L(x) L(x)^T - L(y) L(y)^T) / x_0 with y = (0, x_N-1, ..., x_1)
+        self.nfft = 1 << (2 * N - 1).bit_length()
+        circ = np.zeros(self.nfft)
+        circ[:N], circ[self.nfft - N + 1:] = t, t[:0:-1]
+        self.ft = np.fft.rfft(circ)
+        xt = solve_toeplitz(t, np.eye(N, 1).ravel())
+        yt = np.r_[0.0, xt[:0:-1]]
+        self.x0 = xt[0]
+        self.gs = np.fft.rfft(np.stack([xt, yt]), self.nfft, axis=1)[:, :, None]
+        self.N, self.q, self.C, self.c_ns = N, q, C, c_ns
+        is_gap = np.ones(N, dtype=bool)
+        is_gap[q] = False
+        gap, self.gap = np.nonzero(is_gap)[0], None
+        if gap.size:
+            # columns of T^-1 at the gap nodes by the Trench recurrence
+            # (T^-1)_{i+1,j+1} = (T^-1)_{ij} + (x_{i+1} x_{j+1} - y_{i+1} y_{j+1}) / x_0
+            col, cols = xt, []
+            for j in range(1, gap[-1] + 1):
+                col = np.concatenate(([xt[j]], col[:-1] + (xt[1:] * xt[j] - yt[1:] * yt[j]) / self.x0))
+                if is_gap[j]:
+                    cols.append(col)
+            mg = np.stack(cols, axis=1)
+            self.gap = (gap, mg[q], lu_factor(mg[gap]))
+        self.EC = AC - t[DC]
+        self.Z = self._ss_inv(self.EC)
+        self.cap = lu_factor(np.eye(C.size) + self.Z[C])
+        self.nodes = x
+
+    def _tinv(self, w: np.ndarray) -> np.ndarray:
+        """T^-1 w for the hull Toeplitz T, column by column."""
+        f, fx, fy = self.nfft, self.gs[0], self.gs[1]
+        fw = np.fft.rfft(w[::-1], f, axis=0)
+        a = np.fft.irfft(fx * fw, f, axis=0)[:self.N][::-1]  # L(x)^T w
+        b = np.fft.irfft(fy * fw, f, axis=0)[:self.N][::-1]  # L(y)^T w
+        lab = fx * np.fft.rfft(a, f, axis=0) - fy * np.fft.rfft(b, f, axis=0)
+        return np.fft.irfft(lab, f, axis=0)[:self.N] / self.x0
+
+    def _ss_inv(self, w: np.ndarray) -> np.ndarray:
+        """T_SS^-1 w: the hull inverse with the gap nodes eliminated (Schur complement)."""
+        full = np.zeros((self.N, w.shape[1]))
+        full[self.q] = w
+        y = self._tinv(full)
+        if self.gap is None:
+            return y[self.q]
+        gap, mg, gap_lu = self.gap
+        return y[self.q] - mg @ lu_solve(gap_lu, y[gap])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self._ss_inv(b[:, None] / self.c_ns)[:, 0]
+        return y - self.Z @ lu_solve(self.cap, y[self.C])
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.nfft)
+        full[self.q] = u
+        tu = np.fft.irfft(self.ft * np.fft.rfft(full), self.nfft)[self.q]
+        return self.c_ns * (tu + self.EC @ u[self.C])
 
 
 _ASSEMBLY_CACHE: dict[tuple, _Assembly] = {}
@@ -436,8 +457,8 @@ def solve_dirichlet(problem: GridProblem) -> DiscreteSolution:
     """Solve the discrete Dirichlet problem; the solve never mutates its problem."""
     asm = _assembly(problem)
     b = problem.rhs_values() + asm.ext_rhs
-    u = lu_solve(asm.lu, b)
-    residual = float(np.linalg.norm(asm.matrix @ u - b))
+    u = asm.solve(b)
+    residual = float(np.linalg.norm(asm.matvec(u) - b))
     scale = float(np.linalg.norm(b))
     if scale > 0 and residual > 1e-10 * scale:
         raise ConfigurationError(f"linear solve residual {residual:.2e} exceeds 1e-10 * |rhs|")
@@ -450,7 +471,7 @@ def apply_operator(problem: GridProblem, interior_values: np.ndarray) -> np.ndar
     vals = np.asarray(interior_values, dtype=float)
     if vals.shape != asm.nodes.shape:
         raise ConfigurationError("value array does not match the interior nodes")
-    return asm.matrix @ vals - asm.ext_rhs
+    return asm.matvec(vals) - asm.ext_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +492,11 @@ def verify_comparison(p1: GridProblem, p2: GridProblem, tol: float = 1e-10) -> C
     r1, r2 = p1.rhs_values(), p2.rhs_values()
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
-    probe = np.linspace(p1.intervals[-1][1] + p1.h, p1.intervals[-1][1] + 10.0, 64)
+    # the exterior lattice on both sides and in the gaps, out to the truncation radius
+    li = p1.interior_indices()
+    reach = max(p1.window(), p2.window()) + 1
+    lattice = np.arange(li[0] - reach, li[-1] + reach + 1)
+    probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * p1.h
     g1 = p1.exterior.evaluate(probe, p1.params)
     g2 = p2.exterior.evaluate(probe, p2.params)
     if np.any(g1 > g2 + 1e-12):

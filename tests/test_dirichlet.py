@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem,
-                                apply_operator, solve_dirichlet, verify_comparison,
-                                verify_hopf_ratio, verify_kslap, verify_measure_lemma,
-                                verify_qsmp)
+from dense_dirichlet import DenseAssembly
+from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _assembly,
+                                _pair_weights, apply_operator, solve_dirichlet,
+                                verify_comparison, verify_hopf_ratio, verify_kslap,
+                                verify_measure_lemma, verify_qsmp)
 from fraccert.errors import ConfigurationError, DegenerateInputError, DomainError
 from fraccert.operator import QuadSpec, eval_pointwise, eval_radial
 from fraccert.params import FracParams
@@ -240,3 +243,97 @@ def test_solver_rejects_wrong_dimension():
 def test_rhs_array_shape_checked():
     with pytest.raises(ConfigurationError):
         solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, np.ones(5)))
+
+
+THREE_INTERVALS = ((-1.0, -0.5), (-0.25, 0.25), (0.5, 1.0))
+
+
+@pytest.mark.parametrize("domain", [((-1.0, 1.0),), ANNULUS_DOMAIN, THREE_INTERVALS])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_structured_solver_matches_dense_oracle(domain, s):
+    # solve, operator and row-dominance margins against the explicit n x n assembly
+    params = FracParams(1, s)
+    rhs = lambda x: 1.0 + np.cos(3.0 * np.asarray(x))
+    for k in range(5, 10):
+        problems = [GridProblem(domain, 2.0 ** -k, params, rhs, ExteriorData(kind))
+                    for kind in ("zero", "fundamental")]
+        refs = [DenseAssembly(p) for p in problems]
+        lu = lu_factor(refs[0].matrix)  # the exterior data only move the rhs
+        for p, ref in zip(problems, refs):
+            u_ref = lu_solve(lu, p.rhs_values() + ref.ext_rhs)
+            u = solve_dirichlet(p).values
+            assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+            v = 2.0 + np.sin(5.0 * p.nodes())
+            op_ref = ref.matrix @ v - ref.ext_rhs
+            assert np.abs(apply_operator(p, v) - op_ref).max() <= 1e-10 * np.abs(op_ref).max()
+            np.testing.assert_allclose(_assembly(p).dominance, ref.dominance.astype(float),
+                                       rtol=1e-12)
+
+
+def test_fine_grid_solve_allocates_no_dense_matrix():
+    tracemalloc.start()
+    try:
+        sol = solve_dirichlet(GridProblem(((-1.0, 1.0),), 2.0 ** -12, P_HALF, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.values.size == 8192
+    assert peak < 64 * 2**20  # one 8192 x 8192 float64 matrix alone takes 512 MB
+
+
+def _mp_omega(mpmath, m: int, h: float, s: float):
+    """omega[m] from the moments of cells m-1, m, m+1 about their centres, by mpmath."""
+    h, s = mpmath.mpf(h), mpmath.mpf(s)
+
+    def moments(k):
+        c = k * h
+        return [mpmath.quad(lambda t: (t - c) ** j * t ** (-1 - 2 * s), [c - h / 2, c + h / 2])
+                for j in range(3)]
+
+    (_, a1, a2), (b0, _, b2), (_, c1, c2) = moments(m - 1), moments(m), moments(m + 1)
+    return (a2 + h * a1) / (2 * h**2) + b0 - b2 / h**2 + (c2 - h * c1) / (2 * h**2)
+
+
+@pytest.mark.parametrize("k", [9, 14])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_pair_weights_match_mpmath_moments(k, s):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    h = 2.0 ** -k
+    K = int(round(8.0 / h))  # the window of (-1, 1)
+    omega, _ = _pair_weights(K, h, s)
+    assert omega[1:].min() > 0.0
+    for m in (3, 50, K // 2, K - 1):
+        assert omega[m] == pytest.approx(float(_mp_omega(mpmath, m, h, s)), rel=1e-13)
+
+
+@pytest.mark.parametrize("domain, bump", [
+    (((0.0, 1.0),), lambda x: 5.0 * (np.asarray(x) < 0.0)),
+    (((-1.0, -0.5), (0.5, 1.0)), lambda x: 5.0 * (np.abs(np.asarray(x)) < 0.5)),
+])
+def test_comparison_rejects_exterior_data_unordered_left_or_in_a_gap(domain, bump):
+    p1 = GridProblem(domain, 1 / 32, P_HALF, 0.0, ExteriorData("custom", fn=bump))
+    p2 = GridProblem(domain, 1 / 32, P_HALF, 0.0)
+    with pytest.raises(ConfigurationError):
+        verify_comparison(p1, p2)
+
+
+def test_scalar_callables_broadcast_and_wrong_shapes_raise():
+    calls = []
+
+    def rhs(x):
+        calls.append(x)
+        return 1.0
+
+    p = GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, rhs)
+    np.testing.assert_array_equal(p.rhs_values(), np.ones(64))
+    assert len(calls) == 1
+    const = GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0)
+    np.testing.assert_array_equal(solve_dirichlet(p).values, solve_dirichlet(const).values)
+    np.testing.assert_array_equal(
+        ExteriorData("custom", fn=lambda x: 2.0).evaluate(np.zeros(4), P_HALF), np.full(4, 2.0))
+    with pytest.raises(ConfigurationError):
+        GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, lambda x: np.ones(5)).rhs_values()
+    with pytest.raises(ConfigurationError):
+        solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 0.0,
+                                    ExteriorData("custom", fn=lambda x: np.ones(3))))
