@@ -38,7 +38,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 from .errors import ConfigurationError, DegenerateInputError, DomainError
 from .operator import _gauss_nodes
 from .params import FracParams
-from .profiles import positive_fundamental
+from .profiles import conform, positive_fundamental
 
 __all__ = [
     "ExteriorData",
@@ -60,15 +60,6 @@ ANNULUS_DOMAIN = ((-3.0, -0.5), (0.5, 3.0))
 ANNULUS_TARGET = ((-2.0, -1.0), (1.0, 2.0))
 
 _ALIGN_TOL = 1e-9
-
-
-def _on_nodes(vals: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
-    """Values for the points x: a 0-d result broadcasts, any other shape mismatch raises."""
-    if vals.ndim == 0:
-        return np.full(x.shape, float(vals))
-    if vals.shape != x.shape:
-        raise ConfigurationError(f"{what} has shape {vals.shape}, expected {x.shape}")
-    return vals
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class ExteriorData:
             return np.zeros_like(x)
         if self.kind == "fundamental":
             return np.asarray(positive_fundamental(params)(np.abs(x)), dtype=float)
-        return _on_nodes(np.asarray(self.fn(x), dtype=float), x, "exterior data")
+        return conform(self.fn(x), x.shape, "exterior data")
 
     def has_tail(self) -> bool:
         return self.kind == "fundamental"
@@ -148,8 +139,7 @@ class GridProblem:
 
     def rhs_values(self) -> np.ndarray:
         x = self.nodes()
-        return _on_nodes(np.asarray(self.rhs(x) if callable(self.rhs) else self.rhs, dtype=float),
-                         x, "rhs")
+        return conform(self.rhs(x) if callable(self.rhs) else self.rhs, x.shape, "rhs")
 
     def distance_to_complement(self) -> np.ndarray:
         x = self.nodes()

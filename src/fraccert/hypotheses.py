@@ -67,8 +67,6 @@ class NonlinearitySpec:
     mu_lower: float = 1.0
     mu_upper: float = 1.0
     r0: float = 2.0
-    label: str = ""
-    params_hint: FracParams | None = None
 
     def __post_init__(self) -> None:
         if self.form not in ("separable", "general"):
@@ -401,6 +399,6 @@ def spec_from_dict(data: dict, params: FracParams | None = None) -> Nonlinearity
         return NonlinearitySpec(
             form="separable", g=g, gamma=float(data.get("gamma", 0.0)),
             mu_lower=float(data.get("mu_lower", 1.0)), mu_upper=float(data.get("mu_upper", 1.0)),
-            r0=float(data.get("r0", 2.0)), label=name, params_hint=params,
+            r0=float(data.get("r0", 2.0)),
         )
     raise ConfigurationError("only separable specs are supported as structured input")

@@ -46,7 +46,6 @@ class AnnulusSampler:
     """Sampling policy on the closed annulus between r and 2r."""
 
     points: int = 400
-    mode: str = "radial"
 
     def radii(self, r: float) -> np.ndarray:
         return np.geomspace(r, 2.0 * r, self.points)

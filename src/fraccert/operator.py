@@ -31,14 +31,14 @@ same engine, with one id, runs the middle and tail zones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import RadialProfile
+from .profiles import RadialProfile, as_radial_callable
 
 __all__ = [
     "QuadSpec",
@@ -210,18 +210,6 @@ def _with_geometric_fill(edges: Sequence[float], ratio: float = 4.0) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _vectorized_line(u: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    def call(pts: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(u(pts), dtype=float)
-            if out.shape != pts.shape:
-                raise ValueError
-            return out
-        except Exception:
-            return np.asarray([float(u(float(p))) for p in pts])
-    return call
-
-
 def _mean_line(u_vec: Callable, x: float) -> Callable:
     def mean(t: np.ndarray):
         vals = 0.5 * (u_vec(x + t) + u_vec(x - t))
@@ -388,12 +376,28 @@ def _tail_is_oscillatory(mean_fn: Callable, u_x: float, t_top: float) -> bool:
     return swing > 4.0 * trend + 1e-9 * ref and np.abs(m_vals).max() > 1e-9 * ref
 
 
+def _check_sampled_growth(mean_fn: Callable, u_x: float, s: float, t_top: float) -> None:
+    """Raise DivergenceError when the sampled means beyond t_top grow like t^(2s) or faster."""
+    probes = np.asarray([t_top, 4.0 * t_top, 16.0 * t_top, 64.0 * t_top])
+    vals, _ = mean_fn(probes)
+    mags = np.abs(u_x - vals)
+    if mags[-1] > 1e3 * max(1.0, abs(u_x)) and mags[-1] > mags[-2] > mags[-3]:
+        slope = math.log(mags[-1] / mags[-2]) / math.log(4.0)
+        if slope >= 2.0 * s - 0.05:
+            raise DivergenceError(
+                f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}"
+            )
+
+
 def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
               scale: float, quad: QuadSpec, prefac: float,
-              near_model: tuple[float, float] | None,
-              exact_zero_tail_from: float | None,
-              growth_guard: Callable[[float], None] | None,
-              oscillation_probe: bool = False) -> OperatorValue:
+              near_model: tuple[float, float] | None = None,
+              exact_zero_tail_from: float | None = None) -> OperatorValue:
+    """(-Delta)^s u(x) from u(x) and the spherical means of u around x.
+
+    ``near_model is None`` marks a sampled callable, whose far field is probed
+    for growth and oscillation.
+    """
     two_s = 2.0 * s
     if kink_ts and min(kink_ts) < 0.5 * quad.near_radius * scale:
         raise EvaluationPointError(
@@ -414,11 +418,11 @@ def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
     if exact_zero_tail_from is not None:
         t_top = max(t_top, exact_zero_tail_from)
 
-    if growth_guard is not None:
-        growth_guard(t_top)
-    if oscillation_probe and exact_zero_tail_from is None and _tail_is_oscillatory(mean_fn, u_x, t_top):
-        # push the sampled zone out so the mapped tail sees a decayed amplitude
-        t_top *= 64.0
+    if near_model is None:
+        _check_sampled_growth(mean_fn, u_x, s, t_top)
+        if exact_zero_tail_from is None and _tail_is_oscillatory(mean_fn, u_x, t_top):
+            # push the sampled zone out so the mapped tail sees a decayed amplitude
+            t_top *= 64.0
 
     near_val, near_err = _near_zone(u_x, mean_fn, s, h, near_model)
 
@@ -471,35 +475,23 @@ def _profile_growth_check(profile: RadialProfile, s: float) -> None:
         )
 
 
-def _generic_growth_guard(mean_fn: Callable, u_x: float, s: float) -> Callable[[float], None]:
-    def guard(t_top: float) -> None:
-        probes = np.asarray([t_top, 4.0 * t_top, 16.0 * t_top, 64.0 * t_top])
-        vals, _ = mean_fn(probes)
-        mags = np.abs(u_x - vals)
-        if mags[-1] > 1e3 * max(1.0, abs(u_x)) and mags[-1] > mags[-2] > mags[-3]:
-            slope = math.log(mags[-1] / mags[-2]) / math.log(4.0)
-            if slope >= 2.0 * s - 0.05:
-                raise DivergenceError(
-                    f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}"
-                )
-    return guard
-
-
 def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
                 quad: QuadSpec = QuadSpec()) -> OperatorValue:
     """(-Delta)^s of a radial function, evaluated at any point of radius r.
 
     Piecewise power/log profiles use exact spherical means (n = 1, 3) or
     panelled angular quadrature (n = 2), exact near-zone Laplacians and
-    closed-form tails; plain radial callables fall back to sampled means with
+    closed-form tails; plain radial callables get sampled means with
     Richardson near-zone extrapolation and require decay slower than |x|^(2s).
+    A plain callable is called on 1-d arrays of radii and returns one value
+    per radius (or a scalar, which broadcasts); scalar-only functions such as
+    ``math.exp`` need ``np.vectorize``.
     """
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
     prefac = params.c_ns * params.sphere_measure
-    is_profile = isinstance(profile, RadialProfile)
 
-    if is_profile:
+    if isinstance(profile, RadialProfile):
         _profile_growth_check(profile, params.s)
         if r == 0.0:
             raise EvaluationPointError("profiles are evaluated at positive radii")
@@ -519,77 +511,57 @@ def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
             singular0 = any(is_log or expo < 0 for _, expo, is_log in first_terms)
             mean_fn = _mean_radial_n2(profile, r, breaks, singular0,
                                       rel_tol=min(1e-9, quad.rel_tol), mag_hint=abs(u_x) + 1e-300)
-        near_model = _near_model_profile(profile, r, params.n)
-        guard = None
-    else:
-        u_vec = _vectorized_line(profile)
-        breaks = [k for k in quad.kink_radii if k > 0.0]
-        scale = max(r, (min(breaks) if breaks else 1.0), 1e-12) if r > 0 else max(
-            (min(breaks) if breaks else 1.0), 1.0
-        )
-        if r == 0.0:
-            u_x = float(u_vec(np.asarray([0.0]))[0])
-            mean_fn = lambda t: (u_vec(t), np.zeros_like(t))  # sphere around the origin
-            kinks = sorted(breaks)
-        else:
-            u_x = float(u_vec(np.asarray([r]))[0])
-            if params.n == 1:
-                mean_fn = _mean_radial_n1(u_vec, r)
-            elif params.n == 3:
-                mean_fn = _mean_radial_n3_generic(u_vec, r)
-            else:
-                mean_fn = _mean_radial_n2(u_vec, r, breaks, False,
-                                          rel_tol=min(1e-9, quad.rel_tol), mag_hint=abs(u_x) + 1e-300)
-            kinks = _kink_ts(r, breaks, include_origin=True)
-        near_model = None
-        zero_from = None
-        guard = _generic_growth_guard(mean_fn, u_x, params.s)
+        return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac,
+                         _near_model_profile(profile, r, params.n), zero_from)
 
-    return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac,
-                     near_model, zero_from, guard, oscillation_probe=not is_profile)
+    u_vec = as_radial_callable(profile)
+    u_x = float(u_vec(r))
+    breaks = [k for k in quad.kink_radii if k > 0.0]
+    first_kink = min(breaks) if breaks else 1.0
+    if r == 0.0:
+        mean_fn = lambda t: (u_vec(t), np.zeros_like(t))  # sphere around the origin
+        kinks, scale = breaks, max(first_kink, 1.0)
+    else:
+        if params.n == 1:
+            mean_fn = _mean_radial_n1(u_vec, r)
+        elif params.n == 3:
+            mean_fn = _mean_radial_n3_generic(u_vec, r)
+        else:
+            mean_fn = _mean_radial_n2(u_vec, r, breaks, False,
+                                      rel_tol=min(1e-9, quad.rel_tol), mag_hint=abs(u_x) + 1e-300)
+        kinks, scale = _kink_ts(r, breaks, include_origin=True), max(r, first_kink, 1e-12)
+    return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac)
 
 
 def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec()) -> OperatorValue:
     """(-Delta)^s u(x) for a function on R^n.
 
-    For n = 1 the function may be arbitrary (admissible); for n >= 2 the
-    evaluation treats u as radially symmetric, sampling it along the ray
-    through x (non-radial functions in several dimensions are out of scope).
+    x has n coordinates; a scalar x is the point x e_1.  For n = 1 the
+    function may be arbitrary (admissible) and is called on 1-d arrays of
+    points.  For n >= 2 the evaluation treats u as radially symmetric,
+    sampling it along the ray through x (non-radial functions in several
+    dimensions are out of scope): u is called on (n, k) arrays, one column
+    per point, and returns k values.  A scalar result broadcasts;
+    scalar-only functions need ``np.vectorize``.
     """
+    point = np.asarray(x, dtype=float)
+    if point.ndim == 0:
+        point = np.pad(point[None], (0, params.n - 1))
+    if point.size != params.n:
+        raise DomainError(f"x has {point.size} coordinates in dimension {params.n}")
+    point = point.ravel()
+    radius = float(np.linalg.norm(point))
     if isinstance(u, RadialProfile):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return eval_radial(u, float(np.linalg.norm(x_arr)), params, quad)
+        return eval_radial(u, radius, params, quad)
     if params.n == 1:
-        x0 = float(np.asarray(x).reshape(()))
-        u_vec = _vectorized_line(u)
-        u_x = float(u_vec(np.asarray([x0]))[0])
+        x0 = float(point[0])
+        u_vec = as_radial_callable(u)
         kinks = sorted({abs(x0 - k) for k in quad.kink_radii} | {abs(x0 + k) for k in quad.kink_radii})
         kinks = [t for t in kinks if t > 0.0]
-        scale = max(abs(x0), 1.0)
-        mean_fn = _mean_line(u_vec, x0)
-        guard = _generic_growth_guard(mean_fn, u_x, params.s)
-        prefac = params.c_ns * params.sphere_measure
-        return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac,
-                         None, None, guard, oscillation_probe=True)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    radius = float(np.linalg.norm(x_arr))
-    direction = x_arr / radius if radius > 0 else None
-
-    def radialized(rho):
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if direction is None:
-            pts = rho_arr[:, None] * np.eye(params.n)[0][None, :]
-        else:
-            pts = rho_arr[:, None] * direction[None, :]
-        try:
-            out = np.asarray(u(pts.T), dtype=float)
-            if out.shape != rho_arr.shape:
-                raise ValueError
-        except Exception:
-            out = np.asarray([float(u(p)) for p in pts])
-        return out
-
-    return eval_radial(radialized, radius, params, quad)
+        return _pv_value(float(u_vec(x0)), _mean_line(u_vec, x0), params.s, kinks, max(abs(x0), 1.0),
+                         quad, params.c_ns * params.sphere_measure)
+    direction = point / radius if radius > 0 else np.eye(params.n)[0]
+    return eval_radial(lambda rho: u((rho[:, None] * direction[None, :]).T), radius, params, quad)
 
 
 def scaling_identity_check(u: Callable | RadialProfile, lam: float, x, params: FracParams,
@@ -601,11 +573,8 @@ def scaling_identity_check(u: Callable | RadialProfile, lam: float, x, params: F
         u_scaled: Callable | RadialProfile = u.dilate(lam)
     else:
         u_scaled = (lambda y: u(lam * np.asarray(y)))
-    lhs = eval_pointwise(u_scaled, x, params, QuadSpec(
-        rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, max_subdivisions=quad.max_subdivisions,
-        near_radius=quad.near_radius, tail_radius=quad.tail_radius,
-        kink_radii=tuple(k / lam for k in quad.kink_radii),
-    )).value
+    lhs = eval_pointwise(u_scaled, x, params,
+                         replace(quad, kink_radii=tuple(k / lam for k in quad.kink_radii))).value
     rhs_point = lam * np.asarray(x, dtype=float)
     rhs = lam ** (2.0 * params.s) * eval_pointwise(u, rhs_point, params, quad).value
     return abs(lhs - rhs) / max(1.0, abs(rhs))

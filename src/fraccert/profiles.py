@@ -505,17 +505,30 @@ def barrier_gallery(
     return rows
 
 
+def conform(vals, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A plain callable's result (or given samples) as a float array of ``shape``.
+
+    This is the one array contract for plain callables: a 0-d result
+    broadcasts, any other shape mismatch raises ConfigurationError.
+    """
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 0:
+        return np.full(shape, float(vals))
+    if vals.shape != shape:
+        raise ConfigurationError(f"{what} has shape {vals.shape}, expected {shape}")
+    return vals
+
+
 def as_radial_callable(profile: RadialProfile | Callable) -> Callable:
-    """Uniform vectorized radius -> value view of a profile or plain callable."""
+    """Radius -> value view of a profile or plain callable.
+
+    A plain callable is called once on an array of radii (see ``conform``);
+    a scalar radius gives a float.  Scalar-only functions need ``np.vectorize``.
+    """
     if isinstance(profile, RadialProfile):
         return profile
     def wrapped(rho):
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        try:
-            out = np.asarray(profile(rho_arr), dtype=float)
-            if out.shape != rho_arr.shape:
-                raise ValueError
-        except Exception:
-            out = np.asarray([float(profile(float(v))) for v in rho_arr])
+        out = conform(profile(rho_arr), rho_arr.shape, "callable result")
         return out if np.asarray(rho).ndim else float(out[0])
     return wrapped

@@ -75,6 +75,13 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["definitely-not-a-command"]) == 3
 
 
+def test_eval_cos_in_several_dimensions_is_usage_error(capsys):
+    # np.cos maps an (n, k) point array to n rows instead of one value per point
+    for n in ("2", "3"):
+        assert main(["eval", "--profile", "cos", "--n", n, "--at", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_malformed_spec_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

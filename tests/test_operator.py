@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from fraccert.errors import DivergenceError, DomainError, EvaluationPointError
+from fraccert.errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
+from fraccert.liouville import annulus_inf
 from fraccert.operator import (QuadSpec, OperatorValue, _adaptive, _angular_edges, eval_pointwise,
                                eval_radial, scaling_identity_check)
 from fraccert.params import FracParams
@@ -188,6 +189,35 @@ def test_kink_guard():
 def test_negative_radius_rejected():
     with pytest.raises(DomainError):
         eval_radial(make_fundamental(P1H), -1.0, P1H)
+
+
+def test_pointwise_scalar_x_lies_on_the_first_axis():
+    p = FracParams(3, 0.5)
+    u = lambda pt: np.exp(-(pt[0] ** 2 + pt[1] ** 2 + pt[2] ** 2))
+    assert eval_pointwise(u, 1.0, p).value == eval_pointwise(u, [1.0, 0.0, 0.0], p).value
+    for u_any in (u, make_fundamental(p)):
+        with pytest.raises(DomainError):
+            eval_pointwise(u_any, [1.0, 0.0], p)
+
+
+# each entry point maps a radial callable rho -> u(rho) to a number
+_PLAIN_CALLABLE_ENTRIES = {
+    "eval_radial": lambda u: eval_radial(u, 1.5, FracParams(3, 0.5)).value,
+    "eval_pointwise_line": lambda u: eval_pointwise(u, 0.5, P1H).value,
+    "eval_pointwise_ray": lambda u: eval_pointwise(lambda pt: u(np.linalg.norm(pt, axis=0)),
+                                                   [0.0, 1.5], FracParams(2, 0.4)).value,
+    "annulus_inf": lambda u: annulus_inf(u, 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PLAIN_CALLABLE_ENTRIES))
+def test_plain_callables_are_called_on_arrays(entry):
+    evaluate = _PLAIN_CALLABLE_ENTRIES[entry]
+    with pytest.raises(TypeError):
+        evaluate(math.exp)  # a scalar-only function fails with its own error
+    with pytest.raises(ConfigurationError):
+        evaluate(lambda rho: np.ones(5))
+    assert evaluate(lambda rho: 2.0) == evaluate(lambda rho: np.full_like(rho, 2.0))
 
 
 def test_operator_value_reports_panels():
