@@ -19,7 +19,8 @@ from .profiles import (
     make_fundamental,
     positive_fundamental,
 )
-from .operator import OperatorValue, QuadSpec, eval_pointwise, eval_radial, scaling_identity_check
+from .operator import (OperatorValue, QuadSpec, eval_pointwise, eval_radial, eval_radial_many,
+                       scaling_identity_check)
 from .constants import choose_constants
 from .chains import ChainId, SamplePolicy, VerificationReport, Verdict, fit_rate, measure_rate, verify_chain
 from .dirichlet import (
@@ -65,7 +66,7 @@ __all__ = [
     "BarrierConstants", "BarrierKind", "Branch", "FundamentalSolution",
     "RadialProfile", "SignVariant", "make_barrier", "make_fundamental",
     "positive_fundamental",
-    "OperatorValue", "QuadSpec", "eval_pointwise", "eval_radial",
+    "OperatorValue", "QuadSpec", "eval_pointwise", "eval_radial", "eval_radial_many",
     "scaling_identity_check",
     "choose_constants",
     "ChainId", "SamplePolicy", "VerificationReport", "Verdict",

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .operator import OperatorValue, QuadSpec, eval_radial
+from .operator import QuadSpec, eval_radial, eval_radial_many  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
 from .profiles import BarrierConstants, BarrierKind, make_barrier
 
@@ -230,11 +230,6 @@ class VerificationReport:
         return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
-def _evaluate_samples(profile, xs: np.ndarray, params: FracParams,
-                      quad: QuadSpec) -> list[OperatorValue]:
-    return [eval_radial(profile, float(x), params, quad) for x in xs]
-
-
 def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierConstants,
                  sample: SamplePolicy = SamplePolicy(),
                  quad: QuadSpec = QuadSpec(rel_tol=5e-8, abs_tol=1e-14)) -> VerificationReport:
@@ -252,7 +247,7 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     def run_at(consts: BarrierConstants):
         prof = make_barrier(spec.barrier, consts, params)
         xs = _region_samples(spec, consts, sample)
-        evs = _evaluate_samples(prof, xs, params, quad)
+        evs = eval_radial_many(prof, xs, params, quad)
         return xs, evs
 
     xs, evs = run_at(constants)
@@ -328,7 +323,7 @@ def measure_rate(chain: ChainId | str, params: FracParams, constants: BarrierCon
         consts = constants.with_updates(outer_radius=float(r))
         prof = make_barrier(spec.barrier, consts, params)
         xs = _region_samples(spec, consts, SamplePolicy(points=points_per_r))
-        vals = np.asarray([eval_radial(prof, float(x), params, quad).value for x in xs])
+        vals = np.asarray([ov.value for ov in eval_radial_many(prof, xs, params, quad)])
         extreme = vals.max() if spec.envelope_sign > 0 else -vals.min()
         maxima.append(float(extreme))
     rate_at = lambda r: float(spec.rate(np.asarray([2.0 * r]), r, params)[0]) if \

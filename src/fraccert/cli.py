@@ -22,7 +22,7 @@ from .constants import choose_constants
 from .dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, solve_dirichlet,
                         verify_comparison, verify_hopf_ratio, verify_kslap,
                         verify_measure_lemma, verify_qsmp)
-from .errors import DegenerateInputError, FraccertError
+from .errors import ConfigurationError, DegenerateInputError, FraccertError
 from .hypotheses import check_f2, check_f2prime, check_f3prime, check_f4prime, spec_from_dict
 from .hypotheses import Verdict as HVerdict
 from .liouville import (CandidateFamily, default_r_grid, nonexistence_scan,
@@ -66,6 +66,9 @@ def cmd_eval(args) -> int:
         prof = make_fundamental(params)
         ov = eval_radial(prof, args.at, params, quad)
     elif args.profile == "cos":
+        if args.n != 1:
+            raise ConfigurationError(
+                f"cos is not a radial function: --profile cos needs --n 1, not --n {args.n}")
         ov = eval_pointwise(np.cos, args.at, params, quad)
     else:
         constants = _constants(args)

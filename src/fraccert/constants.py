@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import ChainId, SamplePolicy, _region_samples, chain_info
 from .errors import ConfigurationError, DegenerateInputError
-from .operator import QuadSpec, eval_radial
+from .operator import QuadSpec, eval_radial, eval_radial_many  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
 from .profiles import BarrierConstants, make_barrier
 
@@ -31,7 +31,7 @@ def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams,
     spec = chain_info(chain)
     prof = make_barrier(spec.barrier, constants, params)
     xs = _region_samples(spec, constants, policy)
-    vals = np.asarray([eval_radial(prof, float(x), params, quad).value for x in xs])
+    vals = np.asarray([ov.value for ov in eval_radial_many(prof, xs, params, quad)])
     return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
-from .operator import _gauss_nodes
+from .quadrature import _gauss_nodes
 from .params import FracParams
 from .profiles import conform, positive_fundamental
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dirichlet import verify_kslap
 from .errors import ConfigurationError, DomainError
-from .operator import QuadSpec, eval_radial
+from .operator import QuadSpec, eval_radial, eval_radial_many
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKind, \
     BarrierConstants, positive_fundamental
@@ -157,16 +157,12 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
     lo, hi = region
     if not 0.0 < lo < hi:
         raise ConfigurationError("region must be a positive radius interval")
-    fn = as_radial_callable(u)
     radii = np.geomspace(lo, hi, points)
-    rows = []
-    bad = 0
-    for r in radii:
-        ov = eval_radial(u, float(r), params, quad)
-        if not ov.converged:
-            bad += 1
-        res = ov.value - float(np.asarray(f(float(fn(r)), float(r))))
-        rows.append((float(r), float(res), float(ov.error_estimate)))
+    ovs = eval_radial_many(u, radii, params, quad)
+    u_vals = as_radial_callable(u)(radii)
+    rows = [(r, ov.value - float(np.asarray(f(float(u_r), r))), ov.error_estimate)
+            for r, u_r, ov in zip(radii.tolist(), u_vals, ovs)]
+    bad = sum(not ov.converged for ov in ovs)
     arr = np.asarray(rows)
     lowered = arr[:, 1] - 2.0 * arr[:, 2]
     raised = arr[:, 1] + 2.0 * arr[:, 2]

@@ -21,11 +21,19 @@ three zones are handled separately:
 
 Spherical means are exact for n = 1 (two-point average) and for piecewise
 profiles in n = 3 (antiderivative of rho*u); n = 2 uses panelled polar-angle
-quadrature split at every circle/breakpoint crossing.  The n = 2 mean is
-batched: every circle radius t the outer rule asks for in one call becomes
-an integral id in a single flat panel list, and ``_adaptive_many`` refines
-all of them at once, each against its own tolerance and panel budget.  The
-same engine, with one id, runs the middle and tail zones.
+quadrature split at every circle/breakpoint crossing.
+
+Evaluation is batched over radii.  ``eval_radial_many`` evaluates one
+function at many radii in one pass, and ``eval_radial`` is its one-radius
+call.  Each radius is an integral id: the middle-zone panels of all radii go
+through one ``_adaptive_many`` pass (``fraccert.quadrature``) and their
+mapped-tail panels through another, each id against its own tolerance and
+panel budget, while the near zone, the far-field probes, the zone edges and
+the kink guard are computed for all radii at once.  The spherical means take
+``(ids, t)``, one row of ``t`` per id.  The n = 2 mean batches one level
+deeper: every circle the outer rule asks for is an id of one flat angular
+pass.  Split decisions and panel sums are per id, so a radius gets the same
+value, bit for bit, in whatever batch it is evaluated.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable
+from .quadrature import PANEL_CHUNK, _adaptive_many, _gl, _panel_values
 
 __all__ = [
     "QuadSpec",
     "OperatorValue",
     "eval_radial",
+    "eval_radial_many",
     "eval_pointwise",
     "scaling_identity_check",
 ]
@@ -89,166 +99,106 @@ class OperatorValue:
     converged: bool = True
 
 
-# ---------------------------------------------------------------------------
-# Gauss-Legendre utilities
-# ---------------------------------------------------------------------------
-
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    if npts not in _GL_NODES:
-        _GL_NODES[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GL_NODES[npts]
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per element with the C library's pow: numpy's vector pow may differ in the last
+    bit, and the per-radius powers keep the values of one-radius-at-a-time evaluation."""
+    return np.array([v ** e for v in x.tolist()])
 
 
-def _gauss_nodes(edges: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Flat nodes and weights of the composite npts-point Gauss rule on the panels of ``edges``."""
-    x, w = _gl(npts)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (w[None, :] * half[:, None]).ravel()
+def _geometric_fill(ids: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    ratio: float = 4.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every panel [a, b] with b / a > ratio into k = ceil(log(b / a) / log(ratio)) panels.
 
-
-def _panel_values(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                  lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-panel (integral, rule error, inner-error floor) from a 16/8 point pair.
-
-    ``f`` receives the nodes panel by panel (24 per panel: the 16-point rule,
-    then the 8-point rule), so ``t.reshape(lo.size, -1)`` lines them up with
-    their panels.  The rule error shrinks under bisection; the floor (error
-    carried by the integrand itself, e.g. an inner quadrature) does not, so
-    the two are kept apart to guide splitting.
+    The cut points are those of ``np.geomspace(a, b, k + 1)``, built for all
+    panels at once the way it builds them: point j is 10 ** (j * step + log10 a)
+    with step = (log10 b - log10 a) / k.  Returns (ids, lo, hi) of the panels.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x16, w16 = _gl(16)
-    x8, w8 = _gl(8)
-    vals, errs = f((mid[:, None] + half[:, None] * np.concatenate([x16, x8])[None, :]).ravel())
-    k = lo.size
-    vals = vals.reshape(k, 24)
-    i16 = (vals[:, :16] * w16).sum(axis=1) * half
-    i8 = (vals[:, 16:] * w8).sum(axis=1) * half
-    floor = (np.abs(errs.reshape(k, 24)[:, :16]) * w16).sum(axis=1) * half
-    return i16, np.abs(i16 - i8), floor
-
-
-def _adaptive_many(panel_fn, ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol, max_panels: int,
-                   m: int, initial: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-    """Adaptive bisection of m independent integrals at once, on one flat panel list.
-
-    Panel j belongs to integral ``ids[j]``; ``panel_fn(ids, lo, hi)`` returns
-    per-panel (integral, rule error, floor) as ``_panel_values`` does, and
-    ``initial`` may hand in its values on the starting panels.  ``tol`` is a
-    scalar or one tolerance per integral.  Each integral stops splitting on
-    its own tolerance or panel budget while the others go on.  Splits follow
-    the reducible rule error only (the floor is reported but never chased).
-    Returns per-integral arrays (value, err, panels, ok).
-    """
-    vals, errs, floors = panel_fn(ids, lo, hi) if initial is None else initial
-    half_tol = 0.5 * tol
-    while True:
-        count = np.bincount(ids, minlength=m)
-        rule = np.bincount(ids, errs, m)
-        floor = np.bincount(ids, floors, m)
-        goal = np.maximum(half_tol, tol - floor)
-        live = (rule > goal) & (count < max_panels)
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            return np.bincount(ids, vals, m), rule + floor, count, rule <= goal
-        # max(goal / 2, rule / 8) / count is the per-panel share a panel must exceed to split
-        threshold = np.maximum(0.5 * goal, 0.125 * rule) / count
-        split = (errs > threshold[ids]) & live[ids]
-        splits = np.bincount(ids[split], minlength=m)
-        if np.count_nonzero(splits) < n_live:
-            # a live integral with no panel above its threshold splits its worst one(s)
-            lacking = live & (splits == 0)
-            worst = np.zeros(m)
-            np.maximum.at(worst, ids, errs)
-            split |= lacking[ids] & (errs >= worst[ids])
-        keep = ~split
-        left, right = lo[split], hi[split]
-        mid = 0.5 * (left + right)
-        halves = np.concatenate([ids[split], ids[split]])
-        new_lo, new_hi = np.concatenate([left, mid]), np.concatenate([mid, right])
-        fresh_vals, fresh_errs, fresh_floors = panel_fn(halves, new_lo, new_hi)
-        ids = np.concatenate([ids[keep], halves])
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], fresh_vals])
-        errs = np.concatenate([errs[keep], fresh_errs])
-        floors = np.concatenate([floors[keep], fresh_floors])
-
-
-def _adaptive(f, edges: np.ndarray, tol: float, max_panels: int, initial=None):
-    """One adaptive integral on fixed initial edges; returns (value, err, panels, ok)."""
-    lo, hi = edges[:-1], edges[1:]
-    value, err, panels, ok = _adaptive_many(lambda ids, a, b: _panel_values(f, a, b),
-                                            np.zeros(lo.size, dtype=np.intp), lo, hi, tol, max_panels, 1,
-                                            initial)
-    return value[0], err[0], int(panels[0]), bool(ok[0])
-
-
-def _first_panels(f, edges: np.ndarray):
-    """Panel values on the starting edges, and their sum in the engine's summation order."""
-    first = _panel_values(f, edges[:-1], edges[1:])
-    return first, np.bincount(np.zeros(first[0].size, dtype=np.intp), first[0], 1)[0]
-
-
-def _with_geometric_fill(edges: Sequence[float], ratio: float = 4.0) -> np.ndarray:
-    out: list[float] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        out.append(a)
-        if a > 0.0 and b / a > ratio:
-            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
-            out.extend(np.geomspace(a, b, k + 1)[1:-1].tolist())
-    out.append(edges[-1])
-    return np.asarray(out)
+    q = np.divide(b, a, out=np.zeros_like(b), where=a > 0.0)
+    wide = q > ratio
+    k = np.where(wide, np.ceil(np.log(np.where(wide, q, 1.0)) / math.log(ratio)), 1.0).astype(np.intp)
+    log_a = np.log10(np.where(wide, a, 1.0))
+    step = (np.log10(np.where(wide, b, 1.0)) - log_a) / k
+    gap = np.repeat(np.arange(a.size), k)
+    j = np.arange(gap.size) - np.repeat(np.cumsum(k) - k, k)
+    lo = np.where(j == 0, a[gap], 10.0 ** (j * step[gap] + log_a[gap]))
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[np.cumsum(k) - 1] = b
+    return ids[gap], lo, hi
 
 
 # ---------------------------------------------------------------------------
-# Spherical means
+# Spherical means: mean(ids, t) around the radius (or point) of each id, with
+# one row of t per id; u_vec takes points in any shape (see _on_points)
 # ---------------------------------------------------------------------------
 
 
-def _mean_line(u_vec: Callable, x: float) -> Callable:
-    def mean(t: np.ndarray):
-        vals = 0.5 * (u_vec(x + t) + u_vec(x - t))
+def _on_points(u_vec: Callable) -> Callable:
+    """u at an array of points of any shape: callables are called on 1-d arrays."""
+    return lambda rho: u_vec(rho.ravel()).reshape(rho.shape)
+
+
+def _mean_n1(u_vec: Callable, x: np.ndarray, radial: bool) -> Callable:
+    """Two-point means: u at x - t and x + t, folded onto radii when u is radial."""
+    def mean(ids: np.ndarray, t: np.ndarray):
+        xi = x[ids][:, None]
+        vals = 0.5 * (u_vec(np.abs(xi - t) if radial else xi - t) + u_vec(xi + t))
         return vals, np.zeros_like(vals)
     return mean
 
 
-def _mean_radial_n1(u_vec: Callable, r: float) -> Callable:
-    def mean(t: np.ndarray):
-        vals = 0.5 * (u_vec(np.abs(r - t)) + u_vec(r + t))
+def _mean_radial_n3_profile(profile: RadialProfile, r: np.ndarray) -> Callable:
+    def mean(ids: np.ndarray, t: np.ndarray):
+        ri = r[ids][:, None]
+        inner = profile.rho_integral_between(np.abs(ri - t).ravel(), (ri + t).ravel()).reshape(t.shape)
+        vals = inner / (2.0 * ri * t)
         return vals, np.zeros_like(vals)
     return mean
 
 
-def _mean_radial_n3_profile(profile: RadialProfile, r: float) -> Callable:
-    def mean(t: np.ndarray):
-        vals = profile.rho_integral_between(np.abs(r - t), r + t) / (2.0 * r * t)
-        return vals, np.zeros_like(vals)
-    return mean
-
-
-def _mean_radial_n3_generic(u_vec: Callable, r: float, order: int = 32) -> Callable:
+def _mean_radial_n3_generic(u_vec: Callable, r: np.ndarray, order: int = 32) -> Callable:
     c, w = _gl(order)
-    def mean(t: np.ndarray):
+
+    def means(ri: np.ndarray, t: np.ndarray) -> np.ndarray:
         # (r-t)^2 + 2rt(1+c) is the cancellation-free form of r^2+t^2+2rtc
-        rho = np.sqrt((r - t[:, None]) ** 2 + 2.0 * r * t[:, None] * (1.0 + c[None, :]))
-        vals = 0.5 * (u_vec(rho.ravel()).reshape(rho.shape) * w).sum(axis=1)
+        rho = np.sqrt((ri - t[..., None]) ** 2 + 2.0 * ri * t[..., None] * (1.0 + c))
+        return 0.5 * (u_vec(rho) * w).sum(axis=-1)
+
+    def mean(ids: np.ndarray, t: np.ndarray):
+        # u sees as many points per call as PANEL_CHUNK panels have nodes
+        step = max(1, PANEL_CHUNK * 24 // (order * t.shape[1]))
+        ri = r[ids][:, None, None]
+        vals = np.concatenate([means(ri[j:j + step], t[j:j + step]) for j in range(0, ids.size, step)])
         return vals, np.zeros_like(vals)
     return mean
 
 
-def _angular_edges(r: float, t: np.ndarray, breaks: Sequence[float],
-                   singular_origin: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial polar-angle panels (ids, lo, hi) of the circles of radii t around radius r.
+def _with_origin(mean_fn: Callable, u_vec: Callable, r: np.ndarray) -> Callable:
+    """``mean_fn`` with the ids at the origin split off: a sphere around the origin has mean u(t)."""
+    at_origin = r == 0.0
+    if not at_origin.any():
+        return mean_fn
+    def mean(ids: np.ndarray, t: np.ndarray):
+        here = at_origin[ids]
+        vals, errs = np.empty_like(t), np.zeros_like(t)
+        if here.any():
+            vals[here] = u_vec(t[here])
+        if not here.all():
+            vals[~here], errs[~here] = mean_fn(ids[~here], t[~here])
+        return vals, errs
+    return mean
 
-    Circle i is cut on [0, pi] wherever it crosses a breakpoint and, around a
-    singular origin it nearly touches, at the levels 2 rho_min 4^k below
-    rho_max / 4.  The panels come flat, circle after circle, in angle order.
+
+def _angular_edges(r, t: np.ndarray, breaks: Sequence[float],
+                   singular_origin: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial polar-angle panels (ids, lo, hi) of the circles of radii t around radii r.
+
+    r is one radius per circle (or one for all).  Circle i is cut on [0, pi]
+    wherever it crosses a breakpoint and, around a singular origin it nearly
+    touches, at the levels 2 rho_min 4^k below rho_max / 4.  The panels come
+    flat, circle after circle, in angle order.
     """
+    r = np.broadcast_to(np.asarray(r, dtype=float), t.shape)
     rho_min, rho_max = np.abs(r - t), r + t
     b = np.asarray(breaks, dtype=float)
     circle, which = np.nonzero((rho_min[:, None] < b) & (b < rho_max[:, None]))
@@ -266,8 +216,8 @@ def _angular_edges(r: float, t: np.ndarray, breaks: Sequence[float],
         owners.append(circle[below])
         cuts.append(level[below])
     ids, cuts = np.concatenate(owners), np.concatenate(cuts)
-    tc = t[ids]
-    theta = np.arccos(np.clip((cuts * cuts - r * r - tc * tc) / (2.0 * r * tc), -1.0, 1.0))
+    rc, tc = r[ids], t[ids]
+    theta = np.arccos(np.clip((cuts * cuts - rc * rc - tc * tc) / (2.0 * rc * tc), -1.0, 1.0))
     order = np.lexsort((theta, ids))
     ids, theta = ids[order], theta[order]
     # circle i has one panel more than cuts; cut j closes panel j + ids[j] and opens the next
@@ -280,187 +230,172 @@ def _angular_edges(r: float, t: np.ndarray, breaks: Sequence[float],
     return np.repeat(np.arange(t.size), per_circle), lo, hi
 
 
-_N2_CHUNK = 512  # panels per integrand call: bounds the temporaries of a large circle batch
-
-
-def _mean_radial_n2(u_vec: Callable, r: float, breaks: Sequence[float],
-                    singular_origin: bool, rel_tol: float, mag_hint: float = 1.0) -> Callable:
+def _mean_radial_n2(u_vec: Callable, r: np.ndarray, breaks: Sequence[float], singular_origin: bool,
+                    rel_tol: float, mag_hint: np.ndarray) -> Callable:
     """Angular means over the circles of radii t, all circles of a call in one adaptive pass."""
 
-    def mean(t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        gap2, four_rt = (r - t) ** 2, 4.0 * r * t
+    def mean(ids: np.ndarray, t: np.ndarray):
+        # every point of t is the radius of one circle
+        rc, tc = np.repeat(r[ids], t.shape[1]), t.ravel()
+        gap2, four_rt = (rc - tc) ** 2, 4.0 * rc * tc
 
-        def chunk(ids, lo, hi):
-            a, c = gap2[ids, None], four_rt[ids, None]
+        def f_theta(circle: np.ndarray, theta: np.ndarray):
+            # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
+            vals = u_vec(np.sqrt(gap2[circle, None] + four_rt[circle, None] * np.cos(0.5 * theta) ** 2))
+            return vals, np.zeros_like(vals)
 
-            def f_theta(theta: np.ndarray):
-                # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
-                rho = np.sqrt(a + c * np.cos(0.5 * theta.reshape(ids.size, -1)) ** 2)
-                vals = u_vec(rho.ravel())
-                return vals, np.zeros_like(vals)
-
-            return _panel_values(f_theta, lo, hi)
-
-        def circle_panels(ids, lo, hi):
-            parts = [chunk(ids[j:j + _N2_CHUNK], lo[j:j + _N2_CHUNK], hi[j:j + _N2_CHUNK])
-                     for j in range(0, ids.size, _N2_CHUNK)]
-            return tuple(np.concatenate(col) for col in zip(*parts))
-
-        ids, lo, hi = _angular_edges(r, t, breaks, singular_origin)
+        circle, lo, hi = _angular_edges(rc, tc, breaks, singular_origin)
         # the initial panels give both the scale of each mean and the first refinement step
-        first = circle_panels(ids, lo, hi)
-        tol_abs = rel_tol * np.maximum(np.abs(np.bincount(ids, first[0], t.size)), mag_hint) * math.pi
-        val, err, _, _ = _adaptive_many(circle_panels, ids, lo, hi, tol_abs, 80, t.size, first)
-        return val / math.pi, err / math.pi
+        first = _panel_values(f_theta, circle, lo, hi)
+        hint = np.repeat(mag_hint[ids], t.shape[1])
+        tol = rel_tol * np.maximum(np.abs(np.bincount(circle, first[0], tc.size)), hint) * math.pi
+        val, err, _, _ = _adaptive_many(f_theta, circle, lo, hi, tol, 80, tc.size, first)
+        return (val / math.pi).reshape(t.shape), (err / math.pi).reshape(t.shape)
 
     return mean
 
 
 # ---------------------------------------------------------------------------
-# Engine
+# Engine: arrays run over the radii of a batch, one integral id per radius
 # ---------------------------------------------------------------------------
 
-
-def _near_model_profile(profile: RadialProfile, r: float, n: int):
-    lap = float(profile.radial_laplacian(r, n))
-    bilap = float(profile.radial_bilaplacian(r, n))
-    a2 = -lap / (2.0 * n)
-    a4 = -bilap / (8.0 * n * (n + 2.0))
-    return a2, a4
+_TAIL_V = np.asarray([0.0] + [2.0 ** (-k) for k in range(12, -1, -1)])  # mapped-tail edges in v = T/t
 
 
-def _near_zone(u_x: float, mean_fn: Callable, s: float, h: float,
-               model: tuple[float, float] | None) -> tuple[float, float]:
+def _near_zone(u_x: np.ndarray, mean: Callable, s: float, h: np.ndarray,
+               model: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """Integral over (0, h] of t^(-1-2s) (u_x - M(t)) with error estimate."""
+    ids = np.arange(h.size)
+    q2, q4 = _pow(h / 4.0, 2), _pow(h / 4.0, 4)
     if model is not None:
         a2, a4 = model
-        probe = np.asarray([h / 4.0])
+        sample = mean(ids, h[:, None] / 4.0)[0][:, 0]
+        resid = (u_x - sample) - (a2 * q2 + a4 * q4)
     else:
-        samples, _ = mean_fn(np.asarray([h, h / 2.0, h / 4.0]))
-        d_h, d_h2, d_h4 = (u_x - samples).tolist()
+        samples, _ = mean(ids, np.stack([h, h / 2.0, h / 4.0], axis=1))
+        d_h, d_h2, d_h4 = (u_x[:, None] - samples).T
         a2 = (16.0 * d_h2 - d_h) / (3.0 * h * h)
-        a4 = 4.0 * (d_h - 4.0 * d_h2) / (3.0 * h**4)
-        probe = None
-    value = a2 * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + a4 * h ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-    if model is not None:
-        sample, _ = mean_fn(probe)
-        resid = (u_x - float(sample[0])) - (a2 * (h / 4.0) ** 2 + a4 * (h / 4.0) ** 4)
-        err = abs(resid) * (4.0 ** 6) * h ** (-2.0 * s) / (6.0 - 2.0 * s)
-    else:
-        resid = d_h4 - (a2 * (h / 4.0) ** 2 + a4 * (h / 4.0) ** 4)
-        err = abs(resid) * (4.0 ** 6) * h ** (-2.0 * s) / (6.0 - 2.0 * s)
-    noise = 4.0 * np.finfo(float).eps * (abs(u_x) + 1.0)
-    err += noise * h ** (-2.0 * s) / max(1.0, 2.0 * s)
-    return value, err
+        a4 = 4.0 * (d_h - 4.0 * d_h2) / (3.0 * _pow(h, 4))
+        resid = d_h4 - (a2 * q2 + a4 * q4)
+    value = a2 * _pow(h, 2.0 - 2.0 * s) / (2.0 - 2.0 * s) + a4 * _pow(h, 4.0 - 2.0 * s) / (4.0 - 2.0 * s)
+    h_2s = _pow(h, -2.0 * s)
+    err = np.abs(resid) * 4.0 ** 6 * h_2s / (6.0 - 2.0 * s)
+    noise = 4.0 * np.finfo(float).eps * (np.abs(u_x) + 1.0)
+    return value, err + noise * h_2s / max(1.0, 2.0 * s)
 
 
-def _kink_ts(r: float, break_radii: Sequence[float], include_origin: bool) -> list[float]:
-    ts: set[float] = set()
-    if include_origin and r > 0.0:
-        ts.add(r)
-    for b in break_radii:
-        ts.add(abs(r - b))  # zero stays in: it marks the point sitting on a kink
-        ts.add(r + b)
-    return sorted(ts)
+def _kinks(r: np.ndarray, breaks: Sequence[float]) -> np.ndarray:
+    """Per radius, the t where its spheres cross the origin or a break radius (NaN: none);
+    a zero stays in, as it marks a point sitting on a kink."""
+    b = np.asarray(breaks, dtype=float)
+    return np.concatenate([np.where(r > 0.0, r, np.nan)[:, None], np.abs(r[:, None] - b), r[:, None] + b],
+                          axis=1)
 
 
-def _tail_is_oscillatory(mean_fn: Callable, u_x: float, t_top: float) -> bool:
-    """Detect non-settling (oscillatory) far fields; monotone tails return False."""
-    probes = t_top * 2.0 ** np.arange(0, 9)
-    m_vals, _ = mean_fn(probes)
-    diffs = np.abs(np.diff(m_vals))
-    swing = diffs.sum()
-    trend = abs(m_vals[-1] - m_vals[0])
-    ref = max(abs(u_x), np.abs(m_vals).max(), 1e-300)
-    return swing > 4.0 * trend + 1e-9 * ref and np.abs(m_vals).max() > 1e-9 * ref
+def _middle_panels(h: np.ndarray, t_top: np.ndarray,
+                   kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starting panels (ids, lo, hi) of every middle zone [h, t_top], cut at the kinks inside it."""
+    inside = np.where((kinks > h[:, None]) & (kinks < t_top[:, None]), kinks, np.nan)
+    edges = np.sort(np.concatenate([h[:, None], t_top[:, None], inside], axis=1), axis=1)  # NaN last
+    fresh = ~np.isnan(edges)
+    fresh[:, 1:] &= edges[:, 1:] != edges[:, :-1]
+    rows, cols = np.nonzero(fresh)
+    e = edges[rows, cols]
+    gap = rows[1:] == rows[:-1]
+    return _geometric_fill(rows[1:][gap], e[:-1][gap], e[1:][gap])
 
 
-def _check_sampled_growth(mean_fn: Callable, u_x: float, s: float, t_top: float) -> None:
+def _tail_is_oscillatory(mean: Callable, u_x: np.ndarray, t_top: np.ndarray) -> np.ndarray:
+    """Detect non-settling (oscillatory) far fields; monotone tails give False."""
+    m_vals = mean(np.arange(t_top.size), t_top[:, None] * 2.0 ** np.arange(0, 9))[0]
+    swing = np.abs(np.diff(m_vals, axis=1)).sum(axis=1)
+    trend = np.abs(m_vals[:, -1] - m_vals[:, 0])
+    amp = np.abs(m_vals).max(axis=1)
+    ref = np.maximum(np.maximum(np.abs(u_x), amp), 1e-300)
+    return (swing > 4.0 * trend + 1e-9 * ref) & (amp > 1e-9 * ref)
+
+
+def _check_sampled_growth(mean: Callable, u_x: np.ndarray, s: float, t_top: np.ndarray) -> None:
     """Raise DivergenceError when the sampled means beyond t_top grow like t^(2s) or faster."""
-    probes = np.asarray([t_top, 4.0 * t_top, 16.0 * t_top, 64.0 * t_top])
-    vals, _ = mean_fn(probes)
-    mags = np.abs(u_x - vals)
-    if mags[-1] > 1e3 * max(1.0, abs(u_x)) and mags[-1] > mags[-2] > mags[-3]:
-        slope = math.log(mags[-1] / mags[-2]) / math.log(4.0)
+    probes = t_top[:, None] * np.asarray([1.0, 4.0, 16.0, 64.0])
+    mags = np.abs(u_x[:, None] - mean(np.arange(t_top.size), probes)[0])
+    rising = (mags[:, 3] > 1e3 * np.maximum(1.0, np.abs(u_x))) & (mags[:, 3] > mags[:, 2]) \
+        & (mags[:, 2] > mags[:, 1])
+    for i in np.flatnonzero(rising):
+        slope = math.log(mags[i, 3] / mags[i, 2]) / math.log(4.0)
         if slope >= 2.0 * s - 0.05:
             raise DivergenceError(
                 f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}"
             )
 
 
-def _pv_value(u_x: float, mean_fn: Callable, s: float, kink_ts: Sequence[float],
-              scale: float, quad: QuadSpec, prefac: float,
-              near_model: tuple[float, float] | None = None,
-              exact_zero_tail_from: float | None = None) -> OperatorValue:
-    """(-Delta)^s u(x) from u(x) and the spherical means of u around x.
+def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, scale: np.ndarray,
+               quad: QuadSpec, prefac: float, near_model: tuple[np.ndarray, np.ndarray] | None = None,
+               zero_from: np.ndarray | None = None) -> list[OperatorValue]:
+    """(-Delta)^s u at every point of a batch, from u there and the spherical means around it.
 
-    ``near_model is None`` marks a sampled callable, whose far field is probed
-    for growth and oscillation.
+    ``kinks`` holds per point the t where the means lose smoothness (NaN
+    pads).  ``near_model is None`` marks a sampled callable, whose far field
+    is probed for growth and oscillation; ``zero_from`` marks a profile whose
+    means vanish beyond those radii.
     """
     two_s = 2.0 * s
-    if kink_ts and min(kink_ts) < 0.5 * quad.near_radius * scale:
-        raise EvaluationPointError(
-            f"evaluation point within {quad.near_radius:g}*scale of a kink radius"
-        )
-
-    def integrand(t: np.ndarray):
-        m_vals, m_errs = mean_fn(t)
-        w = t ** (-1.0 - two_s)
-        return w * (u_x - m_vals), w * m_errs
-
-    h = quad.near_radius * scale
-    if kink_ts:
-        h = min(h, 0.45 * min(kink_ts))
-    t_top = quad.tail_radius * scale
-    if kink_ts:
-        t_top = max(t_top, 2.0 * max(kink_ts))
-    if exact_zero_tail_from is not None:
-        t_top = max(t_top, exact_zero_tail_from)
-
+    m = u_x.size
+    first_kink = np.fmin.reduce(kinks, axis=1, initial=np.inf)
+    if np.any(first_kink < 0.5 * quad.near_radius * scale):
+        raise EvaluationPointError(f"evaluation point within {quad.near_radius:g}*scale of a kink radius")
+    h = np.minimum(quad.near_radius * scale, 0.45 * first_kink)
+    t_top = np.maximum(quad.tail_radius * scale, 2.0 * np.fmax.reduce(kinks, axis=1, initial=-np.inf))
+    if zero_from is not None:
+        t_top = np.maximum(t_top, zero_from)
     if near_model is None:
-        _check_sampled_growth(mean_fn, u_x, s, t_top)
-        if exact_zero_tail_from is None and _tail_is_oscillatory(mean_fn, u_x, t_top):
-            # push the sampled zone out so the mapped tail sees a decayed amplitude
-            t_top *= 64.0
+        _check_sampled_growth(mean, u_x, s, t_top)
+        # push the sampled zone out so the mapped tail sees a decayed amplitude
+        t_top = np.where(_tail_is_oscillatory(mean, u_x, t_top), t_top * 64.0, t_top)
 
-    near_val, near_err = _near_zone(u_x, mean_fn, s, h, near_model)
+    near_val, near_err = _near_zone(u_x, mean, s, h, near_model)
 
-    edges = _with_geometric_fill(sorted({h, t_top} | {t for t in kink_ts if h < t < t_top}))
+    def integrand(i: np.ndarray, t: np.ndarray):
+        m_vals, m_errs = mean(i, t)
+        w = t ** (-1.0 - two_s)
+        return w * (u_x[i, None] - m_vals), w * m_errs
+
+    mid_ids, lo, hi = _middle_panels(h, t_top, kinks)
     # the starting panels give the scale; the refinement against the mixed tolerance reuses them
-    mid_first, mid_val = _first_panels(integrand, edges)
+    mid_first = _panel_values(integrand, mid_ids, lo, hi)
+    mid_val = np.bincount(mid_ids, mid_first[0], m)
+    top_m2s = _pow(t_top, -two_s)
 
-    if exact_zero_tail_from is not None:
+    if zero_from is not None:
         # the mean vanishes beyond t_top: only the exact constant part remains
-        tail_val, tail_err, tail_panels = u_x * t_top ** (-two_s) / two_s, 0.0, 0
+        tail_val, tail_err, tail_panels = u_x * top_m2s / two_s, 0.0, 0
     else:
-        def tail_integrand(v: np.ndarray):
-            m_vals, m_errs = mean_fn(t_top / v)
+        def tail_integrand(i: np.ndarray, v: np.ndarray):
+            m_vals, m_errs = mean(i, t_top[i, None] / v)
             w = v ** (two_s - 1.0)
-            return w * (u_x - m_vals), w * m_errs
+            return w * (u_x[i, None] - m_vals), w * m_errs
 
-        v_edges = np.asarray([0.0] + [2.0 ** (-k) for k in range(12, -1, -1)])
-        tail_first, rough = _first_panels(tail_integrand, v_edges)
-        component_scale = abs(near_val) + abs(mid_val) + t_top ** (-two_s) * abs(rough)
-        tol_run = max(quad.abs_tol, quad.rel_tol * component_scale) / prefac
-        tail_int, tail_ierr, tail_panels, _ = _adaptive(
-            tail_integrand, v_edges, tol=0.25 * tol_run * t_top ** two_s,
-            max_panels=quad.max_subdivisions // 3, initial=tail_first,
-        )
-        tail_val = t_top ** (-two_s) * tail_int
-        tail_err = t_top ** (-two_s) * tail_ierr
+        v_ids = np.repeat(np.arange(m), _TAIL_V.size - 1)
+        v_lo, v_hi = np.tile(_TAIL_V[:-1], m), np.tile(_TAIL_V[1:], m)
+        tail_first = _panel_values(tail_integrand, v_ids, v_lo, v_hi)
+        rough = np.bincount(v_ids, tail_first[0], m)
+        component_scale = np.abs(near_val) + np.abs(mid_val) + top_m2s * np.abs(rough)
+        tol_run = np.fmax(quad.abs_tol, quad.rel_tol * component_scale) / prefac
+        tail_int, tail_ierr, tail_panels, _ = _adaptive_many(
+            tail_integrand, v_ids, v_lo, v_hi, 0.25 * tol_run * _pow(t_top, two_s),
+            quad.max_subdivisions // 3, m, tail_first)
+        tail_val, tail_err = top_m2s * tail_int, top_m2s * tail_ierr
 
-    component_scale = abs(near_val) + abs(mid_val) + abs(tail_val)
-    tol_run = max(quad.abs_tol, quad.rel_tol * component_scale) / prefac
-    mid_val, mid_err, n_panels, mid_ok = _adaptive(
-        integrand, edges, tol=max(0.5 * tol_run, 0.0), max_panels=quad.max_subdivisions,
-        initial=mid_first,
-    )
+    component_scale = np.abs(near_val) + np.abs(mid_val) + np.abs(tail_val)
+    tol_run = np.fmax(quad.abs_tol, quad.rel_tol * component_scale) / prefac
+    mid_val, mid_err, mid_panels, mid_ok = _adaptive_many(
+        integrand, mid_ids, lo, hi, 0.5 * tol_run, quad.max_subdivisions, m, mid_first)
 
     total = prefac * (near_val + mid_val + tail_val)
     err = prefac * (near_err + mid_err + tail_err)
-    converged = mid_ok and err <= prefac * 4.0 * tol_run + max(quad.abs_tol, quad.rel_tol * abs(total))
-    return OperatorValue(float(total), float(err), int(n_panels + tail_panels), bool(converged))
+    converged = mid_ok & (err <= prefac * 4.0 * tol_run + np.fmax(quad.abs_tol, quad.rel_tol * np.abs(total)))
+    return [OperatorValue(*row) for row in zip(total.tolist(), err.tolist(),
+                                               (mid_panels + tail_panels).tolist(), converged.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +410,15 @@ def _profile_growth_check(profile: RadialProfile, s: float) -> None:
         )
 
 
-def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
-                quad: QuadSpec = QuadSpec()) -> OperatorValue:
-    """(-Delta)^s of a radial function, evaluated at any point of radius r.
+def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParams,
+                     quad: QuadSpec = QuadSpec()) -> list[OperatorValue]:
+    """(-Delta)^s of one radial function at many radii, in one batched pass.
+
+    Returns one OperatorValue per radius of the 1-d sequence ``radii``, in
+    its order; each is bit for bit what ``eval_radial`` gives at that radius
+    alone.  An empty ``radii`` returns an empty list and calls nothing.  A
+    radius that fails a check (negative, on or next to a kink, or with a
+    diverging far field) raises for the whole batch.
 
     Piecewise power/log profiles use exact spherical means (n = 1, 3) or
     panelled angular quadrature (n = 2), exact near-zone Laplacians and
@@ -487,50 +428,52 @@ def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
     per radius (or a scalar, which broadcasts); scalar-only functions such as
     ``math.exp`` need ``np.vectorize``.
     """
-    if r < 0.0:
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1:
+        raise DomainError("radii must be a 1-d sequence")
+    if r.size == 0:
+        return []
+    if np.any(r < 0.0):
         raise DomainError("radius must be nonnegative")
+    n = params.n
     prefac = params.c_ns * params.sphere_measure
 
     if isinstance(profile, RadialProfile):
         _profile_growth_check(profile, params.s)
-        if r == 0.0:
+        if np.any(r == 0.0):
             raise EvaluationPointError("profiles are evaluated at positive radii")
-        breaks = list(profile.breakpoints)
-        u_x = float(profile(r))
-        scale = max(r, 1e-12)
-        kinks = _kink_ts(r, breaks, include_origin=True)
-        zero_from = None
-        if profile.pieces[-1] == ():
-            zero_from = r + (max(breaks) if breaks else 0.0)
-        if params.n == 1:
-            mean_fn = _mean_radial_n1(profile, r)
-        elif params.n == 3:
-            mean_fn = _mean_radial_n3_profile(profile, r)
-        else:
-            first_terms = profile.pieces[0]
-            singular0 = any(is_log or expo < 0 for _, expo, is_log in first_terms)
-            mean_fn = _mean_radial_n2(profile, r, breaks, singular0,
-                                      rel_tol=min(1e-9, quad.rel_tol), mag_hint=abs(u_x) + 1e-300)
-        return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac,
-                         _near_model_profile(profile, r, params.n), zero_from)
-
-    u_vec = as_radial_callable(profile)
-    u_x = float(u_vec(r))
-    breaks = [k for k in quad.kink_radii if k > 0.0]
-    first_kink = min(breaks) if breaks else 1.0
-    if r == 0.0:
-        mean_fn = lambda t: (u_vec(t), np.zeros_like(t))  # sphere around the origin
-        kinks, scale = breaks, max(first_kink, 1.0)
+        u_vec, breaks = profile, profile.breakpoints
+        singular0 = any(is_log or expo < 0 for _, expo, is_log in profile.pieces[0])
+        zero_from = r + max(breaks, default=0.0) if profile.pieces[-1] == () else None
+        model = (-profile.radial_laplacian(r, n) / (2.0 * n),
+                 -profile.radial_bilaplacian(r, n) / (8.0 * n * (n + 2.0)))
+        scale = np.maximum(r, 1e-12)
     else:
-        if params.n == 1:
-            mean_fn = _mean_radial_n1(u_vec, r)
-        elif params.n == 3:
-            mean_fn = _mean_radial_n3_generic(u_vec, r)
-        else:
-            mean_fn = _mean_radial_n2(u_vec, r, breaks, False,
-                                      rel_tol=min(1e-9, quad.rel_tol), mag_hint=abs(u_x) + 1e-300)
-        kinks, scale = _kink_ts(r, breaks, include_origin=True), max(r, first_kink, 1e-12)
-    return _pv_value(u_x, mean_fn, params.s, kinks, scale, quad, prefac)
+        u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
+        singular0, zero_from, model = False, None, None
+        first_kink = min(breaks, default=1.0)
+        # the sphere around the origin has the first kink radius as its scale
+        scale = np.where(r == 0.0, max(first_kink, 1.0), np.maximum(np.maximum(r, first_kink), 1e-12))
+    u_x, points = u_vec(r), _on_points(u_vec)
+    if n == 1:
+        mean = _mean_n1(points, r, radial=True)
+    elif n == 3:
+        mean = _mean_radial_n3_generic(points, r) if model is None else _mean_radial_n3_profile(profile, r)
+    else:
+        mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300)
+    if model is None:
+        mean = _with_origin(mean, points, r)
+    return _pv_values(u_x, mean, params.s, _kinks(r, breaks), scale, quad, prefac, model, zero_from)
+
+
+def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
+                quad: QuadSpec = QuadSpec()) -> OperatorValue:
+    """(-Delta)^s of a radial function at any point of radius r.
+
+    The one-radius call of ``eval_radial_many``, which describes the
+    profiles and callables it takes.
+    """
+    return eval_radial_many(profile, [r], params, quad)[0]
 
 
 def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec()) -> OperatorValue:
@@ -554,12 +497,13 @@ def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec
     if isinstance(u, RadialProfile):
         return eval_radial(u, radius, params, quad)
     if params.n == 1:
-        x0 = float(point[0])
+        x0 = point[:1]
+        k = np.asarray(quad.kink_radii, dtype=float)
+        kinks = np.concatenate([np.abs(x0 - k), np.abs(x0 + k)])[None, :]
+        kinks[kinks == 0.0] = np.nan  # on the line, a point on a kink radius is not rejected
         u_vec = as_radial_callable(u)
-        kinks = sorted({abs(x0 - k) for k in quad.kink_radii} | {abs(x0 + k) for k in quad.kink_radii})
-        kinks = [t for t in kinks if t > 0.0]
-        return _pv_value(float(u_vec(x0)), _mean_line(u_vec, x0), params.s, kinks, max(abs(x0), 1.0),
-                         quad, params.c_ns * params.sphere_measure)
+        return _pv_values(u_vec(x0), _mean_n1(_on_points(u_vec), x0, radial=False), params.s, kinks,
+                          np.maximum(np.abs(x0), 1.0), quad, params.c_ns * params.sphere_measure)[0]
     direction = point / radius if radius > 0 else np.eye(params.n)[0]
     return eval_radial(lambda rho: u((rho[:, None] * direction[None, :]).T), radius, params, quad)
 

@@ -16,7 +16,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from fraccert.dirichlet import (GridProblem, _exterior_tail_batch, _pair_weights,
                                 _rate_profile_integral)
-from fraccert.operator import _gauss_nodes
+from fraccert.quadrature import _gauss_nodes
 
 
 def _boundary_row_data(problem: GridProblem, x_i: float, sgn: float, delta: float,

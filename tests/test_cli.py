@@ -76,10 +76,11 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_eval_cos_in_several_dimensions_is_usage_error(capsys):
-    # np.cos maps an (n, k) point array to n rows instead of one value per point
+    # cos(x_1) is not radial, so it is rejected before any evaluation
     for n in ("2", "3"):
         assert main(["eval", "--profile", "cos", "--n", n, "--at", "1"]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cos is not a radial function" in err
 
 
 def test_malformed_spec_file_is_usage_error(capsys, tmp_path):

@@ -12,10 +12,12 @@ import pytest
 
 from fraccert.errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from fraccert.liouville import annulus_inf
-from fraccert.operator import (QuadSpec, OperatorValue, _adaptive, _angular_edges, eval_pointwise,
-                               eval_radial, scaling_identity_check)
+from fraccert.operator import (QuadSpec, OperatorValue, _angular_edges, _geometric_fill, eval_pointwise,
+                               eval_radial, eval_radial_many, scaling_identity_check)
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile, make_fundamental, power_profile
+from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, make_barrier, make_fundamental,
+                               power_profile)
+from fraccert.quadrature import _adaptive_many
 
 P1H = FracParams(1, 0.5)
 
@@ -284,6 +286,150 @@ def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, con
 
 def test_adaptive_engine_stops_on_nan_integrand():
     # a NaN error estimate can never meet the tolerance nor pick a panel to split
-    f = lambda t: (np.where(t > 0.5, np.nan, t), np.zeros_like(t))
-    value, err, panels, ok = _adaptive(f, np.linspace(0.0, 1.0, 3), 1e-9, 600)
-    assert not ok and panels == 2 and math.isnan(value)
+    f = lambda ids, t: (np.where(t > 0.5, np.nan, t), np.zeros_like(t))
+    value, err, panels, ok = _adaptive_many(f, np.zeros(2, dtype=np.intp), np.asarray([0.0, 0.5]),
+                                            np.asarray([0.5, 1.0]), 1e-9, 600, 1)
+    assert not ok[0] and panels[0] == 2 and math.isnan(value[0])
+
+
+@pytest.mark.parametrize("r", [3.0, 0.7])
+def test_angular_edges_take_one_radius_per_circle(r):
+    rs = np.asarray([3.0, 0.7, 3.0, 0.7])
+    t = np.asarray([1.5, 0.2, 2.95, 1.1])
+    ids, lo, hi = _angular_edges(rs, t, (1.0, 4.0), True)
+    mine = rs == r
+    want = _angular_edges(r, t[mine], (1.0, 4.0), True)
+    got = np.isin(ids, np.flatnonzero(mine))
+    np.testing.assert_array_equal(lo[got], want[1])
+    np.testing.assert_array_equal(hi[got], want[2])
+
+
+def _per_gap_fill(edges, ratio=4.0):
+    """The per-gap construction the batched fill replaced: one np.geomspace per wide gap."""
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        out.append(a)
+        if a > 0.0 and b / a > ratio:
+            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
+            out.extend(np.geomspace(a, b, k + 1)[1:-1].tolist())
+    out.append(edges[-1])
+    return np.asarray(out)
+
+
+def test_geometric_fill_matches_per_gap_geomspace():
+    rng = np.random.default_rng(7)
+    sets = [np.sort(10.0 ** rng.uniform(-4.0, 4.0, rng.integers(2, 9))) for _ in range(400)]
+    # a zero start, and ratios of exactly 4, 16 and 64
+    sets += [np.asarray([0.0, 1e-3, 2.0]), np.asarray([1.0, 4.0, 4.5, 72.0, 4608.0]),
+             np.asarray([0.25, 16.0])]
+    ids = np.concatenate([np.full(e.size - 1, i) for i, e in enumerate(sets)])
+    a = np.concatenate([e[:-1] for e in sets])
+    b = np.concatenate([e[1:] for e in sets])
+    got_ids, lo, hi = _geometric_fill(ids, a, b)
+    same = got_ids[1:] == got_ids[:-1]
+    np.testing.assert_array_equal(lo[1:][same], hi[:-1][same])  # panels of one id are contiguous
+    for i, e in enumerate(sets):
+        mine = got_ids == i
+        np.testing.assert_array_equal(np.append(lo[mine], hi[mine][-1]), _per_gap_fill(e))
+
+
+def _bubble(rho):
+    return (1.0 + np.asarray(rho, dtype=float) ** 2) ** -1.2
+
+
+def _cap(rho):
+    rho = np.asarray(rho, dtype=float)
+    return np.where(rho < 1.0, np.sqrt(np.maximum(1.0 - rho**2, 0.0)), 0.0)
+
+
+_C = BarrierConstants(2.0, 20.0)
+# name: (function of params, n, s, kink radii)
+_MANY_CASES = {
+    "ramp_with_bump": (lambda p: make_barrier(BarrierKind.RAMP_WITH_BUMP, _C, p), 1, 0.75, ()),
+    "exterior_with_shell": (lambda p: make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, _C, p), 3, 0.5, ()),
+    # vanishes beyond its breakpoint: an exact zero tail
+    "ball_indicator": (lambda p: make_barrier(BarrierKind.BALL_INDICATOR, _C, p), 3, 0.5, ()),
+    "fundamental": (make_fundamental, 2, 0.4, ()),
+    "bubble_n1": (lambda p: _bubble, 1, 0.4, ()),
+    "bubble_n2": (lambda p: _bubble, 2, 0.5, ()),
+    "bubble_n3": (lambda p: _bubble, 3, 0.5, ()),
+    "cap_n1": (lambda p: _cap, 1, 0.5, (1.0,)),
+    "cap_n3": (lambda p: _cap, 3, 0.5, (1.0,)),
+}
+# one radius at a time, before evaluation was batched (default tolerances):
+# (case, r, value, error_estimate, panels_used, converged)
+_MANY_PINS = [
+    ("ramp_with_bump", 3.0, 0.003914491857557972, 2.236681747817289e-11, 42, True),
+    ("ramp_with_bump", 25.0, -0.06512638773223255, 4.755306504934085e-10, 26, True),
+    ("ramp_with_bump", 33.0, 0.3188085826807539, 2.3413119332174904e-09, 22, True),
+    ("ramp_with_bump", 100.0, -0.0012840364241476147, 8.75953108649e-12, 27, True),
+    ("exterior_with_shell", 10.0, -0.0001313312435394643, 4.778568161627675e-14, 21, True),
+    ("exterior_with_shell", 25.0, 0.000332875506704012, 6.804872704478544e-13, 22, True),
+    ("exterior_with_shell", 45.0, 4.0858795983625746e-07, 6.810830601462653e-14, 22, True),
+    ("exterior_with_shell", 200.0, 7.806372988738611e-09, 2.609281006053478e-14, 24, True),
+    ("ball_indicator", 0.5, 1.5482246682890242, 6.131697059302634e-09, 7, True),
+    ("ball_indicator", 2.0, -0.037357014506163896, 1.722644296059419e-11, 7, True),
+    ("ball_indicator", 8.0, -0.0001055923690614159, 1.4135815839895803e-14, 8, True),
+    ("fundamental", 1.5, -4.661089726543522e-11, 3.72302066346711e-09, 92, True),
+    ("fundamental", 7.0, -2.1404175538102145e-12, 1.7099519696887623e-10, 92, True),
+    ("bubble_n1", 0.0, 1.0215400725728554, 4.187148261507593e-09, 28, True),
+    ("bubble_n1", 0.7, 0.2599359413935608, 7.908984045653659e-10, 32, True),
+    ("bubble_n1", 12.0, -0.008091461450202574, 5.6170273387466464e-11, 29, True),
+    ("bubble_n2", 0.0, 1.7540569034337459, 1.4339321513117985e-09, 19, True),
+    ("bubble_n2", 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
+    ("bubble_n3", 0.0, 2.2333346131675516, 1.8257391195173463e-09, 19, True),
+    ("bubble_n3", 1.5, 0.1450217710438132, 1.9702320547603516e-11, 21, True),
+    ("bubble_n3", 30.0, -5.895500369894484e-06, 1.12939653914309e-14, 27, True),
+    ("cap_n1", 0.0, 0.9999999989908178, 6.4517861341313946e-09, 30, True),
+    ("cap_n1", 0.3, 0.9999999992934423, 4.721776045253238e-09, 39, True),
+    ("cap_n1", 2.0, -0.15470053850318602, 7.876790750754025e-10, 42, True),
+    ("cap_n3", 0.0, 1.999999999286242, 4.612634689259867e-09, 31, True),
+    ("cap_n3", 0.3, 2.0000000175246906, 6.555033895165133e-09, 288, True),
+    ("cap_n3", 2.0, -0.020860792459373726, 4.164057493609412e-11, 147, True),
+]
+# the oscillatory cos tail on the line: (s, x, value, error_estimate, panels_used, converged)
+_COS_PINS = [
+    (0.3, 0.0, 0.9999029201077813, 0.002661598642931256, 309, False),
+    (0.6, 0.7, 0.764843052440199, 9.882266674958316e-06, 272, False),
+]
+
+
+def _assert_pinned(ov, value, err, panels, converged):
+    assert ov.value == pytest.approx(value, rel=1e-9, abs=1e-6 * err)
+    assert ov.error_estimate == pytest.approx(err, rel=1e-6)
+    assert (ov.panels_used, ov.converged) == (panels, converged)
+
+
+@pytest.mark.parametrize("case", sorted(_MANY_CASES))
+def test_eval_radial_many_matches_pointwise(case):
+    make, n, s, kinks = _MANY_CASES[case]
+    p, quad = FracParams(n, s), QuadSpec(kink_radii=kinks)
+    pins = [row[1:] for row in _MANY_PINS if row[0] == case]
+    radii = [row[0] for row in pins]
+    batch = eval_radial_many(make(p), radii, p, quad)
+    assert len(batch) == len(radii)
+    for ov, (r, *pin) in zip(batch, pins):
+        _assert_pinned(ov, *pin)
+        assert ov == eval_radial(make(p), r, p, quad)  # bit for bit
+    permuted = eval_radial_many(make(p), radii[::-1], p, quad)
+    assert permuted[::-1] == batch
+
+
+@pytest.mark.parametrize("s,x,value,err,panels,converged", _COS_PINS)
+def test_pointwise_cos_tail_matches_pins(s, x, value, err, panels, converged):
+    _assert_pinned(eval_pointwise(np.cos, x, FracParams(1, s)), value, err, panels, converged)
+
+
+def test_eval_radial_many_errors_and_empty_batch():
+    p = FracParams(1, 0.75)
+    prof = RadialProfile((2.0,), (((1.0, 0.0, False),), ()))
+    with pytest.raises(EvaluationPointError):
+        eval_radial_many(prof, [0.5, 1.0, 2.0000001, 5.0], p)  # one radius on the jump
+    grows = lambda rho: np.abs(np.asarray(rho)) ** 1.2
+    with pytest.raises(DivergenceError):
+        eval_radial_many(grows, [0.5, 1.0, 3.0], FracParams(1, 0.5))
+    with pytest.raises(DomainError):
+        eval_radial_many(prof, [[1.0, 3.0]], p)
+    calls = []
+    assert eval_radial_many(lambda rho: calls.append(rho) or rho, [], p) == []
+    assert calls == []
