@@ -27,3 +27,7 @@ class DegenerateInputError(FraccertError):
 
 class PositivityViolation(FraccertError):
     """A nonlinearity sampled nonpositive where positivity is required."""
+
+
+class NumericalError(FraccertError):
+    """A computed result failed its own accuracy check (e.g. a solve residual)."""

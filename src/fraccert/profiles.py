@@ -165,9 +165,10 @@ class RadialProfile:
         idx_hi = self._piece_index(hi_arr)
         out = np.empty_like(lo_arr)
         same = idx_lo == idx_hi
-        for i in np.unique(idx_lo[same]):
+        for i in range(len(self.pieces)):
             mask = same & (idx_lo == i)
-            out[mask] = self._piece_anti(int(i), hi_arr[mask]) - self._piece_anti(int(i), lo_arr[mask])
+            if mask.any():
+                out[mask] = self._piece_anti(i, hi_arr[mask]) - self._piece_anti(i, lo_arr[mask])
         cross = ~same
         if cross.any():
             out[cross] = (self.cumulative_rho_integral(hi_arr[cross])

@@ -13,15 +13,22 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 PANEL_CHUNK = 512  # panels per integrand call: bounds the temporaries of a large batch
+
+# Free one 4 MiB mmapped block at import.  glibc then raises its dynamic mmap
+# and trim thresholds (mallopt(3)), so the ~100 KB per-chunk integrand
+# temporaries are reused from the heap instead of being mapped, trimmed and
+# faulted in again on every chunk.
+np.empty(4 << 20, dtype=np.uint8)
 
 _GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gl(npts: int) -> tuple[np.ndarray, np.ndarray]:
     if npts not in _GL_NODES:
-        _GL_NODES[npts] = np.polynomial.legendre.leggauss(npts)
+        _GL_NODES[npts] = leggauss(npts)
     return _GL_NODES[npts]
 
 

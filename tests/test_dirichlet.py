@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
+import fraccert
 from dense_dirichlet import DenseAssembly
-from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _assembly,
-                                _pair_weights, apply_operator, solve_dirichlet,
-                                verify_comparison, verify_hopf_ratio, verify_kslap,
-                                verify_measure_lemma, verify_qsmp)
-from fraccert.errors import ConfigurationError, DegenerateInputError, DomainError
+from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _Assembly, _assembly,
+                                _pair_weights, _toeplitz_first_column, apply_operator,
+                                solve_dirichlet, verify_comparison, verify_hopf_ratio,
+                                verify_kslap, verify_measure_lemma, verify_qsmp)
+from fraccert.errors import (ConfigurationError, DegenerateInputError, DomainError,
+                             FraccertError, NumericalError)
 from fraccert.operator import QuadSpec, eval_pointwise, eval_radial
 from fraccert.params import FracParams
 from fraccert.profiles import positive_fundamental
@@ -337,3 +343,65 @@ def test_scalar_callables_broadcast_and_wrong_shapes_raise():
     with pytest.raises(ConfigurationError):
         solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 0.0,
                                     ExteriorData("custom", fn=lambda x: np.ones(3))))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_toeplitz_first_column_matches_scipy(s):
+    # scipy's Levinson solve is the reference for the Durbin recursion; the
+    # residual uses the assembly's own circulant embedding of T
+    params = FracParams(1, s)
+    for k in range(6, 13):
+        asm = _assembly(GridProblem(((-1.0, 1.0),), 2.0 ** -k, params, 1.0))
+        x = _toeplitz_first_column(asm.t)
+        x_ref = solve_toeplitz(asm.t, np.eye(asm.N, 1).ravel())
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        tx = np.fft.irfft(asm.ft * np.fft.rfft(x, asm.nfft), asm.nfft)[:asm.N]
+        tx[0] -= 1.0
+        assert np.abs(tx).max() <= 1e-13
+    np.testing.assert_array_equal(_toeplitz_first_column(np.array([4.0])), [0.25])
+
+
+@pytest.mark.parametrize("t", [[1.0, 2.0], [1.0, 0.9, 0.9, -0.9], [2.0, -1.0, -1.0, -1.0, -1.0],
+                               [1.0, np.nan]])
+def test_indefinite_toeplitz_column_raises(t):
+    t = np.asarray(t)
+    if np.isfinite(t).all():
+        assert np.linalg.eigvalsh(toeplitz(t)).min() < 0.0
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        _toeplitz_first_column(t)
+
+
+def test_import_loads_no_scipy():
+    code = "\n".join([
+        "import sys",
+        "import fraccert",
+        "fraccert.eval_radial(lambda r: 1.0 / (1.0 + r * r), 2.0, fraccert.FracParams(3, 0.5))",
+        "fraccert.solve_dirichlet(fraccert.GridProblem(((-1.0, 1.0),), 1 / 32,",
+        "                                              fraccert.FracParams(1, 0.5), 1.0))",
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "assert 'scipy' not in sys.modules, loaded",
+    ])
+    src = str(Path(fraccert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_residual_check_is_a_normwise_backward_error_bound(monkeypatch):
+    # s = 0.75 with rhs 1 reaches the rounding floor of the FFT matvec, about
+    # eps |A| |u|, which passed the old fixed 1e-10 |rhs| bound only to h = 2^-12
+    for k in (13, 14):
+        sol = solve_dirichlet(GridProblem(((-1.0, 1.0),), 2.0 ** -k, P_75, 1.0))
+        assert sol.values.min() > 0.0 and sol.residual_norm > 0.0
+    # a solve off by 1e-8, as a uniform scaling or as componentwise noise, still raises
+    assert issubclass(NumericalError, FraccertError) and not issubclass(NumericalError, ConfigurationError)
+    solve = _Assembly.solve
+    rng = np.random.default_rng(7)
+    for perturb in (lambda u: u * (1.0 + 1e-8),
+                    lambda u: u * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, u.size))):
+        monkeypatch.setattr(_Assembly, "solve", lambda self, b: perturb(solve(self, b)))
+        for k in (6, 9):
+            with pytest.raises(NumericalError, match="backward-error bound"):
+                solve_dirichlet(GridProblem(((-1.0, 1.0),), 2.0 ** -k, P_HALF, 1.0))
+        with pytest.raises(NumericalError):
+            solve_dirichlet(GridProblem(ANNULUS_DOMAIN, 1 / 64, P_75, 1.0, ExteriorData("fundamental")))
