@@ -12,14 +12,14 @@ mechanism behind nonexistence) is visible as a crossing at finite radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dirichlet import verify_kslap
 from .errors import ConfigurationError, DomainError
-from .operator import QuadSpec, eval_radial, eval_radial_many
+from .operator import OperatorValue, QuadSpec, eval_radial, eval_radial_many
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKind, \
     BarrierConstants, positive_fundamental
@@ -145,20 +145,19 @@ class ResidualReport:
     inconclusive_fraction: float
 
 
-def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tuple[float, float],
-                           params: FracParams, quad: QuadSpec = _SCAN_QUAD,
-                           points: int = 25) -> ResidualReport:
-    """Sampled residual (-Delta)^s u - f(u(x), x) over a radius interval.
-
-    Certified as a supersolution on the samples iff every residual clears
-    zero by twice its quadrature error estimate; definitely failed iff some
-    residual is below zero by the same margin.
-    """
+def _residual_radii(region: tuple[float, float], points: int) -> np.ndarray:
+    """The geometric sample radii of a residual over a radius interval."""
     lo, hi = region
     if not 0.0 < lo < hi:
         raise ConfigurationError("region must be a positive radius interval")
-    radii = np.geomspace(lo, hi, points)
-    ovs = eval_radial_many(u, radii, params, quad)
+    if points < 1:
+        raise ConfigurationError("a residual needs at least one sample point")
+    return np.geomspace(lo, hi, points)
+
+
+def _residual_report(u: RadialProfile | Callable, f: Callable, radii: np.ndarray,
+                     ovs: Sequence[OperatorValue]) -> ResidualReport:
+    """Residuals (-Delta)^s u - f(u, r) from the operator values of u at the radii."""
     u_vals = as_radial_callable(u)(radii)
     rows = [(r, ov.value - float(np.asarray(f(float(u_r), r))), ov.error_estimate)
             for r, u_r, ov in zip(radii.tolist(), u_vals, ovs)]
@@ -172,6 +171,19 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
     failed = bool(np.any(raised < 0.0))
     return ResidualReport(float(arr[i, 1]), float(arr[i, 0]), float(arr[i, 2]),
                           certified, failed, tuple(map(tuple, rows)), float(frac))
+
+
+def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tuple[float, float],
+                           params: FracParams, quad: QuadSpec = _SCAN_QUAD,
+                           points: int = 25) -> ResidualReport:
+    """Sampled residual (-Delta)^s u - f(u(x), x) over a radius interval.
+
+    Certified as a supersolution on the samples iff every residual clears
+    zero by twice its quadrature error estimate; definitely failed iff some
+    residual is below zero by the same margin.  ``points`` must be at least 1.
+    """
+    radii = _residual_radii(region, points)
+    return _residual_report(u, f, radii, eval_radial_many(u, radii, params, quad))
 
 
 def power_symbol(tau: float, params: FracParams,
@@ -194,15 +206,23 @@ def power_symbol(tau: float, params: FracParams,
 class CandidateFamily:
     """Radial candidates c (1+|x|^2)^(-beta/2) over parameter grids.
 
-    ``include_control`` appends the exact power profile eps |x|^(-tau) with
-    tau = 2s/(p-1) and eps derived from the operator multiplier: the member
-    every supercritical scan must certify.
+    Every c must be finite and positive and every beta finite, so that each
+    member is a positive function.  ``include_control`` appends the exact
+    power profile eps |x|^(-tau) with tau = 2s/(p-1) and eps derived from the
+    operator multiplier: the member every supercritical scan must certify.
     """
 
     c_values: tuple[float, ...] = tuple(np.geomspace(0.1, 10.0, 20))
     beta_values: tuple[float, ...] = tuple(np.linspace(0.1, 6.0, 20))
     include_control: bool = False
     control_power: float | None = None  # p of f(t) = t^p for the control member
+
+    def __post_init__(self) -> None:
+        c = np.asarray(self.c_values, dtype=float)
+        if not np.all(np.isfinite(c) & (c > 0.0)):
+            raise ConfigurationError("family amplitudes c must be finite and positive")
+        if not np.all(np.isfinite(np.asarray(self.beta_values, dtype=float))):
+            raise ConfigurationError("family exponents beta must be finite")
 
     def members(self, params: FracParams):
         for c in self.c_values:
@@ -274,15 +294,40 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
     control configuration must certify at least the analytic member, which
     shows the harness is not rejecting vacuously.  Members scan independently
     and the report is ordered by the parameter grid.
+
+    (-Delta)^s is linear, so the operator is evaluated once per distinct beta,
+    on the base function (1+|x|^2)^(-beta/2), and member c takes c times its
+    values and error estimates.  The base runs with ``quad.abs_tol`` divided
+    by max(1, max c), so every scaled member meets an error target at least
+    as strict as its own evaluation with ``quad``; the control member is
+    evaluated directly.  A 20 x 20 family thus costs 20 batched passes, not
+    400: the criterion-11 scans take ~0.25 s instead of ~3.5 s, and
+    ``fraccert scan --family-side 20`` (200 samples per member) ~2 s instead
+    of ~25 s (2-core Xeon).  ``points`` must be at least 1.
     """
+    radii = _residual_radii(r_range, points)
+    members = list(family.members(params))
+    if not members:
+        raise ConfigurationError("the candidate family is empty")
+    grid = [(float(c), float(beta)) for c in family.c_values for beta in family.beta_values]
+    base_quad = replace(quad, abs_tol=quad.abs_tol / max([1.0] + [c for c, _ in grid]))
+    base: dict[float, list[OperatorValue]] = {}
+    reports = []
+    for (label, member), (c, beta) in zip(members, grid):
+        if beta not in base:
+            base[beta] = eval_radial_many(_family_member(1.0, beta), radii, params, base_quad)
+        ovs = [OperatorValue(c * ov.value, c * ov.error_estimate, ov.panels_used, ov.converged)
+               for ov in base[beta]]
+        reports.append((label, _residual_report(member, f, radii, ovs)))
+    for label, control in members[len(grid):]:
+        reports.append((label, _residual_report(
+            control, f, radii, eval_radial_many(control, radii, params, quad))))
+
     rows = []
     curves = []
     certified = failed = inconclusive = 0
     worst = math.inf
-    count = 0
-    for label, member in family.members(params):
-        count += 1
-        rep = supersolution_residual(member, f, r_range, params, quad, points)
+    for label, rep in reports:
         worst = min(worst, rep.min_residual)
         if rep.certified:
             verdict = MemberVerdict.SUPERSOLUTION
@@ -297,8 +342,6 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
                      rep.witness_error))
         if keep_curves:
             curves.append((label, rep.samples))
-    if count == 0:
-        raise ConfigurationError("the candidate family is empty")
     return ScanReport(tuple(float(v) for v in r_range), tuple(rows),
                       certified, failed, inconclusive, worst, tuple(curves))
 

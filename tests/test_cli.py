@@ -167,6 +167,12 @@ def test_trace_exit_and_csv(capsys, tmp_path):
     assert header == "r,m,forcing_lower,upper_envelope,rho,eta"
 
 
+def test_scan_without_samples_is_a_usage_error(capsys):
+    code = main(["scan", "--n", "3", "--s", "0.5", "--family-side", "2", "--samples", "0"])
+    assert code == 3
+    assert "sample point" in capsys.readouterr().err
+
+
 def test_exit_code_inconclusive_via_eval(capsys):
     # an oscillatory tail reports honest non-convergence -> exit 2
     code, out = run(capsys, "eval", "--n", "1", "--s", "0.3", "--profile", "cos",

@@ -8,6 +8,7 @@ from fraccert.liouville import (AnnulusSampler, CandidateFamily, MemberVerdict,
                                 annulus_inf, default_r_grid, nonexistence_scan,
                                 power_symbol, proof_quantity_trace,
                                 supersolution_residual, verify_growth_bounds)
+from fraccert.operator import QuadSpec, eval_radial_many
 from fraccert.params import FracParams
 from fraccert.profiles import RadialProfile, SignVariant, make_fundamental
 
@@ -152,6 +153,65 @@ def test_empty_family_rejected():
     fam = CandidateFamily(c_values=(), beta_values=())
     with pytest.raises(ConfigurationError):
         nonexistence_scan(fam, lambda t, x: t**1.4, P3, (10.0, 1e4))
+
+
+def test_scan_scales_one_evaluation_per_beta(monkeypatch):
+    # (-Delta)^s is linear: the scan evaluates each distinct beta once and the
+    # control once, and every member agrees with its own direct residual
+    import fraccert.liouville as liouville
+
+    fam = CandidateFamily(c_values=(0.1, 1.0, 10.0), beta_values=(1.0, 3.0, 1.0, 5.0),
+                          include_control=True, control_power=3.0)
+    f = lambda t, x: t**3.0
+    quad = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
+    tolerances = []
+
+    def spy(profile, radii, params, quad):
+        tolerances.append(quad.abs_tol)
+        return eval_radial_many(profile, radii, params, quad)
+
+    monkeypatch.setattr(liouville, "eval_radial_many", spy)
+    scan = nonexistence_scan(fam, f, P3, (10.0, 1e4), quad, points=12, keep_curves=True)
+    monkeypatch.undo()
+    # three distinct betas at abs_tol / max c, then the control at abs_tol
+    assert tolerances == [1e-12 / 10.0] * 3 + [1e-12]
+
+    verdicts = {(True, False): MemberVerdict.SUPERSOLUTION, (False, True): MemberVerdict.FAILS_AT,
+                (False, False): MemberVerdict.INCONCLUSIVE}
+    members = list(fam.members(P3))
+    assert [row[0] for row in scan.members] == [label for label, _ in members]
+    for (label, member), row, (_, samples) in zip(members, scan.members, scan.curves):
+        direct = supersolution_residual(member, f, (10.0, 1e4), P3, quad, points=12)
+        assert row[1] == verdicts[direct.certified, direct.failed], label
+        assert row[2] == direct.witness_radius, label
+        for (r, res, err), (r_d, res_d, err_d) in zip(samples, direct.samples):
+            assert r == r_d
+            assert abs(res - res_d) <= err + err_d, (label, r)
+    assert {row[1] for row in scan.members} == {MemberVerdict.SUPERSOLUTION,
+                                                 MemberVerdict.FAILS_AT}
+    # member c carries c times the values and error estimates of its base
+    errors = {label: np.asarray([err for _, _, err in samples]) for label, samples in scan.curves}
+    for beta in ("1", "3", "5"):
+        for c in ("0.1", "10"):
+            assert np.allclose(errors[f"c={c},beta={beta}"],
+                               float(c) * errors[f"c=1,beta={beta}"], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("c_values,beta_values", [
+    ((-1.0,), (1.0,)), ((0.0,), (1.0,)), ((1.0, math.nan), (1.0,)), ((math.inf,), (1.0,)),
+    ((1.0,), (math.nan,)), ((1.0,), (2.0, -math.inf))])
+def test_family_rejects_nonpositive_or_nonfinite_candidates(c_values, beta_values):
+    with pytest.raises(ConfigurationError):
+        CandidateFamily(c_values=c_values, beta_values=beta_values)
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_residual_needs_a_sample_point(points):
+    with pytest.raises(ConfigurationError):
+        supersolution_residual(PHI3, lambda t, x: t**1.4, (10.0, 1e4), P3, points=points)
+    fam = CandidateFamily(c_values=(1.0,), beta_values=(2.0,))
+    with pytest.raises(ConfigurationError):
+        nonexistence_scan(fam, lambda t, x: t**1.4, P3, (10.0, 1e4), points=points)
 
 
 def test_trace_flags_contradiction_for_subcritical_forcing():
