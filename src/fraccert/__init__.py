@@ -12,7 +12,6 @@ from .profiles import (
     BarrierConstants,
     BarrierKind,
     Branch,
-    FundamentalSolution,
     RadialProfile,
     SignVariant,
     make_barrier,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FracParams", "normalization_constant",
-    "BarrierConstants", "BarrierKind", "Branch", "FundamentalSolution",
+    "BarrierConstants", "BarrierKind", "Branch",
     "RadialProfile", "SignVariant", "make_barrier", "make_fundamental",
     "positive_fundamental",
     "OperatorValue", "QuadSpec", "eval_pointwise", "eval_radial", "eval_radial_many",

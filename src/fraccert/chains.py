@@ -181,6 +181,14 @@ def _region_samples(spec: _ChainSpec, constants: BarrierConstants,
     return np.geomspace(lo, hi, policy.points)
 
 
+def _barrier_on_region(spec: _ChainSpec, constants: BarrierConstants, params: FracParams,
+                       policy: SamplePolicy, quad: QuadSpec):
+    """The chain's barrier evaluated on its sampled region: (radii, OperatorValues)."""
+    prof = make_barrier(spec.barrier, constants, params)
+    xs = _region_samples(spec, constants, policy)
+    return xs, eval_radial_many(prof, xs, params, quad)
+
+
 @dataclass(frozen=True)
 class RateFit:
     constant: float
@@ -243,14 +251,7 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     chain = ChainId(chain) if not isinstance(chain, ChainId) else chain
     spec = _CHAINS[chain]
     notes: list[str] = []
-
-    def run_at(consts: BarrierConstants):
-        prof = make_barrier(spec.barrier, consts, params)
-        xs = _region_samples(spec, consts, sample)
-        evs = eval_radial_many(prof, xs, params, quad)
-        return xs, evs
-
-    xs, evs = run_at(constants)
+    xs, evs = _barrier_on_region(spec, constants, params, sample, quad)
     vals = np.asarray([e.value for e in evs])
     errs = np.asarray([e.error_estimate for e in evs])
     bad = sum(not e.converged for e in evs)
@@ -279,7 +280,7 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     # values <= -c * envelope with c > 0 (envelope_sign = -1)
     rate_vals = spec.rate(xs, constants.outer_radius, params)
     second = constants.with_updates(outer_radius=constants.outer_radius * math.sqrt(10.0))
-    xs2, evs2 = run_at(second)
+    xs2, evs2 = _barrier_on_region(spec, second, params, sample, quad)
     vals2 = np.asarray([e.value for e in evs2])
     errs2 = np.asarray([e.error_estimate for e in evs2])
     rate2 = spec.rate(xs2, second.outer_radius, params)
@@ -321,9 +322,8 @@ def measure_rate(chain: ChainId | str, params: FracParams, constants: BarrierCon
     maxima = []
     for r in r_grid:
         consts = constants.with_updates(outer_radius=float(r))
-        prof = make_barrier(spec.barrier, consts, params)
-        xs = _region_samples(spec, consts, SamplePolicy(points=points_per_r))
-        vals = np.asarray([ov.value for ov in eval_radial_many(prof, xs, params, quad)])
+        _, evs = _barrier_on_region(spec, consts, params, SamplePolicy(points=points_per_r), quad)
+        vals = np.asarray([ov.value for ov in evs])
         extreme = vals.max() if spec.envelope_sign > 0 else -vals.min()
         maxima.append(float(extreme))
     rate_at = lambda r: float(spec.rate(np.asarray([2.0 * r]), r, params)[0]) if \

@@ -38,6 +38,11 @@ _EXIT_FAIL = 1
 _EXIT_INCONCLUSIVE = 2
 _EXIT_USAGE = 3
 
+# one exit code per verdict, for both verdict vocabularies
+_EXIT_OF = {Verdict.PASS: _EXIT_PASS, Verdict.FAIL: _EXIT_FAIL, Verdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE,
+            HVerdict.HOLDS: _EXIT_PASS, HVerdict.FAILS: _EXIT_FAIL,
+            HVerdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE}
+
 
 def _params(args) -> FracParams:
     return FracParams(args.n, args.s)
@@ -120,8 +125,7 @@ def cmd_verify_chain(args) -> int:
     _emit(args, payload, "verify-chain")
     if args.csv:
         write_csv(args.csv, ("radius", "value", "err"), rep.samples)
-    return {Verdict.PASS: _EXIT_PASS, Verdict.FAIL: _EXIT_FAIL,
-            Verdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE}[rep.verdict]
+    return _EXIT_OF[rep.verdict]
 
 
 def cmd_rate(args) -> int:
@@ -218,8 +222,7 @@ def cmd_check_f(args) -> int:
                "f3prime": check_f3prime, "f4prime": check_f4prime}[args.condition]
     rep = checker(spec, params)
     _emit(args, rep, "check-f")
-    return {HVerdict.HOLDS: _EXIT_PASS, HVerdict.FAILS: _EXIT_FAIL,
-            HVerdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE}[rep.verdict]
+    return _EXIT_OF[rep.verdict]
 
 
 def cmd_scan(args) -> int:
@@ -270,86 +273,81 @@ def cmd_report(args) -> int:
     return _EXIT_PASS
 
 
+# flags shared by several verbs; each verb declares only those it reads
+_SHARED_FLAGS = {
+    "n": dict(type=int, default=1),
+    "s": dict(type=float, default=0.5),
+    "r0": dict(type=float, default=2.0),
+    "r": dict(type=float, default=20.0),
+    "tol": dict(type=float, default=None),
+    "samples": dict(type=int, default=200),
+    "seed": dict(type=int, default=0),
+    "out": dict(choices=("json", "csv"), default="json"),
+    "report": dict(type=str, default=None, help="write the JSON report here"),
+    "csv": dict(type=str, default=None, help="write CSV plot data here"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fraccert",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, r0=2.0, r=20.0):
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--s", type=float, default=0.5)
-        p.add_argument("--r0", type=float, default=r0)
-        p.add_argument("--r", type=float, default=r)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", choices=("json", "csv"), default="json")
-        p.add_argument("--report", type=str, default=None, help="write the JSON report here")
-        p.add_argument("--csv", type=str, default=None, help="write CSV plot data here")
+    def verb(name: str, fn, help: str, *flags: str):
+        """A subcommand with --n, --s, --report and the shared flags it reads, unabbreviated."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in ("n", "s", "report") + flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate the operator on a profile")
-    common(p)
+    p = verb("eval", cmd_eval, "evaluate the operator on a profile", "r0", "r", "tol")
     p.add_argument("--profile", default="fundamental")
     p.add_argument("--at", type=float, required=True)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("barrier", help="emit the barrier gallery")
-    common(p)
-    p.set_defaults(fn=cmd_barrier)
+    verb("barrier", cmd_barrier, "emit the barrier gallery", "r0", "r", "out")
 
-    p = sub.add_parser("verify-chain", help="verify a sign or rate certificate")
-    common(p)
+    p = verb("verify-chain", cmd_verify_chain, "verify a sign or rate certificate",
+             "r0", "r", "tol", "samples", "csv")
     p.add_argument("--chain", required=True)
     p.add_argument("--auto-constants", action="store_true", default=True)
     p.add_argument("--no-auto-constants", dest="auto_constants", action="store_false")
-    p.set_defaults(fn=cmd_verify_chain)
 
-    p = sub.add_parser("rate", help="fit the decay rate of a bound chain")
-    common(p)
+    p = verb("rate", cmd_rate, "fit the decay rate of a bound chain", "r0", "r", "tol")
     p.add_argument("--chain", required=True)
     p.add_argument("--r-min", type=float, default=10.0)
     p.add_argument("--r-max", type=float, default=1000.0)
     p.add_argument("--grid-points", type=int, default=5)
-    p.set_defaults(fn=cmd_rate)
 
-    p = sub.add_parser("solve", help="solve a 1-d nonlocal Dirichlet problem")
-    common(p)
+    p = verb("solve", cmd_solve, "solve a 1-d nonlocal Dirichlet problem", "csv")
     p.add_argument("--domain", default="-1:1", help="comma-separated a:b intervals")
     p.add_argument("--h", type=float, default=1.0 / 128.0)
     p.add_argument("--rhs-const", type=float, default=1.0)
     p.add_argument("--exterior", choices=("zero", "fundamental"), default="zero")
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("maxprinciple", help="run the maximum-principle verifiers")
-    common(p)
+    p = verb("maxprinciple", cmd_maxprinciple, "run the maximum-principle verifiers",
+             "samples", "seed")
     p.add_argument("--check", choices=("comparison", "hopf", "kslap", "qsmp", "measure", "all"),
                    default="all")
     p.add_argument("--h", type=float, default=1.0 / 32.0)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--variant", choices=("I", "II"), default="I")
-    p.set_defaults(fn=cmd_maxprinciple)
 
-    p = sub.add_parser("check-f", help="check a nonlinearity hypothesis from a spec file")
-    common(p)
+    p = verb("check-f", cmd_check_f, "check a nonlinearity hypothesis from a spec file")
     p.add_argument("--spec", required=True)
     p.add_argument("--condition", choices=("f2", "f2prime", "f3prime", "f4prime"), required=True)
-    p.set_defaults(fn=cmd_check_f)
 
-    p = sub.add_parser("scan", help="run a nonexistence scan over a candidate family")
-    common(p)
+    p = verb("scan", cmd_scan, "run a nonexistence scan over a candidate family", "samples", "csv")
     p.add_argument("--power", type=float, default=1.4)
     p.add_argument("--family-side", type=int, default=20)
     p.add_argument("--control", action="store_true")
     p.add_argument("--r-min", type=float, default=10.0)
     p.add_argument("--r-max", type=float, default=1e4)
-    p.set_defaults(fn=cmd_scan)
 
-    p = sub.add_parser("trace", help="trace the proof quantities along a radius grid")
-    common(p)
+    p = verb("trace", cmd_trace, "trace the proof quantities along a radius grid", "r0", "csv")
     p.add_argument("--power", type=float, default=1.4, help="forcing power; 0 disables forcing")
     p.add_argument("--decades", type=float, default=2.0)
-    p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("report", help="summarize a JSON report file")
     p.add_argument("file")

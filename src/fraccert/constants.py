@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import ChainId, SamplePolicy, _region_samples, chain_info
+from .chains import ChainId, SamplePolicy, _barrier_on_region, chain_info
 from .errors import ConfigurationError, DegenerateInputError
-from .operator import QuadSpec, eval_radial, eval_radial_many  # eval_radial: rebound by perfbench/tracer.py
+from .operator import QuadSpec, eval_radial  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
-from .profiles import BarrierConstants, make_barrier
+from .profiles import BarrierConstants
 
 __all__ = ["choose_constants"]
 
@@ -29,9 +29,8 @@ def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams,
               policy: SamplePolicy, quad: QuadSpec) -> float:
     """Sampled envelope constant of a bound chain: envelope_sign * max(value / rate)."""
     spec = chain_info(chain)
-    prof = make_barrier(spec.barrier, constants, params)
-    xs = _region_samples(spec, constants, policy)
-    vals = np.asarray([ov.value for ov in eval_radial_many(prof, xs, params, quad)])
+    xs, evs = _barrier_on_region(spec, constants, params, policy, quad)
+    vals = np.asarray([ov.value for ov in evs])
     return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
 
 

@@ -445,8 +445,8 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
         u_vec, breaks = profile, profile.breakpoints
         singular0 = any(is_log or expo < 0 for _, expo, is_log in profile.pieces[0])
         zero_from = r + max(breaks, default=0.0) if profile.pieces[-1] == () else None
-        model = (-profile.radial_laplacian(r, n) / (2.0 * n),
-                 -profile.radial_bilaplacian(r, n) / (8.0 * n * (n + 2.0)))
+        lap = profile.laplacian(n)
+        model = (-lap(r) / (2.0 * n), -lap.laplacian(n)(r) / (8.0 * n * (n + 2.0)))
         scale = np.maximum(r, 1e-12)
     else:
         u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]

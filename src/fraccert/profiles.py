@@ -3,7 +3,8 @@
 A profile is a function of the radius rho > 0 given, on each of finitely many
 intervals, by a finite sum of terms a*rho^b and a*log(rho).  Profiles stay
 symbolic (term lists, never samples) so that spherical means, radial
-Laplacians and far-field tails can be computed in closed form.
+Laplacians (themselves profiles) and far-field tails can be computed in
+closed form.
 
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
@@ -39,6 +40,34 @@ def _clean_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(cleaned)
 
 
+def _values(terms: tuple[Term, ...], r: np.ndarray) -> np.ndarray:
+    """Sum of the terms at the radii r."""
+    val = np.zeros_like(r)
+    for coef, expo, is_log in terms:
+        val += coef * np.log(r) if is_log else coef * r**expo
+    return val
+
+
+def _anti(terms: tuple[Term, ...], r: np.ndarray) -> np.ndarray:
+    """Antiderivative of rho times the sum of the terms, at the radii r."""
+    val = np.zeros_like(r)
+    for coef, expo, is_log in terms:
+        if is_log:
+            val = val + coef * r**2 * (2.0 * np.log(r) - 1.0) / 4.0
+        elif abs(expo + 2.0) < 1e-13:
+            val = val + coef * np.log(r)
+        else:
+            val = val + coef * r ** (expo + 2.0) / (expo + 2.0)
+    return val
+
+
+def _laplacian_terms(terms: tuple[Term, ...], n: int) -> list[Term]:
+    """Radial Laplacian on R^n: a*rho^b -> a*b*(b+n-2)*rho^(b-2), a*log -> a*(n-2)*rho^-2."""
+    return [(coef * (n - 2.0), -2.0, False) if is_log
+            else (coef * expo * (expo + n - 2.0), expo - 2.0, False)
+            for coef, expo, is_log in terms]
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Piecewise sum of powers and logarithms of the radius.
@@ -63,9 +92,19 @@ class RadialProfile:
 
     # ------------------------------------------------------------------ eval
 
-    def _piece_index(self, rho: np.ndarray) -> np.ndarray:
+    def _piece_index(self, rho, side: str = "left") -> np.ndarray:
         # side='left' puts a breakpoint radius into the piece on its left
-        return np.searchsorted(np.asarray(self.breakpoints), rho, side="left")
+        return np.searchsorted(np.asarray(self.breakpoints), rho, side=side)
+
+    def _piecewise(self, rho: np.ndarray, side: str = "left") -> np.ndarray:
+        """Values at the positive radii rho; a breakpoint takes the piece on its ``side``."""
+        out = np.zeros_like(rho)
+        idx = self._piece_index(rho, side)
+        for i, terms in enumerate(self.pieces):
+            mask = idx == i
+            if terms and mask.any():
+                out[mask] = _values(terms, rho[mask])
+        return out
 
     def __call__(self, rho) -> np.ndarray | float:
         rho_arr = np.asarray(rho, dtype=float)
@@ -73,120 +112,37 @@ class RadialProfile:
         rho_arr = np.atleast_1d(rho_arr)
         if np.any(rho_arr <= 0.0):
             raise DomainError("radial profiles are defined for rho > 0")
-        out = np.zeros_like(rho_arr)
-        idx = self._piece_index(rho_arr)
-        for i, terms in enumerate(self.pieces):
-            mask = idx == i
-            if not mask.any() or not terms:
-                continue
-            r = rho_arr[mask]
-            val = np.zeros_like(r)
-            for coef, expo, is_log in terms:
-                val += coef * np.log(r) if is_log else coef * r**expo
-            out[mask] = val
+        out = self._piecewise(rho_arr)
         return float(out[0]) if scalar else out
 
-    def radial_laplacian(self, rho, n: int) -> np.ndarray | float:
-        """Laplacian on R^n of the radial extension, piecewise closed form."""
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.zeros_like(rho_arr)
-        idx = self._piece_index(rho_arr)
-        for i, terms in enumerate(self.pieces):
-            mask = idx == i
-            if not mask.any():
-                continue
-            r = rho_arr[mask]
-            val = np.zeros_like(r)
-            for coef, expo, is_log in terms:
-                if is_log:
-                    val += coef * (n - 2.0) / r**2
-                else:
-                    val += coef * expo * (expo + n - 2.0) * r ** (expo - 2.0)
-            out[mask] = val
-        return float(out[0]) if np.asarray(rho).ndim == 0 else out
+    def laplacian(self, n: int) -> "RadialProfile":
+        """Laplacian on R^n of the radial extension, piece by piece.
 
-    def radial_bilaplacian(self, rho, n: int) -> np.ndarray | float:
-        """Squared Laplacian of the radial extension (used by the near-field model)."""
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.zeros_like(rho_arr)
-        idx = self._piece_index(rho_arr)
-        for i, terms in enumerate(self.pieces):
-            mask = idx == i
-            if not mask.any():
-                continue
-            r = rho_arr[mask]
-            val = np.zeros_like(r)
-            for coef, expo, is_log in terms:
-                if is_log:
-                    c1 = coef * (n - 2.0)
-                    val += c1 * (-2.0) * (n - 4.0) * r**-4
-                else:
-                    c1 = coef * expo * (expo + n - 2.0)
-                    val += c1 * (expo - 2.0) * (expo + n - 4.0) * r ** (expo - 4.0)
-            out[mask] = val
-        return float(out[0]) if np.asarray(rho).ndim == 0 else out
-
-    def cumulative_rho_integral(self, radius) -> np.ndarray | float:
-        """Antiderivative of rho*u(rho), anchored at the first breakpoint.
-
-        Differences of this function give the exact 3-d spherical mean of the
-        profile.  The anchor avoids the (possibly divergent) origin.
+        Jumps at the breakpoints carry no distributional part here: the
+        result is the classical Laplacian away from the breakpoints.
         """
-        anchor = self.breakpoints[0] if self.breakpoints else 1.0
-        offsets = [0.0]
-        for j in range(1, len(self.breakpoints)):
-            lo, hi = self.breakpoints[j - 1], self.breakpoints[j]
-            offsets.append(offsets[-1] + self._piece_anti(j, hi) - self._piece_anti(j, lo))
-        r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
-        idx = self._piece_index(r_arr)
-        out = np.zeros_like(r_arr)
-        for i in range(len(self.pieces)):
-            mask = idx == i
-            if not mask.any():
-                continue
-            r = r_arr[mask]
-            if i == 0:
-                out[mask] = self._piece_anti(0, r) - self._piece_anti(0, anchor)
-            else:
-                lo = self.breakpoints[i - 1]
-                out[mask] = offsets[i - 1] + self._piece_anti(i, r) - self._piece_anti(i, lo)
-        return float(out[0]) if np.asarray(radius).ndim == 0 else out
+        return RadialProfile(self.breakpoints, tuple(_laplacian_terms(p, n) for p in self.pieces))
 
     def rho_integral_between(self, lo, hi) -> np.ndarray:
-        """Exact integral of rho*u(rho) over [lo, hi], elementwise.
+        """Exact integral of rho*u(rho) over [lo, hi] (lo <= hi), elementwise.
 
-        Endpoint pairs inside one piece difference the local antiderivative
-        directly, avoiding the large anchored offsets (and their cancellation
-        noise) that the cumulative form would introduce.
+        Each piece adds the difference of its own antiderivative over its
+        share of [lo, hi], so no anchored offset (and its cancellation
+        noise) enters.
         """
-        lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi_arr = np.atleast_1d(np.asarray(hi, dtype=float))
-        idx_lo = self._piece_index(lo_arr)
-        idx_hi = self._piece_index(hi_arr)
-        out = np.empty_like(lo_arr)
-        same = idx_lo == idx_hi
-        for i in range(len(self.pieces)):
-            mask = same & (idx_lo == i)
-            if mask.any():
-                out[mask] = self._piece_anti(i, hi_arr[mask]) - self._piece_anti(i, lo_arr[mask])
-        cross = ~same
-        if cross.any():
-            out[cross] = (self.cumulative_rho_integral(hi_arr[cross])
-                          - self.cumulative_rho_integral(lo_arr[cross]))
+        lo = np.atleast_1d(np.asarray(lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        i_lo, i_hi = self._piece_index(lo), self._piece_index(hi)
+        edges = (0.0,) + self.breakpoints + (math.inf,)
+        out = np.zeros_like(lo)
+        for i, terms in enumerate(self.pieces):
+            live = (i_lo <= i) & (i <= i_hi)
+            if not terms or not live.any():
+                continue
+            a = np.where(i_lo[live] == i, lo[live], edges[i])
+            b = np.where(i_hi[live] == i, hi[live], edges[i + 1])
+            out[live] += _anti(terms, b) - _anti(terms, a)
         return out
-
-    def _piece_anti(self, i: int, r) -> np.ndarray | float:
-        """Antiderivative of rho*piece_i(rho)."""
-        r = np.asarray(r, dtype=float)
-        val = np.zeros_like(r)
-        for coef, expo, is_log in self.pieces[i]:
-            if is_log:
-                val = val + coef * r**2 * (2.0 * np.log(r) - 1.0) / 4.0
-            elif abs(expo + 2.0) < 1e-13:
-                val = val + coef * np.log(r)
-            else:
-                val = val + coef * r ** (expo + 2.0) / (expo + 2.0)
-        return val
 
     # ------------------------------------------------------------- structure
 
@@ -194,11 +150,7 @@ class RadialProfile:
         return float(self(np.asarray(b)))
 
     def right_value(self, b: float) -> float:
-        i = int(np.searchsorted(np.asarray(self.breakpoints), b, side="right"))
-        val = 0.0
-        for coef, expo, is_log in self.pieces[i]:
-            val += coef * math.log(b) if is_log else coef * b**expo
-        return val
+        return float(self._piecewise(np.array([b], dtype=float), side="right")[0])
 
     def jumps(self, rel_tol: float = 1e-12) -> list[tuple[float, float, float]]:
         """Breakpoints where the profile is discontinuous: (radius, left, right)."""
@@ -227,14 +179,10 @@ class RadialProfile:
         edges = (0.0,) + bps
         pieces = []
         for lo in edges:
-            i = self._idx_for_open_left(lo)
-            j = other._idx_for_open_left(lo)
+            # the pieces valid just to the right of radius lo
+            i, j = self._piece_index(lo, "right"), other._piece_index(lo, "right")
             pieces.append(self.pieces[i] + other.pieces[j])
         return RadialProfile(bps, tuple(pieces))
-
-    def _idx_for_open_left(self, lo: float) -> int:
-        # piece valid just to the right of radius lo
-        return int(np.searchsorted(np.asarray(self.breakpoints), lo, side="right"))
 
     def __mul__(self, c: float) -> "RadialProfile":
         if not isinstance(c, (int, float)):
@@ -310,36 +258,20 @@ def _branch_of(params: FracParams) -> Branch:
     return Branch.POWER_NEG if params.sigma_star < 0 else Branch.POWER_POS
 
 
-@dataclass(frozen=True)
-class FundamentalSolution:
-    """Radial function annihilated by (-Delta)^s away from the origin."""
-
-    params: FracParams
-    branch: Branch
-    sign_variant: SignVariant = SignVariant.PLAIN
-
-    def profile(self) -> RadialProfile:
-        sig = self.params.sigma_star
-        if self.branch is Branch.POWER_NEG:
-            base = power_profile(1.0, sig)
-        elif self.branch is Branch.LOG:
-            base = log_profile(-1.0)
-        else:
-            base = power_profile(-1.0, sig)
-        return base if self.sign_variant is SignVariant.PLAIN else -base
-
-    def __call__(self, rho):
-        return self.profile()(rho)
-
-
 def make_fundamental(params: FracParams, sign_variant: SignVariant = SignVariant.PLAIN) -> RadialProfile:
     """Fundamental solution profile for the parameter branch.
 
     The plain variant is r^sigma* (sigma* < 0), -log r (sigma* = 0) or
     -r^sigma* (sigma* > 0); the negated variant flips the sign, which is the
-    member that is positive and increasing when sigma* > 0.
+    member that is positive and increasing when sigma* > 0.  Away from the
+    origin (-Delta)^s annihilates both.
     """
-    return FundamentalSolution(params, _branch_of(params), sign_variant).profile()
+    branch = _branch_of(params)
+    if branch is Branch.LOG:
+        base = log_profile(-1.0)
+    else:
+        base = power_profile(1.0 if branch is Branch.POWER_NEG else -1.0, params.sigma_star)
+    return base if sign_variant is SignVariant.PLAIN else -base
 
 
 def positive_fundamental(params: FracParams) -> RadialProfile:

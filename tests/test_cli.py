@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import fraccert.cli
 from fraccert.cli import main
@@ -189,3 +190,73 @@ def test_canonical_json_handles_numpy_and_enums():
     assert doc["body"]["arr"] == [1.5, 2.5]
     assert doc["body"]["verdict"] == "PASS"
     assert doc["body"]["nan"] is None
+
+
+def test_scan_writes_json_and_csv(capsys, tmp_path):
+    report, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
+    code, out = run(capsys, "scan", "--n", "3", "--s", "0.5", "--family-side", "2",
+                    "--samples", "4", "--report", str(report), "--csv", str(csv_path))
+    assert code == 0
+    body = json.loads(report.read_text())["body"]
+    assert json.loads(out)["body"] == body
+    assert set(body) == {"power", "n", "s", "summary", "members"}
+    assert len(body["members"]) == 4
+    assert set(body["members"][0]) == {"label", "verdict", "witness", "residual", "err"}
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "label,radius,residual,err"
+    assert len(lines) == 1 + 4 * 4
+
+
+def test_maxprinciple_runs_every_verifier(capsys):
+    code, out = run(capsys, "maxprinciple", "--check", "all", "--n", "1", "--s", "0.5",
+                    "--seed", "7", "--samples", "3")
+    assert code == 0
+    results = json.loads(out)["body"]["results"]
+    assert set(results) == {"comparison", "hopf", "kslap", "qsmp", "measure"}
+    assert results["comparison"] == {"pairs": 3, "violations": 0}
+    assert {"c_estimate", "stable"} <= set(results["hopf"])
+    assert {"c_bar", "per_set"} <= set(results["kslap"])
+    assert {"c0", "stable"} <= set(results["qsmp"])
+    assert {"c_bar", "nu"} <= set(results["measure"])
+
+
+def test_barrier_gallery_json(capsys):
+    code, out = run(capsys, "barrier", "--n", "3", "--s", "0.5", "--r0", "2", "--r", "20")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "barrier-gallery"
+    assert set(doc["body"]) == {"rows", "n", "s", "r0", "r"}
+    assert {row[0] for row in doc["body"]["rows"]} >= {"capped_power", "exterior_with_shell"}
+
+
+def test_eval_on_a_barrier_profile(capsys):
+    code, out = run(capsys, "eval", "--n", "1", "--s", "0.75", "--profile", "ramp_with_bump",
+                    "--at", "10", "--r0", "2", "--r", "20")
+    assert code == 0
+    body = json.loads(out)["body"]
+    assert set(body) == {"profile", "at", "n", "s", "value", "error_estimate",
+                         "panels_used", "converged"}
+    assert body["profile"] == "ramp_with_bump" and body["converged"] is True
+
+
+def test_tol_loosens_the_error_target(capsys):
+    argv = ("eval", "--n", "3", "--s", "0.5", "--profile", "fundamental", "--at", "2.0")
+    code, out = run(capsys, *argv)
+    default = json.loads(out)["body"]
+    code_tol, out_tol = run(capsys, *argv, "--tol", "1e-4")
+    loose = json.loads(out_tol)["body"]
+    assert code == code_tol == 0
+    assert set(loose) == set(default)
+    assert loose["error_estimate"] > default["error_estimate"]
+    assert abs(loose["value"]) <= 2.0 * loose["error_estimate"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--tol", "5"), ("solve", "--seed", "3"), ("solve", "--r0", "9"),
+    ("scan", "--family-side", "2", "--tol", "1e-6"), ("trace", "--tol", "1e-6"),
+    ("barrier", "--csv", "x.csv"), ("eval", "--at", "2", "--samples", "5"),
+    ("maxprinciple", "--r", "20"),  # no abbreviation of --report either
+])
+def test_flag_the_verb_does_not_read_is_usage_error(capsys, argv):
+    assert main(list(argv)) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err

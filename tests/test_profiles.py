@@ -9,6 +9,7 @@ from fraccert.params import FracParams
 from fraccert.profiles import (
     BarrierConstants,
     BarrierKind,
+    RadialProfile,
     SignVariant,
     barrier_gallery,
     constant_profile,
@@ -159,10 +160,95 @@ def test_dilate_matches_composition():
 def test_cumulative_rho_integral_matches_closed_form():
     prof = make_barrier(BarrierKind.EXTERIOR_POWER, BC, P_NEG)
     # rho * rho^-2 integrates to log on the live piece; zero piece contributes nothing
-    got = prof.cumulative_rho_integral(45.0) - prof.cumulative_rho_integral(25.0)
+    got = prof.rho_integral_between(25.0, 45.0)[0]
     assert got == pytest.approx(math.log(45.0 / 25.0), rel=1e-14)
-    across = prof.cumulative_rho_integral(45.0) - prof.cumulative_rho_integral(15.0)
+    across = prof.rho_integral_between(15.0, 45.0)[0]
     assert across == pytest.approx(math.log(45.0 / 20.0), rel=1e-14)
+
+
+# breakpoints at 1, 2.5 and 4, with an empty third piece, a rho^-2 piece and log terms
+ALGEBRA = RadialProfile((1.0, 2.5, 4.0), (
+    ((3.0, 0.5, False), (-1.0, 0.0, False), (0.5, 0.0, True)),
+    ((2.0, -2.0, False), (0.3, 1.5, False)),
+    (),
+    ((1.5, 0.0, True), (0.25, -1.5, False)),
+))
+ALGEBRA_RADII = np.array([0.3, 0.8, 1.0, 1.7, 2.5, 3.0, 4.0, 6.0, 40.0])
+
+
+def _second_order_form(terms, n, rho):
+    """u'' + (n-1) u'/rho of a term list, from its first and second derivatives."""
+    out = np.zeros_like(rho)
+    for coef, expo, is_log in terms:
+        if is_log:
+            d1, d2 = coef / rho, -coef / rho**2
+        else:
+            d1, d2 = coef * expo * rho ** (expo - 1.0), coef * expo * (expo - 1.0) * rho ** (expo - 2.0)
+        out += d2 + (n - 1.0) * d1 / rho
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_matches_closed_form(n):
+    lap = ALGEBRA.laplacian(n)
+    assert isinstance(lap, RadialProfile)
+    assert lap.breakpoints == ALGEBRA.breakpoints
+    assert lap.pieces[2] == ()  # an empty piece stays empty
+    piece = np.searchsorted(ALGEBRA.breakpoints, ALGEBRA_RADII, side="left")
+    want = np.array([_second_order_form(ALGEBRA.pieces[i], n, np.array([rho]))[0]
+                     for i, rho in zip(piece, ALGEBRA_RADII)])
+    np.testing.assert_allclose(lap(ALGEBRA_RADII), want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bilaplacian_matches_product_formula(n):
+    bilap = ALGEBRA.laplacian(n).laplacian(n)
+    piece = np.searchsorted(ALGEBRA.breakpoints, ALGEBRA_RADII, side="left")
+    want = []
+    for i, rho in zip(piece, ALGEBRA_RADII):
+        total = 0.0
+        for coef, b, is_log in ALGEBRA.pieces[i]:
+            if is_log:  # a log rho -> a (n-2) rho^-2 -> a (n-2) (-2) (n-4) rho^-4
+                total += coef * (n - 2.0) * -2.0 * (n - 4.0) * rho**-4
+            else:
+                total += coef * b * (b + n - 2.0) * (b - 2.0) * (b + n - 4.0) * rho ** (b - 4.0)
+        want.append(total)
+    np.testing.assert_allclose(bilap(ALGEBRA_RADII), want, rtol=1e-13, atol=1e-15)
+
+
+def test_log_laplacian_vanishes_in_the_plane():
+    assert log_profile(-1.0).laplacian(2).pieces == ((),)
+    assert power_profile(1.0, -1.0).laplacian(3).pieces == ((),)  # 1/|x| is harmonic in R^3
+
+
+def test_rho_integral_between_matches_quadrature():
+    mpmath = pytest.importorskip("mpmath")
+    pairs = [(0.2, 0.7),    # inside one piece
+             (0.5, 3.0),    # across two breakpoints into the empty piece
+             (1.0, 2.0),    # lo on a breakpoint: only the rho^-2 piece counts
+             (1.5, 2.5),    # hi on a breakpoint
+             (2.5, 6.0),    # across the empty piece into the log piece
+             (3.0, 3.5),    # inside the empty piece
+             (0.3, 10.0),   # across every piece
+             (5.0, 5.0), (4.0, 4.0)]  # lo == hi, off and on a breakpoint
+    lo, hi = (np.array(col) for col in zip(*pairs))
+    got = ALGEBRA.rho_integral_between(lo, hi)
+
+    def integrand(i):
+        def f(rho):
+            return rho * sum(c * (mpmath.log(rho) if is_log else rho**e)
+                             for c, e, is_log in ALGEBRA.pieces[i])
+        return f
+
+    edges = (0.0,) + ALGEBRA.breakpoints + (math.inf,)
+    with mpmath.workdps(30):
+        for (a, b), value in zip(pairs, got):
+            want = mpmath.mpf(0)
+            for i in range(len(ALGEBRA.pieces)):
+                left, right = max(a, edges[i]), min(b, edges[i + 1])
+                if left < right:
+                    want += mpmath.quad(integrand(i), [left, right])
+            assert value == pytest.approx(float(want), rel=1e-13, abs=0.0), (a, b)
 
 
 def test_constants_validation():
