@@ -9,6 +9,7 @@ is CSV.  A fixed seed fully determines randomized batteries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -92,13 +93,9 @@ def cmd_barrier(args) -> int:
     params = _params(args)
     constants = _constants(args)
     rows = barrier_gallery(constants, params)
-    if args.out == "csv":
-        target = args.report or "barriers.csv"
-        write_csv(target, ("barrier", "radius", "value"), rows)
-        print(f"wrote {len(rows)} rows to {target}")
-    else:
-        _emit(args, {"rows": rows, "n": args.n, "s": args.s,
-                     "r0": args.r0, "r": args.r}, "barrier-gallery")
+    _emit(args, {"rows": rows, "n": args.n, "s": args.s, "r0": args.r0, "r": args.r}, "barrier-gallery")
+    if args.csv:
+        write_csv(args.csv, ("barrier", "radius", "value"), rows)
     return _EXIT_PASS
 
 
@@ -282,13 +279,14 @@ _SHARED_FLAGS = {
     "tol": dict(type=float, default=None),
     "samples": dict(type=int, default=200),
     "seed": dict(type=int, default=0),
-    "out": dict(choices=("json", "csv"), default="json"),
     "report": dict(type=str, default=None, help="write the JSON report here"),
     "csv": dict(type=str, default=None, help="write CSV plot data here"),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="fraccert",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="fundamental")
     p.add_argument("--at", type=float, required=True)
 
-    verb("barrier", cmd_barrier, "emit the barrier gallery", "r0", "r", "out")
+    verb("barrier", cmd_barrier, "emit the barrier gallery", "r0", "r", "csv")
 
     p = verb("verify-chain", cmd_verify_chain, "verify a sign or rate certificate",
              "r0", "r", "tol", "samples", "csv")

@@ -14,7 +14,12 @@ three zones are handled separately:
   taken in closed form for piecewise power/log profiles and by Richardson
   extrapolation of sampled means otherwise;
 * middle zone [h, T]: adaptive Gauss-Legendre panels, with every radius where
-  the profile loses smoothness pinned as a panel boundary;
+  the profile loses smoothness pinned as a panel boundary; a profile that is
+  not smooth at the origin (a log, or a power that is not an even
+  nonnegative integer, in its first piece) makes every mean singular at the
+  origin crossing t = r, and its zone starts graded toward it, cut at
+  r(1 +- 4^-k) for k = 1..12, so refinement starts from the geometric mesh
+  instead of bisecting into the kink one round at a time;
 * tail [T, inf): exact for the constant part, and the mean part mapped to
   (0, 1] by t = T/v and integrated adaptively; profiles that vanish beyond
   their last breakpoint get an exact tail.
@@ -260,6 +265,7 @@ def _mean_radial_n2(u_vec: Callable, r: np.ndarray, breaks: Sequence[float], sin
 # ---------------------------------------------------------------------------
 
 _TAIL_V = np.asarray([0.0] + [2.0 ** (-k) for k in range(12, -1, -1)])  # mapped-tail edges in v = T/t
+_GRADE = np.asarray([1.0 + sign * 4.0 ** (-k) for sign in (-1.0, 1.0) for k in range(1, 13)])  # cuts in t / r
 
 
 def _near_zone(u_x: np.ndarray, mean: Callable, s: float, h: np.ndarray,
@@ -331,13 +337,15 @@ def _check_sampled_growth(mean: Callable, u_x: np.ndarray, s: float, t_top: np.n
 
 def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, scale: np.ndarray,
                quad: QuadSpec, prefac: float, near_model: tuple[np.ndarray, np.ndarray] | None = None,
-               zero_from: np.ndarray | None = None) -> list[OperatorValue]:
+               zero_from: np.ndarray | None = None,
+               mid_cuts: np.ndarray | None = None) -> list[OperatorValue]:
     """(-Delta)^s u at every point of a batch, from u there and the spherical means around it.
 
     ``kinks`` holds per point the t where the means lose smoothness (NaN
     pads).  ``near_model is None`` marks a sampled callable, whose far field
     is probed for growth and oscillation; ``zero_from`` marks a profile whose
-    means vanish beyond those radii.
+    means vanish beyond those radii; ``mid_cuts`` (one row per point) are
+    extra starting cuts of the middle zones.
     """
     two_s = 2.0 * s
     m = u_x.size
@@ -360,7 +368,7 @@ def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, sca
         w = t ** (-1.0 - two_s)
         return w * (u_x[i, None] - m_vals), w * m_errs
 
-    mid_ids, lo, hi = _middle_panels(h, t_top, kinks)
+    mid_ids, lo, hi = _middle_panels(h, t_top, kinks if mid_cuts is None else np.hstack([kinks, mid_cuts]))
     # the starting panels give the scale; the refinement against the mixed tolerance reuses them
     mid_first = _panel_values(integrand, mid_ids, lo, hi)
     mid_val = np.bincount(mid_ids, mid_first[0], m)
@@ -444,13 +452,16 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
             raise EvaluationPointError("profiles are evaluated at positive radii")
         u_vec, breaks = profile, profile.breakpoints
         singular0 = any(is_log or expo < 0 for _, expo, is_log in profile.pieces[0])
+        # not smooth at the origin: the means are singular at t = r, so grade the middle zone toward it
+        graded = any(is_log or expo < 0 or expo % 2 != 0 for _, expo, is_log in profile.pieces[0])
+        mid_cuts = r[:, None] * _GRADE if graded else None
         zero_from = r + max(breaks, default=0.0) if profile.pieces[-1] == () else None
         lap = profile.laplacian(n)
         model = (-lap(r) / (2.0 * n), -lap.laplacian(n)(r) / (8.0 * n * (n + 2.0)))
         scale = np.maximum(r, 1e-12)
     else:
         u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
-        singular0, zero_from, model = False, None, None
+        singular0, zero_from, model, mid_cuts = False, None, None, None
         first_kink = min(breaks, default=1.0)
         # the sphere around the origin has the first kink radius as its scale
         scale = np.where(r == 0.0, max(first_kink, 1.0), np.maximum(np.maximum(r, first_kink), 1e-12))
@@ -463,7 +474,8 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
         mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300)
     if model is None:
         mean = _with_origin(mean, points, r)
-    return _pv_values(u_x, mean, params.s, _kinks(r, breaks), scale, quad, prefac, model, zero_from)
+    return _pv_values(u_x, mean, params.s, _kinks(r, breaks), scale, quad, prefac, model, zero_from,
+                      mid_cuts)
 
 
 def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,

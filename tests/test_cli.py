@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fraccert.cli
+from fraccert.chains import Verdict, VerificationReport
 from fraccert.cli import main
 from fraccert.errors import ConfigurationError, DegenerateInputError
 from fraccert.reporting import SCHEMA_VERSION, to_json
@@ -70,6 +71,24 @@ def test_verify_chain_failed_selection_is_inconclusive(capsys, monkeypatch):
 
     monkeypatch.setattr(fraccert.cli, "choose_constants", misconfigured)
     assert main(list(argv)) == 3
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    seen = []
+
+    def spy(chain, params, constants, policy, quad):
+        seen.append(policy.points)
+        return VerificationReport(chain, params, constants, (), float("nan"), Verdict.PASS)
+
+    monkeypatch.setattr(fraccert.cli, "verify_chain", spy)
+    argv = ["verify-chain", "--chain", "CA3D", "--n", "1", "--s", "0.75"]
+    assert main(argv + ["--samples", "7"]) == 0
+    assert main(argv) == 0
+    assert seen == [7, 200]  # the second call sees the default again
+    assert main(argv + ["--samples", "many"]) == 3
+    assert main(argv) == 0 and seen[-1] == 200
+    assert fraccert.cli.build_parser() is fraccert.cli.build_parser()
+    capsys.readouterr()
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -143,7 +162,7 @@ def test_solve_writes_csv_plot_data(capsys, tmp_path):
 def test_barrier_gallery_csv(capsys, tmp_path):
     target = tmp_path / "gallery.csv"
     code, _ = run(capsys, "barrier", "--n", "1", "--s", "0.75", "--r0", "2",
-                  "--r", "20", "--out", "csv", "--report", str(target))
+                  "--r", "20", "--csv", str(target))
     assert code == 0
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "barrier,radius,value"
@@ -254,7 +273,7 @@ def test_tol_loosens_the_error_target(capsys):
 @pytest.mark.parametrize("argv", [
     ("solve", "--tol", "5"), ("solve", "--seed", "3"), ("solve", "--r0", "9"),
     ("scan", "--family-side", "2", "--tol", "1e-6"), ("trace", "--tol", "1e-6"),
-    ("barrier", "--csv", "x.csv"), ("eval", "--at", "2", "--samples", "5"),
+    ("barrier", "--out", "csv"), ("eval", "--at", "2", "--samples", "5"),
     ("maxprinciple", "--r", "20"),  # no abbreviation of --report either
 ])
 def test_flag_the_verb_does_not_read_is_usage_error(capsys, argv):

@@ -264,12 +264,13 @@ def test_angular_edges_match_per_circle_construction(singular_origin):
 
 
 # n = 2 values of the per-circle implementation this batched one replaced:
-# (u, s, r, value, error_estimate, panels_used, converged) at default tolerances
+# (u, s, r, value, error_estimate, panels_used, converged) at default tolerances;
+# the fundamental rows' panel counts are those of the graded middle zone
 _PLANAR_PINS = [
-    ("fundamental", 0.4, 1.5, -4.6610931816185724e-11, 3.7230206651124897e-09, 92, True),
-    ("fundamental", 0.4, 7.0, -2.1404175538102145e-12, 1.7099519675853423e-10, 92, True),
-    ("fundamental", 0.75, 1.5, 9.392097592199605e-12, 3.780738484928572e-09, 51, False),
-    ("fundamental", 0.75, 7.0, 4.31933215642985e-13, 1.7502421544071045e-10, 51, False),
+    ("fundamental", 0.4, 1.5, -4.6610931816185724e-11, 3.7230206651124897e-09, 80, True),
+    ("fundamental", 0.4, 7.0, -2.1404175538102145e-12, 1.7099519675853423e-10, 80, True),
+    ("fundamental", 0.75, 1.5, 9.392097592199605e-12, 3.780738484928572e-09, 50, False),
+    ("fundamental", 0.75, 7.0, 4.31933215642985e-13, 1.7502421544071045e-10, 50, False),
     ("bubble", 0.5, 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
 ]
 
@@ -356,13 +357,14 @@ _MANY_CASES = {
     "cap_n1": (lambda p: _cap, 1, 0.5, (1.0,)),
     "cap_n3": (lambda p: _cap, 3, 0.5, (1.0,)),
 }
-# one radius at a time, before evaluation was batched (default tolerances):
+# one radius at a time, before evaluation was batched (default tolerances), and
+# the ramp_with_bump and fundamental rows since the graded middle zone:
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
-    ("ramp_with_bump", 3.0, 0.003914491857557972, 2.236681747817289e-11, 42, True),
-    ("ramp_with_bump", 25.0, -0.06512638773223255, 4.755306504934085e-10, 26, True),
-    ("ramp_with_bump", 33.0, 0.3188085826807539, 2.3413119332174904e-09, 22, True),
-    ("ramp_with_bump", 100.0, -0.0012840364241476147, 8.75953108649e-12, 27, True),
+    ("ramp_with_bump", 3.0, 0.0039144918601786635, 6.509606138303901e-12, 41, True),
+    ("ramp_with_bump", 25.0, -0.06512638765785468, 9.07498017750293e-12, 34, True),
+    ("ramp_with_bump", 33.0, 0.3188085830439608, 2.2515532023753914e-10, 33, True),
+    ("ramp_with_bump", 100.0, -0.0012840364227693706, 4.6913200913657675e-14, 33, True),
     ("exterior_with_shell", 10.0, -0.0001313312435394643, 4.778568161627675e-14, 21, True),
     ("exterior_with_shell", 25.0, 0.000332875506704012, 6.804872704478544e-13, 22, True),
     ("exterior_with_shell", 45.0, 4.0858795983625746e-07, 6.810830601462653e-14, 22, True),
@@ -370,8 +372,8 @@ _MANY_PINS = [
     ("ball_indicator", 0.5, 1.5482246682890242, 6.131697059302634e-09, 7, True),
     ("ball_indicator", 2.0, -0.037357014506163896, 1.722644296059419e-11, 7, True),
     ("ball_indicator", 8.0, -0.0001055923690614159, 1.4135815839895803e-14, 8, True),
-    ("fundamental", 1.5, -4.661089726543522e-11, 3.72302066346711e-09, 92, True),
-    ("fundamental", 7.0, -2.1404175538102145e-12, 1.7099519696887623e-10, 92, True),
+    ("fundamental", 1.5, -7.622448372129294e-11, 3.945266287761279e-09, 80, True),
+    ("fundamental", 7.0, -3.4999550352028406e-12, 1.8120034900879406e-10, 80, True),
     ("bubble_n1", 0.0, 1.0215400725728554, 4.187148261507593e-09, 28, True),
     ("bubble_n1", 0.7, 0.2599359413935608, 7.908984045653659e-10, 32, True),
     ("bubble_n1", 12.0, -0.008091461450202574, 5.6170273387466464e-11, 29, True),
@@ -433,3 +435,30 @@ def test_eval_radial_many_errors_and_empty_batch():
     calls = []
     assert eval_radial_many(lambda rho: calls.append(rho) or rho, [], p) == []
     assert calls == []
+
+
+_LEVELS = np.asarray([1.0 + sign * 4.0 ** (-k) for sign in (-1.0, 1.0) for k in range(1, 13)])
+
+
+@pytest.mark.parametrize("first,graded", [
+    (((1.0, -2.0, False),), True), (((1.0, 0.5, False),), True), (((1.0, 0.0, True),), True),
+    (((1.0, 0.0, False),), False), (((1.0, 2.0, False), (1.0, 4.0, False)), False), (None, False),
+])
+def test_middle_zone_starts_graded_toward_the_origin_crossing(monkeypatch, first, graded):
+    # a profile not smooth at the origin gets the cuts r(1 +- 4^-k), k = 1..12, from the start
+    import fraccert.operator as op
+
+    starts = []
+
+    def spy(h, t_top, kinks):
+        ids, lo, hi = real(h, t_top, kinks)
+        starts.append(np.union1d(lo, hi))
+        return ids, lo, hi
+
+    real = op._middle_panels
+    monkeypatch.setattr(op, "_middle_panels", spy)
+    u = _bubble if first is None else RadialProfile((3.0,), (first, ()))
+    r = 1.7
+    eval_radial(u, r, FracParams(3, 0.5))
+    present = np.isin(r * _LEVELS, starts[0])
+    assert present.all() if graded else not present.any()
