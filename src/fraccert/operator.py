@@ -24,9 +24,11 @@ three zones are handled separately:
   (0, 1] by t = T/v and integrated adaptively; profiles that vanish beyond
   their last breakpoint get an exact tail.
 
-Spherical means are exact for n = 1 (two-point average) and for piecewise
-profiles in n = 3 (antiderivative of rho*u); n = 2 uses panelled polar-angle
-quadrature split at every circle/breakpoint crossing.
+Spherical means are exact for n = 1 (two-point average) and n = 3: profiles
+integrate rho*u in closed form, and a plain callable u goes through the line
+operator, (-Delta)^s u(r) = (1/r) (-Delta)^s_R [x u(|x|)](r), with two-point
+means and a graded middle zone.  n = 2 uses panelled polar-angle quadrature
+split at every circle/breakpoint crossing.
 
 Evaluation is batched over radii.  ``eval_radial_many`` evaluates one
 function at many radii in one pass, and ``eval_radial`` is its one-radius
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable
-from .quadrature import PANEL_CHUNK, _adaptive_many, _gl, _panel_values
+from .quadrature import _adaptive_many, _panel_values
 
 __all__ = [
     "QuadSpec",
@@ -161,19 +163,11 @@ def _mean_radial_n3_profile(profile: RadialProfile, r: np.ndarray) -> Callable:
     return mean
 
 
-def _mean_radial_n3_generic(u_vec: Callable, r: np.ndarray, order: int = 32) -> Callable:
-    c, w = _gl(order)
-
-    def means(ri: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # (r-t)^2 + 2rt(1+c) is the cancellation-free form of r^2+t^2+2rtc
-        rho = np.sqrt((ri - t[..., None]) ** 2 + 2.0 * ri * t[..., None] * (1.0 + c))
-        return 0.5 * (u_vec(rho) * w).sum(axis=-1)
-
+def _mean_radial_n3_odd(u_vec: Callable, r: np.ndarray) -> Callable:
+    """Two-point means of the odd extension v(x) = x u(|x|) around r > 0, over r: in u's units."""
     def mean(ids: np.ndarray, t: np.ndarray):
-        # u sees as many points per call as PANEL_CHUNK panels have nodes
-        step = max(1, PANEL_CHUNK * 24 // (order * t.shape[1]))
-        ri = r[ids][:, None, None]
-        vals = np.concatenate([means(ri[j:j + step], t[j:j + step]) for j in range(0, ids.size, step)])
+        ri = r[ids][:, None]
+        vals = ((ri + t) * u_vec(ri + t) + (ri - t) * u_vec(np.abs(ri - t))) / (2.0 * ri)
         return vals, np.zeros_like(vals)
     return mean
 
@@ -336,8 +330,8 @@ def _check_sampled_growth(mean: Callable, u_x: np.ndarray, s: float, t_top: np.n
 
 
 def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, scale: np.ndarray,
-               quad: QuadSpec, prefac: float, near_model: tuple[np.ndarray, np.ndarray] | None = None,
-               zero_from: np.ndarray | None = None,
+               quad: QuadSpec, prefac: float | np.ndarray,
+               near_model: tuple[np.ndarray, np.ndarray] | None = None, zero_from: np.ndarray | None = None,
                mid_cuts: np.ndarray | None = None) -> list[OperatorValue]:
     """(-Delta)^s u at every point of a batch, from u there and the spherical means around it.
 
@@ -468,10 +462,15 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
     u_x, points = u_vec(r), _on_points(u_vec)
     if n == 1:
         mean = _mean_n1(points, r, radial=True)
-    elif n == 3:
-        mean = _mean_radial_n3_generic(points, r) if model is None else _mean_radial_n3_profile(profile, r)
-    else:
+    elif n == 2:
         mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300)
+    elif model is not None:
+        mean = _mean_radial_n3_profile(profile, r)
+    else:
+        # (-Delta)^s u(r) = (1/r) (-Delta)^s_R [x u(|x|)](r) at r > 0, with the line's constant
+        # c_1s * 2 = c_3s * 4 pi / (1 + 2s); the means are not smooth at t = r: grade toward it
+        mean, mid_cuts = _mean_radial_n3_odd(points, r), r[:, None] * _GRADE
+        prefac = np.where(r > 0.0, prefac / (1.0 + 2.0 * params.s), prefac)
     if model is None:
         mean = _with_origin(mean, points, r)
     return _pv_values(u_x, mean, params.s, _kinks(r, breaks), scale, quad, prefac, model, zero_from,

@@ -198,11 +198,6 @@ class RadialProfile:
     def __neg__(self) -> "RadialProfile":
         return self * -1.0
 
-    def shift(self, constant: float) -> "RadialProfile":
-        """Add a constant on every piece."""
-        other = RadialProfile((), ((((float(constant), 0.0, False),)),))
-        return self + other
-
     def dilate(self, lam: float) -> "RadialProfile":
         """Profile of rho -> u(lam*rho)."""
         if lam <= 0.0:

@@ -357,8 +357,9 @@ _MANY_CASES = {
     "cap_n1": (lambda p: _cap, 1, 0.5, (1.0,)),
     "cap_n3": (lambda p: _cap, 3, 0.5, (1.0,)),
 }
-# one radius at a time, before evaluation was batched (default tolerances), and
-# the ramp_with_bump and fundamental rows since the graded middle zone:
+# one radius at a time, before evaluation was batched (default tolerances), the
+# ramp_with_bump and fundamental rows since the graded middle zone, and the
+# bubble_n3 row at r = 1.5 since n = 3 callables go through the line operator:
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
     ("ramp_with_bump", 3.0, 0.0039144918601786635, 6.509606138303901e-12, 41, True),
@@ -380,14 +381,20 @@ _MANY_PINS = [
     ("bubble_n2", 0.0, 1.7540569034337459, 1.4339321513117985e-09, 19, True),
     ("bubble_n2", 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
     ("bubble_n3", 0.0, 2.2333346131675516, 1.8257391195173463e-09, 19, True),
-    ("bubble_n3", 1.5, 0.1450217710438132, 1.9702320547603516e-11, 21, True),
-    ("bubble_n3", 30.0, -5.895500369894484e-06, 1.12939653914309e-14, 27, True),
+    ("bubble_n3", 1.5, 0.14502177104370337, 7.772611614908167e-11, 44, True),
     ("cap_n1", 0.0, 0.9999999989908178, 6.4517861341313946e-09, 30, True),
     ("cap_n1", 0.3, 0.9999999992934423, 4.721776045253238e-09, 39, True),
     ("cap_n1", 2.0, -0.15470053850318602, 7.876790750754025e-10, 42, True),
     ("cap_n3", 0.0, 1.999999999286242, 4.612634689259867e-09, 31, True),
-    ("cap_n3", 0.3, 2.0000000175246906, 6.555033895165133e-09, 288, True),
-    ("cap_n3", 2.0, -0.020860792459373726, 4.164057493609412e-11, 147, True),
+]
+# closed forms, checked under |value - exact| <= 2 err + 1e-14 |exact|: (case, r, exact).
+# The bubble is Dyda's 2F1 (tests/test_oracle.py); the cap (1 - rho^2)_+^s is
+# 4^s G(1+s) G(n/2+s) / G(n/2) = 2 inside the ball and, outside, the mpmath integral
+# -c_3s 4 pi / (2 r (1+2s)) int_0^1 (1-q^2)^s q ((r-q)^(-1-2s) - (r+q)^(-1-2s)) dq
+_MANY_EXACT = [
+    ("bubble_n3", 30.0, -6.359225204205556e-06),
+    ("cap_n3", 0.3, 2.0),
+    ("cap_n3", 2.0, -0.020725942163690177),
 ]
 # the oscillatory cos tail on the line: (s, x, value, error_estimate, panels_used, converged)
 _COS_PINS = [
@@ -407,11 +414,15 @@ def test_eval_radial_many_matches_pointwise(case):
     make, n, s, kinks = _MANY_CASES[case]
     p, quad = FracParams(n, s), QuadSpec(kink_radii=kinks)
     pins = [row[1:] for row in _MANY_PINS if row[0] == case]
-    radii = [row[0] for row in pins]
+    exact = [row[1:] for row in _MANY_EXACT if row[0] == case]
+    radii = [row[0] for row in pins + exact]
     batch = eval_radial_many(make(p), radii, p, quad)
     assert len(batch) == len(radii)
     for ov, (r, *pin) in zip(batch, pins):
         _assert_pinned(ov, *pin)
+    for ov, (r, want) in zip(batch[len(pins):], exact):
+        assert ov.converged and abs(ov.value - want) <= 2.0 * ov.error_estimate + 1e-14 * abs(want)
+    for ov, r in zip(batch, radii):
         assert ov == eval_radial(make(p), r, p, quad)  # bit for bit
     permuted = eval_radial_many(make(p), radii[::-1], p, quad)
     assert permuted[::-1] == batch
@@ -440,12 +451,8 @@ def test_eval_radial_many_errors_and_empty_batch():
 _LEVELS = np.asarray([1.0 + sign * 4.0 ** (-k) for sign in (-1.0, 1.0) for k in range(1, 13)])
 
 
-@pytest.mark.parametrize("first,graded", [
-    (((1.0, -2.0, False),), True), (((1.0, 0.5, False),), True), (((1.0, 0.0, True),), True),
-    (((1.0, 0.0, False),), False), (((1.0, 2.0, False), (1.0, 4.0, False)), False), (None, False),
-])
-def test_middle_zone_starts_graded_toward_the_origin_crossing(monkeypatch, first, graded):
-    # a profile not smooth at the origin gets the cuts r(1 +- 4^-k), k = 1..12, from the start
+def _starts_graded(monkeypatch, u, n: int) -> np.ndarray:
+    """Which of the cuts r(1 +- 4^-k), k = 1..12, start the middle zone of u at r = 1.7."""
     import fraccert.operator as op
 
     starts = []
@@ -457,8 +464,23 @@ def test_middle_zone_starts_graded_toward_the_origin_crossing(monkeypatch, first
 
     real = op._middle_panels
     monkeypatch.setattr(op, "_middle_panels", spy)
-    u = _bubble if first is None else RadialProfile((3.0,), (first, ()))
     r = 1.7
-    eval_radial(u, r, FracParams(3, 0.5))
-    present = np.isin(r * _LEVELS, starts[0])
+    eval_radial(u, r, FracParams(n, 0.5))
+    return np.isin(r * _LEVELS, starts[0])
+
+
+@pytest.mark.parametrize("first,graded", [
+    (((1.0, -2.0, False),), True), (((1.0, 0.5, False),), True), (((1.0, 0.0, True),), True),
+    (((1.0, 0.0, False),), False), (((1.0, 2.0, False), (1.0, 4.0, False)), False),
+])
+def test_middle_zone_starts_graded_toward_the_origin_crossing(monkeypatch, first, graded):
+    # a profile not smooth at the origin gets the cuts from the start
+    present = _starts_graded(monkeypatch, RadialProfile((3.0,), (first, ())), 3)
+    assert present.all() if graded else not present.any()
+
+
+@pytest.mark.parametrize("n,graded", [(3, True), (1, False)])
+def test_plain_callable_starts_graded_only_through_the_line_operator(monkeypatch, n, graded):
+    # n = 3 callables go through the line operator, whose means are not smooth at t = r
+    present = _starts_graded(monkeypatch, _bubble, n)
     assert present.all() if graded else not present.any()
