@@ -83,8 +83,8 @@ def cap_n3(s: float, r: float) -> float:
     s = mpmath.mpf(s)
     if r < 1.0:
         return float(4 ** s * mpmath.gamma(1 + s) * mpmath.gamma(1.5 + s) / mpmath.gamma(1.5))
-    # u(x) = 0: minus c_3s times the integral of u(y) |x - y|^(-3-2s) over the ball, whose
-    # spheres |y| = q have the mean ((r-q)^(-1-2s) - (r+q)^(-1-2s)) / (2 r q (1+2s))
+    # u(x) = 0: minus c_3s times the integral of u(y) |x - y|^(-3-2s) over the ball; on the
+    # sphere |y| = q, |x - y|^(-3-2s) has the mean ((r-q)^(-1-2s) - (r+q)^(-1-2s)) / (2 r q (1+2s))
     c_3s = 4 ** s * mpmath.gamma(1.5 + s) / (mpmath.pi ** 1.5 * abs(mpmath.gamma(-s)))
     f = lambda q: (1 - q * q) ** s * q * ((r - q) ** (-1 - 2 * s) - (r + q) ** (-1 - 2 * s))
     return float(-c_3s * 4 * mpmath.pi / (2 * r * (1 + 2 * s)) * mpmath.quad(f, [0, 1]))
