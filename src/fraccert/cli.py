@@ -20,8 +20,8 @@ from . import __version__
 from .chains import (ChainId, SamplePolicy, Verdict, VerificationReport, chain_info,
                      measure_rate, verify_chain)
 from .constants import choose_constants
-from .dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, solve_dirichlet,
-                        verify_comparison, verify_hopf_ratio, verify_kslap,
+from .dirichlet import (ANNULUS_DOMAIN, ANNULUS_FORCING, ExteriorData, GridProblem, annulus_forcing,
+                        solve_dirichlet, verify_comparison, verify_hopf_ratio, verify_kslap,
                         verify_measure_lemma, verify_qsmp)
 from .errors import ConfigurationError, DegenerateInputError, FraccertError
 from .hypotheses import check_f2, check_f2prime, check_f3prime, check_f4prime, spec_from_dict
@@ -186,11 +186,9 @@ def cmd_maxprinciple(args) -> int:
         if not rep.stable:
             worst_exit = max(worst_exit, _EXIT_INCONCLUSIVE)
     if which in ("kslap", "all"):
-        base_set = ((-1.625, -1.375), (1.375, 1.625))
-        battery = [base_set, base_set[:1], base_set[1:],
+        battery = [ANNULUS_FORCING, ANNULUS_FORCING[:1], ANNULUS_FORCING[1:],
                    ((-1.5, -1.375), (1.375, 1.5))]
-        rhs = lambda x: (((np.abs(np.asarray(x)) > 1.375) & (np.abs(np.asarray(x)) < 1.625))).astype(float)
-        rep = verify_kslap(rhs, battery, params, h=args.h)
+        rep = verify_kslap(annulus_forcing, battery, params, h=args.h)
         results["kslap"] = rep
         if rep.c_bar <= 0:
             worst_exit = _EXIT_FAIL
@@ -203,8 +201,7 @@ def cmd_maxprinciple(args) -> int:
         elif not rep.stable:
             worst_exit = max(worst_exit, _EXIT_INCONCLUSIVE)
     if which in ("measure", "all"):
-        rhs = lambda x: (((np.abs(np.asarray(x)) > 1.375) & (np.abs(np.asarray(x)) < 1.625))).astype(float)
-        sol = solve_dirichlet(GridProblem(ANNULUS_DOMAIN, args.h, params, rhs))
+        sol = solve_dirichlet(GridProblem(ANNULUS_DOMAIN, args.h, params, annulus_forcing))
         rep = verify_measure_lemma(sol, args.nu)
         results["measure"] = rep
     _emit(args, {"seed": args.seed, "results": results}, "maxprinciple")

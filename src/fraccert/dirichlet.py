@@ -28,6 +28,7 @@ estimated, never proven; each verifier reports refinement stability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -53,14 +54,25 @@ __all__ = [
     "verify_measure_lemma",
     "ANNULUS_DOMAIN",
     "ANNULUS_TARGET",
+    "ANNULUS_FORCING", "annulus_forcing",
 ]
 
 # geometry used by the quantitative maximum-principle verifiers
 ANNULUS_DOMAIN = ((-3.0, -0.5), (0.5, 3.0))
 ANNULUS_TARGET = ((-2.0, -1.0), (1.0, 2.0))
+ANNULUS_FORCING = ((-1.625, -1.375), (1.375, 1.625))
+
+
+def annulus_forcing(x) -> np.ndarray:
+    """Indicator of ANNULUS_FORCING, the forcing of the annulus verifiers."""
+    return _mask_on(np.asarray(x), ANNULUS_FORCING).astype(float)
+
 
 _ALIGN_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+_COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
+# verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
+_MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
 
 
 @dataclass(frozen=True)
@@ -158,8 +170,9 @@ class GridProblem:
             raise ConfigurationError("truncation radius must be at least twice the domain span")
         return int(round(l_ext / self.h))
 
-    def refined(self, factor: int = 2) -> "GridProblem":
-        return GridProblem(self.intervals, self.h / factor, self.params, self.rhs,
+    def refined(self) -> "GridProblem":
+        """The same problem on the grid of half the spacing."""
+        return GridProblem(self.intervals, self.h / 2.0, self.params, self.rhs,
                            self.exterior, self.truncation_radius)
 
     def grid_key(self) -> tuple:
@@ -284,9 +297,7 @@ def lu_solve(fac: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     return x + inv @ (b - a @ x)
 
 
-_BL_CACHE: dict[tuple[float, float], float] = {}
-
-
+@functools.cache
 def _rate_profile_integral(s: float, e: float) -> float:
     """Paired kernel integral of the boundary-rate profile dist^e on (0, 3 delta].
 
@@ -296,29 +307,23 @@ def _rate_profile_integral(s: float, e: float) -> float:
     the dimensionless row weight of a dist^e local profile cut at the
     boundary (the beyond-boundary range is fed by exterior data separately).
     """
-    key = (s, e)
-    if key not in _BL_CACHE:
-        def integrate(edges: np.ndarray, fn) -> float:
-            tau, w = _gauss_nodes(edges)
-            return float(fn(tau) @ w)
+    def integrate(edges: np.ndarray, fn) -> float:
+        tau, w = _gauss_nodes(edges)
+        return float(fn(tau) @ w)
 
-        def pair_gap(tau: np.ndarray) -> np.ndarray:
-            # 2 - (1-tau)^e - (1+tau)^e, series below the cancellation threshold
-            direct = 2.0 - (1.0 - tau) ** e - (1.0 + tau) ** e
-            series = e * (1.0 - e) * tau**2 * (1.0 + (e - 2.0) * (e - 3.0) * tau**2 / 12.0)
-            return np.where(tau < 1e-3, series, direct)
+    def pair_gap(tau: np.ndarray) -> np.ndarray:
+        # 2 - (1-tau)^e - (1+tau)^e, series below the cancellation threshold
+        direct = 2.0 - (1.0 - tau) ** e - (1.0 + tau) ** e
+        series = e * (1.0 - e) * tau**2 * (1.0 + (e - 2.0) * (e - 3.0) * tau**2 / 12.0)
+        return np.where(tau < 1e-3, series, direct)
 
-        # sorted, and clustered at both ends: 0, 2^-40 .. 1/2, 1 - 2^-2 .. 1 - 2^-40, 1
-        inner_edges = np.concatenate([
-            [0.0], 2.0 ** np.arange(-40.0, 0.0), 1.0 - 2.0 ** np.arange(-2.0, -41.0, -1.0), [1.0],
-        ])
-        part1 = integrate(inner_edges, lambda tau: pair_gap(tau) * tau ** (-1.0 - 2.0 * s))
-        part2 = integrate(
-            np.linspace(1.0, 3.0, 17),
-            lambda tau: (2.0 - (1.0 + tau) ** e) * tau ** (-1.0 - 2.0 * s),
-        )
-        _BL_CACHE[key] = part1 + part2
-    return _BL_CACHE[key]
+    # sorted, and clustered at both ends: 0, 2^-40 .. 1/2, 1 - 2^-2 .. 1 - 2^-40, 1
+    inner_edges = np.concatenate([[0.0], 2.0 ** np.arange(-40.0, 0.0),
+                                  1.0 - 2.0 ** np.arange(-2.0, -41.0, -1.0), [1.0]])
+    part1 = integrate(inner_edges, lambda tau: pair_gap(tau) * tau ** (-1.0 - 2.0 * s))
+    part2 = integrate(np.linspace(1.0, 3.0, 17),
+                      lambda tau: (2.0 - (1.0 + tau) ** e) * tau ** (-1.0 - 2.0 * s))
+    return part1 + part2
 
 
 class _Assembly:
@@ -524,26 +529,33 @@ class ComparisonReport:
     max_violation: float
 
 
-def verify_comparison(p1: GridProblem, p2: GridProblem, tol: float = 1e-10) -> ComparisonReport:
-    """Ordered data imply ordered solutions: v1 <= v2 + tol nodewise."""
-    if p1.intervals != p2.intervals or p1.h != p2.h or p1.params != p2.params:
-        raise ConfigurationError("comparison requires identical grids and parameters")
+def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
+    """Ordered data imply ordered solutions: v1 <= v2 + tol nodewise.
+
+    Both problems share the operator A (grid, order and window; exterior data
+    only enter the rhs as e), so by linearity v1 - v2 = A^-1 (r1 - r2 + e1 - e2):
+    one solve with zero exterior data, not the difference of two O(1) solutions.
+    """
+    if (p1.intervals != p2.intervals or p1.h != p2.h or p1.params != p2.params
+            or p1.window() != p2.window()):
+        raise ConfigurationError("comparison requires identical grids, parameters and truncation windows")
     r1, r2 = p1.rhs_values(), p2.rhs_values()
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
     # the exterior lattice on both sides and in the gaps, out to the truncation radius
     li = p1.interior_indices()
-    reach = max(p1.window(), p2.window()) + 1
+    reach = p1.window() + 1
     lattice = np.arange(li[0] - reach, li[-1] + reach + 1)
     probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * p1.h
     g1 = p1.exterior.evaluate(probe, p1.params)
     g2 = p2.exterior.evaluate(probe, p2.params)
     if np.any(g1 > g2 + 1e-12):
         raise ConfigurationError("exterior data of the first problem must not exceed the second")
-    v1 = solve_dirichlet(p1).values
-    v2 = solve_dirichlet(p2).values
-    violation = float((v1 - v2).max())
-    return ComparisonReport(passed=violation <= tol, max_violation=violation)
+    a1, a2 = _assembly(p1), _assembly(p2)
+    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (a1.ext_rhs - a2.ext_rhs),
+                       truncation_radius=p1.truncation_radius)
+    violation = float(solve_dirichlet(diff).values.max())
+    return ComparisonReport(passed=violation <= _COMPARISON_TOL, max_violation=violation)
 
 
 @dataclass(frozen=True)
@@ -669,8 +681,7 @@ class MeasureReport:
     sampled_points: int
 
 
-def verify_measure_lemma(solution: DiscreteSolution, nu: float, x0_count: int = 12,
-                         grid_ratio: float = 1.25, max_steps: int = 60) -> MeasureReport:
+def verify_measure_lemma(solution: DiscreteSolution, nu: float) -> MeasureReport:
     """Smallest lattice constant C with |{u <= C u(x0)} cap annulus| >= nu |annulus|.
 
     The supersolution property is certified through the defining problem:
@@ -690,10 +701,10 @@ def verify_measure_lemma(solution: DiscreteSolution, nu: float, x0_count: int = 
     u_ann = solution.values[mask]
     h = solution.problem.h
     target = nu * _set_measure(ANNULUS_TARGET)
-    step = max(1, u_ann.size // x0_count)
+    step = max(1, u_ann.size // _MEASURE_X0_COUNT)
     samples = u_ann[::step]
-    for kpow in range(max_steps):
-        c = grid_ratio**kpow
+    for kpow in range(_MEASURE_MAX_STEPS):
+        c = _MEASURE_GRID_RATIO**kpow
         if all((u_ann <= c * u0).sum() * h >= target for u0 in samples):
             return MeasureReport(float(c), nu, int(samples.size))
     raise DegenerateInputError("no lattice constant satisfied the measure condition")

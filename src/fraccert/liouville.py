@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dirichlet import verify_kslap
+from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
 from .errors import ConfigurationError, DomainError
 from .operator import OperatorValue, QuadSpec, eval_radial, eval_radial_many
 from .params import FracParams
@@ -374,11 +374,8 @@ class TraceReport:
 
 
 def _default_cbar(params: FracParams) -> float:
-    battery = [((-1.625, -1.375), (1.375, 1.625)),
-               ((-1.5, -1.375), (1.375, 1.5)),
-               ((1.375, 1.625),)]
-    rhs = lambda x: (((np.abs(np.asarray(x)) > 1.375) & (np.abs(np.asarray(x)) < 1.625))).astype(float)
-    return verify_kslap(rhs, battery, FracParams(1, params.s), h=1.0 / 32.0).c_bar
+    battery = [ANNULUS_FORCING, ((-1.5, -1.375), (1.375, 1.5)), ((1.375, 1.625),)]
+    return verify_kslap(annulus_forcing, battery, FracParams(1, params.s), h=1.0 / 32.0).c_bar
 
 
 def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params: FracParams,

@@ -10,6 +10,7 @@ value does not depend on which others share the pass.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -23,13 +24,7 @@ PANEL_CHUNK = 512  # panels per integrand call: bounds the temporaries of a larg
 # faulted in again on every chunk.
 np.empty(4 << 20, dtype=np.uint8)
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    if npts not in _GL_NODES:
-        _GL_NODES[npts] = leggauss(npts)
-    return _GL_NODES[npts]
+_gl = functools.cache(leggauss)  # npts -> Gauss-Legendre nodes and weights on [-1, 1]
 
 
 def _gauss_nodes(edges: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:

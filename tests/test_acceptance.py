@@ -107,8 +107,7 @@ def test_criterion_06_discrete_comparison():
         r2 = lambda x, c=base, d=extra: (np.polyval(c, np.asarray(x)) ** 2
                                          + np.polyval(d, np.asarray(x)) ** 2)
         rep = verify_comparison(GridProblem(((-1.0, 1.0),), 1 / 32, params, r1),
-                                GridProblem(((-1.0, 1.0),), 1 / 32, params, r2),
-                                tol=1e-10)
+                                GridProblem(((-1.0, 1.0),), 1 / 32, params, r2))
         violations += not rep.passed
     _report("6", violations == 0, f"{violations} violations in 100 seeded ordered pairs")
 

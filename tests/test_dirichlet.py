@@ -92,9 +92,12 @@ def test_comparison_ordered_pairs_battery():
 
 def test_comparison_equal_problems_equal_solutions():
     p = GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0)
+    twin = GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0)
     v1 = solve_dirichlet(p).values
-    v2 = solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0)).values
+    v2 = solve_dirichlet(twin).values
     np.testing.assert_array_equal(v1, v2)
+    rep = verify_comparison(p, twin)
+    assert rep.passed and rep.max_violation == 0.0
 
 
 def test_comparison_grid_mismatch_rejected():
@@ -324,6 +327,50 @@ def test_comparison_rejects_exterior_data_unordered_left_or_in_a_gap(domain, bum
         verify_comparison(p1, p2)
 
 
+def test_comparison_is_one_solve(monkeypatch):
+    calls = []
+    solve = _Assembly.solve
+    monkeypatch.setattr(_Assembly, "solve", lambda self, b: calls.append(b) or solve(self, b))
+    p1 = GridProblem(((1.0, 4.0),), 1 / 32, P_75, 0.0)
+    p2 = GridProblem(((1.0, 4.0),), 1 / 32, P_75, 1.0, ExteriorData("fundamental"))
+    assert verify_comparison(p1, p2).passed
+    assert len(calls) == 1
+
+
+_GAUSS = lambda a: ExteriorData("custom", fn=lambda x: a * np.exp(-np.asarray(x) ** 2))
+# at s = 1/2 the nonnegative branch is c log|x|, negative inside the unit ball:
+# zero data do not stand below it there, its negative part does
+_BELOW_FUNDAMENTAL = lambda s: ExteriorData("zero") if s != 0.5 else ExteriorData(
+    "custom", fn=lambda x: np.minimum(positive_fundamental(P_HALF)(np.abs(x)), 0.0))
+
+
+@pytest.mark.parametrize("domain, s, ext1, ext2", [
+    *[(domain, s, _BELOW_FUNDAMENTAL(s), ExteriorData("fundamental"))
+      for domain in (((1.0, 4.0),), ANNULUS_DOMAIN, THREE_INTERVALS) for s in (0.25, 0.5, 0.75)],
+    (((-1.0, 1.0),), 0.5, _GAUSS(0.5), _GAUSS(2.0)),
+])
+def test_comparison_one_solve_matches_two_solve_difference(domain, s, ext1, ext2):
+    # the difference problem carries r1 - r2 plus the difference of the exterior rhs
+    params = FracParams(1, s)
+    rhs = lambda x: 1.0 + np.cos(3.0 * np.asarray(x))
+    p1 = GridProblem(domain, 1 / 64, params, rhs, ext1)
+    p2 = GridProblem(domain, 1 / 64, params, lambda x: rhs(x) + 0.5, ext2)
+    v1, v2 = solve_dirichlet(p1).values, solve_dirichlet(p2).values
+    rep = verify_comparison(p1, p2)
+    assert rep.passed
+    assert abs(rep.max_violation - (v1 - v2).max()) <= 1e-12 * np.abs(v2).max()
+
+
+def test_comparison_requires_one_truncation_window():
+    unit = ((-1.0, 1.0),)
+    p1 = GridProblem(unit, 1 / 32, P_HALF, 0.0)
+    with pytest.raises(ConfigurationError, match="truncation windows"):
+        verify_comparison(p1, GridProblem(unit, 1 / 32, P_HALF, 1.0, truncation_radius=40.0))
+    p2 = GridProblem(unit, 1 / 32, P_HALF, 1.0, truncation_radius=8.0)
+    assert p1.window() == p2.window() == 256
+    assert verify_comparison(p1, p2).passed
+
+
 def test_scalar_callables_broadcast_and_wrong_shapes_raise():
     calls = []
 
@@ -405,3 +452,7 @@ def test_residual_check_is_a_normwise_backward_error_bound(monkeypatch):
                 solve_dirichlet(GridProblem(((-1.0, 1.0),), 2.0 ** -k, P_HALF, 1.0))
         with pytest.raises(NumericalError):
             solve_dirichlet(GridProblem(ANNULUS_DOMAIN, 1 / 64, P_75, 1.0, ExteriorData("fundamental")))
+        # the one solve that yields a comparison verdict is checked too
+        with pytest.raises(NumericalError, match="backward-error bound"):
+            verify_comparison(GridProblem(((-1.0, 1.0),), 1 / 64, P_HALF, 0.5),
+                              GridProblem(((-1.0, 1.0),), 1 / 64, P_HALF, 1.0))
