@@ -176,8 +176,8 @@ class GridProblem:
                            self.exterior, self.truncation_radius)
 
     def grid_key(self) -> tuple:
-        return (self.intervals, self.h, self.params.n, self.params.s,
-                self.exterior.kind, self.truncation_radius)
+        """What the operator depends on: grid, order and window; the exterior data only move the rhs."""
+        return (self.intervals, self.h, self.params.n, self.params.s, self.window())
 
 
 @dataclass
@@ -327,7 +327,11 @@ def _rate_profile_integral(s: float, e: float) -> float:
 
 
 class _Assembly:
-    """The operator A = c_ns (T_SS + E_C P_C^T), its exterior rhs and its solver."""
+    """The operator A = c_ns (T_SS + E_C P_C^T) of a grid, its solver, and the exterior rhs of given data.
+
+    Nothing here depends on the exterior data: they only enter the rhs, through
+    ``exterior_rhs``.
+    """
 
     def __init__(self, problem: GridProblem):
         p = problem
@@ -356,7 +360,6 @@ class _Assembly:
         phi = ((dC + 0.5 * h) ** (1.0 + s) - (dC - 0.5 * h) ** (1.0 + s)) / (h * (1.0 + s) * dC**s)
         ends = np.asarray(p.intervals).ravel()
         x_b = ends[np.abs(ends[None, :] - x[C, None]).argmin(axis=1)]
-        g_b = p.exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), p.params)
         DC = np.abs(li[:, None] - li[C][None, :])
         AC = -omega[DC] * phi - c2 * (DC == 1)  # the layer columns A[:, C] / c_ns
         AC[C, iC] = t[0]
@@ -374,26 +377,9 @@ class _Assembly:
         coef = dB[:, 0] ** (-two_s) * _rate_profile_integral(s, s)
         AC[iB, rows] += coef - 2.0 * c2 - 2.0 * omega1
         AC[iB] += (DC[iB] == 1) * (c2 + omega1 * phi)
-        reach = K + 1
-        lat = np.arange(li[0] - reach, li[-1] + reach + 1)
-        g = p.exterior.evaluate((lat + 0.5) * h, p.params)
-        tau, w = _gauss_nodes(np.linspace(1.0, 3.0, 9))
-        side = np.sign(x_b[rows] - x[iB])[:, None]
-        gd = p.exterior.evaluate(x[iB, None] + side * dB * tau, p.params) - g_b[rows, None]
-        fix = omega[DC] @ ((1.0 - phi) * g_b)
-        fix[iB] += coef * g_b[rows] + ((dB * tau) ** (-1.0 - two_s) * gd) @ w * dB[:, 0]
-        # the dropped stencils may have leaned on an exterior neighbour
-        nb = li[iB, None] + np.asarray([-1, 1])
-        fix[iB] -= (c2 + omega1) * (g[nb - lat[0]] * np.isin(nb, li, invert=True)).sum(axis=1)
-
-        # exterior contribution on the rhs
-        g[li - lat[0]] = 0.0
-        kernel = np.concatenate([omega[:0:-1], [0.0], omega[1:]])
-        kernel[[reach - 1, reach + 1]] += c2
-        ext = np.convolve(g, kernel, mode="valid")[li - li[0]] if g.any() else 0.0
-        if p.exterior.has_tail():
-            ext = ext + _exterior_tail_batch(lambda y: p.exterior.evaluate(y, p.params), x, T, s)
-        self.ext_rhs = c_ns * (ext + fix)
+        # what the exterior rhs needs of the grid (see exterior_rhs); the O(K) weights are recomputed there
+        self._rim = (p.params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef)
+        self.ext_cache: dict[str, np.ndarray] = {}
 
         # M-matrix sanity: nonpositive off-diagonals (those of T are -omega
         # and -c2), strict dominance.  The margin diag - sum_j!=i |A_ij| of
@@ -479,13 +465,38 @@ class _Assembly:
         tu = irfft(self.ft * rfft(full), self.nfft)[self.q]
         return self.c_ns * (tu + self.EC @ u[self.C])
 
+    def exterior_rhs(self, exterior: ExteriorData) -> np.ndarray:
+        """e, the share of the rhs that the exterior data feed: A v = f + e."""
+        params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef = self._rim
+        s, two_s = params.s, 2.0 * params.s
+        omega, omega1 = _pair_weights(K, h, s)
+        g_b = exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), params)
+        reach = K + 1
+        lat = np.arange(li[0] - reach, li[-1] + reach + 1)
+        g = exterior.evaluate((lat + 0.5) * h, params)
+        tau, w = _gauss_nodes(np.linspace(1.0, 3.0, 9))
+        side = np.sign(x_b[rows] - x[iB])[:, None]
+        gd = exterior.evaluate(x[iB, None] + side * dB * tau, params) - g_b[rows, None]
+        fix = omega[np.abs(li[:, None] - li[C][None, :])] @ ((1.0 - phi) * g_b)
+        fix[iB] += coef * g_b[rows] + ((dB * tau) ** (-1.0 - two_s) * gd) @ w * dB[:, 0]
+        # the dropped stencils may have leaned on an exterior neighbour
+        nb = li[iB, None] + np.asarray([-1, 1])
+        fix[iB] -= (c2 + omega1) * (g[nb - lat[0]] * np.isin(nb, li, invert=True)).sum(axis=1)
+
+        # exterior contribution on the rhs
+        g[li - lat[0]] = 0.0
+        kernel = np.concatenate([omega[:0:-1], [0.0], omega[1:]])
+        kernel[[reach - 1, reach + 1]] += c2
+        ext = np.convolve(g, kernel, mode="valid")[li - li[0]] if g.any() else 0.0
+        if exterior.has_tail():
+            ext = ext + _exterior_tail_batch(lambda y: exterior.evaluate(y, params), x, T, s)
+        return self.c_ns * (ext + fix)
+
 
 _ASSEMBLY_CACHE: dict[tuple, _Assembly] = {}
 
 
 def _assembly(problem: GridProblem) -> _Assembly:
-    if problem.exterior.kind == "custom":
-        return _Assembly(problem)  # callable identity is not a safe cache key
     key = problem.grid_key()
     if key not in _ASSEMBLY_CACHE:
         if len(_ASSEMBLY_CACHE) > 32:
@@ -494,10 +505,20 @@ def _assembly(problem: GridProblem) -> _Assembly:
     return _ASSEMBLY_CACHE[key]
 
 
+def _ext_rhs(asm: _Assembly, problem: GridProblem) -> np.ndarray:
+    """The exterior share of the rhs: cached per kind on the grid's assembly, custom data evaluated afresh."""
+    exterior = problem.exterior
+    if exterior.kind == "custom":
+        return asm.exterior_rhs(exterior)  # callable identity is not a safe cache key
+    if exterior.kind not in asm.ext_cache:
+        asm.ext_cache[exterior.kind] = asm.exterior_rhs(exterior)
+    return asm.ext_cache[exterior.kind]
+
+
 def solve_dirichlet(problem: GridProblem) -> DiscreteSolution:
     """Solve the discrete Dirichlet problem; the solve never mutates its problem."""
     asm = _assembly(problem)
-    b = problem.rhs_values() + asm.ext_rhs
+    b = problem.rhs_values() + _ext_rhs(asm, problem)
     u = asm.solve(b)
     residual = float(np.linalg.norm(asm.matvec(u) - b))
     # normwise backward error (Rigal-Gaches): a stable solve leaves
@@ -515,7 +536,7 @@ def apply_operator(problem: GridProblem, interior_values: np.ndarray) -> np.ndar
     vals = np.asarray(interior_values, dtype=float)
     if vals.shape != asm.nodes.shape:
         raise ConfigurationError("value array does not match the interior nodes")
-    return asm.matvec(vals) - asm.ext_rhs
+    return asm.matvec(vals) - _ext_rhs(asm, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +572,8 @@ def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     g2 = p2.exterior.evaluate(probe, p2.params)
     if np.any(g1 > g2 + 1e-12):
         raise ConfigurationError("exterior data of the first problem must not exceed the second")
-    a1, a2 = _assembly(p1), _assembly(p2)
-    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (a1.ext_rhs - a2.ext_rhs),
+    asm = _assembly(p1)
+    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2)),
                        truncation_radius=p1.truncation_radius)
     violation = float(solve_dirichlet(diff).values.max())
     return ComparisonReport(passed=violation <= _COMPARISON_TOL, max_violation=violation)

@@ -27,8 +27,12 @@ three zones are handled separately:
 Spherical means are exact for n = 1 (two-point average) and n = 3: profiles
 integrate rho*u in closed form, and a plain callable u goes through the line
 operator, (-Delta)^s u(r) = (1/r) (-Delta)^s_R [x u(|x|)](r), with two-point
-means and a graded middle zone.  n = 2 uses panelled polar-angle quadrature
-split at every circle/breakpoint crossing.
+means and a graded middle zone.  In n = 2 a profile's circle mean is exact
+(``RadialProfile.circle_mean``): R^b 2F1(-b/2, -b/2; 1; q^2) per power rho^b
+and log R per log, with R = max(r, t) and q = min(r, t) / R, on every circle
+that stays inside one piece.  Circles that cross a breakpoint, and every
+circle of a plain callable, use panelled polar-angle quadrature split at every
+circle/breakpoint crossing.
 
 Evaluation is batched over radii.  ``eval_radial_many`` evaluates one
 function at many radii in one pass, and ``eval_radial`` is its one-radius
@@ -39,8 +43,9 @@ panel budget, while the near zone, the far-field probes, the zone edges and
 the kink guard are computed for all radii at once.  The spherical means take
 ``(ids, t)``, one row of ``t`` per id.  The n = 2 mean batches one level
 deeper: every circle the outer rule asks for is an id of one flat angular
-pass.  Split decisions and panel sums are per id, so a radius gets the same
-value, bit for bit, in whatever batch it is evaluated.
+pass; which circles take it depends on (r, t) alone.  Split decisions and
+panel sums are per id, so a radius gets the same value, bit for bit, in
+whatever batch it is evaluated.
 """
 
 from __future__ import annotations
@@ -230,28 +235,39 @@ def _angular_edges(r, t: np.ndarray, breaks: Sequence[float],
 
 
 def _mean_radial_n2(u_vec: Callable, r: np.ndarray, breaks: Sequence[float], singular_origin: bool,
-                    rel_tol: float, mag_hint: np.ndarray) -> Callable:
-    """Angular means over the circles of radii t, all circles of a call in one adaptive pass."""
+                    rel_tol: float, mag_hint: np.ndarray, exact: Callable | None = None) -> Callable:
+    """Circle means: ``exact(r, t)`` where it gives one (NaN elsewhere), and otherwise angular
+    quadrature, all circles of a call in one adaptive pass."""
 
     def mean(ids: np.ndarray, t: np.ndarray):
         # every point of t is the radius of one circle
         rc, tc = np.repeat(r[ids], t.shape[1]), t.ravel()
-        gap2, four_rt = (rc - tc) ** 2, 4.0 * rc * tc
-
-        def f_theta(circle: np.ndarray, theta: np.ndarray):
-            # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
-            vals = u_vec(np.sqrt(gap2[circle, None] + four_rt[circle, None] * np.cos(0.5 * theta) ** 2))
-            return vals, np.zeros_like(vals)
-
-        circle, lo, hi = _angular_edges(rc, tc, breaks, singular_origin)
-        # the initial panels give both the scale of each mean and the first refinement step
-        first = _panel_values(f_theta, circle, lo, hi)
-        hint = np.repeat(mag_hint[ids], t.shape[1])
-        tol = rel_tol * np.maximum(np.abs(np.bincount(circle, first[0], tc.size)), hint) * math.pi
-        val, err, _, _ = _adaptive_many(f_theta, circle, lo, hi, tol, 80, tc.size, first)
-        return (val / math.pi).reshape(t.shape), (err / math.pi).reshape(t.shape)
+        vals, errs = (np.full(tc.size, np.nan), np.empty(tc.size)) if exact is None else exact(rc, tc)
+        open_ = np.isnan(vals)
+        if open_.any():
+            vals[open_], errs[open_] = _angular_means(u_vec, rc[open_], tc[open_], breaks, singular_origin,
+                                                     rel_tol, np.repeat(mag_hint[ids], t.shape[1])[open_])
+        return vals.reshape(t.shape), errs.reshape(t.shape)
 
     return mean
+
+
+def _angular_means(u_vec: Callable, rc: np.ndarray, tc: np.ndarray, breaks: Sequence[float],
+                   singular_origin: bool, rel_tol: float, hint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angular means over the circles of radii tc around radii rc, in one adaptive pass."""
+    gap2, four_rt = (rc - tc) ** 2, 4.0 * rc * tc
+
+    def f_theta(circle: np.ndarray, theta: np.ndarray):
+        # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
+        vals = u_vec(np.sqrt(gap2[circle, None] + four_rt[circle, None] * np.cos(0.5 * theta) ** 2))
+        return vals, np.zeros_like(vals)
+
+    circle, lo, hi = _angular_edges(rc, tc, breaks, singular_origin)
+    # the initial panels give both the scale of each mean and the first refinement step
+    first = _panel_values(f_theta, circle, lo, hi)
+    tol = rel_tol * np.maximum(np.abs(np.bincount(circle, first[0], tc.size)), hint) * math.pi
+    val, err, _, _ = _adaptive_many(f_theta, circle, lo, hi, tol, 80, tc.size, first)
+    return val / math.pi, err / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +438,8 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
     radius that fails a check (negative, on or next to a kink, or with a
     diverging far field) raises for the whole batch.
 
-    Piecewise power/log profiles use exact spherical means (n = 1, 3) or
-    panelled angular quadrature (n = 2), exact near-zone Laplacians and
+    Piecewise power/log profiles use exact spherical means (in n = 2 on
+    every circle inside one piece), exact near-zone Laplacians and
     closed-form tails; plain radial callables get sampled means with
     Richardson near-zone extrapolation and require decay slower than |x|^(2s).
     A plain callable is called on 1-d arrays of radii and returns one value
@@ -463,7 +479,8 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
     if n == 1:
         mean = _mean_n1(points, r, radial=True)
     elif n == 2:
-        mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300)
+        mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300,
+                               None if model is None else profile.circle_mean)
     elif model is not None:
         mean = _mean_radial_n3_profile(profile, r)
     else:

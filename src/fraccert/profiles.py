@@ -12,6 +12,7 @@ are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -59,6 +60,112 @@ def _anti(terms: tuple[Term, ...], r: np.ndarray) -> np.ndarray:
         else:
             val = val + coef * r ** (expo + 2.0) / (expo + 2.0)
     return val
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.cache
+def _digamma_half(x: float) -> float:
+    """psi(x) at x = 1/2, 1, 3/2, ...: psi(1) = -gamma, psi(1/2) = psi(1) - 2 log 2, psi(x + 1) = psi(x) + 1/x."""
+    y, val = (1.0, -0.5772156649015329) if x == math.floor(x) else (0.5, -0.5772156649015329 - 2.0 * math.log(2.0))
+    while y < x:
+        val, y = val + 1.0 / y, y + 1.0
+    return val
+
+
+def _series(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray, k_min: int = 0,
+            log_z: np.ndarray | None = None, shift: Callable[[np.ndarray], np.ndarray] | None = None):
+    """sum_k c_k z^k, c_0 = 1, c_(k+1) = ratio(k) c_k, or sum_k c_k z^k (log_z - shift(k)).
+
+    ``ratio`` and ``shift`` take arrays of k.  Returns (sum, sum of |terms|).
+    Each element stops on its own, at the first k >= k_min whose term is
+    below eps times its sum, so its value does not depend on the other
+    elements: the terms come 8 at a time, with running products and sums
+    down each element's column in term order.
+    """
+    shape, z = z.shape, z.ravel()
+    lz = None if log_z is None else log_z.ravel()
+    total, absum = np.empty(z.size), np.empty(z.size)
+    live, power = np.arange(z.size), np.ones(z.size)
+    shift0 = 0.0 if lz is None else shift(np.zeros(1)).item()
+    run_sum = power.copy() if lz is None else lz - shift0
+    run_abs = power.copy() if lz is None else np.abs(lz) + abs(shift0)
+    k = np.arange(8.0)[:, None]  # one row per term, one column per element
+    while live.size:
+        powers = np.cumprod(np.concatenate([power[None], ratio(k) * z[live]]), axis=0)[1:]
+        if lz is None:
+            terms, sizes = powers, np.abs(powers)
+        else:
+            sh = shift(k + 1.0)
+            terms, sizes = powers * (lz[live] - sh), np.abs(powers) * (np.abs(lz[live]) + np.abs(sh))
+        sums = np.cumsum(np.concatenate([run_sum[None], terms]), axis=0)[1:]
+        abss = np.cumsum(np.concatenate([run_abs[None], sizes]), axis=0)[1:]
+        stop = ~(sizes > _EPS * np.abs(sums)) & (k + 1.0 >= k_min)
+        done, at = stop.any(axis=0), stop.argmax(axis=0)
+        total[live[done]], absum[live[done]] = sums[at[done], done], abss[at[done], done]
+        live, power, run_sum, run_abs = live[~done], powers[-1, ~done], sums[-1, ~done], abss[-1, ~done]
+        k = k + 8.0
+    return total.reshape(shape), absum.reshape(shape)
+
+
+def _hyp_series(a: float, b: float, c: float, z: np.ndarray):
+    """Gauss's series 2F1(a, b; c; z) and the sum of its |terms|, for |z| <= 1/2 or a terminating series."""
+    return _series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z, math.ceil(-c) + 1 if c < 0.0 else 0)
+
+
+def _hyp2f1_aa(a: float, z, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """2F1(a, a; 1; z) on 0 <= z < 1, elementwise, with a bound on its rounding error.
+
+    ``w`` is 1 - z, for a caller that has it more accurately than 1 - z.
+    The power series serves z <= 1/2 (and every z when a is a nonpositive
+    integer).  Above 1/2 the expansion is in w: for a > 1/2 first Euler's
+    2F1(a, a; 1; z) = w^(1-2a) 2F1(1-a, 1-a; 1; z), then with m = 1 - 2a >= 0
+    the connection formula A&S 15.3.6, or 15.3.10-11 when m is an integer.
+    Near an integer m the two terms of 15.3.6 grow like 1/m and cancel; the
+    bound carries that loss.
+    """
+    z = np.asarray(z, dtype=float)
+    w = 1.0 - z if w is None else np.asarray(w, dtype=float)
+    val, err = np.empty_like(z), np.empty_like(z)
+    low = (z <= 0.5) | (a <= 0.0 and a == math.floor(a))  # a nonpositive integer a: a polynomial
+    val[low], err[low] = _hyp_series(a, a, 1.0, z[low])
+    err[low] *= 16.0 * _EPS
+    if low.all():
+        return val, err
+    wh = w[~low]
+    if a > 0.5:
+        f, e = _hyp2f1_aa(1.0 - a, z[~low], wh)
+        g = wh ** (1.0 - 2.0 * a)
+        val[~low], err[~low] = f * g, (e + 4.0 * _EPS * np.abs(f)) * g
+        return val, err
+    m = 1.0 - 2.0 * a
+    if m == math.floor(m):
+        # A&S 15.3.11 (15.3.10 at m = 0) with b = a, c = 1: a + m = 1 - a
+        k = int(m)
+        head, head_abs, coef, power = 0.0, 0.0, 1.0, np.ones_like(wh)  # the finite sum over n < m
+        for n in range(k):
+            if n:
+                coef, power = coef * (a + n - 1.0) ** 2 / (n * (n - k)), power * wh
+            head, head_abs = head + coef * power, head_abs + abs(coef) * power
+        shift = lambda n: np.asarray([[_digamma_half(j + 1.0) + _digamma_half(j + 1.0 + k)
+                                       - 2.0 * _digamma_half(1.0 - a + j)] for j in n.ravel().tolist()])
+        tail, tail_abs = _series(lambda n: (1.0 - a + n) ** 2 / ((n + 1.0) * (n + 1.0 + k)), wh,
+                                 log_z=np.log(wh), shift=shift)
+        c1 = math.gamma(k) / math.gamma(1.0 - a) ** 2 if k else 0.0
+        c2 = -((-wh) ** k) / (math.gamma(a) ** 2 * math.factorial(k))
+        val[~low], bound = c1 * head + c2 * tail, abs(c1) * head_abs + np.abs(c2) * tail_abs
+    else:
+        f1, a1 = _hyp_series(a, a, 2.0 * a, wh)
+        f2, a2 = _hyp_series(1.0 - a, 1.0 - a, 2.0 - 2.0 * a, wh)
+        # Gamma(-m) by reflection: m = 1 - 2a rounds, 2a does not, and next to a pole of Gamma(-m)
+        # the first term's 1 / (2a + n) must meet the same distance to it
+        sin_pm = math.sin(math.pi * (2.0 * a - round(2.0 * a))) * (-1.0) ** round(2.0 * a)
+        c1 = math.gamma(m) / math.gamma(1.0 - a) ** 2
+        c2 = wh ** m * (-math.pi / (sin_pm * math.gamma(1.0 + m) * math.gamma(a) ** 2))
+        val[~low], bound = c1 * f1 + c2 * f2, abs(c1) * a1 + np.abs(c2) * a2
+    err[~low] = 16.0 * _EPS * bound
+    return val, err
 
 
 def _laplacian_terms(terms: tuple[Term, ...], n: int) -> list[Term]:
@@ -143,6 +250,45 @@ class RadialProfile:
             b = np.where(i_hi[live] == i, hi[live], edges[i + 1])
             out[live] += _anti(terms, b) - _anti(terms, a)
         return out
+
+    def circle_mean(self, r, t) -> tuple[np.ndarray, np.ndarray]:
+        """Mean of u over the circle of radius t around r e_1 in the plane, and a bound on its rounding error.
+
+        With R = max(r, t) and q = min(r, t) / R, Gegenbauer's generating
+        function gives the mean R^b 2F1(-b/2, -b/2; 1; q^2) of rho^b and the
+        mean log R of log rho.  A circle whose radius range [|r - t|, r + t]
+        crosses a breakpoint gets NaN.  The bound also covers t itself off by
+        a few ulps, as a quadrature node is: next to t = r, where a mean is
+        singular, that term dominates.
+        """
+        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        big, small = np.maximum(r, t), np.minimum(r, t)
+        z = (small / big) ** 2
+        # 1 - q^2 from the exact difference, which 1 - z loses next to t = r; a node that rounds
+        # onto t = r stands for a circle an ulp off it, where every mean is finite
+        w = np.maximum((big - small) * (big + small) / (big * big), _EPS)
+        piece = self._piece_index(np.abs(r - t), "right")
+        piece[piece != self._piece_index(r + t)] = -1
+        vals, errs = np.full(r.shape, np.nan), np.zeros(r.shape)
+        for i, terms in enumerate(self.pieces):
+            here = piece == i
+            if not here.any():
+                continue
+            radius, val, err = big[here], np.zeros(np.count_nonzero(here)), np.zeros(np.count_nonzero(here))
+            for coef, expo, is_log in terms:
+                if is_log:
+                    part, bound = coef * np.log(radius), 0.0
+                else:
+                    f, f_err = _hyp2f1_aa(-0.5 * expo, z[here], w[here])
+                    scale = coef * radius ** expo
+                    part = scale * f
+                    # plus the shift of a node t by its own rounding, which moves w by up to 8 eps:
+                    # |d log f / d log w| <= 1 + |1 + b| + b^2 / 4
+                    sensitivity = 1.0 + abs(1.0 + expo) + 0.25 * expo * expo
+                    bound = np.abs(scale) * f_err + np.abs(part) * sensitivity * 8.0 * _EPS / w[here]
+                val, err = val + part, err + bound + 2.0 * _EPS * np.abs(part)
+            vals[here], errs[here] = val, err
+        return vals, errs
 
     # ------------------------------------------------------------- structure
 

@@ -361,6 +361,23 @@ def test_comparison_one_solve_matches_two_solve_difference(domain, s, ext1, ext2
     assert abs(rep.max_violation - (v1 - v2).max()) <= 1e-12 * np.abs(v2).max()
 
 
+@pytest.mark.parametrize("domain, params, h, ext1, ext2", [
+    (((-1.0, 1.0),), P_HALF, 2.0 ** -9, _GAUSS(0.5), _GAUSS(2.0)),
+    (((1.0, 4.0),), P_75, 1 / 32, ExteriorData("zero"), ExteriorData("fundamental")),
+])
+def test_comparison_builds_one_operator_per_grid(monkeypatch, domain, params, h, ext1, ext2):
+    # the operator does not depend on the exterior data, which only move the rhs
+    import fraccert.dirichlet as dirichlet
+
+    builds = []
+    init = _Assembly.__init__
+    monkeypatch.setattr(_Assembly, "__init__", lambda self, p: builds.append(p) or init(self, p))
+    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
+    assert verify_comparison(GridProblem(domain, h, params, 0.0, ext1),
+                             GridProblem(domain, h, params, 1.0, ext2)).passed
+    assert len(builds) == 1
+
+
 def test_comparison_requires_one_truncation_window():
     unit = ((-1.0, 1.0),)
     p1 = GridProblem(unit, 1 / 32, P_HALF, 0.0)

@@ -264,25 +264,31 @@ def test_angular_edges_match_per_circle_construction(singular_origin):
 
 
 # n = 2 values of the per-circle implementation this batched one replaced:
-# (u, s, r, value, error_estimate, panels_used, converged) at default tolerances;
-# the fundamental rows' panel counts are those of the graded middle zone
+# (u, s, r, value, error_estimate, panels_used, converged) at default tolerances
 _PLANAR_PINS = [
-    ("fundamental", 0.4, 1.5, -4.6610931816185724e-11, 3.7230206651124897e-09, 80, True),
-    ("fundamental", 0.4, 7.0, -2.1404175538102145e-12, 1.7099519675853423e-10, 80, True),
-    ("fundamental", 0.75, 1.5, 9.392097592199605e-12, 3.780738484928572e-09, 50, False),
-    ("fundamental", 0.75, 7.0, 4.31933215642985e-13, 1.7502421544071045e-10, 50, False),
     ("bubble", 0.5, 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
 ]
 
 
 @pytest.mark.parametrize("kind,s,r,value,err,panels,converged", _PLANAR_PINS)
 def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, converged):
-    p = FracParams(2, s)
-    u = make_fundamental(p) if kind == "fundamental" else (
-        lambda rho: (1.0 + np.asarray(rho, dtype=float) ** 2) ** -1.2)
-    ov = eval_radial(u, r, p)
+    u = {"bubble": lambda rho: (1.0 + np.asarray(rho, dtype=float) ** 2) ** -1.2}[kind]
+    ov = eval_radial(u, r, FracParams(2, s))
     assert abs(ov.value - value) <= err + ov.error_estimate
     assert (ov.panels_used, ov.converged) == (panels, converged)
+
+
+# the n = 2 fundamental solution, exactly annihilated, through exact circle means:
+# (s, r, panels_used); every value is converged and within 2 err of 0
+_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 72), (0.4, 7.0, 72), (0.75, 1.5, 49), (0.75, 7.0, 49)]
+
+
+@pytest.mark.parametrize("s,r,panels", _PLANAR_FUNDAMENTAL)
+def test_planar_fundamental_is_annihilated(s, r, panels):
+    p = FracParams(2, s)
+    ov = eval_radial(make_fundamental(p), r, p)
+    assert ov.converged and abs(ov.value) <= 2.0 * ov.error_estimate
+    assert ov.panels_used == panels
 
 
 def test_adaptive_engine_stops_on_nan_integrand():
@@ -348,6 +354,8 @@ _C = BarrierConstants(2.0, 20.0)
 _MANY_CASES = {
     "ramp_with_bump": (lambda p: make_barrier(BarrierKind.RAMP_WITH_BUMP, _C, p), 1, 0.75, ()),
     "exterior_with_shell": (lambda p: make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, _C, p), 3, 0.5, ()),
+    # breakpoints 20 and 30: exact means for circles inside one piece, angular ones across
+    "exterior_with_shell_n2": (lambda p: make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, _C, p), 2, 0.75, ()),
     # vanishes beyond its breakpoint: an exact zero tail
     "ball_indicator": (lambda p: make_barrier(BarrierKind.BALL_INDICATOR, _C, p), 3, 0.5, ()),
     "fundamental": (make_fundamental, 2, 0.4, ()),
@@ -358,8 +366,10 @@ _MANY_CASES = {
     "cap_n3": (lambda p: _cap, 3, 0.5, (1.0,)),
 }
 # one radius at a time, before evaluation was batched (default tolerances), the
-# ramp_with_bump and fundamental rows since the graded middle zone, and the
-# bubble_n3 row at r = 1.5 since n = 3 callables go through the line operator:
+# ramp_with_bump rows since the graded middle zone, the bubble_n3 row at
+# r = 1.5 since n = 3 callables go through the line operator, and the
+# exterior_with_shell_n2 rows since n = 2 profiles take exact circle means
+# (each within the combined bars of its all-angular value):
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
     ("ramp_with_bump", 3.0, 0.0039144918601786635, 6.509606138303901e-12, 41, True),
@@ -370,11 +380,13 @@ _MANY_PINS = [
     ("exterior_with_shell", 25.0, 0.000332875506704012, 6.804872704478544e-13, 22, True),
     ("exterior_with_shell", 45.0, 4.0858795983625746e-07, 6.810830601462653e-14, 22, True),
     ("exterior_with_shell", 200.0, 7.806372988738611e-09, 2.609281006053478e-14, 24, True),
+    ("exterior_with_shell_n2", 10.0, -0.0034587099199580983, 6.123186314830076e-12, 67, True),
+    ("exterior_with_shell_n2", 25.0, 0.010264274322454274, 2.1359283398313703e-11, 55, True),
+    ("exterior_with_shell_n2", 45.0, -0.00014417364480552401, 1.9188507730121486e-12, 76, True),
+    ("exterior_with_shell_n2", 200.0, 7.578017880552502e-08, 2.069202488932163e-13, 54, True),
     ("ball_indicator", 0.5, 1.5482246682890242, 6.131697059302634e-09, 7, True),
     ("ball_indicator", 2.0, -0.037357014506163896, 1.722644296059419e-11, 7, True),
     ("ball_indicator", 8.0, -0.0001055923690614159, 1.4135815839895803e-14, 8, True),
-    ("fundamental", 1.5, -7.622448372129294e-11, 3.945266287761279e-09, 80, True),
-    ("fundamental", 7.0, -3.4999550352028406e-12, 1.8120034900879406e-10, 80, True),
     ("bubble_n1", 0.0, 1.0215400725728554, 4.187148261507593e-09, 28, True),
     ("bubble_n1", 0.7, 0.2599359413935608, 7.908984045653659e-10, 32, True),
     ("bubble_n1", 12.0, -0.008091461450202574, 5.6170273387466464e-11, 29, True),
@@ -388,10 +400,12 @@ _MANY_PINS = [
     ("cap_n3", 0.0, 1.999999999286242, 4.612634689259867e-09, 31, True),
 ]
 # closed forms, checked under |value - exact| <= 2 err + 1e-14 |exact|: (case, r, exact).
-# The bubble is Dyda's 2F1 (tests/test_oracle.py); the cap (1 - rho^2)_+^s is
+# The fundamental solution is annihilated; the bubble is Dyda's 2F1 (tests/test_oracle.py); the cap (1 - rho^2)_+^s is
 # 4^s G(1+s) G(n/2+s) / G(n/2) = 2 inside the ball and, outside, the mpmath integral
 # -c_3s 4 pi / (2 r (1+2s)) int_0^1 (1-q^2)^s q ((r-q)^(-1-2s) - (r+q)^(-1-2s)) dq
 _MANY_EXACT = [
+    ("fundamental", 1.5, 0.0),
+    ("fundamental", 7.0, 0.0),
     ("bubble_n3", 30.0, -6.359225204205556e-06),
     ("cap_n3", 0.3, 2.0),
     ("cap_n3", 2.0, -0.020725942163690177),

@@ -17,7 +17,10 @@ error-estimate contract: |value - exact| <= 2 err + 1e-14 |exact|.
 The bubble is checked in every dimension, and the cap (1 - |x|^2)_+^s in n = 3
 against its constant value 4^s G(1+s) G(n/2+s) / G(n/2) inside the ball and an
 mpmath integral over the support outside.  In n = 3 plain callables go through
-the line operator of v(x) = x u(|x|), whose two-point means are exact.
+the line operator of v(x) = x u(|x|), whose two-point means are exact.  In n = 2
+profiles take exact circle means through 2F1(-b/2, -b/2; 1; q^2), whose helper
+is checked against mpmath.hyp2f1 here; the fundamental solution (exactly
+annihilated) and the power multiplier check the operator built on them.
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ import pytest
 
 from fraccert.operator import QuadSpec, eval_radial, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile
+from fraccert.profiles import RadialProfile, _hyp2f1_aa, make_fundamental
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -116,3 +119,46 @@ def test_singular_power_within_error_bars(n, s):
             if abs(ov.value - want) > 2.0 * ov.error_estimate + 1e-14 * abs(want):
                 misses.append((tau, r, ov.value, want, ov.error_estimate))
     assert not misses
+
+
+_PLANAR_RADII = [0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
+
+
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6, 0.75, 0.9])
+def test_planar_fundamental_converges_within_error_bars(s):
+    params = FracParams(2, s)
+    ovs = eval_radial_many(make_fundamental(params), _PLANAR_RADII, params)
+    assert all(ov.converged for ov in ovs)
+    assert not _gate(ovs, [0.0] * len(ovs))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25])
+def test_planar_fundamental_at_small_s_is_honest_or_unconverged(s):
+    # the mean is singular like |t - r|^(2s - 1) at the origin crossing, below the resolution of t
+    params = FracParams(2, s)
+    ovs = eval_radial_many(make_fundamental(params), _PLANAR_RADII, params)
+    assert not _gate([ov for ov in ovs if ov.converged], [0.0] * len(ovs))
+
+
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6, 0.75, 0.9])
+def test_planar_power_converges_within_error_bars(s):
+    params, radii = FracParams(2, s), np.asarray(_PLANAR_RADII)
+    for frac in (0.2, 0.5, 0.8):
+        tau = frac * (2.0 - 2.0 * s)
+        ovs = eval_radial_many(RadialProfile((), (((1.0, -tau, False),),)), radii, params)
+        assert all(ov.converged for ov in ovs)
+        assert not _gate(ovs, power_multiplier(2, s, tau) * radii ** (-tau - 2.0 * s))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.5 + 1e-6, 0.5 - 1e-6, -0.5, 0.6, 0.25, -1.0])
+def test_hyp2f1_aa_against_mpmath(a):
+    mpmath.mp.dps = 30
+    z = np.concatenate([np.linspace(0.0, 0.99, 100), [0.5, np.nextafter(0.5, 1.0)],
+                        1.0 - np.geomspace(1e-2, 1e-12, 41)])
+    val, bound = _hyp2f1_aa(a, z)
+    exact = np.asarray([float(mpmath.hyp2f1(a, a, 1, mpmath.mpf(x))) for x in z])
+    err = np.abs(val - exact)
+    assert np.all(err <= bound)
+    m = 1.0 - 2.0 * a
+    if abs(m - round(m)) >= 0.01:
+        assert np.all(err <= 1e-13 * np.abs(exact))
