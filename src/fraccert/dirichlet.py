@@ -14,11 +14,12 @@ restriction to the interior indices S; E_C holds every edit, all of which sit
 in the layer columns C (nodes within 2.5h of an endpoint, 3 per endpoint):
 the dist^s cell-average column scaling and the rewritten boundary rows.  T^-1
 is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
-products by FFT, after one Durbin recursion for its first column), gap nodes
-of the hull are eliminated through the capacitance (T^-1)_GG, and the edits
-through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  Memory is O(n |C|)
-and a solve O(n log n); the sign-pattern and dominance checks read the
-kernel vector and the layer columns.
+products by FFT, from the first column of T^-1, which circulant-
+preconditioned conjugate gradients give in a few dozen FFT steps), gap
+nodes of the hull are eliminated through the capacitance (T^-1)_GG, and
+the edits through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  Memory is
+O(n |C|) and a solve O(n log n); the sign-pattern and dominance checks read
+the kernel vector and the layer columns.
 
 Verifiers on top of the solver estimate the boundary-rate ratio, the
 forcing-mass lower bound on annuli, compact-set positivity constants, and the
@@ -73,6 +74,8 @@ _EPS = float(np.finfo(float).eps)
 _COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
 # verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
+# _toeplitz_first_column: CG iteration cap, steps between true-residual replacements
+_CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
 
 
 @dataclass(frozen=True)
@@ -254,29 +257,57 @@ def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
     return omega, first_cell
 
 
-def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
-    """First column of T^-1 for the SPD symmetric Toeplitz T with first column t.
+def _circulant(t: np.ndarray) -> tuple[int, np.ndarray]:
+    """Length and spectrum of the circulant that embeds the symmetric Toeplitz T with first column t."""
+    N = t.size
+    nfft = 1 << (2 * N - 1).bit_length()
+    circ = np.zeros(nfft)
+    circ[:N], circ[nfft - N + 1:] = t, t[:0:-1]
+    return nfft, rfft(circ)
 
-    Durbin's recursion (Golub & Van Loan, Alg. 4.7.1) on the Yule-Walker
-    system of t / t_0: step k costs one dot product and one reversed axpy.
-    T is positive definite exactly when every reflection coefficient has
-    |alpha| < 1, so a coefficient outside that range raises.
+
+def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
+    """First column of T^-1 for the symmetric Toeplitz T with first column t.
+
+    Conjugate gradients on T x = e_1, preconditioned by T. Chan's optimal
+    circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT
+    of length N); T v goes through the circulant embedding of T.  Strict
+    diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly, certifies by
+    Gershgorin that T is positive definite; without it the kernel is
+    rejected.  The recursive residual is replaced by the true one every
+    _CG_CHECK_EVERY steps, and the iteration stops once the true residual
+    has |T x - e_1| <= eps |T|_inf |x|; if that takes more than
+    _CG_MAX_ITER steps it raises.
     """
     N = t.size
-    r = t[1:] / t[0]
-    r_rev = r[::-1].copy()
-    x = np.zeros(N)  # x[1:k+1] holds the order-k Yule-Walker solution
-    x[0] = 1.0
-    beta, alpha = 1.0, (-r[0] if N > 1 else 0.0)
-    for k in range(1, N):
-        if not abs(alpha) < 1.0:
-            raise ConfigurationError(f"Toeplitz kernel is not positive definite (reflection {alpha:.3g})")
-        beta *= 1.0 - alpha * alpha
-        x[k] = alpha
-        if k < N - 1:
-            alpha = -(r[k] + r_rev[N - 1 - k:] @ x[1:k + 1]) / beta
-            x[1:k + 1] += alpha * x[k:0:-1]
-    return x / (beta * t[0])
+    spare = math.fsum([t[0], *(-2.0 * np.abs(t[1:])).tolist()]) if np.isfinite(t).all() else math.nan
+    if not spare > 0.0:
+        raise ConfigurationError(f"Toeplitz kernel is not positive definite by Gershgorin "
+                                 f"(t_0 - 2 sum |t_m| = {spare:.3g})")
+    nfft, ft = _circulant(t)
+    j = np.arange(1, N)
+    spec = rfft(np.r_[t[0], ((N - j) * t[1:] + j * t[:0:-1]) / N]).real
+    tol = _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
+    e1 = np.zeros(N)
+    e1[0] = 1.0
+    x, r = np.zeros(N), e1
+    p = z = irfft(rfft(r) / spec, N)
+    rz = r @ z
+    for it in range(1, _CG_MAX_ITER + 1):
+        q = irfft(ft * rfft(p, nfft), nfft)[:N]
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r = r - alpha * q
+        bound = tol * np.linalg.norm(x)
+        if it % _CG_CHECK_EVERY == 0 or np.linalg.norm(r) <= bound:
+            r = e1 - irfft(ft * rfft(x, nfft), nfft)[:N]
+            if np.linalg.norm(r) <= bound:
+                return x
+        z = irfft(rfft(r) / spec, N)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise NumericalError(f"Toeplitz first column: preconditioned CG left |T x - e_1| above "
+                         f"eps |T| |x| after {_CG_MAX_ITER} iterations")
 
 
 # lu_factor/lu_solve keep the names of the LAPACK pair they replaced:
@@ -377,8 +408,8 @@ class _Assembly:
         coef = dB[:, 0] ** (-two_s) * _rate_profile_integral(s, s)
         AC[iB, rows] += coef - 2.0 * c2 - 2.0 * omega1
         AC[iB] += (DC[iB] == 1) * (c2 + omega1 * phi)
-        # what the exterior rhs needs of the grid (see exterior_rhs); the O(K) weights are recomputed there
-        self._rim = (p.params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef)
+        # what the exterior rhs needs of the grid (see exterior_rhs), the O(K) pair weights included
+        self._rim = (p.params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef, omega, omega1)
         self.ext_cache: dict[str, np.ndarray] = {}
 
         # M-matrix sanity: nonpositive off-diagonals (those of T are -omega
@@ -405,12 +436,10 @@ class _Assembly:
             raise ConfigurationError("assembly lost row diagonal dominance")
         self.dominance = c_ns * margin
 
-        # solver: Gohberg-Semencul T^-1 from the first column x of T^-1,
+        # solver: Gohberg-Semencul T^-1 from the first column x of T^-1 (by
+        # preconditioned CG, see _toeplitz_first_column),
         # T^-1 = (L(x) L(x)^T - L(y) L(y)^T) / x_0 with y = (0, x_N-1, ..., x_1)
-        self.nfft = 1 << (2 * N - 1).bit_length()
-        circ = np.zeros(self.nfft)
-        circ[:N], circ[self.nfft - N + 1:] = t, t[:0:-1]
-        self.ft = rfft(circ)
+        self.nfft, self.ft = _circulant(t)
         xt = _toeplitz_first_column(t)
         yt = np.r_[0.0, xt[:0:-1]]
         self.x0 = xt[0]
@@ -435,6 +464,15 @@ class _Assembly:
         self.Z = self._ss_inv(self.EC)
         self.cap = lu_factor(np.eye(C.size) + self.Z[C])
         self.nodes = x
+
+    @functools.cached_property
+    def exterior_probe(self) -> np.ndarray:
+        """The exterior lattice nodes, on both sides and in the gaps, out to the truncation radius."""
+        _, h, K, _, li, *_ = self._rim
+        lattice = np.arange(li[0] - K - 1, li[-1] + K + 2)
+        probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * h
+        probe.flags.writeable = False  # shared by every comparison on the grid
+        return probe
 
     def _tinv(self, w: np.ndarray) -> np.ndarray:
         """T^-1 w for the hull Toeplitz T, column by column."""
@@ -467,9 +505,8 @@ class _Assembly:
 
     def exterior_rhs(self, exterior: ExteriorData) -> np.ndarray:
         """e, the share of the rhs that the exterior data feed: A v = f + e."""
-        params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef = self._rim
+        params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef, omega, omega1 = self._rim
         s, two_s = params.s, 2.0 * params.s
-        omega, omega1 = _pair_weights(K, h, s)
         g_b = exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), params)
         reach = K + 1
         lat = np.arange(li[0] - reach, li[-1] + reach + 1)
@@ -563,16 +600,11 @@ def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     r1, r2 = p1.rhs_values(), p2.rhs_values()
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
-    # the exterior lattice on both sides and in the gaps, out to the truncation radius
-    li = p1.interior_indices()
-    reach = p1.window() + 1
-    lattice = np.arange(li[0] - reach, li[-1] + reach + 1)
-    probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * p1.h
-    g1 = p1.exterior.evaluate(probe, p1.params)
-    g2 = p2.exterior.evaluate(probe, p2.params)
+    asm = _assembly(p1)
+    g1 = p1.exterior.evaluate(asm.exterior_probe, p1.params)
+    g2 = p2.exterior.evaluate(asm.exterior_probe, p2.params)
     if np.any(g1 > g2 + 1e-12):
         raise ConfigurationError("exterior data of the first problem must not exceed the second")
-    asm = _assembly(p1)
     diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2)),
                        truncation_radius=p1.truncation_radius)
     violation = float(solve_dirichlet(diff).values.max())

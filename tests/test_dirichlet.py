@@ -409,20 +409,51 @@ def test_scalar_callables_broadcast_and_wrong_shapes_raise():
                                     ExteriorData("custom", fn=lambda x: np.ones(3))))
 
 
+def _first_column_residual(asm: _Assembly, x: np.ndarray) -> float:
+    """|T x - e_1|_inf through the assembly's own circulant embedding of T."""
+    tx = np.fft.irfft(asm.ft * np.fft.rfft(x, asm.nfft), asm.nfft)[:asm.N]
+    tx[0] -= 1.0
+    return float(np.abs(tx).max())
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_toeplitz_first_column_matches_scipy(s):
-    # scipy's Levinson solve is the reference for the Durbin recursion; the
-    # residual uses the assembly's own circulant embedding of T
+    # scipy's Levinson solve is an independent reference for the
+    # circulant-preconditioned CG column
     params = FracParams(1, s)
     for k in range(6, 13):
         asm = _assembly(GridProblem(((-1.0, 1.0),), 2.0 ** -k, params, 1.0))
         x = _toeplitz_first_column(asm.t)
         x_ref = solve_toeplitz(asm.t, np.eye(asm.N, 1).ravel())
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
-        tx = np.fft.irfft(asm.ft * np.fft.rfft(x, asm.nfft), asm.nfft)[:asm.N]
-        tx[0] -= 1.0
-        assert np.abs(tx).max() <= 1e-13
+        assert _first_column_residual(asm, x) <= 1e-13
     np.testing.assert_array_equal(_toeplitz_first_column(np.array([4.0])), [0.25])
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_toeplitz_first_column_residual_on_fine_grids(s):
+    # the kernel T depends on the hull and the window only, so the hull of
+    # ANNULUS_DOMAIN stands for the annulus itself without its gap columns
+    params = FracParams(1, s)
+    hull = ((ANNULUS_DOMAIN[0][0], ANNULUS_DOMAIN[-1][1]),)
+    for domain, k in ((((-1.0, 1.0),), 13), (((-1.0, 1.0),), 14), (hull, 11)):
+        asm = _assembly(GridProblem(domain, 2.0 ** -k, params, 1.0))
+        assert _first_column_residual(asm, _toeplitz_first_column(asm.t)) <= 1e-13
+
+
+def test_toeplitz_first_column_raises_at_the_iteration_cap(monkeypatch):
+    # a column that has not met the stopping rule is never returned, nor an
+    # operator built on it kept
+    import fraccert.dirichlet as dirichlet
+
+    t = _assembly(GridProblem(((-1.0, 1.0),), 2.0 ** -9, P_HALF, 1.0)).t
+    monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", 2)
+    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
+    with pytest.raises(NumericalError, match="after 2 iterations"):
+        _toeplitz_first_column(t)
+    with pytest.raises(NumericalError, match="after 2 iterations"):
+        solve_dirichlet(GridProblem(((-1.0, 1.0),), 2.0 ** -9, P_75, 1.0))
+    assert not dirichlet._ASSEMBLY_CACHE
 
 
 @pytest.mark.parametrize("t", [[1.0, 2.0], [1.0, 0.9, 0.9, -0.9], [2.0, -1.0, -1.0, -1.0, -1.0],
@@ -431,6 +462,15 @@ def test_indefinite_toeplitz_column_raises(t):
     t = np.asarray(t)
     if np.isfinite(t).all():
         assert np.linalg.eigvalsh(toeplitz(t)).min() < 0.0
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        _toeplitz_first_column(t)
+
+
+def test_positive_definite_but_not_dominant_toeplitz_column_raises():
+    # the certificate is strict diagonal dominance, which is narrower than
+    # positive definiteness: [[2, 1.2], [1.2, 2]] has eigenvalues 0.8 and 3.2
+    t = np.array([2.0, 1.2])
+    assert np.linalg.eigvalsh(toeplitz(t)).min() > 0.0
     with pytest.raises(ConfigurationError, match="not positive definite"):
         _toeplitz_first_column(t)
 
