@@ -47,7 +47,6 @@ from .hypotheses import (
     psi_k,
 )
 from .liouville import (
-    AnnulusSampler,
     CandidateFamily,
     ScanReport,
     annulus_inf,
@@ -76,7 +75,7 @@ __all__ = [
     "HypothesisReport", "NonlinearitySpec", "alpha_tilde_star", "builtin_g",
     "check_f2", "check_f2prime", "check_f3prime", "check_f4prime",
     "h_of_k", "psi_k",
-    "AnnulusSampler", "CandidateFamily", "ScanReport", "annulus_inf",
+    "CandidateFamily", "ScanReport", "annulus_inf",
     "nonexistence_scan", "power_symbol", "proof_quantity_trace",
     "supersolution_residual", "verify_growth_bounds",
 ]

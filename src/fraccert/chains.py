@@ -61,12 +61,14 @@ class Verdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+_EDGE_GUARD = 0.02  # sampled regions keep this relative distance from the radii that bound them
+
+
 @dataclass(frozen=True)
 class SamplePolicy:
-    """Sampling density and guards for region sampling (declared, overridable)."""
+    """Sampling density and reach of region sampling."""
 
     points: int = 200
-    edge_guard: float = 0.02
     exterior_span: float = 12.0  # exterior regions reach this multiple of their inner edge
 
     def __post_init__(self) -> None:
@@ -159,13 +161,13 @@ def chain_info(chain: ChainId | str) -> _ChainSpec:
 def _region_samples(spec: _ChainSpec, constants: BarrierConstants,
                     policy: SamplePolicy) -> np.ndarray:
     r0, r = constants.base_radius, constants.outer_radius
-    g = policy.edge_guard
+    g = _EDGE_GUARD
     if spec.region == "annulus":
         lo, hi = r0 * (1.0 + g), r * (1.0 - g)
     elif spec.region == "annulus_out":
         lo, hi = r * (1.0 + g), 10.0 * r
     elif spec.region == "exterior_unit":
-        lo, hi = 1.0 + max(g, 0.05), 100.0
+        lo, hi = 1.05, 100.0  # a wider guard off the unit sphere
     elif spec.region == "exterior_2r":
         lo, hi = 2.0 * r * (1.0 + g), policy.exterior_span * r
     elif spec.region == "exterior_sign":

@@ -23,20 +23,19 @@ from .profiles import BarrierConstants
 __all__ = ["choose_constants"]
 
 _PROBE_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=1e-10)
+_PROBE_POLICY = SamplePolicy(points=24, exterior_span=40.0)
 
 
-def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams,
-              policy: SamplePolicy, quad: QuadSpec) -> float:
+def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams) -> float:
     """Sampled envelope constant of a bound chain: envelope_sign * max(value / rate)."""
     spec = chain_info(chain)
-    xs, evs = _barrier_on_region(spec, constants, params, policy, quad)
+    xs, evs = _barrier_on_region(spec, constants, params, _PROBE_POLICY, _PROBE_QUAD)
     vals = np.asarray([ov.value for ov in evs])
     return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
 
 
-def choose_constants(chain: str, params: FracParams, quad: QuadSpec = _PROBE_QUAD,
-                     r0: float = 2.0, r: float | None = None,
-                     probe_points: int = 24) -> BarrierConstants:
+def choose_constants(chain: str, params: FracParams, r0: float = 2.0,
+                     r: float | None = None) -> BarrierConstants:
     """Pick bump amplitudes so the named sign chain verifies negative.
 
     ``chain`` is one of LVC, NBBN, NITU, RI, VASK (the sign chains); returns
@@ -53,13 +52,11 @@ def choose_constants(chain: str, params: FracParams, quad: QuadSpec = _PROBE_QUA
     if spec is None or spec.parts is None:
         raise ConfigurationError(f"no constants to choose for chain {name!r}")
     base = BarrierConstants(base_radius=r0, outer_radius=r)
-    policy = SamplePolicy(points=probe_points, exterior_span=40.0)
     positive, negative = spec.parts
-    pos = _envelope(positive, base, params, policy, quad)
+    pos = _envelope(positive, base, params)
     if name == "LVC":  # the ramp's envelope is also probed at twice the working radius
-        pos = max(pos, _envelope(positive, base.with_updates(outer_radius=2.0 * r),
-                                 params, policy, quad))
-    neg = _envelope(negative, base, params, policy, quad)
+        pos = max(pos, _envelope(positive, base.with_updates(outer_radius=2.0 * r), params))
+    neg = _envelope(negative, base, params)
     if not (neg > 0.0 and np.isfinite(pos)):
         raise DegenerateInputError(
             f"constant selection for {name} inconclusive: envelope probes "

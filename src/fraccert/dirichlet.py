@@ -72,6 +72,8 @@ def annulus_forcing(x) -> np.ndarray:
 _ALIGN_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
+# refinement stability: relative change of the constant from h to h/2 that counts as stable
+_HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 # verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
 # _toeplitz_first_column: CG iteration cap, steps between true-residual replacements
@@ -121,7 +123,6 @@ class GridProblem:
     params: FracParams
     rhs: Callable | Sequence[float] | float = 0.0
     exterior: ExteriorData = ExteriorData("zero")
-    truncation_radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.params.n != 1:
@@ -166,21 +167,17 @@ class GridProblem:
         return d
 
     def window(self) -> int:
-        """Truncation window K: kernel cells run to K h, data beyond it enter as a tail."""
+        """Truncation window K: kernel cells run to K h = 4 max(1, span), data beyond it enter as a tail."""
         span = self.intervals[-1][1] - self.intervals[0][0]
-        l_ext = self.truncation_radius if self.truncation_radius else 4.0 * max(1.0, span)
-        if l_ext < 2.0 * span:
-            raise ConfigurationError("truncation radius must be at least twice the domain span")
-        return int(round(l_ext / self.h))
+        return int(round(4.0 * max(1.0, span) / self.h))
 
     def refined(self) -> "GridProblem":
         """The same problem on the grid of half the spacing."""
-        return GridProblem(self.intervals, self.h / 2.0, self.params, self.rhs,
-                           self.exterior, self.truncation_radius)
+        return GridProblem(self.intervals, self.h / 2.0, self.params, self.rhs, self.exterior)
 
     def grid_key(self) -> tuple:
-        """What the operator depends on: grid, order and window; the exterior data only move the rhs."""
-        return (self.intervals, self.h, self.params.n, self.params.s, self.window())
+        """What the operator depends on: grid and order; the exterior data only move the rhs."""
+        return (self.intervals, self.h, self.params.n, self.params.s)
 
 
 @dataclass
@@ -370,9 +367,7 @@ class _Assembly:
         two_s = 2.0 * s
         li = p.interior_indices()
         K = p.window()
-        N = int(li[-1] - li[0]) + 1  # hull size
-        if N > K:
-            raise ConfigurationError("truncation window smaller than the domain span")
+        N = int(li[-1] - li[0]) + 1  # hull size, below K
         omega, omega1 = _pair_weights(K, h, s)
         c2 = (h / 2.0) ** (2.0 - two_s) / (2.0 - two_s) / h**2
         T = (K + 0.5) * h
@@ -409,7 +404,9 @@ class _Assembly:
         AC[iB, rows] += coef - 2.0 * c2 - 2.0 * omega1
         AC[iB] += (DC[iB] == 1) * (c2 + omega1 * phi)
         # what the exterior rhs needs of the grid (see exterior_rhs), the O(K) pair weights included
-        self._rim = (p.params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef, omega, omega1)
+        self.params, self.h, self.K, self.T, self.li = p.params, h, K, T, li
+        self.phi, self.x_b, self.c2, self.omega, self.omega1 = phi, x_b, c2, omega, omega1
+        self.rows, self.iB, self.dB, self.coef = rows, iB, dB, coef
         self.ext_cache: dict[str, np.ndarray] = {}
 
         # M-matrix sanity: nonpositive off-diagonals (those of T are -omega
@@ -467,10 +464,10 @@ class _Assembly:
 
     @functools.cached_property
     def exterior_probe(self) -> np.ndarray:
-        """The exterior lattice nodes, on both sides and in the gaps, out to the truncation radius."""
-        _, h, K, _, li, *_ = self._rim
-        lattice = np.arange(li[0] - K - 1, li[-1] + K + 2)
-        probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * h
+        """The exterior lattice nodes, on both sides and in the gaps, out to the truncation window."""
+        li = self.li
+        lattice = np.arange(li[0] - self.K - 1, li[-1] + self.K + 2)
+        probe = (lattice[np.isin(lattice, li, invert=True, kind="table")] + 0.5) * self.h
         probe.flags.writeable = False  # shared by every comparison on the grid
         return probe
 
@@ -505,17 +502,19 @@ class _Assembly:
 
     def exterior_rhs(self, exterior: ExteriorData) -> np.ndarray:
         """e, the share of the rhs that the exterior data feed: A v = f + e."""
-        params, h, K, T, li, x, C, phi, x_b, c2, rows, iB, dB, coef, omega, omega1 = self._rim
+        params, h, li, x, C = self.params, self.h, self.li, self.nodes, self.C
+        x_b, rows, iB, dB = self.x_b, self.rows, self.iB, self.dB
+        omega, omega1, c2 = self.omega, self.omega1, self.c2
         s, two_s = params.s, 2.0 * params.s
         g_b = exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), params)
-        reach = K + 1
+        reach = self.K + 1
         lat = np.arange(li[0] - reach, li[-1] + reach + 1)
         g = exterior.evaluate((lat + 0.5) * h, params)
         tau, w = _gauss_nodes(np.linspace(1.0, 3.0, 9))
         side = np.sign(x_b[rows] - x[iB])[:, None]
         gd = exterior.evaluate(x[iB, None] + side * dB * tau, params) - g_b[rows, None]
-        fix = omega[np.abs(li[:, None] - li[C][None, :])] @ ((1.0 - phi) * g_b)
-        fix[iB] += coef * g_b[rows] + ((dB * tau) ** (-1.0 - two_s) * gd) @ w * dB[:, 0]
+        fix = omega[np.abs(li[:, None] - li[C][None, :])] @ ((1.0 - self.phi) * g_b)
+        fix[iB] += self.coef * g_b[rows] + ((dB * tau) ** (-1.0 - two_s) * gd) @ w * dB[:, 0]
         # the dropped stencils may have leaned on an exterior neighbour
         nb = li[iB, None] + np.asarray([-1, 1])
         fix[iB] -= (c2 + omega1) * (g[nb - lat[0]] * np.isin(nb, li, invert=True)).sum(axis=1)
@@ -526,7 +525,7 @@ class _Assembly:
         kernel[[reach - 1, reach + 1]] += c2
         ext = np.convolve(g, kernel, mode="valid")[li - li[0]] if g.any() else 0.0
         if exterior.has_tail():
-            ext = ext + _exterior_tail_batch(lambda y: exterior.evaluate(y, params), x, T, s)
+            ext = ext + _exterior_tail_batch(lambda y: exterior.evaluate(y, params), x, self.T, s)
         return self.c_ns * (ext + fix)
 
 
@@ -590,13 +589,12 @@ class ComparisonReport:
 def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     """Ordered data imply ordered solutions: v1 <= v2 + tol nodewise.
 
-    Both problems share the operator A (grid, order and window; exterior data
-    only enter the rhs as e), so by linearity v1 - v2 = A^-1 (r1 - r2 + e1 - e2):
+    Both problems share the operator A (grid and order; exterior data only
+    enter the rhs as e), so by linearity v1 - v2 = A^-1 (r1 - r2 + e1 - e2):
     one solve with zero exterior data, not the difference of two O(1) solutions.
     """
-    if (p1.intervals != p2.intervals or p1.h != p2.h or p1.params != p2.params
-            or p1.window() != p2.window()):
-        raise ConfigurationError("comparison requires identical grids, parameters and truncation windows")
+    if p1.intervals != p2.intervals or p1.h != p2.h or p1.params != p2.params:
+        raise ConfigurationError("comparison requires identical grids and parameters")
     r1, r2 = p1.rhs_values(), p2.rhs_values()
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
@@ -605,8 +603,7 @@ def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     g2 = p2.exterior.evaluate(asm.exterior_probe, p2.params)
     if np.any(g1 > g2 + 1e-12):
         raise ConfigurationError("exterior data of the first problem must not exceed the second")
-    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2)),
-                       truncation_radius=p1.truncation_radius)
+    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2)))
     violation = float(solve_dirichlet(diff).values.max())
     return ComparisonReport(passed=violation <= _COMPARISON_TOL, max_violation=violation)
 
@@ -619,7 +616,7 @@ class HopfReport:
     stable: bool
 
 
-def verify_hopf_ratio(problem: GridProblem, stability_tol: float = 0.2) -> HopfReport:
+def verify_hopf_ratio(problem: GridProblem) -> HopfReport:
     """Boundary-rate bound: min over nodes of v/delta^s against the forcing mass."""
     rhs = problem.rhs_values()
     if np.any(rhs < 0.0):
@@ -638,7 +635,7 @@ def verify_hopf_ratio(problem: GridProblem, stability_tol: float = 0.2) -> HopfR
 
     min_ratio, c_est = estimate(problem)
     _, c_ref = estimate(problem.refined())
-    stable = abs(c_ref - c_est) <= stability_tol * abs(c_est)
+    stable = abs(c_ref - c_est) <= _HOPF_STABILITY * abs(c_est)
     return HopfReport(min_ratio, c_est, c_ref, stable)
 
 
@@ -692,8 +689,7 @@ class QsmpReport:
 
 def verify_qsmp(omega: Sequence[tuple[float, float]], K: Sequence[tuple[float, float]],
                 A: Sequence[tuple[float, float]], params: FracParams,
-                variant: str = "I", h: float = 1.0 / 64.0,
-                stability_tol: float = 0.3) -> QsmpReport:
+                variant: str = "I", h: float = 1.0 / 64.0) -> QsmpReport:
     """Compact-set positivity constant for forcing by an indicator.
 
     Variant I solves with zero exterior and reports min_K v; variant II puts
@@ -723,7 +719,7 @@ def verify_qsmp(omega: Sequence[tuple[float, float]], K: Sequence[tuple[float, f
 
     c0 = estimate(h)
     c0_ref = estimate(h / 2.0)
-    stable = abs(c0_ref - c0) <= stability_tol * max(abs(c0), abs(c0_ref))
+    stable = abs(c0_ref - c0) <= _QSMP_STABILITY * max(abs(c0), abs(c0_ref))
     return QsmpReport(c0, c0_ref, stable)
 
 

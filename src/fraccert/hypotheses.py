@@ -115,6 +115,10 @@ def alpha_tilde_star(params: FracParams, gamma: float = 0.0) -> float:
 
 
 _GRID_POINTS = 400
+_DECADES = 6  # the liminf checks sample |x| = r0 10^j up to j = _DECADES
+_F2_STEPS = 40  # check_f2 samples t = 2^-k for k = 1.._F2_STEPS
+_K_STEPS = 12  # the range cap runs k = 2^-j (check_f3prime) or 2^j (check_f4prime), j = 0.._K_STEPS
+_F2PRIME_BOXES = ((0.5, 2.0), (0.1, 1.0), (1.0, 10.0))  # the compact t-boxes of check_f2prime
 
 
 def _log_grid_inf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
@@ -162,13 +166,13 @@ def psi_k(x_norm: float, k: float, spec: NonlinearitySpec, params: FracParams,
     return x_norm ** (2.0 * params.s) * _log_grid_inf(ratio, lo, hi)
 
 
-def h_of_k(k: float, spec: NonlinearitySpec, params: FracParams, variant: str = "F3",
-           decades: int = 6) -> tuple[float, Trend]:
-    """Sampled liminf over |x| -> inf of psi_k: the minimum over 10^j r0."""
-    radii = [spec.r0 * 10.0**j for j in range(1, decades + 1)]
+def h_of_k(k: float, spec: NonlinearitySpec, params: FracParams,
+           variant: str = "F3") -> tuple[float, Trend]:
+    """Sampled liminf over |x| -> inf of psi_k: the minimum over 10^j r0, j = 1.._DECADES."""
+    radii = [spec.r0 * 10.0**j for j in range(1, _DECADES + 1)]
     vals = [psi_k(x, k, spec, params, variant) for x in radii]
     finite = [v for v in vals if math.isfinite(v)]
-    trend = _classify([v for v in vals if math.isfinite(v)]) if len(finite) >= 3 else Trend.MIXED
+    trend = _classify(finite) if len(finite) >= 3 else Trend.MIXED
     return (min(vals), trend)
 
 
@@ -195,12 +199,12 @@ def _classify(seq: Sequence[float], window: int = 5, flat_tol: float = 0.02) -> 
 # ------------------------------------------------------------------ checks
 
 
-def check_f2(spec: NonlinearitySpec, params: FracParams, k_max: int = 40) -> HypothesisReport:
+def check_f2(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """Small-argument mass: liminf of t^(-n/(n-2s)) f(t) as t -> 0."""
     if not params.n > 2.0 * params.s:
         raise ConfigurationError("this condition lives in the n > 2s regime")
     expo = params.n / (params.n - 2.0 * params.s)
-    ts = [2.0 ** (-k) for k in range(1, k_max + 1)]
+    ts = [2.0 ** (-k) for k in range(1, _F2_STEPS + 1)]
     qs = []
     for t in ts:
         f_val = float(spec.f(np.asarray([t]), spec.r0)[0]) * spec.r0**spec.gamma \
@@ -285,33 +289,31 @@ def _k_sequence_check(condition: str, spec: NonlinearitySpec, params: FracParams
                             fit_slope=slope, notes=tuple(notes))
 
 
-def check_f3prime(spec: NonlinearitySpec, params: FracParams, j_max: int = 12) -> HypothesisReport:
+def check_f3prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """Blow-up of the sampled liminf quantity as the range cap k -> 0."""
     spec.validate_gamma(params)
     if params.sigma_star < 0.0:
         raise ConfigurationError("this condition lives in the n <= 2s regime")
-    ks = [2.0 ** (-j) for j in range(0, j_max + 1)]
+    ks = [2.0 ** (-j) for j in range(0, _K_STEPS + 1)]
     return _k_sequence_check("f3prime", spec, params, "F3", ks)
 
 
-def check_f4prime(spec: NonlinearitySpec, params: FracParams, j_max: int = 12) -> HypothesisReport:
+def check_f4prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """Blow-up of the sampled liminf quantity as the range cap k -> +inf."""
     spec.validate_gamma(params)
     if params.sigma_star >= 0.0:
         raise ConfigurationError("this condition lives in the n > 2s regime")
-    ks = [2.0**j for j in range(0, j_max + 1)]
+    ks = [2.0**j for j in range(0, _K_STEPS + 1)]
     return _k_sequence_check("f4prime", spec, params, "F4", ks)
 
 
-def check_f2prime(spec: NonlinearitySpec, params: FracParams,
-                  boxes: Sequence[tuple[float, float]] = ((0.5, 2.0), (0.1, 1.0), (1.0, 10.0)),
-                  decades: int = 6) -> HypothesisReport:
+def check_f2prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """|x|^2s f(t,x) -> inf locally uniformly: sampled on compact t-boxes."""
     spec.validate_gamma(params)
-    radii = [spec.r0 * 10.0**j for j in range(0, decades + 1)]
+    radii = [spec.r0 * 10.0**j for j in range(0, _DECADES + 1)]
     worst_trend = Trend.INCREASING
     seqs = []
-    for a, b in boxes:
+    for a, b in _F2PRIME_BOXES:
         tgrid = np.geomspace(a, b, 64)
         seq = []
         for x in radii:

@@ -25,7 +25,6 @@ from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKi
     BarrierConstants, positive_fundamental
 
 __all__ = [
-    "AnnulusSampler",
     "CandidateFamily",
     "MemberVerdict",
     "ScanReport",
@@ -39,22 +38,14 @@ __all__ = [
 ]
 
 _SCAN_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
+_SYMBOL_QUAD = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
 
 
-@dataclass(frozen=True)
-class AnnulusSampler:
-    """Sampling policy on the closed annulus between r and 2r."""
-
-    points: int = 400
-
-    def radii(self, r: float) -> np.ndarray:
-        return np.geomspace(r, 2.0 * r, self.points)
-
-
-def annulus_inf(u: RadialProfile | Callable, r: float, sampler: AnnulusSampler = AnnulusSampler()) -> float:
-    """Sampled infimum of u over the annulus [r, 2r] with one local refinement."""
+def annulus_inf(u: RadialProfile | Callable, r: float, points: int = 400) -> float:
+    """Sampled infimum of u over the annulus [r, 2r]: ``points`` geometric radii, then one
+    local refinement around the smallest sample."""
     fn = as_radial_callable(u)
-    rho = sampler.radii(r)
+    rho = np.geomspace(r, 2.0 * r, points)
     vals = np.asarray(fn(rho), dtype=float)
     i = int(vals.argmin())
     lo, hi = rho[max(0, i - 1)], rho[min(len(rho) - 1, i + 1)]
@@ -82,14 +73,14 @@ _GROWTH_CASES = ("SUP_HALF", "SUP_GT_HALF", "SUB")
 
 
 def verify_growth_bounds(u: RadialProfile | Callable, case: str, r_grid: Sequence[float],
-                         params: FracParams,
-                         sampler: AnnulusSampler = AnnulusSampler(points=200)) -> GrowthReport:
+                         params: FracParams, points: int = 200) -> GrowthReport:
     """Fit the annulus infima against the two-sided envelope of the case.
 
     SUP_GT_HALF expects constants <= m(r) <= C r^(2s-1); SUP_HALF uses the
     log envelope; SUB expects c r^(-n+2s) <= m(r) <= C.  PASS means finite
     positive fitted constants whose halves agree within a factor 4 and a
-    log-log slope inside the envelope corridor.
+    log-log slope inside the envelope corridor.  ``points`` is the annulus
+    sample count of each infimum (see ``annulus_inf``).
     """
     case = case.upper()
     if case not in _GROWTH_CASES:
@@ -97,7 +88,7 @@ def verify_growth_bounds(u: RadialProfile | Callable, case: str, r_grid: Sequenc
     r_arr = np.asarray(sorted(r_grid), dtype=float)
     if r_arr.size < 4 or r_arr.max() / r_arr.min() < 100.0:
         raise ConfigurationError("growth verification needs >= 4 radii over two decades")
-    m_vals = np.asarray([annulus_inf(u, float(r), sampler) for r in r_arr])
+    m_vals = np.asarray([annulus_inf(u, float(r), points) for r in r_arr])
     if np.any(m_vals <= 0.0):
         raise DomainError("annulus infimum nonpositive; the profile is not admissible here")
 
@@ -186,8 +177,7 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
     return _residual_report(u, f, radii, eval_radial_many(u, radii, params, quad))
 
 
-def power_symbol(tau: float, params: FracParams,
-                 quad: QuadSpec = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)) -> float:
+def power_symbol(tau: float, params: FracParams) -> float:
     """Multiplier lambda(tau) with (-Delta)^s |x|^(-tau) = lambda |x|^(-tau-2s).
 
     Evaluated by quadrature at radius 1; positive for 0 < tau < n - 2s and
@@ -196,7 +186,7 @@ def power_symbol(tau: float, params: FracParams,
     if not 0.0 < tau < params.n:
         raise DomainError("the power must lie in (0, n) for an admissible profile")
     prof = RadialProfile((), (((1.0, -tau, False),),))
-    return eval_radial(prof, 1.0, params, quad).value
+    return eval_radial(prof, 1.0, params, _SYMBOL_QUAD).value
 
 
 # ------------------------------------------------------------------ scanning
@@ -379,27 +369,25 @@ def _default_cbar(params: FracParams) -> float:
 
 
 def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params: FracParams,
-                         r_grid: Sequence[float], quad: QuadSpec = _SCAN_QUAD,
-                         c_bar: float | None = None, c_multiplier: float = 2.0,
-                         mu: float | None = None,
-                         sampler: AnnulusSampler = AnnulusSampler(points=200)) -> TraceReport:
+                         r_grid: Sequence[float]) -> TraceReport:
     """Trace the proof's scalar quantities along a radius grid.
 
-    Per radius: the annulus infimum m(r), the forcing-mass lower bound
-    (annulus measure times the scaled forcing minimum with the comparison
-    constant), the decay envelope C r^(-n+2s) for m(r), the barrier ratio
-    rho(r), and, on the growing branch, the exterior ratio against the
-    grown fundamental minus one.  A contradiction is flagged at the first
-    radius where the lower bound exceeds the envelope.
+    Per radius: the annulus infimum m(r) (200 samples), the forcing-mass
+    lower bound (annulus measure times the sampled minimum of f(t, |x|) over
+    t in [m, 2m] and |x| in {r, 2r}, scaled with the comparison constant
+    c_bar of ``verify_kslap``), the decay envelope C r^(-n+2s) for m(r), the
+    barrier ratio rho(r) against the unit-shell exterior barrier, and, on the
+    growing branch, the exterior ratio against the grown fundamental minus
+    one.  A contradiction is flagged at the first radius where the lower
+    bound exceeds the envelope.
     """
     fn = as_radial_callable(u)
     r_arr = np.asarray(sorted(r_grid), dtype=float)
-    if c_bar is None:
-        c_bar = _default_cbar(params)
+    c_bar = _default_cbar(params)
     annulus_measure = 2.0 if params.n == 1 else (
         math.pi * 3.0 if params.n == 2 else 4.0 * math.pi * 7.0 / 3.0)
 
-    m_vals = np.asarray([annulus_inf(u, float(r), sampler) for r in r_arr])
+    m_vals = np.asarray([annulus_inf(u, float(r), 200) for r in r_arr])
     if np.any(m_vals <= 0.0):
         raise DomainError("annulus infimum nonpositive along the grid")
     c_upper = float((m_vals / r_arr**params.sigma_star).max()) if params.sigma_star < 0 else \
@@ -415,7 +403,7 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
         if f is None:
             lower = 0.0
         else:
-            tgrid = np.geomspace(m, c_multiplier * m, 128)
+            tgrid = np.geomspace(m, 2.0 * m, 128)
             fmin = float(np.min([np.asarray(f(float(t), float(x)))
                                  for t in tgrid[:: max(1, len(tgrid) // 16)]
                                  for x in (r, 2.0 * r)]))
@@ -424,8 +412,7 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
             else (2.0 / c_bar) * c_upper
         rho_ratio = None
         if params.sigma_star < 0.0:
-            consts = BarrierConstants(base_radius=max(1.01, r / 20.0) if r / 20.0 > 1.01 else 1.01,
-                                      outer_radius=r, shell_coef=mu if mu else 1.0)
+            consts = BarrierConstants(base_radius=max(1.01, r / 20.0), outer_radius=r)
             barrier = make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, consts, params)
             rho_grid = np.geomspace(r * 1.0001, 2.0 * r, 200)
             rho_ratio = float(np.min(np.asarray(fn(rho_grid)) / np.asarray(barrier(rho_grid))))

@@ -71,29 +71,23 @@ __all__ = [
 ]
 
 
+# the near zone ends, and the sampled middle zone reaches, at these multiples of the evaluation
+# scale (the evaluation radius, or the first kink radius when evaluating at the origin)
+_NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
+_MAX_PANELS = 600  # middle-zone panel budget per radius; the mapped tail gets a third of it
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Adaptive quadrature policy.
-
-    near_radius and tail_radius are multiples of the evaluation scale (the
-    evaluation radius, or the first kink radius when evaluating at the
-    origin); panels never straddle a kink radius.
-    """
+    """Adaptive quadrature policy; panels never straddle a kink radius."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_subdivisions: int = 600
-    near_radius: float = 1e-2
-    tail_radius: float = 8.0
     kink_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if min(self.rel_tol, self.abs_tol) <= 0.0:
             raise ConfigurationError("tolerances must be positive")
-        if not self.near_radius < self.tail_radius:
-            raise ConfigurationError("near_radius must be smaller than tail_radius")
-        if self.max_subdivisions < 8:
-            raise ConfigurationError("max_subdivisions must be at least 8")
         object.__setattr__(self, "kink_radii", tuple(sorted(float(k) for k in self.kink_radii)))
 
 
@@ -360,10 +354,10 @@ def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, sca
     two_s = 2.0 * s
     m = u_x.size
     first_kink = np.fmin.reduce(kinks, axis=1, initial=np.inf)
-    if np.any(first_kink < 0.5 * quad.near_radius * scale):
-        raise EvaluationPointError(f"evaluation point within {quad.near_radius:g}*scale of a kink radius")
-    h = np.minimum(quad.near_radius * scale, 0.45 * first_kink)
-    t_top = np.maximum(quad.tail_radius * scale, 2.0 * np.fmax.reduce(kinks, axis=1, initial=-np.inf))
+    if np.any(first_kink < 0.5 * _NEAR_RADIUS * scale):
+        raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
+    h = np.minimum(_NEAR_RADIUS * scale, 0.45 * first_kink)
+    t_top = np.maximum(_TAIL_RADIUS * scale, 2.0 * np.fmax.reduce(kinks, axis=1, initial=-np.inf))
     if zero_from is not None:
         t_top = np.maximum(t_top, zero_from)
     if near_model is None:
@@ -401,13 +395,13 @@ def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, sca
         tol_run = np.fmax(quad.abs_tol, quad.rel_tol * component_scale) / prefac
         tail_int, tail_ierr, tail_panels, _ = _adaptive_many(
             tail_integrand, v_ids, v_lo, v_hi, 0.25 * tol_run * _pow(t_top, two_s),
-            quad.max_subdivisions // 3, m, tail_first)
+            _MAX_PANELS // 3, m, tail_first)
         tail_val, tail_err = top_m2s * tail_int, top_m2s * tail_ierr
 
     component_scale = np.abs(near_val) + np.abs(mid_val) + np.abs(tail_val)
     tol_run = np.fmax(quad.abs_tol, quad.rel_tol * component_scale) / prefac
     mid_val, mid_err, mid_panels, mid_ok = _adaptive_many(
-        integrand, mid_ids, lo, hi, 0.5 * tol_run, quad.max_subdivisions, m, mid_first)
+        integrand, mid_ids, lo, hi, 0.5 * tol_run, _MAX_PANELS, m, mid_first)
 
     total = prefac * (near_val + mid_val + tail_val)
     err = prefac * (near_err + mid_err + tail_err)

@@ -298,13 +298,13 @@ class RadialProfile:
     def right_value(self, b: float) -> float:
         return float(self._piecewise(np.array([b], dtype=float), side="right")[0])
 
-    def jumps(self, rel_tol: float = 1e-12) -> list[tuple[float, float, float]]:
-        """Breakpoints where the profile is discontinuous: (radius, left, right)."""
+    def jumps(self) -> list[tuple[float, float, float]]:
+        """Breakpoints where the profile is discontinuous beyond 1e-12 relative: (radius, left, right)."""
         found = []
         for b in self.breakpoints:
             left, right = self.left_value(b), self.right_value(b)
             scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > rel_tol * scale:
+            if abs(left - right) > 1e-12 * scale:
                 found.append((b, left, right))
         return found
 

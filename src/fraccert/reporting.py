@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -18,23 +19,32 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
+def _float(x: float) -> float | str | None:
+    """A float as JSON takes it: NaN becomes null and +-inf the strings "inf" and "-inf"."""
+    if x != x:
+        return None
+    if x in (math.inf, -math.inf):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
 def _plain(obj: Any) -> Any:
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return _plain(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return _plain(obj.item())
-    if isinstance(obj, float) and (obj != obj):  # NaN
-        return None
+    if isinstance(obj, float):
+        return _float(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
+        if all(type(v) is float for v in obj):  # a float list in one pass; a finite sum means no NaN or inf
+            return list(obj) if math.isfinite(sum(obj)) else [_float(v) for v in obj]
         return [_plain(v) for v in obj]
-    if isinstance(obj, float) and obj in (float("inf"), float("-inf")):
-        return "inf" if obj > 0 else "-inf"
     return obj
 
 

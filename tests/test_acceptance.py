@@ -115,8 +115,7 @@ def test_criterion_06_discrete_comparison():
 def test_criterion_07_hopf_ratio():
     params = FracParams(1, 0.5)
     rhs = lambda x: ((np.abs(np.asarray(x)) < 0.1)).astype(float)
-    rep = verify_hopf_ratio(GridProblem(((-1.0, 1.0),), 1 / 128, params, rhs),
-                            stability_tol=0.2)
+    rep = verify_hopf_ratio(GridProblem(((-1.0, 1.0),), 1 / 128, params, rhs))
     _report("7", rep.min_ratio > 0.0 and rep.stable,
             f"min ratio {rep.min_ratio:.4f}, constant {rep.c_estimate:.4f} "
             f"vs refined {rep.c_estimate_refined:.4f}")

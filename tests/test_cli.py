@@ -211,6 +211,17 @@ def test_canonical_json_handles_numpy_and_enums():
     assert doc["body"]["nan"] is None
 
 
+def test_float_arrays_and_lists_give_the_same_json():
+    values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]
+    as_list = to_json({"v": values})
+    assert json.loads(as_list)["body"]["v"][1:4] == [None, "inf", "-inf"]
+    assert to_json({"v": np.asarray(values)}) == as_list
+    assert to_json({"v": tuple(values)}) == as_list
+    assert to_json({"v": np.asarray([values, values])}) == to_json({"v": [values, values]})
+    mixed = [1.5, np.float64("nan"), 2, None, "inf", float("inf")]  # not all Python floats
+    assert json.loads(to_json({"v": mixed}))["body"]["v"] == [1.5, None, 2, None, "inf", "inf"]
+
+
 def test_scan_writes_json_and_csv(capsys, tmp_path):
     report, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
     code, out = run(capsys, "scan", "--n", "3", "--s", "0.5", "--family-side", "2",

@@ -264,16 +264,16 @@ def test_structured_solver_matches_dense_oracle(domain, s):
     params = FracParams(1, s)
     rhs = lambda x: 1.0 + np.cos(3.0 * np.asarray(x))
     for k in range(5, 10):
-        problems = [GridProblem(domain, 2.0 ** -k, params, rhs, ExteriorData(kind))
-                    for kind in ("zero", "fundamental")]
-        refs = [DenseAssembly(p) for p in problems]
-        lu = lu_factor(refs[0].matrix)  # the exterior data only move the rhs
-        for p, ref in zip(problems, refs):
-            u_ref = lu_solve(lu, p.rhs_values() + ref.ext_rhs)
+        ref = DenseAssembly(GridProblem(domain, 2.0 ** -k, params))  # the exterior data only move the rhs
+        lu = lu_factor(ref.matrix)
+        for kind in ("zero", "fundamental"):
+            p = GridProblem(domain, 2.0 ** -k, params, rhs, ExteriorData(kind))
+            ext_rhs = ref.ext_rhs(p.exterior)
+            u_ref = lu_solve(lu, p.rhs_values() + ext_rhs)
             u = solve_dirichlet(p).values
             assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
             v = 2.0 + np.sin(5.0 * p.nodes())
-            op_ref = ref.matrix @ v - ref.ext_rhs
+            op_ref = ref.matrix @ v - ext_rhs
             assert np.abs(apply_operator(p, v) - op_ref).max() <= 1e-10 * np.abs(op_ref).max()
             np.testing.assert_allclose(_assembly(p).dominance, ref.dominance.astype(float),
                                        rtol=1e-12)
@@ -376,16 +376,6 @@ def test_comparison_builds_one_operator_per_grid(monkeypatch, domain, params, h,
     assert verify_comparison(GridProblem(domain, h, params, 0.0, ext1),
                              GridProblem(domain, h, params, 1.0, ext2)).passed
     assert len(builds) == 1
-
-
-def test_comparison_requires_one_truncation_window():
-    unit = ((-1.0, 1.0),)
-    p1 = GridProblem(unit, 1 / 32, P_HALF, 0.0)
-    with pytest.raises(ConfigurationError, match="truncation windows"):
-        verify_comparison(p1, GridProblem(unit, 1 / 32, P_HALF, 1.0, truncation_radius=40.0))
-    p2 = GridProblem(unit, 1 / 32, P_HALF, 1.0, truncation_radius=8.0)
-    assert p1.window() == p2.window() == 256
-    assert verify_comparison(p1, p2).passed
 
 
 def test_scalar_callables_broadcast_and_wrong_shapes_raise():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraccert.errors import ConfigurationError, DomainError
-from fraccert.liouville import (AnnulusSampler, CandidateFamily, MemberVerdict,
+from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 annulus_inf, default_r_grid, nonexistence_scan,
                                 power_symbol, proof_quantity_trace,
                                 supersolution_residual, verify_growth_bounds)
@@ -62,8 +62,7 @@ def test_growth_bounds_on_radially_extended_discrete_solution():
     nodes, values = sol.nodes[right], sol.values[right]
     radial = lambda rho: np.interp(np.asarray(rho, dtype=float), nodes, values)
     grid = list(np.geomspace(0.0025, 0.25, 8))
-    rep = verify_growth_bounds(radial, "SUP_GT_HALF", grid, params,
-                               AnnulusSampler(points=100))
+    rep = verify_growth_bounds(radial, "SUP_GT_HALF", grid, params, points=100)
     assert rep.passed, rep.notes
 
 
@@ -246,5 +245,18 @@ def test_trace_rejects_nonpositive_profiles():
 
 
 def test_sampler_covers_the_annulus():
-    radii = AnnulusSampler(points=100).radii(5.0)
-    assert radii.min() >= 5.0 and radii.max() <= 10.0 + 1e-12
+    # annulus_inf samples `points` geometric radii over [r, 2r], then 64 between the neighbours of the minimum
+    calls = []
+
+    def u(rho):
+        calls.append(np.array(rho, dtype=float))
+        return (rho - 7.0) ** 2
+
+    assert annulus_inf(u, 5.0, points=100) == pytest.approx(0.0, abs=1e-4)
+    coarse, fine = calls
+    np.testing.assert_array_equal(coarse, np.geomspace(5.0, 10.0, 100))
+    i = int(np.abs(coarse - 7.0).argmin())
+    assert fine.size == 64 and fine[0] == coarse[i - 1] and fine[-1] == coarse[i + 1]
+    calls.clear()
+    annulus_inf(u, 5.0)
+    assert calls[0].size == 400 and calls[0].min() == 5.0 and calls[0].max() <= 10.0 + 1e-12
