@@ -31,7 +31,7 @@ from .liouville import (CandidateFamily, default_r_grid, nonexistence_scan,
 from .operator import QuadSpec, eval_pointwise, eval_radial
 from .params import FracParams
 from .profiles import (BarrierConstants, barrier_gallery, make_barrier, make_fundamental,
-                       BarrierKind)
+                       positive_fundamental, BarrierKind)
 from .reporting import to_json, write_csv, write_json
 
 _EXIT_PASS = 0
@@ -242,7 +242,7 @@ def cmd_scan(args) -> int:
 
 def cmd_trace(args) -> int:
     params = _params(args)
-    prof = make_fundamental(params)
+    prof = positive_fundamental(params)
     f = (lambda t, x: t**args.power) if args.power > 0 else None
     rep = proof_quantity_trace(prof, f, params, default_r_grid(args.r0, 8, args.decades))
     _emit(args, rep, "trace")

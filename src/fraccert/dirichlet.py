@@ -17,9 +17,11 @@ is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
 products by FFT, from the first column of T^-1, which circulant-
 preconditioned conjugate gradients give in a few dozen FFT steps), gap
 nodes of the hull are eliminated through the capacitance (T^-1)_GG, and
-the edits through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  Memory is
-O(n |C|) and a solve O(n log n); the sign-pattern and dominance checks read
-the kernel vector and the layer columns.
+the edits through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is
+O(n log n).  Memory is O(n |C|) on one interval; with gap nodes G the build
+also takes the N |G| columns of T^-1 at G (Trench) and inverts the dense
+(T^-1)_GG, a 2.75 GB peak on ANNULUS_DOMAIN at h = 2^-12.  The sign-pattern
+and dominance checks read the kernel vector and the layer columns.
 
 Verifiers on top of the solver estimate the boundary-rate ratio, the
 forcing-mass lower bound on annuli, compact-set positivity constants, and the

@@ -1,51 +1,42 @@
 """Pointwise evaluation of (-Delta)^s by adaptive principal-value quadrature.
 
-The principal value is removed analytically: writing the operator through
-spherical means,
+In n = 1 and n = 3 the principal value is removed through spherical means
+M_u(x, t), the mean of u over the sphere of radius t around x:
 
-    (-Delta)^s u(x) = c_ns * |S^(n-1)| * int_0^inf t^(-1-2s) (u(x) - M_u(x,t)) dt,
+    (-Delta)^s u(x) = c_ns * |S^(n-1)| * int_0^inf t^(-1-2s) (u(x) - M_u(x,t)) dt.
 
-where M_u(x,t) is the mean of u over the sphere of radius t around x, the
-integrand is absolutely integrable for functions that are C^2 near x.  The
-three zones are handled separately:
+Near zone (0, h]: closed-form integral of the Pizzetti expansion
+M = u + t^2 Lap(u)/(2n) + t^4 Lap^2(u)/(8n(n+2)), with the Laplacians exact
+for piecewise power/log profiles and by Richardson extrapolation otherwise.
+Middle zone [h, T]: adaptive Gauss-Legendre panels cut at every t where the
+means lose smoothness, and graded toward the origin crossing t = r, at
+r(1 +- 4^-k), k = 1..12, where the means are singular there.  Tail [T, inf):
+t = T/v on (0, 1], exact for profiles that vanish beyond their last
+breakpoint.  The means are exact: two-point averages in n = 1; in n = 3
+profiles integrate rho*u in closed form, and a plain callable goes through the
+line operator (-Delta)^s u(r) = (1/r) (-Delta)^s_R [x u(|x|)](r).
 
-* near zone (0, h]: closed-form integration of the Pizzetti expansion
-  M = u + t^2 Lap(u)/(2n) + t^4 Lap^2(u)/(8n(n+2)) + ..., with the Laplacians
-  taken in closed form for piecewise power/log profiles and by Richardson
-  extrapolation of sampled means otherwise;
-* middle zone [h, T]: adaptive Gauss-Legendre panels, with every radius where
-  the profile loses smoothness pinned as a panel boundary; a profile that is
-  not smooth at the origin (a log, or a power that is not an even
-  nonnegative integer, in its first piece) makes every mean singular at the
-  origin crossing t = r, and its zone starts graded toward it, cut at
-  r(1 +- 4^-k) for k = 1..12, so refinement starts from the geometric mesh
-  instead of bisecting into the kink one round at a time;
-* tail [T, inf): exact for the constant part, and the mean part mapped to
-  (0, 1] by t = T/v and integrated adaptively; profiles that vanish beyond
-  their last breakpoint get an exact tail.
+In n = 2 a radial u takes one integral over rho (Ferrari & Verbitsky 2012),
 
-Spherical means are exact for n = 1 (two-point average) and n = 3: profiles
-integrate rho*u in closed form, and a plain callable u goes through the line
-operator, (-Delta)^s u(r) = (1/r) (-Delta)^s_R [x u(|x|)](r), with two-point
-means and a graded middle zone.  In n = 2 a profile's circle mean is exact
-(``RadialProfile.circle_mean``): R^b 2F1(-b/2, -b/2; 1; q^2) per power rho^b
-and log R per log, with R = max(r, t) and q = min(r, t) / R, on every circle
-that stays inside one piece.  Circles that cross a breakpoint, and every
-circle of a plain callable, use panelled polar-angle quadrature split at every
-circle/breakpoint crossing.
+    (-Delta)^s u(r) = c_2s * int_0^inf (u(r) - u(rho)) K(r, rho) d rho,
+    K(r, rho) = 2 pi rho M^(-2-2s) 2F1(1+s, 1+s; 1; q^2),  M = max(r, rho), q = min(r, rho) / M,
 
-Evaluation is batched over radii.  ``eval_radial_many`` evaluates one
-function at many radii in one pass, and ``eval_radial`` is its one-radius
-call.  Each radius is an integral id: the middle-zone panels of all radii go
-through one ``_adaptive_many`` pass (``fraccert.quadrature``) and their
-mapped-tail panels through another, each id against its own tolerance and
-panel budget, while the near zone, the far-field probes, the zone edges and
-the kink guard are computed for all radii at once.  The spherical means take
-``(ids, t)``, one row of ``t`` per id.  The n = 2 mean batches one level
-deeper: every circle the outer rule asks for is an id of one flat angular
-pass; which circles take it depends on (r, t) alone.  Split decisions and
-panel sums are per id, so a radius gets the same value, bit for bit, in
-whatever batch it is evaluated.
+so K = 2 pi rho^(-1-2s) at r = 0.  Near rho = r the fold g(delta) =
+f(r + delta) + f(r - delta) of f = (u(r) - u(rho)) K is fitted by
+delta^(1-2s), delta^2 and delta^(3-2s) and integrated exactly on (0, h]; h
+shrinks by 4 while the fit misses its share of the tolerance.  Adaptive zones:
+the fold on [h, r/2]; rho in (0, r/2] through rho = (r/2) v^p, with
+p = max(1, 1/(2 + b)) for the lowest power b of the first piece (b = 2s - 2,
+the fundamental solution's, for callables); rho in [3r/2, T]; and the tail
+through w = (T/rho)^(2s).  Every kink radius is a panel edge.
+
+Evaluation is batched over radii: ``eval_radial_many`` evaluates one function
+at many radii, and ``eval_radial`` is its one-radius call.  Every integral of
+every radius is an id of an ``_adaptive_many`` pass (``fraccert.quadrature``)
+with its own tolerance and panel budget: the middle zones of all radii in one
+pass and their tails in another, or in n = 2 all four zones in one.  Split
+decisions and panel sums are per id, so a radius gets the same value, bit for
+bit, in whatever batch it is evaluated.
 """
 
 from __future__ import annotations
@@ -58,8 +49,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import RadialProfile, as_radial_callable
-from .quadrature import _adaptive_many, _panel_values
+from .profiles import _EPS, RadialProfile, _hyp2f1_aa, as_radial_callable
+from .quadrature import _adaptive_many, _panel_values, _power_map
 
 __all__ = [
     "QuadSpec",
@@ -74,7 +65,7 @@ __all__ = [
 # the near zone ends, and the sampled middle zone reaches, at these multiples of the evaluation
 # scale (the evaluation radius, or the first kink radius when evaluating at the origin)
 _NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
-_MAX_PANELS = 600  # middle-zone panel budget per radius; the mapped tail gets a third of it
+_MAX_PANELS = 600  # middle-zone panel budget per radius (the mapped tail gets a third), and per n = 2 zone
 
 
 @dataclass(frozen=True)
@@ -185,83 +176,6 @@ def _with_origin(mean_fn: Callable, u_vec: Callable, r: np.ndarray) -> Callable:
             vals[~here], errs[~here] = mean_fn(ids[~here], t[~here])
         return vals, errs
     return mean
-
-
-def _angular_edges(r, t: np.ndarray, breaks: Sequence[float],
-                   singular_origin: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial polar-angle panels (ids, lo, hi) of the circles of radii t around radii r.
-
-    r is one radius per circle (or one for all).  Circle i is cut on [0, pi]
-    wherever it crosses a breakpoint and, around a singular origin it nearly
-    touches, at the levels 2 rho_min 4^k below rho_max / 4.  The panels come
-    flat, circle after circle, in angle order.
-    """
-    r = np.broadcast_to(np.asarray(r, dtype=float), t.shape)
-    rho_min, rho_max = np.abs(r - t), r + t
-    b = np.asarray(breaks, dtype=float)
-    circle, which = np.nonzero((rho_min[:, None] < b) & (b < rho_max[:, None]))
-    owners, cuts = [circle], [b[which]]
-    if singular_origin:
-        near = np.flatnonzero(rho_min < 0.05 * rho_max)
-        start = 2.0 * np.maximum(rho_min[near], 1e-300)
-        top = 0.25 * rho_max[near]
-        # one candidate level past the log estimate absorbs its rounding; ``below`` keeps the real ones
-        count = np.maximum(np.ceil(np.log(top / start) / math.log(4.0)), 0.0).astype(np.intp) + 1
-        circle = np.repeat(near, count)
-        k = np.arange(circle.size) - np.repeat(np.cumsum(count) - count, count)
-        level = np.repeat(start, count) * 4.0 ** k  # exact: 4^k only shifts the exponent
-        below = level < np.repeat(top, count)
-        owners.append(circle[below])
-        cuts.append(level[below])
-    ids, cuts = np.concatenate(owners), np.concatenate(cuts)
-    rc, tc = r[ids], t[ids]
-    theta = np.arccos(np.clip((cuts * cuts - rc * rc - tc * tc) / (2.0 * rc * tc), -1.0, 1.0))
-    order = np.lexsort((theta, ids))
-    ids, theta = ids[order], theta[order]
-    # circle i has one panel more than cuts; cut j closes panel j + ids[j] and opens the next
-    per_circle = np.bincount(ids, minlength=t.size) + 1
-    lo = np.zeros(per_circle.sum())
-    hi = np.full(lo.size, math.pi)
-    at = np.arange(ids.size) + ids
-    hi[at] = theta
-    lo[at + 1] = theta
-    return np.repeat(np.arange(t.size), per_circle), lo, hi
-
-
-def _mean_radial_n2(u_vec: Callable, r: np.ndarray, breaks: Sequence[float], singular_origin: bool,
-                    rel_tol: float, mag_hint: np.ndarray, exact: Callable | None = None) -> Callable:
-    """Circle means: ``exact(r, t)`` where it gives one (NaN elsewhere), and otherwise angular
-    quadrature, all circles of a call in one adaptive pass."""
-
-    def mean(ids: np.ndarray, t: np.ndarray):
-        # every point of t is the radius of one circle
-        rc, tc = np.repeat(r[ids], t.shape[1]), t.ravel()
-        vals, errs = (np.full(tc.size, np.nan), np.empty(tc.size)) if exact is None else exact(rc, tc)
-        open_ = np.isnan(vals)
-        if open_.any():
-            vals[open_], errs[open_] = _angular_means(u_vec, rc[open_], tc[open_], breaks, singular_origin,
-                                                     rel_tol, np.repeat(mag_hint[ids], t.shape[1])[open_])
-        return vals.reshape(t.shape), errs.reshape(t.shape)
-
-    return mean
-
-
-def _angular_means(u_vec: Callable, rc: np.ndarray, tc: np.ndarray, breaks: Sequence[float],
-                   singular_origin: bool, rel_tol: float, hint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angular means over the circles of radii tc around radii rc, in one adaptive pass."""
-    gap2, four_rt = (rc - tc) ** 2, 4.0 * rc * tc
-
-    def f_theta(circle: np.ndarray, theta: np.ndarray):
-        # stable form of r^2+t^2+2rt*cos(theta); 1+cos = 2cos(theta/2)^2
-        vals = u_vec(np.sqrt(gap2[circle, None] + four_rt[circle, None] * np.cos(0.5 * theta) ** 2))
-        return vals, np.zeros_like(vals)
-
-    circle, lo, hi = _angular_edges(rc, tc, breaks, singular_origin)
-    # the initial panels give both the scale of each mean and the first refinement step
-    first = _panel_values(f_theta, circle, lo, hi)
-    tol = rel_tol * np.maximum(np.abs(np.bincount(circle, first[0], tc.size)), hint) * math.pi
-    val, err, _, _ = _adaptive_many(f_theta, circle, lo, hi, tol, 80, tc.size, first)
-    return val / math.pi, err / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +325,114 @@ def _pv_values(u_x: np.ndarray, mean: Callable, s: float, kinks: np.ndarray, sca
 
 
 # ---------------------------------------------------------------------------
+# n = 2: one integral over rho against the circle kernel
+# ---------------------------------------------------------------------------
+
+_MAX_SHRINK = 12  # how often the near zone's h may shrink by 4
+
+
+def _planar_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, s: float, breaks: Sequence[float],
+                   p: float, quad: QuadSpec, prefac: float, sampled: bool) -> list[OperatorValue]:
+    """(-Delta)^s u at every radius of a batch in the plane, by the integral over rho.
+
+    Each radius is four integral ids m apart, one per zone (origin, fold,
+    outer, tail; see the module docstring), and a near zone.  ``p`` is the
+    power of the origin map; ``sampled`` marks a plain callable, whose far
+    field is probed for growth and oscillation.
+    """
+    m, two_s, b = r.size, 2.0 * s, np.asarray(breaks, dtype=float)
+    gap = np.abs(r[:, None] - b)
+    nearest = gap.min(axis=1, initial=np.inf)
+    scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
+    if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
+        raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
+    h = np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest)
+    top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
+    if sampled:
+        probe = lambda ids, t: (u_vec(t), None)
+        _check_sampled_growth(probe, u_x, s, top)
+        top = np.where(_tail_is_oscillatory(probe, u_x, top), top * 64.0, top)
+
+    def f(rows: np.ndarray, rho: np.ndarray):
+        """(u(r) - u(rho)) K(r, rho) / (2 pi), one row of rho per radius index, and its rounding bound."""
+        ri, ui, u = r[rows, None], u_x[rows, None], u_vec(rho)
+        big, small = np.maximum(ri, rho), np.minimum(ri, rho)
+        hyp, hyp_err = _hyp2f1_aa(1.0 + s, (small / big) ** 2, (big - small) * (big + small) / (big * big))
+        k = rho * big ** (-2.0 - two_s)
+        return (ui - u) * k * hyp, k * (np.abs(ui - u) * hyp_err + 4 * _EPS * (np.abs(ui) + np.abs(u)) * hyp)
+
+    def integrand(ids: np.ndarray, x: np.ndarray):
+        i, zone = ids % m, ids // m
+        rho, jac = x + np.where(zone == 1, r[i], 0.0)[:, None], np.ones_like(x)
+        for z, at, power in ((0, 0.5 * r, p), (3, top, -1.0 / two_s)):
+            here = zone == z
+            rho[here], jac[here] = _power_map(x[here], at[i[here], None], power)
+        mirror = (zone == 1) & (r[i] > 0.0)  # the fold; at the origin it is one-sided
+        vals, errs = f(np.concatenate([i, i[mirror]]), np.concatenate([rho, r[i[mirror], None] - x[mirror]]))
+        k = x.shape[0]
+        vals[:k][mirror] += vals[k:]
+        errs[:k][mirror] += errs[k:]
+        return vals[:k] * jac, errs[:k] * jac
+
+    # The fold is c1 d^(1-2s) + c2 d^2 + c3 d^(3-2s) + O(d^4) in d = delta / h.  With e = 1 - 2s the
+    # third function is d^2 expm1(e log d) / e (d^2 log d at e = 0), which keeps the fit through
+    # d = 1, 1/2, 1/4 well conditioned next to 2s = 1.  w_int integrate the fit over (0, 1], w_fit
+    # give it at d = 1/8, and the fit's bar is kappa h times its miss there.
+    e = 1.0 - two_s
+    basis = lambda d: [d ** e, d * d, d * d * (math.expm1(e * math.log(d)) / e if e else math.log(d))]
+    fit = np.asarray([basis(d) for d in (1.0, 0.5, 0.25)]).T
+    w_int = np.linalg.solve(fit, [1.0 / (1.0 + e), 1.0 / 3.0, -1.0 / (3.0 * (3.0 + e))])
+    w_fit = np.linalg.solve(fit, basis(0.125))
+    kappa = 4.0 * max(2.0, float(np.abs(w_int).sum()))
+
+    def near(rows: np.ndarray, h: np.ndarray):
+        """Value, fit bar and rounding bar of the near zones of the radii in rows, and the miss's rounding."""
+        g, noise = integrand(rows + m, h[:, None] * np.asarray([1.0, 0.5, 0.25, 0.125]))
+        return (h * (g[:, :3] * w_int).sum(1), kappa * h * np.abs(g[:, 3] - (g[:, :3] * w_fit).sum(1)),
+                h * (noise[:, :3] * np.abs(w_int)).sum(1),
+                kappa * h * (noise[:, 3] + (noise[:, :3] * np.abs(w_fit)).sum(1)))
+
+    # starting panels; the endpoint zones are graded at rho = (r/2) 2^-k and T 2^k, k = 1..12
+    v_cut = np.divide(2.0 * b, r[:, None], out=np.full(gap.shape, np.nan), where=b < 0.5 * r[:, None])
+    v_cut = np.hstack([v_cut, np.tile(_TAIL_V[1:-1], (m, 1))])
+    v_cut = _pow(v_cut.ravel(), 1.0 / p).reshape(v_cut.shape)
+    w_edge = np.concatenate([[0.0], _pow(_TAIL_V[1:], two_s)])
+    split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
+    zones = [_middle_panels(np.zeros(m), (r > 0.0) * 1.0, v_cut), _middle_panels(h, split, gap),
+             _middle_panels(np.where(r > 0.0, 3.0 * split, split), top, np.broadcast_to(b, gap.shape)),
+             (np.repeat(np.arange(m), w_edge.size - 1), np.tile(w_edge[:-1], m), np.tile(w_edge[1:], m))]
+    ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
+    ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
+    first = _panel_values(integrand, ids, lo, hi)
+    near_val, near_fit, near_noise, miss_noise = near(np.arange(m), h)
+    size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m)).sum(axis=0)
+    tol = np.fmax(quad.abs_tol, quad.rel_tol * size) / prefac
+
+    # h shrinks while the fit misses its share above rounding; the fold takes [h/4, h] as a new panel
+    shrink, new = (near_fit > tol / 8.0) & (near_fit > miss_noise), []
+    while shrink.any() and len(new) < _MAX_SHRINK:
+        rows = np.flatnonzero(shrink)
+        new.append((rows + m, h[rows] / 4.0, h[rows]))
+        h[rows] /= 4.0
+        near_val[rows], near_fit[rows], near_noise[rows], miss_noise = near(rows, h[rows])
+        shrink[rows] = (near_fit[rows] > tol[rows] / 8.0) & (near_fit[rows] > miss_noise)
+    if new:
+        add = [np.concatenate(col) for col in zip(*new)]
+        first = tuple(np.concatenate(pair) for pair in zip(first, _panel_values(integrand, *add)))
+        ids, lo, hi = (np.concatenate(pair) for pair in zip((ids, lo, hi), add))
+
+    # shares of the tolerance: the near zone 1/8, the origin, fold and outer zones 1/4 each, the tail 1/8
+    zone_tol = np.concatenate([tol / 4.0, tol / 4.0, tol / 4.0, tol / 8.0])
+    val, err, panels, ok = (a.reshape(4, m) for a in
+                            _adaptive_many(integrand, ids, lo, hi, zone_tol, _MAX_PANELS, 4 * m, first))
+    total = prefac * (near_val + val[0] + val[1] + val[2] + val[3])
+    err = prefac * (near_fit + near_noise + err[0] + err[1] + err[2] + err[3])
+    converged = ok.all(0) & (err <= prefac * 4.0 * tol + np.fmax(quad.abs_tol, quad.rel_tol * np.abs(total)))
+    return [OperatorValue(*row) for row in zip(total.tolist(), err.tolist(),
+                                               panels.sum(axis=0).tolist(), converged.tolist())]
+
+
+# ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
@@ -432,13 +454,13 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
     radius that fails a check (negative, on or next to a kink, or with a
     diverging far field) raises for the whole batch.
 
-    Piecewise power/log profiles use exact spherical means (in n = 2 on
-    every circle inside one piece), exact near-zone Laplacians and
-    closed-form tails; plain radial callables get sampled means with
-    Richardson near-zone extrapolation and require decay slower than |x|^(2s).
-    A plain callable is called on 1-d arrays of radii and returns one value
-    per radius (or a scalar, which broadcasts); scalar-only functions such as
-    ``math.exp`` need ``np.vectorize``.
+    In n = 1 and 3 piecewise power/log profiles use exact spherical means,
+    exact near-zone Laplacians and closed-form tails, and plain radial
+    callables exact two-point means with Richardson near-zone extrapolation;
+    in n = 2 both take the integral over rho.  Plain callables require growth
+    slower than |x|^(2s).  A plain callable is called on 1-d arrays of radii
+    and returns one value per radius (or a scalar, which broadcasts);
+    scalar-only functions such as ``math.exp`` need ``np.vectorize``.
     """
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1:
@@ -454,27 +476,33 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
         _profile_growth_check(profile, params.s)
         if np.any(r == 0.0):
             raise EvaluationPointError("profiles are evaluated at positive radii")
-        u_vec, breaks = profile, profile.breakpoints
-        singular0 = any(is_log or expo < 0 for _, expo, is_log in profile.pieces[0])
+        u_vec, breaks, first = profile, profile.breakpoints, profile.pieces[0]
+    else:
+        u_vec, breaks, first = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0], None
+    u_x, points = u_vec(r), _on_points(u_vec)
+    if n == 2:
+        # the origin map makes rho^(1 + lowest) smooth (a log's exponent is 0); a callable's is the
+        # fundamental solution's
+        lowest = 2.0 * params.s - 2.0 if first is None else min((e for _, e, _ in first), default=0.0)
+        if lowest <= -2.0:
+            raise DivergenceError("profile is not integrable at the origin")
+        return _planar_values(points, u_x, r, params.s, breaks, max(1.0, 1.0 / (2.0 + lowest)), quad, prefac,
+                              first is None)
+    if first is not None:
         # not smooth at the origin: the means are singular at t = r, so grade the middle zone toward it
-        graded = any(is_log or expo < 0 or expo % 2 != 0 for _, expo, is_log in profile.pieces[0])
+        graded = any(is_log or expo < 0 or expo % 2 != 0 for _, expo, is_log in first)
         mid_cuts = r[:, None] * _GRADE if graded else None
         zero_from = r + max(breaks, default=0.0) if profile.pieces[-1] == () else None
         lap = profile.laplacian(n)
         model = (-lap(r) / (2.0 * n), -lap.laplacian(n)(r) / (8.0 * n * (n + 2.0)))
         scale = np.maximum(r, 1e-12)
     else:
-        u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
-        singular0, zero_from, model, mid_cuts = False, None, None, None
+        zero_from, model, mid_cuts = None, None, None
         first_kink = min(breaks, default=1.0)
         # the sphere around the origin has the first kink radius as its scale
         scale = np.where(r == 0.0, max(first_kink, 1.0), np.maximum(np.maximum(r, first_kink), 1e-12))
-    u_x, points = u_vec(r), _on_points(u_vec)
     if n == 1:
         mean = _mean_n1(points, r, radial=True)
-    elif n == 2:
-        mean = _mean_radial_n2(points, r, breaks, singular0, min(1e-9, quad.rel_tol), np.abs(u_x) + 1e-300,
-                               None if model is None else profile.circle_mean)
     elif model is not None:
         mean = _mean_radial_n3_profile(profile, r)
     else:

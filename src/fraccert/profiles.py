@@ -251,45 +251,6 @@ class RadialProfile:
             out[live] += _anti(terms, b) - _anti(terms, a)
         return out
 
-    def circle_mean(self, r, t) -> tuple[np.ndarray, np.ndarray]:
-        """Mean of u over the circle of radius t around r e_1 in the plane, and a bound on its rounding error.
-
-        With R = max(r, t) and q = min(r, t) / R, Gegenbauer's generating
-        function gives the mean R^b 2F1(-b/2, -b/2; 1; q^2) of rho^b and the
-        mean log R of log rho.  A circle whose radius range [|r - t|, r + t]
-        crosses a breakpoint gets NaN.  The bound also covers t itself off by
-        a few ulps, as a quadrature node is: next to t = r, where a mean is
-        singular, that term dominates.
-        """
-        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-        big, small = np.maximum(r, t), np.minimum(r, t)
-        z = (small / big) ** 2
-        # 1 - q^2 from the exact difference, which 1 - z loses next to t = r; a node that rounds
-        # onto t = r stands for a circle an ulp off it, where every mean is finite
-        w = np.maximum((big - small) * (big + small) / (big * big), _EPS)
-        piece = self._piece_index(np.abs(r - t), "right")
-        piece[piece != self._piece_index(r + t)] = -1
-        vals, errs = np.full(r.shape, np.nan), np.zeros(r.shape)
-        for i, terms in enumerate(self.pieces):
-            here = piece == i
-            if not here.any():
-                continue
-            radius, val, err = big[here], np.zeros(np.count_nonzero(here)), np.zeros(np.count_nonzero(here))
-            for coef, expo, is_log in terms:
-                if is_log:
-                    part, bound = coef * np.log(radius), 0.0
-                else:
-                    f, f_err = _hyp2f1_aa(-0.5 * expo, z[here], w[here])
-                    scale = coef * radius ** expo
-                    part = scale * f
-                    # plus the shift of a node t by its own rounding, which moves w by up to 8 eps:
-                    # |d log f / d log w| <= 1 + |1 + b| + b^2 / 4
-                    sensitivity = 1.0 + abs(1.0 + expo) + 0.25 * expo * expo
-                    bound = np.abs(scale) * f_err + np.abs(part) * sensitivity * 8.0 * _EPS / w[here]
-                val, err = val + part, err + bound + 2.0 * _EPS * np.abs(part)
-            vals[here], errs[here] = val, err
-        return vals, errs
-
     # ------------------------------------------------------------- structure
 
     def left_value(self, b: float) -> float:

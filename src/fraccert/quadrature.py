@@ -35,6 +35,14 @@ def _gauss_nodes(edges: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndar
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (w[None, :] * half[:, None]).ravel()
 
 
+def _power_map(v: np.ndarray, scale, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho = scale * v^p on v in (0, 1], and d rho / d v: at p > 0 an endpoint rho = 0 where the
+    integrand is like rho^(1/p - 1), at p = -1/(2s) an endpoint rho = inf where it is like
+    rho^(-1-2s), turns smooth in v.  Gauss nodes lie inside their panels, so none is at v = 0."""
+    rho = scale * v ** p
+    return rho, abs(p) * rho / v
+
+
 def _panel_values(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], ids: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-panel (integral, rule error, inner-error floor) from a 16/8 point pair.
@@ -83,8 +91,8 @@ def _adaptive_many(f, ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol, max_
         n_live = np.count_nonzero(live)
         if not n_live:
             return np.bincount(ids, vals, m), rule + floor, count, rule <= goal
-        # max(goal / 2, rule / 8) / count is the per-panel share a panel must exceed to split
-        threshold = np.maximum(0.5 * goal, 0.125 * rule) / count
+        # max(goal / 2, rule / 8) / count (an id may have no panels) is the share a panel must exceed to split
+        threshold = np.maximum(0.5 * goal, 0.125 * rule) / np.maximum(count, 1)
         split = (errs > threshold[ids]) & live[ids]
         splits = np.bincount(ids[split], minlength=m)
         if np.count_nonzero(splits) < n_live:

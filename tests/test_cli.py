@@ -187,6 +187,17 @@ def test_trace_exit_and_csv(capsys, tmp_path):
     assert header == "r,m,forcing_lower,upper_envelope,rho,eta"
 
 
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_trace_follows_the_positive_fundamental_solution(capsys, s):
+    # n <= 2s: the plain fundamental solution is -log r or -r^(2s - n), negative on the annuli
+    code, out = run(capsys, "trace", "--n", "1", "--s", str(s), "--power", "1.4")
+    assert code == 0
+    body = json.loads(out)["body"]
+    assert body["contradiction_radius"] is not None
+    # sigma* > 0 takes the eta-ratio branch
+    assert (body["rows"][0]["eta_ratio"] is not None) == (s == 0.75)
+
+
 def test_scan_without_samples_is_a_usage_error(capsys):
     code = main(["scan", "--n", "3", "--s", "0.5", "--family-side", "2", "--samples", "0"])
     assert code == 3

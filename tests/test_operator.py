@@ -12,8 +12,8 @@ import pytest
 
 from fraccert.errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from fraccert.liouville import annulus_inf
-from fraccert.operator import (QuadSpec, OperatorValue, _angular_edges, _geometric_fill, eval_pointwise,
-                               eval_radial, eval_radial_many, scaling_identity_check)
+from fraccert.operator import (QuadSpec, OperatorValue, _geometric_fill, eval_pointwise, eval_radial,
+                               eval_radial_many, scaling_identity_check)
 from fraccert.params import FracParams
 from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, make_barrier, make_fundamental,
                                power_profile)
@@ -228,45 +228,11 @@ def test_operator_value_reports_panels():
     assert ov.panels_used > 0 and ov.error_estimate >= 0.0
 
 
-def _circle_edges(r: float, t: float, breaks, singular_origin: bool) -> np.ndarray:
-    """Per-circle reference: crossings and origin levels built one by one in plain Python."""
-    rho_min, rho_max = abs(r - t), r + t
-    cuts = [b for b in breaks if rho_min < b < rho_max]
-    if singular_origin and rho_min < 0.05 * rho_max:
-        level = 2.0 * max(rho_min, 1e-300)
-        while level < 0.25 * rho_max:
-            cuts.append(level)
-            level *= 4.0
-    thetas = sorted(math.acos(min(1.0, max(-1.0, (b * b - r * r - t * t) / (2.0 * r * t)))) for b in cuts)
-    return np.asarray([0.0] + thetas + [math.pi])
-
-
-@pytest.mark.parametrize("singular_origin", [False, True])
-def test_angular_edges_match_per_circle_construction(singular_origin):
-    r, breaks = 3.0, (1.0, 4.0, 10.0)
-    t = np.asarray([
-        r, r * (1.0 + 1e-12), r * (1.0 - 1e-12),  # through the origin (~500 levels) or 3e-12 from it
-        0.5,                                       # radii 2.5..3.5: crosses no breakpoint
-        1.5, 2.2, 2.95, 3.1, 6.5, 20.0,            # crossings and near-origin circles
-    ])
-    ids, lo, hi = _angular_edges(r, t, breaks, singular_origin)
-    assert np.all(np.diff(ids) >= 0) and np.all(hi >= lo)
-    for i, ti in enumerate(t):
-        want = _circle_edges(r, float(ti), breaks, singular_origin)
-        mine = ids == i
-        got = np.concatenate([lo[mine], hi[mine][-1:]])
-        assert got.size == want.size, f"t={ti!r}"
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
-        np.testing.assert_array_equal(hi[mine][:-1], lo[mine][1:])
-    if singular_origin:
-        assert np.count_nonzero(ids == 0) > 400  # t = r exactly: levels down to 2e-300
-    assert np.count_nonzero(ids == 3) == 1
-
-
-# n = 2 values of the per-circle implementation this batched one replaced:
+# n = 2 values of the per-circle implementation the batched angular one replaced, with the panel
+# count of the integral over rho that replaced both:
 # (u, s, r, value, error_estimate, panels_used, converged) at default tolerances
 _PLANAR_PINS = [
-    ("bubble", 0.5, 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
+    ("bubble", 0.5, 2.5, -0.02073240294301106, 2.646188435513306e-10, 32, True),
 ]
 
 
@@ -278,9 +244,9 @@ def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, con
     assert (ov.panels_used, ov.converged) == (panels, converged)
 
 
-# the n = 2 fundamental solution, exactly annihilated, through exact circle means:
+# the n = 2 fundamental solution, exactly annihilated, through the integral over rho:
 # (s, r, panels_used); every value is converged and within 2 err of 0
-_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 72), (0.4, 7.0, 72), (0.75, 1.5, 49), (0.75, 7.0, 49)]
+_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 32), (0.4, 7.0, 32), (0.75, 1.5, 32), (0.75, 7.0, 32)]
 
 
 @pytest.mark.parametrize("s,r,panels", _PLANAR_FUNDAMENTAL)
@@ -297,18 +263,6 @@ def test_adaptive_engine_stops_on_nan_integrand():
     value, err, panels, ok = _adaptive_many(f, np.zeros(2, dtype=np.intp), np.asarray([0.0, 0.5]),
                                             np.asarray([0.5, 1.0]), 1e-9, 600, 1)
     assert not ok[0] and panels[0] == 2 and math.isnan(value[0])
-
-
-@pytest.mark.parametrize("r", [3.0, 0.7])
-def test_angular_edges_take_one_radius_per_circle(r):
-    rs = np.asarray([3.0, 0.7, 3.0, 0.7])
-    t = np.asarray([1.5, 0.2, 2.95, 1.1])
-    ids, lo, hi = _angular_edges(rs, t, (1.0, 4.0), True)
-    mine = rs == r
-    want = _angular_edges(r, t[mine], (1.0, 4.0), True)
-    got = np.isin(ids, np.flatnonzero(mine))
-    np.testing.assert_array_equal(lo[got], want[1])
-    np.testing.assert_array_equal(hi[got], want[2])
 
 
 def _per_gap_fill(edges, ratio=4.0):
@@ -354,7 +308,7 @@ _C = BarrierConstants(2.0, 20.0)
 _MANY_CASES = {
     "ramp_with_bump": (lambda p: make_barrier(BarrierKind.RAMP_WITH_BUMP, _C, p), 1, 0.75, ()),
     "exterior_with_shell": (lambda p: make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, _C, p), 3, 0.5, ()),
-    # breakpoints 20 and 30: exact means for circles inside one piece, angular ones across
+    # breakpoints 20 and 30: panel edges of the integral over rho
     "exterior_with_shell_n2": (lambda p: make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, _C, p), 2, 0.75, ()),
     # vanishes beyond its breakpoint: an exact zero tail
     "ball_indicator": (lambda p: make_barrier(BarrierKind.BALL_INDICATOR, _C, p), 3, 0.5, ()),
@@ -368,8 +322,8 @@ _MANY_CASES = {
 # one radius at a time, before evaluation was batched (default tolerances), the
 # ramp_with_bump rows since the graded middle zone, the bubble_n3 row at
 # r = 1.5 since n = 3 callables go through the line operator, and the
-# exterior_with_shell_n2 rows since n = 2 profiles take exact circle means
-# (each within the combined bars of its all-angular value):
+# exterior_with_shell_n2 and bubble_n2 rows since n = 2 goes through the integral over rho
+# (each within the combined bars of its angular-mean value):
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
     ("ramp_with_bump", 3.0, 0.0039144918601786635, 6.509606138303901e-12, 41, True),
@@ -380,18 +334,18 @@ _MANY_PINS = [
     ("exterior_with_shell", 25.0, 0.000332875506704012, 6.804872704478544e-13, 22, True),
     ("exterior_with_shell", 45.0, 4.0858795983625746e-07, 6.810830601462653e-14, 22, True),
     ("exterior_with_shell", 200.0, 7.806372988738611e-09, 2.609281006053478e-14, 24, True),
-    ("exterior_with_shell_n2", 10.0, -0.0034587099199580983, 6.123186314830076e-12, 67, True),
-    ("exterior_with_shell_n2", 25.0, 0.010264274322454274, 2.1359283398313703e-11, 55, True),
-    ("exterior_with_shell_n2", 45.0, -0.00014417364480552401, 1.9188507730121486e-12, 76, True),
-    ("exterior_with_shell_n2", 200.0, 7.578017880552502e-08, 2.069202488932163e-13, 54, True),
+    ("exterior_with_shell_n2", 10.0, -0.0034587099191759427, 3.6483611608222834e-13, 33, True),
+    ("exterior_with_shell_n2", 25.0, 0.010264274319288008, 2.4416556703279517e-12, 35, True),
+    ("exterior_with_shell_n2", 45.0, -0.00014417364481423146, 4.865891446095999e-13, 34, True),
+    ("exterior_with_shell_n2", 200.0, 7.57801576888544e-08, 2.739813670040139e-14, 34, True),
     ("ball_indicator", 0.5, 1.5482246682890242, 6.131697059302634e-09, 7, True),
     ("ball_indicator", 2.0, -0.037357014506163896, 1.722644296059419e-11, 7, True),
     ("ball_indicator", 8.0, -0.0001055923690614159, 1.4135815839895803e-14, 8, True),
     ("bubble_n1", 0.0, 1.0215400725728554, 4.187148261507593e-09, 28, True),
     ("bubble_n1", 0.7, 0.2599359413935608, 7.908984045653659e-10, 32, True),
     ("bubble_n1", 12.0, -0.008091461450202574, 5.6170273387466464e-11, 29, True),
-    ("bubble_n2", 0.0, 1.7540569034337459, 1.4339321513117985e-09, 19, True),
-    ("bubble_n2", 2.5, -0.02073240294301106, 2.646188435513306e-10, 23, True),
+    ("bubble_n2", 0.0, 1.7540569034419347, 1.469662723833829e-10, 19, True),
+    ("bubble_n2", 2.5, -0.02073240294312417, 3.6736193080930543e-11, 32, True),
     ("bubble_n3", 0.0, 2.2333346131675516, 1.8257391195173463e-09, 19, True),
     ("bubble_n3", 1.5, 0.14502177104370337, 7.772611614908167e-11, 44, True),
     ("cap_n1", 0.0, 0.9999999989908178, 6.4517861341313946e-09, 30, True),
