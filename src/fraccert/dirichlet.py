@@ -14,14 +14,14 @@ restriction to the interior indices S; E_C holds every edit, all of which sit
 in the layer columns C (nodes within 2.5h of an endpoint, 3 per endpoint):
 the dist^s cell-average column scaling and the rewritten boundary rows.  T^-1
 is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
-products by FFT, from the first column of T^-1, which circulant-
-preconditioned conjugate gradients give in a few dozen FFT steps), gap
-nodes of the hull are eliminated through the capacitance (T^-1)_GG, and
-the edits through the Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is
-O(n log n).  Memory is O(n |C|) on one interval; with gap nodes G the build
-also takes the N |G| columns of T^-1 at G (Trench) and inverts the dense
-(T^-1)_GG, a 2.75 GB peak on ANNULUS_DOMAIN at h = 2^-12.  The sign-pattern
-and dominance checks read the kernel vector and the layer columns.
+products in four batched FFTs, from the first column of T^-1, which
+circulant-preconditioned conjugate gradients give in a few dozen FFT steps).
+With gap nodes in the hull, T_SS^-1 is conjugate gradients on T_SS
+preconditioned by (T^-1)_SS (domain embedding, Borgers & Widlund 1990):
+5-18 steps, which do not grow as h shrinks.  The edits go through
+the Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is O(n log n) and
+memory O(n |C|) on every domain.  The sign-pattern and dominance checks
+read the kernel vector and the layer columns.
 
 Verifiers on top of the solver estimate the boundary-rate ratio, the
 forcing-mass lower bound on annuli, compact-set positivity constants, and the
@@ -45,19 +45,9 @@ from .params import FracParams
 from .profiles import conform, positive_fundamental
 
 __all__ = [
-    "ExteriorData",
-    "GridProblem",
-    "DiscreteSolution",
-    "solve_dirichlet",
-    "apply_operator",
-    "verify_comparison",
-    "verify_hopf_ratio",
-    "verify_kslap",
-    "verify_qsmp",
-    "verify_measure_lemma",
-    "ANNULUS_DOMAIN",
-    "ANNULUS_TARGET",
-    "ANNULUS_FORCING", "annulus_forcing",
+    "ExteriorData", "GridProblem", "DiscreteSolution", "solve_dirichlet", "apply_operator",
+    "verify_comparison", "verify_hopf_ratio", "verify_kslap", "verify_qsmp", "verify_measure_lemma",
+    "ANNULUS_DOMAIN", "ANNULUS_TARGET", "ANNULUS_FORCING", "annulus_forcing",
 ]
 
 # geometry used by the quantitative maximum-principle verifiers
@@ -78,8 +68,9 @@ _COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
 _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 # verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
-# _toeplitz_first_column: CG iteration cap, steps between true-residual replacements
+# _pcg: iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
+_TAIL_ROWS = 512  # _exterior_tail_batch: nodes per chunk, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -129,8 +120,8 @@ class GridProblem:
     def __post_init__(self) -> None:
         if self.params.n != 1:
             raise ConfigurationError("the discrete solver is one-dimensional")
-        if self.h <= 0.0:
-            raise ConfigurationError("grid spacing must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ConfigurationError(f"grid spacing must be positive and finite, not {self.h}")
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         if not ivs:
             raise ConfigurationError("domain must contain at least one interval")
@@ -157,16 +148,16 @@ class GridProblem:
         return (self.interior_indices() + 0.5) * self.h
 
     def rhs_values(self) -> np.ndarray:
-        x = self.nodes()
+        return self._rhs_on(self.nodes())
+
+    def _rhs_on(self, x: np.ndarray) -> np.ndarray:
         return conform(self.rhs(x) if callable(self.rhs) else self.rhs, x.shape, "rhs")
 
     def distance_to_complement(self) -> np.ndarray:
-        x = self.nodes()
-        d = np.full_like(x, np.inf)
-        for a, b in self.intervals:
-            mask = (x > a) & (x < b)
-            d[mask] = np.minimum(x[mask] - a, b - x[mask])
-        return d
+        """Node to nearest endpoint from lattice indices (x - a misses it at non-dyadic h)."""
+        cells = [round(b / self.h) - round(a / self.h) for a, b in self.intervals]
+        k = np.concatenate([np.minimum(np.arange(m) + 0.5, m - 0.5 - np.arange(m)) for m in cells])
+        return k * self.h
 
     def window(self) -> int:
         """Truncation window K: kernel cells run to K h = 4 max(1, span), data beyond it enter as a tail."""
@@ -220,12 +211,10 @@ _TAIL_VE = np.asarray([0.0] + [2.0 ** (-k) for k in range(24, -1, -1)])
 def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                          T: float, s: float) -> np.ndarray:
     """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels."""
-    two_s = 2.0 * s
     v, w = _gauss_nodes(_TAIL_VE)
-    t = T / v
-    gsum = g(xs[:, None] + t[None, :]) + g(xs[:, None] - t[None, :])
-    integrand = (v ** (two_s - 1.0))[None, :] * gsum
-    return T ** (-two_s) * integrand @ w
+    t, vs = T / v, v ** (2.0 * s - 1.0)
+    parts = np.split(xs[:, None], range(_TAIL_ROWS, xs.size, _TAIL_ROWS))
+    return np.concatenate([T ** (-2.0 * s) * (vs * (g(x + t) + g(x - t))) @ w for x in parts])
 
 
 def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
@@ -265,18 +254,51 @@ def _circulant(t: np.ndarray) -> tuple[int, np.ndarray]:
     return nfft, rfft(circ)
 
 
+def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """A x = b for every row of b by CG preconditioned with M, the rows side by side.
+
+    The true residual replaces the recursive one every _CG_CHECK_EVERY steps, or when a row's
+    recursive one meets the stop; a row is done, and leaves, once |b - A x| <= tol |x| holds
+    for the true residual.  A row still open after _CG_MAX_ITER steps raises.
+    """
+    out, rows = np.zeros_like(b), np.flatnonzero(b.any(axis=-1))  # a zero row has x = 0
+    b = b[rows]
+    x, r, it = np.zeros_like(b), b.copy(), 0
+    p = z = apply_m(r)
+    rz = np.vecdot(r, z)
+    while rows.size:
+        if it == _CG_MAX_ITER:
+            raise NumericalError(f"{what}: preconditioned CG left |b - A x| above {tol:.3g} |x| "
+                                 f"after {_CG_MAX_ITER} iterations")
+        it += 1
+        q = apply_a(p)
+        alpha = (rz / np.vecdot(p, q))[:, None]
+        x += alpha * p
+        r -= alpha * q
+        bound = tol * np.sqrt(np.vecdot(x, x))
+        if it % _CG_CHECK_EVERY == 0 or (np.sqrt(np.vecdot(r, r)) <= bound).any():
+            r = b - apply_a(x)
+            done = np.sqrt(np.vecdot(r, r)) <= bound
+            out[rows[done]] = x[done]
+            rows, b, x, r, p, rz = (a[~done] for a in (rows, b, x, r, p, rz))
+            if not rows.size:
+                break
+        z = apply_m(r)
+        rz, rz_old = np.vecdot(r, z), rz
+        p *= (rz / rz_old)[:, None]
+        p += z
+    return out
+
+
 def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the symmetric Toeplitz T with first column t.
 
-    Conjugate gradients on T x = e_1, preconditioned by T. Chan's optimal
-    circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT
-    of length N); T v goes through the circulant embedding of T.  Strict
-    diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly, certifies by
-    Gershgorin that T is positive definite; without it the kernel is
-    rejected.  The recursive residual is replaced by the true one every
-    _CG_CHECK_EVERY steps, and the iteration stops once the true residual
-    has |T x - e_1| <= eps |T|_inf |x|; if that takes more than
-    _CG_MAX_ITER steps it raises.
+    Conjugate gradients (``_pcg``) on T x = e_1, preconditioned by T. Chan's
+    optimal circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied
+    by FFT of length N); T v goes through the circulant embedding of T.
+    Strict diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly,
+    certifies by Gershgorin that T is positive definite; without it the
+    kernel is rejected.  The stop is |T x - e_1| <= eps |T|_inf |x|.
     """
     N = t.size
     spare = math.fsum([t[0], *(-2.0 * np.abs(t[1:])).tolist()]) if np.isfinite(t).all() else math.nan
@@ -287,26 +309,8 @@ def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     j = np.arange(1, N)
     spec = rfft(np.r_[t[0], ((N - j) * t[1:] + j * t[:0:-1]) / N]).real
     tol = _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
-    e1 = np.zeros(N)
-    e1[0] = 1.0
-    x, r = np.zeros(N), e1
-    p = z = irfft(rfft(r) / spec, N)
-    rz = r @ z
-    for it in range(1, _CG_MAX_ITER + 1):
-        q = irfft(ft * rfft(p, nfft), nfft)[:N]
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r = r - alpha * q
-        bound = tol * np.linalg.norm(x)
-        if it % _CG_CHECK_EVERY == 0 or np.linalg.norm(r) <= bound:
-            r = e1 - irfft(ft * rfft(x, nfft), nfft)[:N]
-            if np.linalg.norm(r) <= bound:
-                return x
-        z = irfft(rfft(r) / spec, N)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    raise NumericalError(f"Toeplitz first column: preconditioned CG left |T x - e_1| above "
-                         f"eps |T| |x| after {_CG_MAX_ITER} iterations")
+    return _pcg(lambda v: irfft(ft * rfft(v, nfft), nfft)[:, :N], lambda r: irfft(rfft(r) / spec, N),
+                np.eye(1, N), tol, "Toeplitz first column")[0]
 
 
 # lu_factor/lu_solve keep the names of the LAPACK pair they replaced:
@@ -317,11 +321,8 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lu_solve(fac: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """A^-1 b by the stored inverse plus one step of iterative refinement.
-
-    With the refinement step the residual matches that of an LU solve; a
-    bare inverse leaves about seven times more on the gap block.
-    """
+    """A^-1 b by the stored inverse plus one step of iterative refinement, which keeps the
+    residual at that of an LU solve."""
     a, inv = fac
     x = inv @ b
     return x + inv @ (b - a @ x)
@@ -418,7 +419,7 @@ class _Assembly:
         # (2 tail_k up to the rounding of t_0); gap and layer columns correct it
         off = AC.copy()
         off[C, iC] = -np.inf
-        if off.max() > 1e-14 * max(t[0], np.abs(AC).max()):
+        if not off.max() <= 1e-14 * max(t[0], np.abs(AC).max()):  # NaN fails too
             raise ConfigurationError("assembly lost the M-matrix sign pattern")
         mass = omega.copy()
         mass[1] += c2
@@ -431,7 +432,7 @@ class _Assembly:
         corr = np.abs(t[DC]) - np.abs(AC)
         corr[C, iC] = AC[C, iC] - t[0]
         margin = spare + R[q + 1] + R[N - q] + (R[near] - R[far + 1]).sum(axis=1) + corr.sum(axis=1)
-        if margin.min() <= 0.0:
+        if not margin.min() > 0.0:
             raise ConfigurationError("assembly lost row diagonal dominance")
         self.dominance = c_ns * margin
 
@@ -440,28 +441,17 @@ class _Assembly:
         # T^-1 = (L(x) L(x)^T - L(y) L(y)^T) / x_0 with y = (0, x_N-1, ..., x_1)
         self.nfft, self.ft = _circulant(t)
         xt = _toeplitz_first_column(t)
-        yt = np.r_[0.0, xt[:0:-1]]
         self.x0 = xt[0]
-        self.gs = rfft(np.stack([xt, yt]), self.nfft, axis=1)[:, :, None]
-        self.t, self.N, self.q, self.C, self.c_ns = t, N, q, C, c_ns
-        is_gap = np.ones(N, dtype=bool)
-        is_gap[q] = False
-        gap, self.gap = np.nonzero(is_gap)[0], None
-        if gap.size:
-            # columns of T^-1 at the gap nodes by the Trench recurrence
-            # (T^-1)_{i+1,j+1} = (T^-1)_{ij} + (x_{i+1} x_{j+1} - y_{i+1} y_{j+1}) / x_0
-            col, cols = xt, []
-            for j in range(1, gap[-1] + 1):
-                col = np.concatenate(([xt[j]], col[:-1] + (xt[1:] * xt[j] - yt[1:] * yt[j]) / self.x0))
-                if is_gap[j]:
-                    cols.append(col)
-            mg = np.stack(cols, axis=1)
-            self.gap = (gap, mg[q], lu_factor(mg[gap]))
+        self.gs = rfft(np.stack([xt, np.r_[0.0, xt[:0:-1]]]), self.nfft)
+        self.t, self.N, self.q, self.C, self.c_ns, self.gapped = t, N, q, C, c_ns, q.size < N
+        # gap CG stops at 4 log2(nfft) eps |T|_inf |x|: FFT rounding keeps some domains above 1 eps
+        self.cg_tol = 4.0 * math.log2(self.nfft) * _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
         self.EC = AC - t[DC]
         # 2-norm bound: |T_SS| <= |T|_inf = t_0 + 2 sum |t_m| < 2 t_0 (dominance)
         self.norm = c_ns * (2.0 * t[0] + np.linalg.norm(self.EC))
-        self.Z = self._ss_inv(self.EC)
+        self.Z = np.ascontiguousarray(self._ss_inv(self.EC.T).T)  # T_SS^-1 E_C, one block solve
         self.cap = lu_factor(np.eye(C.size) + self.Z[C])
+        x.flags.writeable = False  # rhs callables see it; solutions get a copy
         self.nodes = x
 
     @functools.cached_property
@@ -473,34 +463,39 @@ class _Assembly:
         probe.flags.writeable = False  # shared by every comparison on the grid
         return probe
 
+    def _t(self, u: np.ndarray) -> np.ndarray:
+        """T u for the hull Toeplitz T along the last axis, through its circulant embedding."""
+        return irfft(self.ft * rfft(u, self.nfft), self.nfft)[..., :self.N]
+
     def _tinv(self, w: np.ndarray) -> np.ndarray:
-        """T^-1 w for the hull Toeplitz T, column by column."""
-        f, fx, fy = self.nfft, self.gs[0], self.gs[1]
-        fw = rfft(w[::-1], f, axis=0)
-        a = irfft(fx * fw, f, axis=0)[:self.N][::-1]  # L(x)^T w
-        b = irfft(fy * fw, f, axis=0)[:self.N][::-1]  # L(y)^T w
-        lab = fx * rfft(a, f, axis=0) - fy * rfft(b, f, axis=0)
-        return irfft(lab, f, axis=0)[:self.N] / self.x0
+        """T^-1 w for the hull Toeplitz T along the last axis, in four FFT calls."""
+        f, N = self.nfft, self.N
+        gs = self.gs.reshape((2,) + (1,) * (w.ndim - 1) + (-1,))
+        ab = irfft(gs * rfft(w[..., ::-1], f), f)[..., :N][..., ::-1]  # L(x)^T w and L(y)^T w
+        lab = gs * rfft(ab, f)
+        return irfft(lab[0] - lab[1], f)[..., :N] / self.x0
+
+    def _on_s(self, op: Callable, v: np.ndarray) -> np.ndarray:
+        """P_S op(P_S^T v): a hull operator with v at the interior nodes and zero at the gap nodes."""
+        if not self.gapped:
+            return op(v)
+        full = np.zeros(v.shape[:-1] + (self.N,))
+        full[..., self.q] = v
+        return op(full)[..., self.q]
 
     def _ss_inv(self, w: np.ndarray) -> np.ndarray:
-        """T_SS^-1 w: the hull inverse with the gap nodes eliminated (Schur complement)."""
-        full = np.zeros((self.N, w.shape[1]))
-        full[self.q] = w
-        y = self._tinv(full)
-        if self.gap is None:
-            return y[self.q]
-        gap, mg, gap_lu = self.gap
-        return y[self.q] - mg @ lu_solve(gap_lu, y[gap])
+        """T_SS^-1 w along the last axis: the hull inverse, or with gaps CG preconditioned by (T^-1)_SS."""
+        if not self.gapped:
+            return self._tinv(w)
+        return _pcg(lambda v: self._on_s(self._t, v), lambda r: self._on_s(self._tinv, r),
+                    np.atleast_2d(w), self.cg_tol, "gap solve").reshape(w.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self._ss_inv(b[:, None] / self.c_ns)[:, 0]
+        y = self._ss_inv(b / self.c_ns)
         return y - self.Z @ lu_solve(self.cap, y[self.C])
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.nfft)
-        full[self.q] = u
-        tu = irfft(self.ft * rfft(full), self.nfft)[self.q]
-        return self.c_ns * (tu + self.EC @ u[self.C])
+        return self.c_ns * (self._on_s(self._t, u) + self.EC @ u[self.C])
 
     def exterior_rhs(self, exterior: ExteriorData) -> np.ndarray:
         """e, the share of the rhs that the exterior data feed: A v = f + e."""
@@ -521,11 +516,12 @@ class _Assembly:
         nb = li[iB, None] + np.asarray([-1, 1])
         fix[iB] -= (c2 + omega1) * (g[nb - lat[0]] * np.isin(nb, li, invert=True)).sum(axis=1)
 
-        # exterior contribution on the rhs
+        # exterior contribution on the rhs: g * kernel by FFT, of a length >= g.size (no wrap)
         g[li - lat[0]] = 0.0
         kernel = np.concatenate([omega[:0:-1], [0.0], omega[1:]])
         kernel[[reach - 1, reach + 1]] += c2
-        ext = np.convolve(g, kernel, mode="valid")[li - li[0]] if g.any() else 0.0
+        f = 1 << (g.size - 1).bit_length()
+        ext = irfft(rfft(g, f) * rfft(kernel, f), f)[2 * reach + li - li[0]] if g.any() else 0.0
         if exterior.has_tail():
             ext = ext + _exterior_tail_batch(lambda y: exterior.evaluate(y, params), x, self.T, s)
         return self.c_ns * (ext + fix)
@@ -556,16 +552,18 @@ def _ext_rhs(asm: _Assembly, problem: GridProblem) -> np.ndarray:
 def solve_dirichlet(problem: GridProblem) -> DiscreteSolution:
     """Solve the discrete Dirichlet problem; the solve never mutates its problem."""
     asm = _assembly(problem)
-    b = problem.rhs_values() + _ext_rhs(asm, problem)
+    b = problem._rhs_on(asm.nodes)
+    if problem.exterior.kind != "zero":  # zero data feed a zero rhs share
+        b = b + _ext_rhs(asm, problem)
     u = asm.solve(b)
     residual = float(np.linalg.norm(asm.matvec(u) - b))
     # normwise backward error (Rigal-Gaches): a stable solve leaves
     # |r| <= c eps (|A| |u| + |b|); c = N, the hull size (Higham's gamma_N)
     bound = asm.N * _EPS * (asm.norm * float(np.linalg.norm(u)) + float(np.linalg.norm(b)))
-    if residual > bound:
+    if not residual <= bound:  # NaN fails too
         raise NumericalError(f"linear solve residual {residual:.2e} exceeds the backward-error "
                              f"bound {bound:.2e}")
-    return DiscreteSolution(problem, u, residual)
+    return DiscreteSolution(problem, u, residual, asm.nodes.copy())
 
 
 def apply_operator(problem: GridProblem, interior_values: np.ndarray) -> np.ndarray:
@@ -597,16 +595,18 @@ def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     """
     if p1.intervals != p2.intervals or p1.h != p2.h or p1.params != p2.params:
         raise ConfigurationError("comparison requires identical grids and parameters")
-    r1, r2 = p1.rhs_values(), p2.rhs_values()
+    asm = _assembly(p1)
+    r1, r2 = p1._rhs_on(asm.nodes), p2._rhs_on(asm.nodes)
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
-    asm = _assembly(p1)
-    g1 = p1.exterior.evaluate(asm.exterior_probe, p1.params)
-    g2 = p2.exterior.evaluate(asm.exterior_probe, p2.params)
-    if np.any(g1 > g2 + 1e-12):
-        raise ConfigurationError("exterior data of the first problem must not exceed the second")
-    diff = GridProblem(p1.intervals, p1.h, p1.params, r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2)))
-    violation = float(solve_dirichlet(diff).values.max())
+    rhs = r1 - r2
+    if (p1.exterior.kind, p2.exterior.kind) != ("zero", "zero"):  # zero data are ordered and feed 0
+        g1 = p1.exterior.evaluate(asm.exterior_probe, p1.params)
+        g2 = p2.exterior.evaluate(asm.exterior_probe, p2.params)
+        if np.any(g1 > g2 + 1e-12):
+            raise ConfigurationError("exterior data of the first problem must not exceed the second")
+        rhs = rhs + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2))
+    violation = float(solve_dirichlet(GridProblem(p1.intervals, p1.h, p1.params, rhs)).values.max())
     return ComparisonReport(passed=violation <= _COMPARISON_TOL, max_violation=violation)
 
 

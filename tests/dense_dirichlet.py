@@ -50,8 +50,11 @@ class DenseAssembly:
         n = li.size
         D = np.abs(li[:, None] - li[None, :])
         xs_nodes = self.xs_nodes = (li + 0.5) * h
-        delta_arr = self.delta_arr = np.asarray([
-            min(min(x - a, b - x) for a, b in p.intervals if a < x < b) for x in xs_nodes
+        # distance to the nearest endpoint in lattice units, exact at every h (x - a in
+        # floating point is not, at non-dyadic h)
+        cells = [(round(a / h), round(b / h)) for a, b in p.intervals]
+        delta_arr = self.delta_arr = h * np.asarray([
+            min(min(j + 0.5 - lo, hi - j - 0.5) for lo, hi in cells if lo <= j < hi) for j in li
         ])
         phi = self.phi = np.ones(n)
         layer = self.layer = np.nonzero(delta_arr <= 2.5 * h)[0]

@@ -503,3 +503,89 @@ def test_residual_check_is_a_normwise_backward_error_bound(monkeypatch):
         with pytest.raises(NumericalError, match="backward-error bound"):
             verify_comparison(GridProblem(((-1.0, 1.0),), 1 / 64, P_HALF, 0.5),
                               GridProblem(((-1.0, 1.0),), 1 / 64, P_HALF, 1.0))
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+def test_grid_spacing_must_be_positive_and_finite(h):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        GridProblem(((-1.0, 1.0),), h, P_HALF, 0.0)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("domain", [((-1.0, 1.0),), ANNULUS_DOMAIN])
+def test_non_dyadic_spacing_matches_the_scaled_unit_grid(domain, s):
+    # the operator of spacing h is h^(-2s) times that of spacing 1 on the domain scaled by 1/h
+    # (same window in cells); at h = 0.1 the node-to-endpoint distance must come out of the
+    # lattice, since x - a in floating point puts the layer node below h/2
+    params = FracParams(1, s)
+    fine = solve_dirichlet(GridProblem(domain, 0.1, params, 1.0)).values
+    scaled = tuple((10.0 * a, 10.0 * b) for a, b in domain)
+    unit = 0.1 ** (2.0 * s) * solve_dirichlet(GridProblem(scaled, 1.0, params, 1.0)).values
+    assert np.abs(fine - unit).max() <= 1e-13 * np.abs(unit).max()
+
+
+def test_nan_fails_the_solver_checks(monkeypatch):
+    # each check is written so that NaN fails it: no NaN solution comes back
+    import fraccert.dirichlet as dirichlet
+
+    with pytest.raises(NumericalError, match="backward-error bound"):
+        solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, np.nan))
+    monkeypatch.setattr(dirichlet, "_rate_profile_integral", lambda s, e: math.nan)
+    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
+    with pytest.raises(ConfigurationError, match="dominance"):
+        solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0))
+
+
+def test_zero_exterior_comparison_is_one_solve_of_the_rhs_difference(monkeypatch):
+    # zero data on both sides are ordered and feed nothing: no exterior evaluation at all
+    evaluations, solves = [], []
+    evaluate, solve = ExteriorData.evaluate, _Assembly.solve
+    monkeypatch.setattr(ExteriorData, "evaluate",
+                        lambda self, x, params: evaluations.append(x) or evaluate(self, x, params))
+    monkeypatch.setattr(_Assembly, "solve", lambda self, b: solves.append(b) or solve(self, b))
+    r1 = lambda x: np.cos(3.0 * np.asarray(x)) ** 2
+    r2 = lambda x: r1(x) + 0.5 * (1.0 + np.asarray(x) ** 2)
+    p1, p2 = (GridProblem(((-1.0, 1.0),), 2.0 ** -9, P_HALF, r) for r in (r1, r2))
+    rep = verify_comparison(p1, p2)
+    assert rep.passed and not evaluations and len(solves) == 1
+    monkeypatch.undo()
+    diff = GridProblem(((-1.0, 1.0),), 2.0 ** -9, P_HALF, p1.rhs_values() - p2.rhs_values())
+    assert rep.max_violation == float(solve_dirichlet(diff).values.max())
+
+
+def test_solution_nodes_are_the_callers_own():
+    p = GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0)
+    solve_dirichlet(p).nodes[:] = 7.0
+    np.testing.assert_array_equal(solve_dirichlet(p).nodes, p.nodes())
+    seen = []
+    solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, lambda x: seen.append(x.copy()) or 1.0))
+    np.testing.assert_array_equal(seen[0], p.nodes())
+
+
+def test_fine_gapped_solve_holds_nothing_of_size_hull_times_gap(monkeypatch):
+    # the gap is solved by CG preconditioned with the hull inverse: no N x |G| columns of T^-1
+    # and no dense gap block (12,288 x 2,048 and 2,048^2 floats here, about 230 MB in all)
+    import fraccert.dirichlet as dirichlet
+
+    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
+    tracemalloc.start()
+    try:
+        sol = solve_dirichlet(GridProblem(ANNULUS_DOMAIN, 2.0 ** -11, P_75, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.values.size == 10240 and sol.values.min() > 0.0
+    assert peak < 64 * 2**20
+    asm = _assembly(sol.problem)
+    b = np.ones(sol.values.size)
+    bound = asm.N * np.finfo(float).eps * (asm.norm * np.linalg.norm(sol.values) + np.linalg.norm(b))
+    assert sol.residual_norm <= bound
+
+
+def test_gap_solve_raises_at_the_iteration_cap(monkeypatch):
+    import fraccert.dirichlet as dirichlet
+
+    asm = _assembly(GridProblem(ANNULUS_DOMAIN, 1 / 64, P_HALF, 1.0))
+    monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match="gap solve.*after 2 iterations"):
+        asm.solve(np.ones(asm.nodes.size))
