@@ -17,9 +17,12 @@ is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
 products in four batched FFTs, from the first column of T^-1, which
 circulant-preconditioned conjugate gradients give in a few dozen FFT steps).
 With gap nodes in the hull, T_SS^-1 is conjugate gradients on T_SS
-preconditioned by (T^-1)_SS (domain embedding, Borgers & Widlund 1990):
-5-18 steps, which do not grow as h shrinks.  The edits go through
-the Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is O(n log n) and
+preconditioned by (T^-1)_SS (domain embedding, Borgers & Widlund 1990), and
+the Woodbury columns T_SS^-1 E_C are one block CG solve in one Krylov space.
+On the annulus, three intervals and (-10, -9) u (9, 10) the block takes 3
+steps at h = 2^-6 and 3-5 at 2^-12, a single rhs 5-7 and 6-12: slowly more
+as h shrinks, about one step per two halvings.  The edits go through the
+Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is O(n log n) and
 memory O(n |C|) on every domain.  The sign-pattern and dominance checks
 read the kernel vector and the layer columns.
 
@@ -45,9 +48,19 @@ from .params import FracParams
 from .profiles import conform, positive_fundamental
 
 __all__ = [
-    "ExteriorData", "GridProblem", "DiscreteSolution", "solve_dirichlet", "apply_operator",
-    "verify_comparison", "verify_hopf_ratio", "verify_kslap", "verify_qsmp", "verify_measure_lemma",
-    "ANNULUS_DOMAIN", "ANNULUS_TARGET", "ANNULUS_FORCING", "annulus_forcing",
+    "ExteriorData",
+    "GridProblem",
+    "DiscreteSolution",
+    "solve_dirichlet",
+    "apply_operator",
+    "verify_comparison",
+    "verify_hopf_ratio",
+    "verify_kslap",
+    "verify_qsmp",
+    "verify_measure_lemma",
+    "ANNULUS_DOMAIN",
+    "ANNULUS_TARGET",
+    "ANNULUS_FORCING", "annulus_forcing",
 ]
 
 # geometry used by the quantitative maximum-principle verifiers
@@ -68,7 +81,7 @@ _COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
 _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 # verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
-# _pcg: iteration cap, steps between true-residual replacements
+# _toeplitz_first_column and _pcg: CG iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
 _TAIL_ROWS = 512  # _exterior_tail_batch: nodes per chunk, which bounds its temporaries
 
@@ -255,50 +268,55 @@ def _circulant(t: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """A x = b for every row of b by CG preconditioned with M, the rows side by side.
+    """A x = b for the rows of b by block CG preconditioned with M: one Krylov space for all rows.
 
-    The true residual replaces the recursive one every _CG_CHECK_EVERY steps, or when a row's
-    recursive one meets the stop; a row is done, and leaves, once |b - A x| <= tol |x| holds
-    for the true residual.  A row still open after _CG_MAX_ITER steps raises.
+    Each step takes the Galerkin solution on the block of search directions, which QR keeps
+    orthonormal so that the k x k step matrices stay well conditioned as rows converge
+    (Dubrulle 2001, ETNA 12); one row needs no QR, CG being blind to the scale of p.  The
+    true residual replaces the recursive one every _CG_CHECK_EVERY steps, or once every
+    row's recursive one meets the stop; the solve ends when |b - A x| <= tol |x| holds in
+    every row for the true residual, and raises after _CG_MAX_ITER steps.
     """
-    out, rows = np.zeros_like(b), np.flatnonzero(b.any(axis=-1))  # a zero row has x = 0
-    b = b[rows]
-    x, r, it = np.zeros_like(b), b.copy(), 0
-    p = z = apply_m(r)
-    rz = np.vecdot(r, z)
-    while rows.size:
-        if it == _CG_MAX_ITER:
-            raise NumericalError(f"{what}: preconditioned CG left |b - A x| above {tol:.3g} |x| "
-                                 f"after {_CG_MAX_ITER} iterations")
-        it += 1
+    def norms(v: np.ndarray) -> np.ndarray:
+        return np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+
+    def orth(v: np.ndarray) -> np.ndarray:
+        return np.linalg.qr(v.T)[0].T if len(v) > 1 else v
+
+    x, r = np.zeros_like(b), b.copy()
+    if not b.any():
+        return x
+    p = orth(apply_m(r))
+    for it in range(1, _CG_MAX_ITER + 1):
         q = apply_a(p)
-        alpha = (rz / np.vecdot(p, q))[:, None]
-        x += alpha * p
-        r -= alpha * q
-        bound = tol * np.sqrt(np.vecdot(x, x))
-        if it % _CG_CHECK_EVERY == 0 or (np.sqrt(np.vecdot(r, r)) <= bound).any():
+        g = np.linalg.inv(p @ q.T)
+        alpha = (g @ (p @ r.T)).T
+        x += alpha @ p
+        r -= alpha @ q
+        bound = tol * norms(x)
+        if it % _CG_CHECK_EVERY == 0 or (norms(r) <= bound).all():
             r = b - apply_a(x)
-            done = np.sqrt(np.vecdot(r, r)) <= bound
-            out[rows[done]] = x[done]
-            rows, b, x, r, p, rz = (a[~done] for a in (rows, b, x, r, p, rz))
-            if not rows.size:
-                break
+            if (norms(r) <= bound).all():
+                return x
         z = apply_m(r)
-        rz, rz_old = np.vecdot(r, z), rz
-        p *= (rz / rz_old)[:, None]
-        p += z
-    return out
+        p = orth(z - (g @ (q @ z.T)).T @ p)  # A-conjugate to the last block
+    raise NumericalError(f"{what}: preconditioned CG left |b - A x| above {tol:.3g} |x| "
+                         f"after {_CG_MAX_ITER} iterations")
 
 
 def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the symmetric Toeplitz T with first column t.
 
-    Conjugate gradients (``_pcg``) on T x = e_1, preconditioned by T. Chan's
-    optimal circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied
-    by FFT of length N); T v goes through the circulant embedding of T.
-    Strict diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly,
-    certifies by Gershgorin that T is positive definite; without it the
-    kernel is rejected.  The stop is |T x - e_1| <= eps |T|_inf |x|.
+    Scalar conjugate gradients on T x = e_1 (not the block ``_pcg``, whose
+    Galerkin steps round differently), preconditioned by T. Chan's optimal
+    circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT
+    of length N); T v goes through the circulant embedding of T.  Strict
+    diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly, certifies by
+    Gershgorin that T is positive definite; without it the kernel is
+    rejected.  The recursive residual is replaced by the true one every
+    _CG_CHECK_EVERY steps, and the iteration stops once the true residual
+    has |T x - e_1| <= eps |T|_inf |x|; if that takes more than
+    _CG_MAX_ITER steps it raises.
     """
     N = t.size
     spare = math.fsum([t[0], *(-2.0 * np.abs(t[1:])).tolist()]) if np.isfinite(t).all() else math.nan
@@ -309,8 +327,26 @@ def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     j = np.arange(1, N)
     spec = rfft(np.r_[t[0], ((N - j) * t[1:] + j * t[:0:-1]) / N]).real
     tol = _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
-    return _pcg(lambda v: irfft(ft * rfft(v, nfft), nfft)[:, :N], lambda r: irfft(rfft(r) / spec, N),
-                np.eye(1, N), tol, "Toeplitz first column")[0]
+    e1 = np.zeros(N)
+    e1[0] = 1.0
+    x, r = np.zeros(N), e1
+    p = z = irfft(rfft(r) / spec, N)
+    rz = r @ z
+    for it in range(1, _CG_MAX_ITER + 1):
+        q = irfft(ft * rfft(p, nfft), nfft)[:N]
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r = r - alpha * q
+        bound = tol * math.sqrt(x @ x)  # np.linalg.norm to the bit, without its overhead
+        if it % _CG_CHECK_EVERY == 0 or math.sqrt(r @ r) <= bound:
+            r = e1 - irfft(ft * rfft(x, nfft), nfft)[:N]
+            if math.sqrt(r @ r) <= bound:
+                return x
+        z = irfft(rfft(r) / spec, N)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise NumericalError(f"Toeplitz first column: preconditioned CG left |T x - e_1| above "
+                         f"eps |T| |x| after {_CG_MAX_ITER} iterations")
 
 
 # lu_factor/lu_solve keep the names of the LAPACK pair they replaced:
@@ -539,9 +575,12 @@ def _assembly(problem: GridProblem) -> _Assembly:
     return _ASSEMBLY_CACHE[key]
 
 
-def _ext_rhs(asm: _Assembly, problem: GridProblem) -> np.ndarray:
-    """The exterior share of the rhs: cached per kind on the grid's assembly, custom data evaluated afresh."""
+def _ext_rhs(asm: _Assembly, problem: GridProblem) -> np.ndarray | float:
+    """The exterior share of the rhs: none for zero data, cached per kind on the grid's assembly,
+    custom data evaluated afresh."""
     exterior = problem.exterior
+    if exterior.kind == "zero":
+        return 0.0
     if exterior.kind == "custom":
         return asm.exterior_rhs(exterior)  # callable identity is not a safe cache key
     if exterior.kind not in asm.ext_cache:
@@ -552,9 +591,7 @@ def _ext_rhs(asm: _Assembly, problem: GridProblem) -> np.ndarray:
 def solve_dirichlet(problem: GridProblem) -> DiscreteSolution:
     """Solve the discrete Dirichlet problem; the solve never mutates its problem."""
     asm = _assembly(problem)
-    b = problem._rhs_on(asm.nodes)
-    if problem.exterior.kind != "zero":  # zero data feed a zero rhs share
-        b = b + _ext_rhs(asm, problem)
+    b = problem._rhs_on(asm.nodes) + _ext_rhs(asm, problem)
     u = asm.solve(b)
     residual = float(np.linalg.norm(asm.matvec(u) - b))
     # normwise backward error (Rigal-Gaches): a stable solve leaves
@@ -599,13 +636,12 @@ def verify_comparison(p1: GridProblem, p2: GridProblem) -> ComparisonReport:
     r1, r2 = p1._rhs_on(asm.nodes), p2._rhs_on(asm.nodes)
     if np.any(r1 > r2 + 1e-13 * (1.0 + np.abs(r2))):
         raise ConfigurationError("rhs of the first problem must not exceed the second")
-    rhs = r1 - r2
-    if (p1.exterior.kind, p2.exterior.kind) != ("zero", "zero"):  # zero data are ordered and feed 0
+    if (p1.exterior.kind, p2.exterior.kind) != ("zero", "zero"):  # zero data are ordered
         g1 = p1.exterior.evaluate(asm.exterior_probe, p1.params)
         g2 = p2.exterior.evaluate(asm.exterior_probe, p2.params)
         if np.any(g1 > g2 + 1e-12):
             raise ConfigurationError("exterior data of the first problem must not exceed the second")
-        rhs = rhs + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2))
+    rhs = r1 - r2 + (_ext_rhs(asm, p1) - _ext_rhs(asm, p2))
     violation = float(solve_dirichlet(GridProblem(p1.intervals, p1.h, p1.params, rhs)).values.max())
     return ComparisonReport(passed=violation <= _COMPARISON_TOL, max_violation=violation)
 

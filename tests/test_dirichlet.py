@@ -589,3 +589,28 @@ def test_gap_solve_raises_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(dirichlet, "_CG_MAX_ITER", 2)
     with pytest.raises(NumericalError, match="gap solve.*after 2 iterations"):
         asm.solve(np.ones(asm.nodes.size))
+
+
+def test_woodbury_block_shares_one_krylov_space():
+    # the 12 Woodbury columns of a gapped hull are one block CG solve: every column meets the
+    # stop, in fewer steps than the slowest column takes alone; a zero rhs takes no step
+    import fraccert.dirichlet as dirichlet
+
+    asm = _assembly(GridProblem(ANNULUS_DOMAIN, 2.0 ** -9, P_75, 1.0))
+    steps = []
+    apply_a = lambda v: asm._on_s(asm._t, v)
+    apply_m = lambda r: steps.append(len(r)) or asm._on_s(asm._tinv, r)
+    ec = np.ascontiguousarray(asm.EC.T)
+    z = dirichlet._pcg(apply_a, apply_m, ec, asm.cg_tol, "block")
+    block = len(steps)
+    residual = np.linalg.norm(ec - apply_a(z), axis=1)
+    assert (residual <= 1.01 * asm.cg_tol * np.linalg.norm(z, axis=1)).all()
+    np.testing.assert_allclose(z, asm.Z.T, rtol=0.0, atol=1e-12 * np.abs(asm.Z).max())
+    alone = []
+    for row in ec:
+        steps.clear()
+        dirichlet._pcg(apply_a, apply_m, row[None], asm.cg_tol, "row")
+        alone.append(len(steps))
+    assert block <= 5 < max(alone)
+    steps.clear()
+    assert not dirichlet._pcg(apply_a, apply_m, 0.0 * ec[:1], asm.cg_tol, "zero").any() and not steps
