@@ -20,7 +20,7 @@ With gap nodes in the hull, T_SS^-1 is conjugate gradients on T_SS
 preconditioned by (T^-1)_SS (domain embedding, Borgers & Widlund 1990), and
 the Woodbury columns T_SS^-1 E_C are one block CG solve in one Krylov space.
 On the annulus, three intervals and (-10, -9) u (9, 10) the block takes 3
-steps at h = 2^-6 and 3-5 at 2^-12, a single rhs 5-7 and 6-12: slowly more
+steps at h = 2^-6 and 3-6 at 2^-12, a single rhs 5-7 and 6-11: slowly more
 as h shrinks, about one step per two halvings.  The edits go through the
 Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is O(n log n) and
 memory O(n |C|) on every domain.  The sign-pattern and dominance checks
