@@ -479,7 +479,7 @@ class _Assembly:
         xt = _toeplitz_first_column(t)
         self.x0 = xt[0]
         self.gs = rfft(np.stack([xt, np.r_[0.0, xt[:0:-1]]]), self.nfft)
-        self.t, self.N, self.q, self.C, self.c_ns, self.gapped = t, N, q, C, c_ns, q.size < N
+        self.t, self.N, self.q, self.C, self.c_ns, self.has_gaps = t, N, q, C, c_ns, q.size < N
         # gap CG stops at 4 log2(nfft) eps |T|_inf |x|: FFT rounding keeps some domains above 1 eps
         self.cg_tol = 4.0 * math.log2(self.nfft) * _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
         self.EC = AC - t[DC]
@@ -513,7 +513,7 @@ class _Assembly:
 
     def _on_s(self, op: Callable, v: np.ndarray) -> np.ndarray:
         """P_S op(P_S^T v): a hull operator with v at the interior nodes and zero at the gap nodes."""
-        if not self.gapped:
+        if not self.has_gaps:
             return op(v)
         full = np.zeros(v.shape[:-1] + (self.N,))
         full[..., self.q] = v
@@ -521,7 +521,7 @@ class _Assembly:
 
     def _ss_inv(self, w: np.ndarray) -> np.ndarray:
         """T_SS^-1 w along the last axis: the hull inverse, or with gaps CG preconditioned by (T^-1)_SS."""
-        if not self.gapped:
+        if not self.has_gaps:
             return self._tinv(w)
         return _pcg(lambda v: self._on_s(self._t, v), lambda r: self._on_s(self._tinv, r),
                     np.atleast_2d(w), self.cg_tol, "gap solve").reshape(w.shape)
