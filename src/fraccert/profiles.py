@@ -2,9 +2,9 @@
 
 A profile is a function of the radius rho > 0 given, on each of finitely many
 intervals, by a finite sum of terms a*rho^b and a*log(rho).  Profiles stay
-symbolic (term lists, never samples) so that spherical means, radial
-Laplacians (themselves profiles) and far-field tails can be computed in
-closed form.
+symbolic (term lists, never samples): their breakpoints are panel edges of
+the operator's quadrature, their first piece sets its origin map, and sums,
+multiples and dilations stay profiles.
 
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
@@ -168,13 +168,6 @@ def _hyp2f1_aa(a: float, z, w=None) -> tuple[np.ndarray, np.ndarray]:
     return val, err
 
 
-def _laplacian_terms(terms: tuple[Term, ...], n: int) -> list[Term]:
-    """Radial Laplacian on R^n: a*rho^b -> a*b*(b+n-2)*rho^(b-2), a*log -> a*(n-2)*rho^-2."""
-    return [(coef * (n - 2.0), -2.0, False) if is_log
-            else (coef * expo * (expo + n - 2.0), expo - 2.0, False)
-            for coef, expo, is_log in terms]
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Piecewise sum of powers and logarithms of the radius.
@@ -221,14 +214,6 @@ class RadialProfile:
             raise DomainError("radial profiles are defined for rho > 0")
         out = self._piecewise(rho_arr)
         return float(out[0]) if scalar else out
-
-    def laplacian(self, n: int) -> "RadialProfile":
-        """Laplacian on R^n of the radial extension, piece by piece.
-
-        Jumps at the breakpoints carry no distributional part here: the
-        result is the classical Laplacian away from the breakpoints.
-        """
-        return RadialProfile(self.breakpoints, tuple(_laplacian_terms(p, n) for p in self.pieces))
 
     def rho_integral_between(self, lo, hi) -> np.ndarray:
         """Exact integral of rho*u(rho) over [lo, hi] (lo <= hi), elementwise.

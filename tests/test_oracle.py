@@ -10,18 +10,19 @@ Dyda (2012, Fract. Calc. Appl. Anal.):
     (-Delta)^s |x|^(-tau) = 2^(2s) G((tau+2s)/2) G((n-tau)/2) / (G(tau/2) G((n-tau-2s)/2))
                             * |x|^(-tau-2s),   0 < tau < n - 2s,
 
-whose profiles are singular at the origin, so every spherical mean has an
-endpoint singularity at the origin crossing t = r.  The gate is the
-error-estimate contract: |value - exact| <= 2 err + 1e-14 |exact|.
+whose profiles are singular at the origin, an endpoint of the integral over
+rho.  The gate is the error-estimate contract: |value - exact| <= 2 err +
+1e-14 |exact|, and every point must be converged.
 
-The bubble is checked in every dimension, and the cap (1 - |x|^2)_+^s in n = 3
-against its constant value 4^s G(1+s) G(n/2+s) / G(n/2) inside the ball and an
-mpmath integral over the support outside.  In n = 3 plain callables go through
-the line operator of v(x) = x u(|x|), whose two-point means are exact.  In n = 2
-every radial function goes through one integral over rho against the kernel
-2F1(1+s, 1+s; 1; q^2), whose helper is checked against mpmath.hyp2f1 here; the
-fundamental solution (exactly annihilated) and the power multiplier check the
-operator built on it down to s = 0.05.
+Every radial function goes through one integral over rho against the kernel
+of its dimension; the n = 2 kernel's 2F1(1+s, 1+s; 1; q^2) helper is checked
+against mpmath.hyp2f1 here.  The bubble is checked in every dimension, down to
+s = 0.05 in n = 1 and 3; the power multiplier down to s = 0.05; the
+fundamental solution (exactly annihilated) down to s = 0.02 in n = 1 and 3
+and 0.05 in n = 2; and the cap (1 - |x|^2)_+^s in n = 1 and 3, also at
+r = 0.8 ... 0.95 next to its kink, against its constant value
+4^s G(1+s) G(n/2+s) / G(n/2) inside the ball and an mpmath integral over the
+support outside.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_planar_bubble_within_error_bars(s, b):
     for r in (0.1, 0.5, 1.5, 5.0, 30.0, 300.0):
         ov = eval_radial(u, r, params)
         exact = dyda(2, s, b, r)
-        if abs(ov.value - exact) > 2.0 * ov.error_estimate + 1e-14 * abs(exact):
+        if not ov.converged or abs(ov.value - exact) > 2.0 * ov.error_estimate + 1e-14 * abs(exact):
             misses.append((r, ov.value, exact, ov.error_estimate))
     assert not misses
 
@@ -72,36 +73,44 @@ _RADII = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0]
 
 
 @pytest.mark.parametrize("s,n", [(s, n) for n in (1, 3) for s in (0.25, 0.5, 0.75)]
-                         + [(s, 2) for s in (0.1, 0.25, 0.5, 0.75, 0.9)])
+                         + [(s, 2) for s in (0.1, 0.25, 0.5, 0.75, 0.9)]
+                         + [(s, n) for n in (1, 3) for s in (0.05, 0.1)])
 @pytest.mark.parametrize("two_b", [0.8, 2.0, 5.0])
 def test_bubble_within_error_bars(n, s, two_b):
     b = two_b / 2.0
     u = lambda rho: (1.0 + np.asarray(rho, dtype=float) ** 2) ** (-b)
     ovs = eval_radial_many(u, _RADII, FracParams(n, s))
     assert not _gate(ovs, [dyda(n, s, b, r) for r in _RADII])
-    if n == 2:
-        assert all(ov.converged for ov in ovs)
+    assert all(ov.converged for ov in ovs)
 
 
-def cap_n3(s: float, r: float) -> float:
-    """(-Delta)^s (1 - |x|^2)_+^s at |x| = r in R^3."""
+def cap(n: int, s: float, r: float) -> float:
+    """(-Delta)^s (1 - |x|^2)_+^s at |x| = r in R^n, n = 1 or 3."""
     mpmath.mp.dps = 30
-    s = mpmath.mpf(s)
+    s, half_n = mpmath.mpf(s), mpmath.mpf(n) / 2
     if r < 1.0:
-        return float(4 ** s * mpmath.gamma(1 + s) * mpmath.gamma(1.5 + s) / mpmath.gamma(1.5))
-    # u(x) = 0: minus c_3s times the integral of u(y) |x - y|^(-3-2s) over the ball; on the
-    # sphere |y| = q, |x - y|^(-3-2s) has the mean ((r-q)^(-1-2s) - (r+q)^(-1-2s)) / (2 r q (1+2s))
-    c_3s = 4 ** s * mpmath.gamma(1.5 + s) / (mpmath.pi ** 1.5 * abs(mpmath.gamma(-s)))
-    f = lambda q: (1 - q * q) ** s * q * ((r - q) ** (-1 - 2 * s) - (r + q) ** (-1 - 2 * s))
-    return float(-c_3s * 4 * mpmath.pi / (2 * r * (1 + 2 * s)) * mpmath.quad(f, [0, 1]))
+        return float(4 ** s * mpmath.gamma(1 + s) * mpmath.gamma(half_n + s) / mpmath.gamma(half_n))
+    # u(x) = 0: minus c_ns times the integral of u(y) |x - y|^(-n-2s) over the ball.  With a = 1 + 2s the
+    # sphere |y| = q contributes (r-q)^(-a) + (r+q)^(-a) in n = 1, and 4 pi q^2 times the mean
+    # ((r-q)^(-a) - (r+q)^(-a)) / (2 r q a) in n = 3
+    a = 1 + 2 * s
+    c_ns = 4 ** s * mpmath.gamma(half_n + s) / (mpmath.pi ** half_n * abs(mpmath.gamma(-s)))
+    if n == 1:
+        f = lambda q: (1 - q * q) ** s * ((r - q) ** -a + (r + q) ** -a)
+        return float(-c_ns * mpmath.quad(f, [0, 1]))
+    f = lambda q: (1 - q * q) ** s * q * ((r - q) ** -a - (r + q) ** -a)
+    return float(-c_ns * 4 * mpmath.pi / (2 * r * a) * mpmath.quad(f, [0, 1]))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_cap_within_error_bars(s):
-    radii = [0.0, 0.1, 0.3, 0.7, 0.9, 1.1, 1.5, 2.0, 5.0, 30.0]
+    # r = 0.8, 0.9 and 0.95 sit next to the kink, where the cap has a (1 - rho)^s edge
+    radii = [0.0, 0.1, 0.3, 0.7, 0.8, 0.9, 0.95, 1.1, 1.5, 2.0, 5.0, 30.0]
     u = lambda rho: np.maximum(1.0 - np.asarray(rho, dtype=float) ** 2, 0.0) ** s
-    ovs = eval_radial_many(u, radii, FracParams(3, s), QuadSpec(kink_radii=(1.0,)))
-    assert not _gate(ovs, [cap_n3(s, r) for r in radii])
+    for n in (1, 3):
+        ovs = eval_radial_many(u, radii, FracParams(n, s), QuadSpec(kink_radii=(1.0,)))
+        assert not _gate(ovs, [cap(n, s, r) for r in radii])
+        assert all(ov.converged for ov in ovs)
 
 
 def power_multiplier(n: int, s: float, tau: float) -> float:
@@ -110,7 +119,8 @@ def power_multiplier(n: int, s: float, tau: float) -> float:
                  * mpmath.rgamma(tau / 2) * mpmath.rgamma((n - tau - 2 * s) / 2))
 
 
-@pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3) for s in (0.25, 0.5, 0.75) if 2.0 * s < n])
+@pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3) for s in (0.25, 0.5, 0.75) if 2.0 * s < n]
+                         + [(n, s) for n in (1, 2, 3) for s in (0.05, 0.1)])
 def test_singular_power_within_error_bars(n, s):
     params, radii = FracParams(n, s), np.asarray([0.3, 1.0, 4.0, 30.0])
     misses = []
@@ -119,7 +129,7 @@ def test_singular_power_within_error_bars(n, s):
         u = RadialProfile((), (((1.0, -tau, False),),))
         exact = power_multiplier(n, s, tau) * radii ** (-tau - 2.0 * s)
         for r, ov, want in zip(radii, eval_radial_many(u, radii, params), exact):
-            if abs(ov.value - want) > 2.0 * ov.error_estimate + 1e-14 * abs(want):
+            if not ov.converged or abs(ov.value - want) > 2.0 * ov.error_estimate + 1e-14 * abs(want):
                 misses.append((tau, r, ov.value, want, ov.error_estimate))
     assert not misses
 
@@ -140,6 +150,16 @@ def test_planar_fundamental_at_small_s_is_honest_or_unconverged(s):
     # the integrand is like rho^(2s - 1) at the origin; the map rho = (r/2) v^(1/(2s)) makes it smooth
     params = FracParams(2, s)
     ovs = eval_radial_many(make_fundamental(params), _PLANAR_RADII, params)
+    assert all(ov.converged for ov in ovs)
+    assert not _gate(ovs, [0.0] * len(ovs))
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in (1, 3) for s in (0.02, 0.1, 0.25, 0.4, 0.75)])
+def test_fundamental_converges_within_error_bars(n, s):
+    # n = 3, s = 0.25 at r = 4.61 once came back converged with a bar 4.8 times short
+    params = FracParams(n, s)
+    radii = _PLANAR_RADII + ([4.61] if n == 3 else [])
+    ovs = eval_radial_many(make_fundamental(params), radii, params)
     assert all(ov.converged for ov in ovs)
     assert not _gate(ovs, [0.0] * len(ovs))
 

@@ -173,52 +173,6 @@ ALGEBRA = RadialProfile((1.0, 2.5, 4.0), (
     (),
     ((1.5, 0.0, True), (0.25, -1.5, False)),
 ))
-ALGEBRA_RADII = np.array([0.3, 0.8, 1.0, 1.7, 2.5, 3.0, 4.0, 6.0, 40.0])
-
-
-def _second_order_form(terms, n, rho):
-    """u'' + (n-1) u'/rho of a term list, from its first and second derivatives."""
-    out = np.zeros_like(rho)
-    for coef, expo, is_log in terms:
-        if is_log:
-            d1, d2 = coef / rho, -coef / rho**2
-        else:
-            d1, d2 = coef * expo * rho ** (expo - 1.0), coef * expo * (expo - 1.0) * rho ** (expo - 2.0)
-        out += d2 + (n - 1.0) * d1 / rho
-    return out
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_laplacian_matches_closed_form(n):
-    lap = ALGEBRA.laplacian(n)
-    assert isinstance(lap, RadialProfile)
-    assert lap.breakpoints == ALGEBRA.breakpoints
-    assert lap.pieces[2] == ()  # an empty piece stays empty
-    piece = np.searchsorted(ALGEBRA.breakpoints, ALGEBRA_RADII, side="left")
-    want = np.array([_second_order_form(ALGEBRA.pieces[i], n, np.array([rho]))[0]
-                     for i, rho in zip(piece, ALGEBRA_RADII)])
-    np.testing.assert_allclose(lap(ALGEBRA_RADII), want, rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_bilaplacian_matches_product_formula(n):
-    bilap = ALGEBRA.laplacian(n).laplacian(n)
-    piece = np.searchsorted(ALGEBRA.breakpoints, ALGEBRA_RADII, side="left")
-    want = []
-    for i, rho in zip(piece, ALGEBRA_RADII):
-        total = 0.0
-        for coef, b, is_log in ALGEBRA.pieces[i]:
-            if is_log:  # a log rho -> a (n-2) rho^-2 -> a (n-2) (-2) (n-4) rho^-4
-                total += coef * (n - 2.0) * -2.0 * (n - 4.0) * rho**-4
-            else:
-                total += coef * b * (b + n - 2.0) * (b - 2.0) * (b + n - 4.0) * rho ** (b - 4.0)
-        want.append(total)
-    np.testing.assert_allclose(bilap(ALGEBRA_RADII), want, rtol=1e-13, atol=1e-15)
-
-
-def test_log_laplacian_vanishes_in_the_plane():
-    assert log_profile(-1.0).laplacian(2).pieces == ((),)
-    assert power_profile(1.0, -1.0).laplacian(3).pieces == ((),)  # 1/|x| is harmonic in R^3
 
 
 def test_rho_integral_between_matches_quadrature():
