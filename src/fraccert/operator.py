@@ -177,7 +177,7 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, n: int, s: f
     field is probed for growth and oscillation.
     """
     m, two_s, b = r.size, 2.0 * s, np.asarray(breaks, dtype=float)
-    a, r_pos = 1.0 + two_s, np.where(r > 0.0, r, 1.0)
+    a = 1.0 + two_s
     gap = np.abs(r[:, None] - b)
     nearest = gap.min(axis=1, initial=np.inf)
     scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
@@ -201,7 +201,7 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, n: int, s: f
             k, k_err = k * hyp, k * hyp_err
         else:
             # (r + rho) - |r - rho| = 2 min(r, rho): the difference of powers without cancellation
-            k = rho / (2.0 * a * r_pos[rows, None]) * (big + small) ** -a \
+            k = rho / (2.0 * a * np.where(ri > 0.0, ri, 1.0)) * (big + small) ** -a \
                 * np.expm1(a * np.log1p(2.0 * small / (big - small)))
         at = r[rows] == 0.0
         if at.any():  # every kernel tends to rho^(-a) as r -> 0
