@@ -120,7 +120,7 @@ def _geometric_fill(ids: np.ndarray, a: np.ndarray, b: np.ndarray,
 # batch as the ids of one adaptive pass
 # ---------------------------------------------------------------------------
 
-# starting edges of the origin and tail zones in v: rho = (r/2) v^p and rho = T v^(-1/(2s))
+# starting cuts of the origin and tail zones at rho = (r/2) v and rho = T / v, for these v
 _ENDPOINT_V = np.asarray([0.0, 2.0 ** -12, 2.0 ** -8, 2.0 ** -4, 2.0 ** -2, 1.0])
 _MAX_SHRINK = 12  # how often the near zone's h may shrink by 4
 
