@@ -166,9 +166,8 @@ def _check_sampled_growth(u: Callable, u_x: np.ndarray, s: float, top: np.ndarra
             )
 
 
-def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, n: int, s: float,
-                   breaks: Sequence[float], p: float, quad: QuadSpec, prefac: float,
-                   sampled: bool) -> list[OperatorValue]:
+def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: FracParams,
+                   breaks: Sequence[float], p: float, quad: QuadSpec, sampled: bool) -> list[OperatorValue]:
     """(-Delta)^s u at every radius of a batch in R^n, by the integral over rho.
 
     Each radius is four integral ids m apart, one per zone (origin, fold,
@@ -176,6 +175,7 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, n: int, s: f
     power of the origin map; ``sampled`` marks a plain callable, whose far
     field is probed for growth and oscillation.
     """
+    n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
     m, two_s, b = r.size, 2.0 * s, np.asarray(breaks, dtype=float)
     a = 1.0 + two_s
     gap = np.abs(r[:, None] - b)
@@ -318,21 +318,21 @@ def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParam
         return []
     if np.any(r < 0.0):
         raise DomainError("radius must be nonnegative")
-    n, s = params.n, params.s
-    if isinstance(profile, RadialProfile):
-        _profile_growth_check(profile, s)
+    n, sampled = params.n, not isinstance(profile, RadialProfile)
+    if sampled:
+        u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
+        lowest = 2.0 * params.s - n  # a callable's lowest exponent is the fundamental solution's
+    else:
+        _profile_growth_check(profile, params.s)
         if np.any(r == 0.0):
             raise EvaluationPointError("profiles are evaluated at positive radii")
         u_vec, breaks = profile, profile.breakpoints
         # the origin map makes rho^(n - 1 + lowest) smooth (a log's exponent is 0)
         lowest = min((e for _, e, _ in profile.pieces[0]), default=0.0)
-    else:
-        u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
-        lowest = 2.0 * s - n  # a callable's lowest exponent is the fundamental solution's
     if lowest <= -n:
         raise DivergenceError("profile is not integrable at the origin")
-    return _radial_values(_on_points(u_vec), u_vec(r), r, n, s, breaks, max(1.0, 1.0 / (n + lowest)), quad,
-                          params.c_ns * params.sphere_measure, not isinstance(profile, RadialProfile))
+    return _radial_values(_on_points(u_vec), u_vec(r), r, params, breaks, max(1.0, 1.0 / (n + lowest)), quad,
+                          sampled)
 
 
 def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
@@ -375,8 +375,8 @@ def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec
             return 0.5 * (both[:t.size] + both[t.size:])
 
         # on the line, a point on a kink radius is not rejected
-        return _radial_values(_on_points(even), even(np.zeros(1)), np.zeros(1), 1, params.s, sorted(kinks[kinks > 0.0]),
-                              1.0, quad, params.c_ns * params.sphere_measure, True)[0]
+        return _radial_values(_on_points(even), even(np.zeros(1)), np.zeros(1), params, sorted(kinks[kinks > 0.0]),
+                              1.0, quad, True)[0]
     direction = point / radius if radius > 0 else np.eye(params.n)[0]
     return eval_radial(lambda rho: u((rho[:, None] * direction[None, :]).T), radius, params, quad)
 

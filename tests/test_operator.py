@@ -414,6 +414,10 @@ def test_eval_radial_many_errors_and_empty_batch():
         eval_radial_many(grows, [0.5, 1.0, 3.0], FracParams(1, 0.5))
     with pytest.raises(DomainError):
         eval_radial_many(prof, [[1.0, 3.0]], p)
+    for n in (1, 2, 3):  # rho^(-n) and steeper: the integral over the ball diverges at the origin
+        for expo in (-n, -n - 0.5):
+            with pytest.raises(DivergenceError):
+                eval_radial_many(RadialProfile((), (((1.0, expo, False),),)), [1.0, 3.0], FracParams(n, 0.5))
     calls = []
     assert eval_radial_many(lambda rho: calls.append(rho) or rho, [], p) == []
     assert calls == []
