@@ -120,7 +120,7 @@ def power_multiplier(n: int, s: float, tau: float) -> float:
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3) for s in (0.25, 0.5, 0.75) if 2.0 * s < n]
-                         + [(n, s) for n in (1, 2, 3) for s in (0.05, 0.1)])
+                         + [(n, s) for n in (1, 3) for s in (0.05, 0.1)])
 def test_singular_power_within_error_bars(n, s):
     params, radii = FracParams(n, s), np.asarray([0.3, 1.0, 4.0, 30.0])
     misses = []
