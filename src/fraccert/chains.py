@@ -83,7 +83,6 @@ class _ChainSpec:
     region: str                   # "annulus", "annulus_out", "exterior_unit", "exterior_2r", "exterior_sign"
     envelope_sign: int = 0        # for bounds: +1 positive upper envelope, -1 negative upper envelope
     rate: Callable[[np.ndarray, float, FracParams], np.ndarray] | None = None
-    rate_label: str = ""
     # the BarrierConstants field a negative envelope scales with; on a sign chain, the
     # bump amplitude choose_constants sets from its (positive, negative) bound parts
     constant: str | None = None
@@ -119,35 +118,30 @@ def _rate_outer_far(xs, r, params):
 
 
 _CHAINS: dict[ChainId, _ChainSpec] = {
-    ChainId.CA3D: _ChainSpec("bound", BarrierKind.POWER_RAMP, "annulus", +1, _rate_inv_r, "1/r"),
-    ChainId.CA3PR: _ChainSpec("bound", BarrierKind.POWER_BUMP, "annulus", -1, _rate_inv_r, "1/r",
+    ChainId.CA3D: _ChainSpec("bound", BarrierKind.POWER_RAMP, "annulus", +1, _rate_inv_r),
+    ChainId.CA3PR: _ChainSpec("bound", BarrierKind.POWER_BUMP, "annulus", -1, _rate_inv_r,
                               constant="power_bump_coef"),
     ChainId.LVC: _ChainSpec("sign", BarrierKind.RAMP_WITH_BUMP, "annulus",
                             constant="power_bump_coef", parts=(ChainId.CA3D, ChainId.CA3PR)),
     ChainId.CA1_00: _ChainSpec("sign", BarrierKind.EXTERIOR_LOG, "annulus_out"),
-    ChainId.CAR3PP: _ChainSpec("bound", BarrierKind.LOG_CUT, "annulus", +1,
-                               _rate_log2r_over_r, "log(2r)/r"),
+    ChainId.CAR3PP: _ChainSpec("bound", BarrierKind.LOG_CUT, "annulus", +1, _rate_log2r_over_r),
     ChainId.CAR3PR: _ChainSpec("bound", BarrierKind.LOG_BUMP, "annulus", -1,
-                               _rate_log2r_over_r, "log(2r)/r", constant="log_bump_coef"),
+                               _rate_log2r_over_r, constant="log_bump_coef"),
     ChainId.NBBN: _ChainSpec("sign", BarrierKind.LOG_RAMP_WITH_BUMP, "annulus",
                              constant="log_bump_coef", parts=(ChainId.CAR3PP, ChainId.CAR3PR)),
-    ChainId.CA1F: _ChainSpec("bound", BarrierKind.CAPPED_POWER, "exterior_unit", +1,
-                             _rate_near_unit, "(|x|-1)^-(n+2s)"),
-    ChainId.CA1AA: _ChainSpec("bound", BarrierKind.BALL_INDICATOR, "exterior_unit", -1,
-                              _rate_far_unit, "(1+|x|)^-(n+2s)"),
+    ChainId.CA1F: _ChainSpec("bound", BarrierKind.CAPPED_POWER, "exterior_unit", +1, _rate_near_unit),
+    ChainId.CA1AA: _ChainSpec("bound", BarrierKind.BALL_INDICATOR, "exterior_unit", -1, _rate_far_unit),
     # the indicator carries no coefficient of its own: the composite applies indicator_coef
     ChainId.VASK: _ChainSpec("sign", BarrierKind.CAPPED_WITH_INDICATOR, "exterior_sign",
                              constant="indicator_coef", parts=(ChainId.CA1F, ChainId.CA1AA)),
-    ChainId.CA3Q: _ChainSpec("bound", BarrierKind.COMPLEMENT_RAMP, "annulus", +1,
-                             _rate_r_pow, "r^-2s"),
+    ChainId.CA3Q: _ChainSpec("bound", BarrierKind.COMPLEMENT_RAMP, "annulus", +1, _rate_r_pow),
     ChainId.CA3P: _ChainSpec("bound", BarrierKind.PLATEAU_BUMP, "annulus", -1,
-                             _rate_r_pow, "r^-2s", constant="plateau_height"),
+                             _rate_r_pow, constant="plateau_height"),
     ChainId.NITU: _ChainSpec("sign", BarrierKind.COMPLEMENT_WITH_PLATEAU, "annulus",
                              constant="plateau_height", parts=(ChainId.CA3Q, ChainId.CA3P)),
-    ChainId.CA10: _ChainSpec("bound", BarrierKind.EXTERIOR_POWER, "exterior_2r", +1,
-                             _rate_outer_near, "r^2s (|x|-r)^-(n+2s)"),
+    ChainId.CA10: _ChainSpec("bound", BarrierKind.EXTERIOR_POWER, "exterior_2r", +1, _rate_outer_near),
     ChainId.CA10L: _ChainSpec("bound", BarrierKind.POWER_SHELL, "exterior_2r", -1,
-                              _rate_outer_far, "r^2s (|x|+2r)^-(n+2s)", constant="shell_coef"),
+                              _rate_outer_far, constant="shell_coef"),
     ChainId.RI: _ChainSpec("sign", BarrierKind.EXTERIOR_WITH_SHELL, "exterior_2r",
                            constant="shell_coef", parts=(ChainId.CA10, ChainId.CA10L)),
 }
@@ -232,7 +226,6 @@ class VerificationReport:
     worst_margin: float
     verdict: Verdict
     fitted_constant: float | None = None
-    fitted_exponent: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def sample_arrays(self):

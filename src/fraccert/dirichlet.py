@@ -14,11 +14,11 @@ restriction to the interior indices S; E_C holds every edit, all of which sit
 in the layer columns C (nodes within 2.5h of an endpoint, 3 per endpoint):
 the dist^s cell-average column scaling and the rewritten boundary rows.  T^-1
 is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
-products in four batched FFTs, from the first column of T^-1, which
-circulant-preconditioned conjugate gradients give in a few dozen FFT steps).
-With gap nodes in the hull, T_SS^-1 is conjugate gradients on T_SS
-preconditioned by (T^-1)_SS (domain embedding, Borgers & Widlund 1990), and
-the Woodbury columns T_SS^-1 E_C are one block CG solve in one Krylov space.
+products in four batched FFTs, from the first column of T^-1).  One
+preconditioned CG, ``_pcg``, does every Krylov solve: that first column
+(T. Chan's circulant as preconditioner) and, with gap nodes in the hull,
+T_SS^-1 (preconditioned by (T^-1)_SS: domain embedding, Borgers & Widlund
+1990), the Woodbury columns T_SS^-1 E_C as one block in one Krylov space.
 On the annulus, three intervals and (-10, -9) u (9, 10) the block takes 3
 steps at h = 2^-6 and 3-6 at 2^-12, a single rhs 5-7 and 6-11: slowly more
 as h shrinks, about one step per two halvings.  The edits go through the
@@ -81,7 +81,7 @@ _COMPARISON_TOL = 1e-10  # verify_comparison: allowed excess of v1 over v2
 _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 # verify_measure_lemma: sampled base points x0, ratio of the lattice of C, steps tried
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
-# _toeplitz_first_column and _pcg: CG iteration cap, steps between true-residual replacements
+# _pcg, the one CG: iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
 _TAIL_ROWS = 512  # _exterior_tail_batch: nodes per chunk, which bounds its temporaries
 
@@ -270,9 +270,10 @@ def _circulant(t: np.ndarray) -> tuple[int, np.ndarray]:
 def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: str) -> np.ndarray:
     """A x = b for the rows of b by block CG preconditioned with M: one Krylov space for all rows.
 
+    The one CG of the solver: the Toeplitz first column, the gap solve and the Woodbury block.
     Each step takes the Galerkin solution on the block of search directions, which QR keeps
     orthonormal so that the k x k step matrices stay well conditioned as rows converge
-    (Dubrulle 2001, ETNA 12); one row needs no QR, CG being blind to the scale of p.  The
+    (Dubrulle 2001, ETNA 12); one row is plain CG, blind to the scale of p, so no QR.  The
     true residual replaces the recursive one every _CG_CHECK_EVERY steps, or once every
     row's recursive one meets the stop; the solve ends when |b - A x| <= tol |x| holds in
     every row for the true residual, and raises after _CG_MAX_ITER steps.
@@ -289,7 +290,7 @@ def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: 
     p = orth(apply_m(r))
     for it in range(1, _CG_MAX_ITER + 1):
         q = apply_a(p)
-        g = np.linalg.inv(p @ q.T)
+        g = np.linalg.inv(p @ q.T) if len(p) > 1 else 1.0 / (p @ q.T)  # the same bits, faster
         alpha = (g @ (p @ r.T)).T
         x += alpha @ p
         r -= alpha @ q
@@ -307,16 +308,13 @@ def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: 
 def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the symmetric Toeplitz T with first column t.
 
-    Scalar conjugate gradients on T x = e_1 (not the block ``_pcg``, whose
-    Galerkin steps round differently), preconditioned by T. Chan's optimal
-    circulant (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT
-    of length N); T v goes through the circulant embedding of T.  Strict
+    ``_pcg`` on T x = e_1, preconditioned by T. Chan's optimal circulant
+    (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT of
+    length N); T v goes through the circulant embedding of T.  Strict
     diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly, certifies by
     Gershgorin that T is positive definite; without it the kernel is
-    rejected.  The recursive residual is replaced by the true one every
-    _CG_CHECK_EVERY steps, and the iteration stops once the true residual
-    has |T x - e_1| <= eps |T|_inf |x|; if that takes more than
-    _CG_MAX_ITER steps it raises.
+    rejected.  The solve stops at |T x - e_1| <= eps |T|_inf |x| on the
+    true residual.
     """
     N = t.size
     spare = math.fsum([t[0], *(-2.0 * np.abs(t[1:])).tolist()]) if np.isfinite(t).all() else math.nan
@@ -326,27 +324,8 @@ def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     nfft, ft = _circulant(t)
     j = np.arange(1, N)
     spec = rfft(np.r_[t[0], ((N - j) * t[1:] + j * t[:0:-1]) / N]).real
-    tol = _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum())
-    e1 = np.zeros(N)
-    e1[0] = 1.0
-    x, r = np.zeros(N), e1
-    p = z = irfft(rfft(r) / spec, N)
-    rz = r @ z
-    for it in range(1, _CG_MAX_ITER + 1):
-        q = irfft(ft * rfft(p, nfft), nfft)[:N]
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r = r - alpha * q
-        bound = tol * math.sqrt(x @ x)  # np.linalg.norm to the bit, without its overhead
-        if it % _CG_CHECK_EVERY == 0 or math.sqrt(r @ r) <= bound:
-            r = e1 - irfft(ft * rfft(x, nfft), nfft)[:N]
-            if math.sqrt(r @ r) <= bound:
-                return x
-        z = irfft(rfft(r) / spec, N)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    raise NumericalError(f"Toeplitz first column: preconditioned CG left |T x - e_1| above "
-                         f"eps |T| |x| after {_CG_MAX_ITER} iterations")
+    return _pcg(lambda v: irfft(ft * rfft(v, nfft), nfft)[..., :N], lambda r: irfft(rfft(r) / spec, N),
+                np.eye(1, N), _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum()), "Toeplitz first column")[0]
 
 
 # lu_factor/lu_solve keep the names of the LAPACK pair they replaced:

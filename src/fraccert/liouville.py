@@ -384,8 +384,7 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
     fn = as_radial_callable(u)
     r_arr = np.asarray(sorted(r_grid), dtype=float)
     c_bar = _default_cbar(params)
-    annulus_measure = 2.0 if params.n == 1 else (
-        math.pi * 3.0 if params.n == 2 else 4.0 * math.pi * 7.0 / 3.0)
+    annulus_measure = params.sphere_measure * (2**params.n - 1) / params.n  # |{r < |x| < 2r}| / r^n
 
     m_vals = np.asarray([annulus_inf(u, float(r), 200) for r in r_arr])
     if np.any(m_vals <= 0.0):

@@ -113,6 +113,13 @@ def test_rate_slopes():
     assert fit2.slope == pytest.approx(-2 * P_NEG.s, abs=0.15)
 
 
+@pytest.mark.parametrize("chain", [ChainId.LVC, ChainId.CA1_00])
+def test_measure_rate_on_a_sign_chain_raises(chain):
+    bc = BarrierConstants(base_radius=2.0, outer_radius=20.0)
+    with pytest.raises(ConfigurationError, match="no rate envelope"):
+        measure_rate(chain, P_POS, bc, [10.0, 100.0], points_per_r=16)
+
+
 def test_fit_rate_exact_laws():
     rs = [10.0, 31.6, 100.0, 316.0, 1000.0]
     fit = fit_rate(rs, [3.0 / r for r in rs])

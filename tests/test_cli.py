@@ -91,6 +91,11 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_rate_on_a_sign_chain_is_usage_error(capsys):
+    assert main(["rate", "--chain", "LVC", "--n", "1", "--s", "0.75"]) == 3
+    assert "no rate envelope" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["definitely-not-a-command"]) == 3
 

@@ -227,6 +227,19 @@ def test_trace_never_flags_without_forcing():
     assert all(row.forcing_lower == 0.0 for row in rep.rows)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_forcing_lower_with_unit_forcing(n):
+    # f = 1: the bound is 0.5 c_bar r^(2s) |{r < |x| < 2r}| / r^n, the annulus measure
+    # |S^(n-1)| (2^n - 1) / n being 2, 3 pi and 28 pi / 3
+    params = FracParams(n, 0.25)
+    grid = default_r_grid(1.0, per_decade=2, decades=1.0)
+    rep = proof_quantity_trace(lambda rho: 1.0 / (1.0 + np.asarray(rho) ** 2), lambda t, x: 1.0,
+                               params, grid)
+    measure = {1: 2.0, 2: 3.0 * math.pi, 3: 28.0 * math.pi / 3.0}[n]
+    for row in rep.rows:
+        assert row.forcing_lower == pytest.approx(0.5 * rep.c_bar * row.r**0.5 * measure, rel=1e-14)
+
+
 def test_trace_reports_barrier_and_exterior_ratios():
     grid = default_r_grid(1.0, per_decade=3, decades=1.5)
     rep3 = proof_quantity_trace(PHI3, None, P3, grid)
