@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .operator import QuadSpec, eval_radial, eval_radial_many  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
-from .profiles import BarrierConstants, BarrierKind, make_barrier
+from .profiles import _COMPOSITES, BarrierConstants, BarrierKind, make_barrier
 
 __all__ = [
     "ChainId",
@@ -86,7 +86,12 @@ class _ChainSpec:
     # the BarrierConstants field a negative envelope scales with; on a sign chain, the
     # bump amplitude choose_constants sets from its (positive, negative) bound parts
     constant: str | None = None
-    parts: tuple[ChainId, ChainId] | None = None
+
+    @property
+    def parts(self) -> tuple[ChainId, ChainId] | None:
+        """On a sign chain over a two-part composite: the bound chains over its two parts."""
+        pair = _COMPOSITES.get(self.barrier, ()) if self.kind == "sign" else ()
+        return tuple(chain for part in pair[:2] for chain, spec in _CHAINS.items() if spec.barrier is part) or None
 
 
 def _rate_inv_r(xs, r, params):
@@ -121,29 +126,24 @@ _CHAINS: dict[ChainId, _ChainSpec] = {
     ChainId.CA3D: _ChainSpec("bound", BarrierKind.POWER_RAMP, "annulus", +1, _rate_inv_r),
     ChainId.CA3PR: _ChainSpec("bound", BarrierKind.POWER_BUMP, "annulus", -1, _rate_inv_r,
                               constant="power_bump_coef"),
-    ChainId.LVC: _ChainSpec("sign", BarrierKind.RAMP_WITH_BUMP, "annulus",
-                            constant="power_bump_coef", parts=(ChainId.CA3D, ChainId.CA3PR)),
+    ChainId.LVC: _ChainSpec("sign", BarrierKind.RAMP_WITH_BUMP, "annulus", constant="power_bump_coef"),
     ChainId.CA1_00: _ChainSpec("sign", BarrierKind.EXTERIOR_LOG, "annulus_out"),
     ChainId.CAR3PP: _ChainSpec("bound", BarrierKind.LOG_CUT, "annulus", +1, _rate_log2r_over_r),
     ChainId.CAR3PR: _ChainSpec("bound", BarrierKind.LOG_BUMP, "annulus", -1,
                                _rate_log2r_over_r, constant="log_bump_coef"),
-    ChainId.NBBN: _ChainSpec("sign", BarrierKind.LOG_RAMP_WITH_BUMP, "annulus",
-                             constant="log_bump_coef", parts=(ChainId.CAR3PP, ChainId.CAR3PR)),
+    ChainId.NBBN: _ChainSpec("sign", BarrierKind.LOG_RAMP_WITH_BUMP, "annulus", constant="log_bump_coef"),
     ChainId.CA1F: _ChainSpec("bound", BarrierKind.CAPPED_POWER, "exterior_unit", +1, _rate_near_unit),
     ChainId.CA1AA: _ChainSpec("bound", BarrierKind.BALL_INDICATOR, "exterior_unit", -1, _rate_far_unit),
-    # the indicator carries no coefficient of its own: the composite applies indicator_coef
     ChainId.VASK: _ChainSpec("sign", BarrierKind.CAPPED_WITH_INDICATOR, "exterior_sign",
-                             constant="indicator_coef", parts=(ChainId.CA1F, ChainId.CA1AA)),
+                             constant="indicator_coef"),
     ChainId.CA3Q: _ChainSpec("bound", BarrierKind.COMPLEMENT_RAMP, "annulus", +1, _rate_r_pow),
     ChainId.CA3P: _ChainSpec("bound", BarrierKind.PLATEAU_BUMP, "annulus", -1,
                              _rate_r_pow, constant="plateau_height"),
-    ChainId.NITU: _ChainSpec("sign", BarrierKind.COMPLEMENT_WITH_PLATEAU, "annulus",
-                             constant="plateau_height", parts=(ChainId.CA3Q, ChainId.CA3P)),
+    ChainId.NITU: _ChainSpec("sign", BarrierKind.COMPLEMENT_WITH_PLATEAU, "annulus", constant="plateau_height"),
     ChainId.CA10: _ChainSpec("bound", BarrierKind.EXTERIOR_POWER, "exterior_2r", +1, _rate_outer_near),
     ChainId.CA10L: _ChainSpec("bound", BarrierKind.POWER_SHELL, "exterior_2r", -1,
                               _rate_outer_far, constant="shell_coef"),
-    ChainId.RI: _ChainSpec("sign", BarrierKind.EXTERIOR_WITH_SHELL, "exterior_2r",
-                           constant="shell_coef", parts=(ChainId.CA10, ChainId.CA10L)),
+    ChainId.RI: _ChainSpec("sign", BarrierKind.EXTERIOR_WITH_SHELL, "exterior_2r", constant="shell_coef"),
 }
 
 

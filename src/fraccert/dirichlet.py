@@ -43,7 +43,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, NumericalError
-from .quadrature import _gauss_nodes
+from .quadrature import _gauss_nodes, _power_map
 from .params import FracParams
 from .profiles import conform, positive_fundamental
 
@@ -223,11 +223,29 @@ _TAIL_VE = np.asarray([0.0] + [2.0 ** (-k) for k in range(24, -1, -1)])
 
 def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                          T: float, s: float) -> np.ndarray:
-    """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels."""
+    """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels: t = T/v, graded toward v = 0.
+
+    Data singular at the origin are singular at t = a = |x| too, so a node with a > T splits there: t = a/(1 -+ z)
+    on [T, a] and [a, 2a] with z = Z w^p graded toward t = a (p = 1/s: smooth in w), then t = 2a/v on [2a, inf)."""
     v, w = _gauss_nodes(_TAIL_VE)
-    t, vs = T / v, v ** (2.0 * s - 1.0)
-    parts = np.split(xs[:, None], range(_TAIL_ROWS, xs.size, _TAIL_ROWS))
-    return np.concatenate([T ** (-2.0 * s) * (vs * (g(x + t) + g(x - t))) @ w for x in parts])
+    vs, p = v ** (2.0 * s - 1.0), min(math.ceil(1.0 / s), 24)  # 24: w^p stays far from underflow
+
+    def beyond(x, lo):
+        return lo ** (-2.0 * s) * (vs * (g(x + lo / v) + g(x - lo / v))) @ w
+
+    def split(x):
+        a, sign, total = np.abs(x), np.sign(x), beyond(x, 2.0 * np.abs(x))
+        for e, Z in ((-1.0, a / T - 1.0), (1.0, 0.5)):
+            z, dz = _power_map(v, Z, p)
+            t, jac = a / (1.0 - e * z), a ** (-2.0 * s) * (1.0 - e * z) ** (2.0 * s - 1.0) * dz
+            total += (jac * (g(sign * (a + t)) + g(-sign * e * a * z / (1.0 - e * z)))) @ w
+        return total
+
+    out, far = np.empty_like(xs), np.abs(xs) > T
+    for mask, rule in ((~far, lambda x: beyond(x, T)), (far, split)):
+        rows = xs[mask, None]
+        out[mask] = np.concatenate([rule(x) for x in np.split(rows, range(_TAIL_ROWS, rows.size, _TAIL_ROWS))])
+    return out
 
 
 def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PositivityViolation
 from .params import FracParams
-from .profiles import positive_fundamental
+from .profiles import RadialProfile, positive_fundamental
 
 __all__ = [
     "NonlinearitySpec",
@@ -361,24 +361,12 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
 
         return splice
     if name == "piecewise_powers":
-        pieces = kw["pieces"]  # [{"upto": float|None, "terms": [[coef, exponent], ...]}]
-
-        def pw(t):
-            t_arr = np.asarray(t, dtype=float)
-            out = np.zeros_like(t_arr)
-            lo = 0.0
-            for piece in pieces:
-                hi = piece.get("upto")
-                hi_val = math.inf if hi is None else float(hi)
-                mask = (t_arr > lo) & (t_arr <= hi_val)
-                acc = np.zeros_like(t_arr[mask])
-                for coef, expo in piece["terms"]:
-                    acc += float(coef) * t_arr[mask] ** float(expo)
-                out[mask] = acc
-                lo = hi_val
-            return out
-
-        return pw
+        pieces = kw["pieces"]  # [{"upto": float|None, "terms": [[coef, exponent], ...]}]; null only last
+        if any(piece.get("upto") is None for piece in pieces[:-1]):
+            raise ConfigurationError("only the last piece may have upto null")
+        uptos = tuple(float(piece["upto"]) for piece in pieces if piece.get("upto") is not None)
+        terms = tuple(tuple((float(c), float(e), False) for c, e in piece["terms"]) for piece in pieces)
+        return RadialProfile(uptos, terms + ((),) * (len(uptos) == len(pieces)))  # finite last upto: zero beyond
     raise ConfigurationError(f"unknown builtin nonlinearity {name!r}")
 
 

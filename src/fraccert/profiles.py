@@ -429,83 +429,46 @@ class BarrierKind(Enum):
     EXTERIOR_WITH_SHELL = "exterior_with_shell"        # exterior power + power shell
 
 
-def _require_branch(params: FracParams, want: Branch, kind: BarrierKind) -> None:
-    if _branch_of(params) is not want:
-        raise ConfigurationError(
-            f"barrier {kind.value!r} requires the {want.value} branch "
-            f"(sigma_star={params.sigma_star:g} given)"
-        )
+# Two-part composites: first + second, the second scaled by the named BarrierConstants field (None: 1)
+_COMPOSITES: dict[BarrierKind, tuple[BarrierKind, BarrierKind, str | None]] = {
+    BarrierKind.RAMP_WITH_BUMP: (BarrierKind.POWER_RAMP, BarrierKind.POWER_BUMP, None),
+    BarrierKind.LOG_RAMP_WITH_BUMP: (BarrierKind.LOG_CUT, BarrierKind.LOG_BUMP, None),
+    BarrierKind.CAPPED_WITH_INDICATOR: (BarrierKind.CAPPED_POWER, BarrierKind.BALL_INDICATOR, "indicator_coef"),
+    BarrierKind.COMPLEMENT_WITH_PLATEAU: (BarrierKind.COMPLEMENT_RAMP, BarrierKind.PLATEAU_BUMP, None),
+    BarrierKind.EXTERIOR_WITH_SHELL: (BarrierKind.EXTERIOR_POWER, BarrierKind.POWER_SHELL, None),
+}
 
 
 def make_barrier(kind: BarrierKind | str, constants: BarrierConstants, params: FracParams) -> RadialProfile:
     """Construct a catalog barrier exactly as displayed, breakpoints included."""
     kind = BarrierKind(kind) if not isinstance(kind, BarrierKind) else kind
-    sig = params.sigma_star
-    r0, r = constants.base_radius, constants.outer_radius
-    zero: tuple[Term, ...] = ()
-
-    if kind is BarrierKind.POWER_RAMP:
-        _require_branch(params, Branch.POWER_POS, kind)
-        ramp = ((r0**-sig, sig, False), (-1.0, 0.0, False))
-        return RadialProfile((2.0 * r,), (ramp, zero))
-    if kind is BarrierKind.POWER_BUMP:
-        _require_branch(params, Branch.POWER_POS, kind)
-        bump = ((constants.power_bump_coef, sig, False),)
-        return RadialProfile((1.5 * r, 2.0 * r), (zero, bump, zero))
-    if kind is BarrierKind.EXTERIOR_LOG:
-        _require_branch(params, Branch.LOG, kind)
-        return RadialProfile((r,), (zero, ((-1.0, 0.0, True),)))
-    if kind is BarrierKind.LOG_CUT:
-        _require_branch(params, Branch.LOG, kind)
-        return RadialProfile((2.0 * r,), (((1.0, 0.0, True),), zero))
-    if kind is BarrierKind.LOG_BUMP:
-        _require_branch(params, Branch.LOG, kind)
-        bump = ((constants.log_bump_coef, 0.0, True),)
-        return RadialProfile((1.5 * r, 2.0 * r), (zero, bump, zero))
-    if kind is BarrierKind.CAPPED_POWER:
-        _require_branch(params, Branch.POWER_NEG, kind)
-        return RadialProfile((1.0,), (((1.0, 0.0, False),), ((1.0, sig, False),)))
-    if kind is BarrierKind.BALL_INDICATOR:
-        return RadialProfile((1.0,), (((1.0, 0.0, False),), zero))
-    if kind is BarrierKind.COMPLEMENT_RAMP:
-        _require_branch(params, Branch.POWER_NEG, kind)
-        ramp = ((1.0, 0.0, False), (-(r0**-sig), sig, False))
-        return RadialProfile((2.0 * r,), (ramp, zero))
-    if kind is BarrierKind.PLATEAU_BUMP:
-        bump = ((constants.plateau_height, 0.0, False),)
-        return RadialProfile((1.5 * r, 2.0 * r), (zero, bump, zero))
-    if kind is BarrierKind.EXTERIOR_POWER:
-        _require_branch(params, Branch.POWER_NEG, kind)
-        return RadialProfile((r,), (zero, ((1.0, sig, False),)))
-    if kind is BarrierKind.POWER_SHELL:
-        _require_branch(params, Branch.POWER_NEG, kind)
-        bump = ((constants.shell_coef, sig, False),)
-        return RadialProfile((r, 1.5 * r), (zero, bump, zero))
-
-    if kind is BarrierKind.RAMP_WITH_BUMP:
-        return make_barrier(BarrierKind.POWER_RAMP, constants, params) + make_barrier(
-            BarrierKind.POWER_BUMP, constants, params
-        )
-    if kind is BarrierKind.LOG_RAMP_WITH_BUMP:
-        return make_barrier(BarrierKind.LOG_CUT, constants, params) + make_barrier(
-            BarrierKind.LOG_BUMP, constants, params
-        )
-    if kind is BarrierKind.CAPPED_WITH_INDICATOR:
-        return make_barrier(BarrierKind.CAPPED_POWER, constants, params) + (
-            constants.indicator_coef * make_barrier(BarrierKind.BALL_INDICATOR, constants, params)
-        )
-    if kind is BarrierKind.COMPLEMENT_WITH_PLATEAU:
-        return make_barrier(BarrierKind.COMPLEMENT_RAMP, constants, params) + make_barrier(
-            BarrierKind.PLATEAU_BUMP, constants, params
-        )
-    if kind is BarrierKind.NORMALIZED_COMPLEMENT:
-        combined = make_barrier(BarrierKind.COMPLEMENT_WITH_PLATEAU, constants, params)
-        return combined * (1.0 / (1.0 + constants.plateau_height))
-    if kind is BarrierKind.EXTERIOR_WITH_SHELL:
-        return make_barrier(BarrierKind.EXTERIOR_POWER, constants, params) + make_barrier(
-            BarrierKind.POWER_SHELL, constants, params
-        )
-    raise ConfigurationError(f"unknown barrier kind {kind!r}")
+    sig, c, K = params.sigma_star, constants, BarrierKind
+    if kind is K.NORMALIZED_COMPLEMENT:
+        return make_barrier(K.COMPLEMENT_WITH_PLATEAU, constants, params) * (1.0 / (1.0 + c.plateau_height))
+    if kind in _COMPOSITES:
+        first, second, scale = _COMPOSITES[kind]
+        head, tail = (make_barrier(part, constants, params) for part in (first, second))
+        return head + (tail if scale is None else getattr(constants, scale) * tail)
+    r0, r = c.base_radius, c.outer_radius
+    # the simple barriers: the branch each needs (None: any), breakpoints, pieces
+    row = {
+        K.POWER_RAMP: (Branch.POWER_POS, (2.0 * r,), (((r0**-sig, sig, False), (-1.0, 0.0, False)), ())),
+        K.POWER_BUMP: (Branch.POWER_POS, (1.5 * r, 2.0 * r), ((), ((c.power_bump_coef, sig, False),), ())),
+        K.EXTERIOR_LOG: (Branch.LOG, (r,), ((), ((-1.0, 0.0, True),))),
+        K.LOG_CUT: (Branch.LOG, (2.0 * r,), (((1.0, 0.0, True),), ())),
+        K.LOG_BUMP: (Branch.LOG, (1.5 * r, 2.0 * r), ((), ((c.log_bump_coef, 0.0, True),), ())),
+        K.CAPPED_POWER: (Branch.POWER_NEG, (1.0,), (((1.0, 0.0, False),), ((1.0, sig, False),))),
+        K.BALL_INDICATOR: (None, (1.0,), (((1.0, 0.0, False),), ())),
+        K.COMPLEMENT_RAMP: (Branch.POWER_NEG, (2.0 * r,), (((1.0, 0.0, False), (-(r0**-sig), sig, False)), ())),
+        K.PLATEAU_BUMP: (None, (1.5 * r, 2.0 * r), ((), ((c.plateau_height, 0.0, False),), ())),
+        K.EXTERIOR_POWER: (Branch.POWER_NEG, (r,), ((), ((1.0, sig, False),))),
+        K.POWER_SHELL: (Branch.POWER_NEG, (r, 1.5 * r), ((), ((c.shell_coef, sig, False),), ())),
+    }
+    want, breakpoints, pieces = row[kind]
+    if want is not None and _branch_of(params) is not want:
+        raise ConfigurationError(
+            f"barrier {kind.value!r} requires the {want.value} branch (sigma_star={sig:g} given)")
+    return RadialProfile(breakpoints, pieces)
 
 
 def barrier_gallery(

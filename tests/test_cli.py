@@ -146,6 +146,21 @@ def test_check_f_spliced_builtin(capsys, tmp_path):
     assert abs(body["plateau_value"] - 2.5) <= 0.05
 
 
+def test_check_f_piecewise_spec(capsys, tmp_path):
+    spec = tmp_path / "piecewise.json"
+    pieces = [{"upto": 1.0, "terms": [[2.5, 1.5]]}, {"upto": None, "terms": [[1.0, -1.0]]}]
+    spec.write_text(json.dumps({"form": "separable", "g": {"name": "piecewise_powers", "pieces": pieces}}))
+    argv = ["check-f", "--spec", str(spec), "--condition", "f2", "--n", "3", "--s", "0.5"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["body"]["verdict"] == "HOLDS"
+
+    for bad in ([{"upto": 2.0, "terms": [[2.5, 1.5]]}] + pieces,  # upto 2 then 1: out of order
+                [{"upto": None, "terms": [[2.5, 1.5]]}, pieces[0]]):  # null before the last piece
+        spec.write_text(json.dumps({"form": "separable", "g": {"name": "piecewise_powers", "pieces": bad}}))
+        code, _ = run(capsys, *argv)
+        assert code == 3
+
+
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     argv = ["maxprinciple", "--check", "comparison", "--n", "1", "--s", "0.5",
             "--samples", "5", "--seed", "7"]

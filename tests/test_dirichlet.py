@@ -12,7 +12,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 import fraccert
 from dense_dirichlet import DenseAssembly
 from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _Assembly, _assembly,
-                                _pair_weights, _toeplitz_first_column, apply_operator,
+                                _exterior_tail_batch, _pair_weights, _toeplitz_first_column, apply_operator,
                                 solve_dirichlet, verify_comparison, verify_hopf_ratio,
                                 verify_kslap, verify_measure_lemma, verify_qsmp)
 from fraccert.errors import (ConfigurationError, DegenerateInputError, DomainError,
@@ -314,6 +314,44 @@ def test_pair_weights_match_mpmath_moments(k, s):
     assert omega[1:].min() > 0.0
     for m in (3, 50, K // 2, K - 1):
         assert omega[m] == pytest.approx(float(_mp_omega(mpmath, m, h, s)), rel=1e-13)
+
+
+def _mp_tail(mpmath, a, T, s):
+    """int_T^inf t^(-1-2s) (Phi(|x + t|) + Phi(|x - t|)) dt at |x| = a, Phi the fundamental solution.
+
+    Beyond the window (a > T) the integrand is singular at t = a; there the integral runs in the
+    distance u = |t - a| on both sides, so no node loses digits to a - t.
+    """
+    phi = mpmath.log if s == 0.5 else (lambda y: y ** (2 * s - 1))
+    f = lambda t: t ** (-1 - 2 * s) * (phi(a + t) + phi(abs(a - t)))
+    if a <= T:
+        return mpmath.quad(f, [T, 2 * T, mpmath.inf])
+    side = lambda e: (lambda u: (a + e * u) ** (-1 - 2 * s) * (phi(2 * a + e * u) + phi(u)))
+    return mpmath.quad(side(-1), [0, a - T]) + mpmath.quad(side(1), [0, a]) + mpmath.quad(f, [2 * a, mpmath.inf])
+
+
+@pytest.mark.parametrize("domain", [((9.0, 10.0),), ((-10.0, -9.0), (9.0, 10.0))])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_exterior_tail_matches_mpmath(domain, s):
+    # on (9, 10) the window ends at T = 4 + h/2, so t = |x| lies inside the tail; on the pair T = 80 + h/2
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    params = FracParams(1, s)
+    problem = GridProblem(domain, 2.0**-5, params, exterior=ExteriorData("fundamental"))
+    T = (problem.window() + 0.5) * problem.h
+    x = problem.nodes()[[0, 16, -1]]
+    got = _exterior_tail_batch(lambda y: ExteriorData("fundamental").evaluate(y, params), x, T, s)
+    for xi, value in zip(x, got):
+        want = float(_mp_tail(mpmath, mpmath.mpf(abs(float(xi))), mpmath.mpf(T), mpmath.mpf(s)))
+        assert value == pytest.approx(want, rel=1e-10), xi
+
+
+def test_fundamental_data_reproduced_beyond_the_window():
+    # Phi solves the problem with zero rhs; on (9, 10) every node lies beyond T = 4 + h/2
+    params = FracParams(1, 0.25)
+    sol = solve_dirichlet(GridProblem(((9.0, 10.0),), 2.0**-9, params, exterior=ExteriorData("fundamental")))
+    phi = positive_fundamental(params)(sol.nodes)
+    assert np.max(np.abs(sol.values - phi) / phi) <= 2e-3
 
 
 @pytest.mark.parametrize("domain, bump", [

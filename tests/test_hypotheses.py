@@ -183,6 +183,31 @@ def test_spec_from_dict_builtins():
     assert rep.plateau_value == pytest.approx(2.5)
 
 
+_PIECEWISE = [{"upto": 1.0, "terms": [[2.5, 1.5]]}, {"upto": None, "terms": [[1.0, -1.0]]}]
+
+
+def test_piecewise_powers_values_and_zero_tail():
+    t = np.asarray([0.25, 1.0, 1.5, 3.0, 4.0])
+    g = builtin_g("piecewise_powers", pieces=_PIECEWISE)
+    np.testing.assert_array_equal(g(t), [2.5 * 0.25**1.5, 2.5, 1.0 / 1.5, 1.0 / 3.0, 0.25])
+    # a finite last upto leaves zero beyond it; upto itself belongs to its own piece
+    capped = builtin_g("piecewise_powers", pieces=[{"upto": 1.0, "terms": [[2.0, 1.0], [1.0, 2.0]]},
+                                                    {"upto": 3.0, "terms": [[1.0, -1.0]]}])
+    np.testing.assert_allclose(capped(t), [0.5625, 3.0, 1.0 / 1.5, 1.0 / 3.0, 0.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("pieces", [
+    [{"upto": 2.0, "terms": [[2.5, 1.5]]}, {"upto": 1.0, "terms": [[2.5, 1.5]]},
+     {"upto": None, "terms": [[2.5, 1.5]]}],  # upto values out of order
+    [{"upto": 1.0, "terms": [[2.5, 1.5]]}, {"upto": 1.0, "terms": [[2.5, 1.5]]},
+     {"upto": None, "terms": [[2.5, 1.5]]}],  # repeated
+    [{"upto": None, "terms": [[2.5, 1.5]]}, {"upto": 1.0, "terms": [[2.5, 1.5]]}],  # null before the last
+])
+def test_piecewise_powers_rejects_malformed_pieces(pieces):
+    with pytest.raises(ConfigurationError):
+        spec_from_dict({"g": {"name": "piecewise_powers", "pieces": pieces}}, P3)
+
+
 def test_verdicts_keep_inconclusive_discipline():
     # a short, non-monotone sequence must never produce HOLDS/FAILS
     wiggle = NonlinearitySpec(form="general",

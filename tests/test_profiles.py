@@ -118,12 +118,30 @@ def test_cut_jump_recorded_not_smoothed():
     assert ramp(radius) == pytest.approx(left)
 
 
+# each two-part composite: its parts, its branch, and the coefficient of the second part
+_COMPOSITE_PARTS = {
+    BarrierKind.RAMP_WITH_BUMP: (BarrierKind.POWER_RAMP, BarrierKind.POWER_BUMP, P_POS, 1.0),
+    BarrierKind.LOG_RAMP_WITH_BUMP: (BarrierKind.LOG_CUT, BarrierKind.LOG_BUMP, P_LOG, 1.0),
+    BarrierKind.CAPPED_WITH_INDICATOR: (BarrierKind.CAPPED_POWER, BarrierKind.BALL_INDICATOR, P_NEG,
+                                        BC.indicator_coef),
+    BarrierKind.COMPLEMENT_WITH_PLATEAU: (BarrierKind.COMPLEMENT_RAMP, BarrierKind.PLATEAU_BUMP, P_NEG, 1.0),
+    BarrierKind.EXTERIOR_WITH_SHELL: (BarrierKind.EXTERIOR_POWER, BarrierKind.POWER_SHELL, P_NEG, 1.0),
+}
+
+
 def test_composites_are_pointwise_sums():
     rho = np.geomspace(0.5, 50.0, 60)
     combo = make_barrier(BarrierKind.RAMP_WITH_BUMP, BC, P_POS)
     parts = make_barrier(BarrierKind.POWER_RAMP, BC, P_POS)(rho) + \
         make_barrier(BarrierKind.POWER_BUMP, BC, P_POS)(rho)
     np.testing.assert_allclose(combo(rho), parts, rtol=1e-14)
+
+    assert BC.indicator_coef != 1.0
+    rho = np.sort(np.random.default_rng(11).uniform(0.05, 3.0 * BC.outer_radius, 200))
+    for kind, (first, second, params, coef) in _COMPOSITE_PARTS.items():
+        want = _barrier_reference(first, BC, params, rho) + coef * _barrier_reference(second, BC, params, rho)
+        np.testing.assert_allclose(make_barrier(kind, BC, params)(rho), want, rtol=1e-14, atol=1e-14,
+                                   err_msg=kind.value)
 
     norm = make_barrier(BarrierKind.NORMALIZED_COMPLEMENT, BC, P_NEG)
     assert np.all(norm(np.geomspace(0.2, 100.0, 200)) <= 1.0 + 1e-14)
