@@ -43,7 +43,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, NumericalError
-from .quadrature import _gauss_nodes, _power_map
+from .quadrature import _adaptive_many, _gauss_nodes, _panel_values, _power_map
 from .params import FracParams
 from .profiles import conform, positive_fundamental
 
@@ -83,7 +83,8 @@ _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
 # _pcg, the one CG: iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
-_TAIL_ROWS = 512  # _exterior_tail_batch: nodes per chunk, which bounds its temporaries
+# _exterior_tail_batch: nodes per chunk (bounds its temporaries), tolerance relative to the node's tail, panels per zone
+_TAIL_ROWS, _TAIL_REL_TOL, _TAIL_PANELS = 2048, 1e-13, 200
 
 
 @dataclass(frozen=True)
@@ -218,34 +219,38 @@ def _mask_on(x: np.ndarray, sets: Sequence[tuple[float, float]]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_TAIL_VE = np.asarray([0.0] + [2.0 ** (-k) for k in range(24, -1, -1)])
-
-
 def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                          T: float, s: float) -> np.ndarray:
-    """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, shared panels: t = T/v, graded toward v = 0.
+    """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, one adaptive pass per chunk of nodes.
 
-    Data singular at the origin are singular at t = a = |x| too, so a node with a > T splits there: t = a/(1 -+ z)
-    on [T, a] and [a, 2a] with z = Z w^p graded toward t = a (p = 1/s: smooth in w), then t = 2a/v on [2a, inf)."""
-    v, w = _gauss_nodes(_TAIL_VE)
-    vs, p = v ** (2.0 * s - 1.0), min(math.ceil(1.0 / s), 24)  # 24: w^p stays far from underflow
+    Data singular at the origin are singular at t = a = |x| too.  With b = max(T, a), every node has the
+    zones [T, b] and [b, 2b], graded toward t = b where a >= T (u ~ w^p, p = max(1/s, 2): u^(2s-1) du is
+    smooth in w for s <= 1/2, du for s > 1/2), and [2b, inf) through t = 2b v^-4.  Next to t = b the data's
+    argument is formed from the offset u = t - b, as (a - b) - u, so it loses no digits.  A zone that
+    misses its tolerance raises NumericalError."""
+    def chunk(x: np.ndarray) -> np.ndarray:
+        m, a, sign = x.size, np.abs(x), np.where(x < 0.0, -1.0, 1.0)
+        b, p = np.maximum(a, T), np.where(a >= T, max(1.0 / s, 2.0), 1.0)
+        # t = c + U w^P zone by zone: [T, b] (backward from b, empty where a <= T), [b, 2b], [2b, inf)
+        c, U, P = np.hstack([[b, T - b, p], [b, b, p], [np.zeros(m), 2.0 * b, np.full(m, -4.0)]])
 
-    def beyond(x, lo):
-        return lo ** (-2.0 * s) * (vs * (g(x + lo / v) + g(x - lo / v))) @ w
+        def f(ids, w):
+            k, ck = ids[:, None] % m, c[ids, None]
+            u, du = _power_map(w, U[ids, None], P[ids, None])
+            t = ck + u
+            vals = np.abs(du) * t ** (-1.0 - 2.0 * s) * (g(sign[k] * (a[k] + t)) + g(sign[k] * (a[k] - ck - u)))
+            return vals, np.zeros_like(vals)
 
-    def split(x):
-        a, sign, total = np.abs(x), np.sign(x), beyond(x, 2.0 * np.abs(x))
-        for e, Z in ((-1.0, a / T - 1.0), (1.0, 0.5)):
-            z, dz = _power_map(v, Z, p)
-            t, jac = a / (1.0 - e * z), a ** (-2.0 * s) * (1.0 - e * z) ** (2.0 * s - 1.0) * dz
-            total += (jac * (g(sign * (a + t)) + g(-sign * e * a * z / (1.0 - e * z)))) @ w
-        return total
+        ids = np.flatnonzero(U)
+        lo, hi = np.zeros(ids.size), np.ones(ids.size)
+        first = _panel_values(f, ids, lo, hi)
+        tol = _TAIL_REL_TOL * np.tile(np.bincount(ids % m, np.abs(first[0]), m), 3)
+        val, _, _, ok = _adaptive_many(f, ids, lo, hi, tol, _TAIL_PANELS, 3 * m, first)
+        if not ok.all():
+            raise NumericalError(f"exterior tail: a zone missed its tolerance within {_TAIL_PANELS} panels")
+        return val.reshape(3, m).sum(axis=0)
 
-    out, far = np.empty_like(xs), np.abs(xs) > T
-    for mask, rule in ((~far, lambda x: beyond(x, T)), (far, split)):
-        rows = xs[mask, None]
-        out[mask] = np.concatenate([rule(x) for x in np.split(rows, range(_TAIL_ROWS, rows.size, _TAIL_ROWS))])
-    return out
+    return np.concatenate([chunk(xs[j:j + _TAIL_ROWS]) for j in range(0, xs.size, _TAIL_ROWS)])
 
 
 def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
@@ -362,32 +367,27 @@ def lu_solve(fac: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _rate_profile_integral(s: float, e: float) -> float:
-    """Paired kernel integral of the boundary-rate profile dist^e on (0, 3 delta].
+def _rate_profile_integral(s: float) -> float:
+    """Paired kernel integral of the boundary-rate profile dist^s on (0, 3 delta].
 
     With tau = t/delta, returns
-    int_0^1 (2-(1-tau)^e-(1+tau)^e) tau^(-1-2s) dtau
-      + int_1^3 (2-(1+tau)^e) tau^(-1-2s) dtau,
-    the dimensionless row weight of a dist^e local profile cut at the
+    int_0^1 (2-(1-tau)^s-(1+tau)^s) tau^(-1-2s) dtau
+      + int_1^3 (2-(1+tau)^s) tau^(-1-2s) dtau,
+    the dimensionless row weight of a dist^s local profile cut at the
     boundary (the beyond-boundary range is fed by exterior data separately).
     """
-    def integrate(edges: np.ndarray, fn) -> float:
-        tau, w = _gauss_nodes(edges)
-        return float(fn(tau) @ w)
-
     def pair_gap(tau: np.ndarray) -> np.ndarray:
-        # 2 - (1-tau)^e - (1+tau)^e, series below the cancellation threshold
-        direct = 2.0 - (1.0 - tau) ** e - (1.0 + tau) ** e
-        series = e * (1.0 - e) * tau**2 * (1.0 + (e - 2.0) * (e - 3.0) * tau**2 / 12.0)
+        # 2 - (1-tau)^s - (1+tau)^s, series below the cancellation threshold
+        direct = 2.0 - (1.0 - tau) ** s - (1.0 + tau) ** s
+        series = s * (1.0 - s) * tau**2 * (1.0 + (s - 2.0) * (s - 3.0) * tau**2 / 12.0)
         return np.where(tau < 1e-3, series, direct)
 
     # sorted, and clustered at both ends: 0, 2^-40 .. 1/2, 1 - 2^-2 .. 1 - 2^-40, 1
-    inner_edges = np.concatenate([[0.0], 2.0 ** np.arange(-40.0, 0.0),
-                                  1.0 - 2.0 ** np.arange(-2.0, -41.0, -1.0), [1.0]])
-    part1 = integrate(inner_edges, lambda tau: pair_gap(tau) * tau ** (-1.0 - 2.0 * s))
-    part2 = integrate(np.linspace(1.0, 3.0, 17),
-                      lambda tau: (2.0 - (1.0 + tau) ** e) * tau ** (-1.0 - 2.0 * s))
-    return part1 + part2
+    tau, w = _gauss_nodes(np.concatenate([[0.0], 2.0 ** np.arange(-40.0, 0.0),
+                                          1.0 - 2.0 ** np.arange(-2.0, -41.0, -1.0), [1.0]]))
+    part1 = float((pair_gap(tau) * tau ** (-1.0 - 2.0 * s)) @ w)
+    tau, w = _gauss_nodes(np.linspace(1.0, 3.0, 17))
+    return part1 + float(((2.0 - (1.0 + tau) ** s) * tau ** (-1.0 - 2.0 * s)) @ w)
 
 
 class _Assembly:
@@ -436,7 +436,7 @@ class _Assembly:
         # is), so the M-matrix sign pattern survives.
         rows = np.nonzero(dC <= 0.75 * h)[0]
         iB, dB = C[rows], dC[rows, None]
-        coef = dB[:, 0] ** (-two_s) * _rate_profile_integral(s, s)
+        coef = dB[:, 0] ** (-two_s) * _rate_profile_integral(s)
         AC[iB, rows] += coef - 2.0 * c2 - 2.0 * omega1
         AC[iB] += (DC[iB] == 1) * (c2 + omega1 * phi)
         # what the exterior rhs needs of the grid (see exterior_rhs), the O(K) pair weights included

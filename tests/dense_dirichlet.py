@@ -69,7 +69,7 @@ class DenseAssembly:
         A[D == 1] -= c2
         np.fill_diagonal(A, 2.0 * omega.sum() + 2.0 * c2 + 2.0 * tail_k)
 
-        self.q_s = q_s = _rate_profile_integral(s, s)
+        self.q_s = q_s = _rate_profile_integral(s)
         for i in range(n):
             delta = delta_arr[i]
             if delta > 0.75 * h:

@@ -319,31 +319,82 @@ def test_pair_weights_match_mpmath_moments(k, s):
 def _mp_tail(mpmath, a, T, s):
     """int_T^inf t^(-1-2s) (Phi(|x + t|) + Phi(|x - t|)) dt at |x| = a, Phi the fundamental solution.
 
-    Beyond the window (a > T) the integrand is singular at t = a; there the integral runs in the
-    distance u = |t - a| on both sides, so no node loses digits to a - t.
+    With b = max(a, T), [T, 2b] runs in the offset u = |t - b| on both sides of t = b, so no node
+    loses digits to a - t.  Where a >= T, the data are singular at u = 0, and u = D y^(1/s) makes
+    u^(2s-1) du smooth in y (plain tanh-sinh is 25 % off at s = 0.01); where a < T, the singular
+    point sits at u = a - T outside [0, b], and the breakpoints double away from it.
     """
     phi = mpmath.log if s == 0.5 else (lambda y: y ** (2 * s - 1))
-    f = lambda t: t ** (-1 - 2 * s) * (phi(a + t) + phi(abs(a - t)))
-    if a <= T:
-        return mpmath.quad(f, [T, 2 * T, mpmath.inf])
-    side = lambda e: (lambda u: (a + e * u) ** (-1 - 2 * s) * (phi(2 * a + e * u) + phi(u)))
-    return mpmath.quad(side(-1), [0, a - T]) + mpmath.quad(side(1), [0, a]) + mpmath.quad(f, [2 * a, mpmath.inf])
+    b = max(a, T)
+
+    def side(e, D):  # t = b + e u on [0, D]
+        f = lambda u: (b + e * u) ** (-1 - 2 * s) * (phi(a + b + e * u) + phi(abs(a - b - e * u)))
+        if a >= T:
+            return mpmath.quad(lambda y: f(D * y ** (1 / s)) * D / s * y ** (1 / s - 1), [0, 1])
+        points = [0]
+        while (T - a) * (2 ** len(points) - 1) < D:
+            points.append((T - a) * (2 ** len(points) - 1))
+        return mpmath.quad(f, points + [D])
+
+    far = mpmath.quad(lambda t: t ** (-1 - 2 * s) * (phi(a + t) + phi(t - a)), [2 * b, mpmath.inf])
+    return (side(-1, a - T) if a > T else 0) + side(1, b) + far
+
+
+def _fundamental_tail(problem, x):
+    params = problem.params
+    T = (problem.window() + 0.5) * problem.h
+    return T, _exterior_tail_batch(lambda y: ExteriorData("fundamental").evaluate(y, params), x, T, params.s)
 
 
 @pytest.mark.parametrize("domain", [((9.0, 10.0),), ((-10.0, -9.0), (9.0, 10.0))])
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("s", [0.01, 0.03, 0.25, 0.5, 0.75])
 def test_exterior_tail_matches_mpmath(domain, s):
     # on (9, 10) the window ends at T = 4 + h/2, so t = |x| lies inside the tail; on the pair T = 80 + h/2
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    params = FracParams(1, s)
-    problem = GridProblem(domain, 2.0**-5, params, exterior=ExteriorData("fundamental"))
-    T = (problem.window() + 0.5) * problem.h
+    problem = GridProblem(domain, 2.0**-5, FracParams(1, s), exterior=ExteriorData("fundamental"))
     x = problem.nodes()[[0, 16, -1]]
-    got = _exterior_tail_batch(lambda y: ExteriorData("fundamental").evaluate(y, params), x, T, s)
+    T, got = _fundamental_tail(problem, x)
     for xi, value in zip(x, got):
         want = float(_mp_tail(mpmath, mpmath.mpf(abs(float(xi))), mpmath.mpf(T), mpmath.mpf(s)))
         assert value == pytest.approx(want, rel=1e-10), xi
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_exterior_tail_at_the_window_edge(s):
+    # on (3.5, 4.5) at h = 2^-5 the window ends at T = 4 + h/2, itself a node: the data's singular
+    # point t = |x| sits on the tail's end there, and one cell off either side of it
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    problem = GridProblem(((3.5, 4.5),), 2.0**-5, FracParams(1, s), exterior=ExteriorData("fundamental"))
+    T = (problem.window() + 0.5) * problem.h
+    x = T + problem.h * np.asarray([-1.0, 0.0, 1.0])
+    assert np.isin(x, problem.nodes()).all()
+    _, got = _fundamental_tail(problem, x)
+    for xi, value in zip(x, got):
+        want = float(_mp_tail(mpmath, mpmath.mpf(float(xi)), mpmath.mpf(T), mpmath.mpf(s)))
+        assert value == pytest.approx(want, rel=1e-10), xi
+
+
+@pytest.mark.parametrize("domain", [((3.5, 4.5),), ((-4.5, -3.5),), ((9.0, 10.0),),
+                                    ((-10.0, -9.0), (9.0, 10.0)), ((-1.0, 1.0),)])
+@pytest.mark.parametrize("s", [0.01, 0.99])
+def test_exterior_tail_is_finite_at_extreme_orders(domain, s):
+    # warnings are errors here: the grading power 1/s = 100 must not underflow u to the singular point
+    for h in (2.0**-5, 2.0**-9):
+        problem = GridProblem(domain, h, FracParams(1, s), exterior=ExteriorData("fundamental"))
+        assert np.isfinite(_fundamental_tail(problem, problem.nodes())[1]).all()
+
+
+def test_unconverged_exterior_tail_raises(monkeypatch):
+    # a zone that misses its tolerance within the panel budget fails the solve: no silent tail
+    import fraccert.dirichlet as dirichlet
+
+    monkeypatch.setattr(dirichlet, "_TAIL_PANELS", 1)
+    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
+    with pytest.raises(NumericalError, match="exterior tail"):
+        solve_dirichlet(GridProblem(((9.0, 10.0),), 2.0**-5, FracParams(1, 0.25),
+                                    exterior=ExteriorData("fundamental")))
 
 
 def test_fundamental_data_reproduced_beyond_the_window():
@@ -568,7 +619,7 @@ def test_nan_fails_the_solver_checks(monkeypatch):
 
     with pytest.raises(NumericalError, match="backward-error bound"):
         solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, np.nan))
-    monkeypatch.setattr(dirichlet, "_rate_profile_integral", lambda s, e: math.nan)
+    monkeypatch.setattr(dirichlet, "_rate_profile_integral", lambda s: math.nan)
     monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
     with pytest.raises(ConfigurationError, match="dominance"):
         solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 1.0))
