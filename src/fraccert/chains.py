@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .operator import QuadSpec, eval_radial, eval_radial_many  # eval_radial: rebound by perfbench/tracer.py
+from .operator import (QuadSpec, _batch_arrays, eval_radial,  # eval_radial: rebound by perfbench/tracer.py
+                       eval_radial_many)
 from .params import FracParams
 from .profiles import _COMPOSITES, BarrierConstants, BarrierKind, make_barrier
 
@@ -179,10 +180,28 @@ def _region_samples(spec: _ChainSpec, constants: BarrierConstants,
 
 def _barrier_on_region(spec: _ChainSpec, constants: BarrierConstants, params: FracParams,
                        policy: SamplePolicy, quad: QuadSpec):
-    """The chain's barrier evaluated on its sampled region: (radii, OperatorValues)."""
+    """The chain's barrier evaluated on its sampled region: radii, values, error estimates, converged."""
     prof = make_barrier(spec.barrier, constants, params)
     xs = _region_samples(spec, constants, policy)
-    return xs, eval_radial_many(prof, xs, params, quad)
+    return (xs, *_batch_arrays(eval_radial_many(prof, xs, params, quad)))
+
+
+def _unconverged(converged: np.ndarray) -> str | None:
+    """Why a batch is INCONCLUSIVE whatever its values: more than 5 % of it did not converge."""
+    bad = int(np.count_nonzero(~converged))
+    return f"{bad} of {converged.size} evaluations did not converge" if bad > 0.05 * converged.size else None
+
+
+def _sign_verdict(q: np.ndarray, err: np.ndarray, converged: np.ndarray) -> tuple[Verdict, np.ndarray]:
+    """The sampled verdict on q > 0 of sign chains (q = -value) and scan members (q = residual),
+    with the margins q - 2 err: PASS when every margin is positive, FAIL when some q + 2 err is
+    negative, INCONCLUSIVE otherwise or when more than 5 % of the samples are ``_unconverged``."""
+    margins = q - 2.0 * err
+    if _unconverged(converged):
+        return Verdict.INCONCLUSIVE, margins
+    if np.any(q + 2.0 * err < 0.0):
+        return Verdict.FAIL, margins
+    return (Verdict.PASS if np.all(margins > 0.0) else Verdict.INCONCLUSIVE), margins
 
 
 @dataclass(frozen=True)
@@ -246,38 +265,25 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     chain = ChainId(chain) if not isinstance(chain, ChainId) else chain
     spec = _CHAINS[chain]
     notes: list[str] = []
-    xs, evs = _barrier_on_region(spec, constants, params, sample, quad)
-    vals = np.asarray([e.value for e in evs])
-    errs = np.asarray([e.error_estimate for e in evs])
-    bad = sum(not e.converged for e in evs)
-    if bad > 0.05 * len(evs):
-        return VerificationReport(chain, params, constants,
-                                  tuple(zip(xs.tolist(), vals.tolist(), errs.tolist())),
-                                  float("nan"), Verdict.INCONCLUSIVE,
-                                  notes=(f"{bad} of {len(evs)} evaluations did not converge",))
-
+    xs, vals, errs, converged = _barrier_on_region(spec, constants, params, sample, quad)
     samples = tuple(zip(xs.tolist(), vals.tolist(), errs.tolist()))
+    unconverged = _unconverged(converged)
+    if unconverged:
+        return VerificationReport(chain, params, constants, samples, float("nan"), Verdict.INCONCLUSIVE,
+                                  notes=(unconverged,))
 
     if spec.kind == "sign":
-        margins = -vals  # required positive
-        worst = float((margins - 2.0 * errs).min())
-        if np.any(vals - 2.0 * errs > 0.0):
-            verdict = Verdict.FAIL
-        elif worst > 0.0:
-            verdict = Verdict.PASS
-        else:
-            verdict = Verdict.INCONCLUSIVE
+        verdict, margins = _sign_verdict(-vals, errs, converged)
+        if verdict is Verdict.INCONCLUSIVE:
             notes.append("values within twice their error estimates near zero")
-        return VerificationReport(chain, params, constants, samples, worst, verdict,
+        return VerificationReport(chain, params, constants, samples, float(margins.min()), verdict,
                                   notes=tuple(notes))
 
     # bound chains: values <= C * envelope (envelope_sign = +1) or
     # values <= -c * envelope with c > 0 (envelope_sign = -1)
     rate_vals = spec.rate(xs, constants.outer_radius, params)
     second = constants.with_updates(outer_radius=constants.outer_radius * math.sqrt(10.0))
-    xs2, evs2 = _barrier_on_region(spec, second, params, sample, quad)
-    vals2 = np.asarray([e.value for e in evs2])
-    errs2 = np.asarray([e.error_estimate for e in evs2])
+    xs2, vals2, errs2, _ = _barrier_on_region(spec, second, params, sample, quad)
     rate2 = spec.rate(xs2, second.outer_radius, params)
 
     if spec.envelope_sign > 0:
@@ -317,10 +323,8 @@ def measure_rate(chain: ChainId | str, params: FracParams, constants: BarrierCon
     maxima = []
     for r in r_grid:
         consts = constants.with_updates(outer_radius=float(r))
-        _, evs = _barrier_on_region(spec, consts, params, SamplePolicy(points=points_per_r), quad)
-        vals = np.asarray([ov.value for ov in evs])
-        extreme = vals.max() if spec.envelope_sign > 0 else -vals.min()
-        maxima.append(float(extreme))
+        _, vals, _, _ = _barrier_on_region(spec, consts, params, SamplePolicy(points=points_per_r), quad)
+        maxima.append(float(vals.max() if spec.envelope_sign > 0 else -vals.min()))
     rate_at = lambda r: float(spec.rate(np.asarray([2.0 * r]), r, params)[0]) if \
         spec.region == "exterior_2r" else float(spec.rate(np.asarray([r]), r, params)[0])
     return fit_rate(list(r_grid), maxima, rate_at)

@@ -29,8 +29,7 @@ _PROBE_POLICY = SamplePolicy(points=24, exterior_span=40.0)
 def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams) -> float:
     """Sampled envelope constant of a bound chain: envelope_sign * max(value / rate)."""
     spec = chain_info(chain)
-    xs, evs = _barrier_on_region(spec, constants, params, _PROBE_POLICY, _PROBE_QUAD)
-    vals = np.asarray([ov.value for ov in evs])
+    xs, vals, _, _ = _barrier_on_region(spec, constants, params, _PROBE_POLICY, _PROBE_QUAD)
     return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
 
 

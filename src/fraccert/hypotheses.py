@@ -4,8 +4,8 @@ The conditions are liminf statements, which no finite computation decides;
 each checker samples the defining quantity along a geometric sequence,
 classifies the trend of the last few samples, and reports HOLDS / FAILS only
 when that trend is monotone, INCONCLUSIVE otherwise.  Infima over the scaled
-argument range use a 400-point log grid with one refinement pass around the
-grid minimizer.
+argument range are ``profiles.sampled_inf`` over 400 geometric samples.  A NaN
+or infinite sample of the nonlinearity raises DomainError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PositivityViolation
 from .params import FracParams
-from .profiles import RadialProfile, positive_fundamental
+from .profiles import RadialProfile, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
     "NonlinearitySpec",
@@ -121,23 +121,6 @@ _K_STEPS = 12  # the range cap runs k = 2^-j (check_f3prime) or 2^j (check_f4pri
 _F2PRIME_BOXES = ((0.5, 2.0), (0.1, 1.0), (1.0, 10.0))  # the compact t-boxes of check_f2prime
 
 
-def _log_grid_inf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Grid infimum with one refinement pass around the minimizer."""
-    if hi <= lo:
-        raise ConfigurationError("empty range")
-    if hi / lo < 1.0 + 1e-12:
-        return float(fn(np.asarray([lo]))[0])
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
-    vals = np.asarray(fn(grid), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise DomainError("nonlinearity not evaluable on the range")
-    i = int(vals.argmin())
-    lo2, hi2 = grid[max(0, i - 2)], grid[min(len(grid) - 1, i + 2)]
-    fine = np.geomspace(lo2, hi2, 100)
-    vals2 = np.asarray(fn(fine), dtype=float)
-    return float(min(vals.min(), vals2.min()))
-
-
 def psi_k(x_norm: float, k: float, spec: NonlinearitySpec, params: FracParams,
           variant: str = "F3") -> float:
     """|x|^2s times the infimum of f(t,x)/t over the scaled range.
@@ -163,7 +146,7 @@ def psi_k(x_norm: float, k: float, spec: NonlinearitySpec, params: FracParams,
                 f"nonlinearity nonpositive at t={t[np.asarray(f_vals) <= 0][:1]}, |x|={x_norm}")
         return f_vals / t
 
-    return x_norm ** (2.0 * params.s) * _log_grid_inf(ratio, lo, hi)
+    return x_norm ** (2.0 * params.s) * sampled_inf(ratio, lo, hi, _GRID_POINTS)
 
 
 def h_of_k(k: float, spec: NonlinearitySpec, params: FracParams,
@@ -207,10 +190,8 @@ def check_f2(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     ts = [2.0 ** (-k) for k in range(1, _F2_STEPS + 1)]
     qs = []
     for t in ts:
-        f_val = float(spec.f(np.asarray([t]), spec.r0)[0]) * spec.r0**spec.gamma \
-            if spec.form == "separable" else float(spec.f(np.asarray([t]), spec.r0)[0])
-        if not math.isfinite(f_val):
-            raise DomainError(f"nonlinearity not evaluable at t={t}")
+        f_val = float(finite_samples(spec.f(np.asarray([t]), spec.r0), f"the nonlinearity at t={t}")[0])
+        f_val *= spec.r0**spec.gamma if spec.form == "separable" else 1.0
         if f_val <= 0.0:
             raise PositivityViolation(f"nonlinearity nonpositive at t={t}")
         qs.append(t**(-expo) * f_val)
@@ -317,7 +298,7 @@ def check_f2prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisRepor
         tgrid = np.geomspace(a, b, 64)
         seq = []
         for x in radii:
-            f_vals = spec.f(tgrid, x)
+            f_vals = finite_samples(spec.f(tgrid, x), f"the nonlinearity on box ({a},{b}) at |x|={x}")
             if np.any(f_vals < 0.0):
                 raise PositivityViolation(f"nonlinearity negative on box ({a},{b}) at |x|={x}")
             # exact zeros are kept: they witness decay (underflow included)

@@ -11,18 +11,18 @@ mechanism behind nonexistence) is visible as a crossing at finite radius.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .chains import Verdict, _sign_verdict
 from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
 from .errors import ConfigurationError, DomainError
-from .operator import OperatorValue, QuadSpec, eval_radial, eval_radial_many
+from .operator import QuadSpec, _batch_arrays, eval_radial, eval_radial_many
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKind, \
-    BarrierConstants, positive_fundamental
+    BarrierConstants, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
     "CandidateFamily",
@@ -42,16 +42,8 @@ _SYMBOL_QUAD = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
 
 
 def annulus_inf(u: RadialProfile | Callable, r: float, points: int = 400) -> float:
-    """Sampled infimum of u over the annulus [r, 2r]: ``points`` geometric radii, then one
-    local refinement around the smallest sample."""
-    fn = as_radial_callable(u)
-    rho = np.geomspace(r, 2.0 * r, points)
-    vals = np.asarray(fn(rho), dtype=float)
-    i = int(vals.argmin())
-    lo, hi = rho[max(0, i - 1)], rho[min(len(rho) - 1, i + 1)]
-    fine = np.linspace(lo, hi, 64)
-    vals2 = np.asarray(fn(fine), dtype=float)
-    return float(min(vals.min(), vals2.min()))
+    """``profiles.sampled_inf`` of u over the annulus [r, 2r]; a NaN or infinite sample raises DomainError."""
+    return sampled_inf(as_radial_callable(u), r, 2.0 * r, points)
 
 
 # ------------------------------------------------------------------ growth
@@ -146,22 +138,14 @@ def _residual_radii(region: tuple[float, float], points: int) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def _residual_report(u: RadialProfile | Callable, f: Callable, radii: np.ndarray,
-                     ovs: Sequence[OperatorValue]) -> ResidualReport:
-    """Residuals (-Delta)^s u - f(u, r) from the operator values of u at the radii."""
+def _residuals(u: RadialProfile | Callable, f: Callable, radii: np.ndarray, vals: np.ndarray,
+               errs: np.ndarray, converged: np.ndarray) -> tuple[Verdict, int, tuple]:
+    """Residuals (-Delta)^s u - f(u, r) from the operator values of u at the radii: their
+    ``chains._sign_verdict``, the least-margin sample's index and the (radius, residual, err) rows."""
     u_vals = as_radial_callable(u)(radii)
-    rows = [(r, ov.value - float(np.asarray(f(float(u_r), r))), ov.error_estimate)
-            for r, u_r, ov in zip(radii.tolist(), u_vals, ovs)]
-    bad = sum(not ov.converged for ov in ovs)
-    arr = np.asarray(rows)
-    lowered = arr[:, 1] - 2.0 * arr[:, 2]
-    raised = arr[:, 1] + 2.0 * arr[:, 2]
-    i = int(lowered.argmin())
-    frac = bad / len(rows)
-    certified = bool(np.all(lowered >= 0.0) and frac <= 0.05)
-    failed = bool(np.any(raised < 0.0))
-    return ResidualReport(float(arr[i, 1]), float(arr[i, 0]), float(arr[i, 2]),
-                          certified, failed, tuple(map(tuple, rows)), float(frac))
+    res = vals - np.asarray([float(np.asarray(f(float(u_r), r))) for r, u_r in zip(radii.tolist(), u_vals)])
+    verdict, margins = _sign_verdict(res, errs, converged)
+    return verdict, int(margins.argmin()), tuple(zip(radii.tolist(), res.tolist(), errs.tolist()))
 
 
 def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tuple[float, float],
@@ -169,12 +153,18 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
                            points: int = 25) -> ResidualReport:
     """Sampled residual (-Delta)^s u - f(u(x), x) over a radius interval.
 
-    Certified as a supersolution on the samples iff every residual clears
-    zero by twice its quadrature error estimate; definitely failed iff some
-    residual is below zero by the same margin.  ``points`` must be at least 1.
+    Judged by ``chains._sign_verdict``: certified as a supersolution on the
+    samples iff every residual clears zero by twice its quadrature error
+    estimate and at most 5 % of the samples are unconverged; definitely failed
+    iff some residual is below zero by the same margin and the samples are
+    converged.  ``points`` must be at least 1.
     """
     radii = _residual_radii(region, points)
-    return _residual_report(u, f, radii, eval_radial_many(u, radii, params, quad))
+    vals, errs, converged = _batch_arrays(eval_radial_many(u, radii, params, quad))
+    verdict, i, samples = _residuals(u, f, radii, vals, errs, converged)
+    radius, residual, err = samples[i]
+    return ResidualReport(residual, radius, err, verdict is Verdict.PASS, verdict is Verdict.FAIL, samples,
+                          np.count_nonzero(~converged) / converged.size)
 
 
 def power_symbol(tau: float, params: FracParams) -> float:
@@ -249,6 +239,10 @@ class MemberVerdict:
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+_MEMBER_VERDICT = {Verdict.PASS: MemberVerdict.SUPERSOLUTION, Verdict.FAIL: MemberVerdict.FAILS_AT,
+                   Verdict.INCONCLUSIVE: MemberVerdict.INCONCLUSIVE}
+
+
 @dataclass(frozen=True)
 class ScanReport:
     region: tuple[float, float]
@@ -290,10 +284,8 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
     values and error estimates.  The base runs with ``quad.abs_tol`` divided
     by max(1, max c), so every scaled member meets an error target at least
     as strict as its own evaluation with ``quad``; the control member is
-    evaluated directly.  A 20 x 20 family thus costs 20 batched passes, not
-    400: the criterion-11 scans take ~0.25 s instead of ~3.5 s, and
-    ``fraccert scan --family-side 20`` (200 samples per member) ~2 s instead
-    of ~25 s (2-core Xeon).  ``points`` must be at least 1.
+    evaluated directly.  Each member is judged as in ``supersolution_residual``.
+    ``points`` must be at least 1.
     """
     radii = _residual_radii(r_range, points)
     members = list(family.members(params))
@@ -301,39 +293,22 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
         raise ConfigurationError("the candidate family is empty")
     grid = [(float(c), float(beta)) for c in family.c_values for beta in family.beta_values]
     base_quad = replace(quad, abs_tol=quad.abs_tol / max([1.0] + [c for c, _ in grid]))
-    base: dict[float, list[OperatorValue]] = {}
-    reports = []
-    for (label, member), (c, beta) in zip(members, grid):
+    base: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    rows, curves = [], []
+    # the control member, if any, comes last and is its own base (beta None, c = 1)
+    for (label, member), (c, beta) in zip(members, grid + [(1.0, None)]):
         if beta not in base:
-            base[beta] = eval_radial_many(_family_member(1.0, beta), radii, params, base_quad)
-        ovs = [OperatorValue(c * ov.value, c * ov.error_estimate, ov.panels_used, ov.converged)
-               for ov in base[beta]]
-        reports.append((label, _residual_report(member, f, radii, ovs)))
-    for label, control in members[len(grid):]:
-        reports.append((label, _residual_report(
-            control, f, radii, eval_radial_many(control, radii, params, quad))))
-
-    rows = []
-    curves = []
-    certified = failed = inconclusive = 0
-    worst = math.inf
-    for label, rep in reports:
-        worst = min(worst, rep.min_residual)
-        if rep.certified:
-            verdict = MemberVerdict.SUPERSOLUTION
-            certified += 1
-        elif rep.failed:
-            verdict = MemberVerdict.FAILS_AT
-            failed += 1
-        else:
-            verdict = MemberVerdict.INCONCLUSIVE
-            inconclusive += 1
-        rows.append((label, verdict, rep.witness_radius, rep.min_residual,
-                     rep.witness_error))
+            prof, q = (member, quad) if beta is None else (_family_member(1.0, beta), base_quad)
+            base[beta] = _batch_arrays(eval_radial_many(prof, radii, params, q))
+        vals, errs, converged = base[beta]
+        verdict, i, samples = _residuals(member, f, radii, c * vals, c * errs, converged)
+        rows.append((label, _MEMBER_VERDICT[verdict], *samples[i]))
         if keep_curves:
-            curves.append((label, rep.samples))
-    return ScanReport(tuple(float(v) for v in r_range), tuple(rows),
-                      certified, failed, inconclusive, worst, tuple(curves))
+            curves.append((label, samples))
+    verdicts = [row[1] for row in rows]
+    return ScanReport(tuple(float(v) for v in r_range), tuple(rows), verdicts.count(MemberVerdict.SUPERSOLUTION),
+                      verdicts.count(MemberVerdict.FAILS_AT), verdicts.count(MemberVerdict.INCONCLUSIVE),
+                      min(row[3] for row in rows), tuple(curves))
 
 
 # ------------------------------------------------------------------ trace
@@ -389,43 +364,34 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
     m_vals = np.asarray([annulus_inf(u, float(r), 200) for r in r_arr])
     if np.any(m_vals <= 0.0):
         raise DomainError("annulus infimum nonpositive along the grid")
-    c_upper = float((m_vals / r_arr**params.sigma_star).max()) if params.sigma_star < 0 else \
-        float(m_vals.max())
+    c_upper = float((m_vals / (r_arr**params.sigma_star if params.sigma_star < 0 else 1.0)).max())
 
     grown = positive_fundamental(params)
-    eta_possible = params.sigma_star > 0.0
-
     rows = []
     contradiction = None
-    notes: list[str] = []
     for r, m in zip(r_arr, m_vals):
         if f is None:
             lower = 0.0
         else:
-            tgrid = np.geomspace(m, 2.0 * m, 128)
-            fmin = float(np.min([np.asarray(f(float(t), float(x)))
-                                 for t in tgrid[:: max(1, len(tgrid) // 16)]
-                                 for x in (r, 2.0 * r)]))
-            lower = 0.5 * c_bar * r ** (2.0 * params.s) * annulus_measure * fmin
-        envelope = (2.0 / c_bar) * c_upper * r**params.sigma_star if params.sigma_star < 0 \
-            else (2.0 / c_bar) * c_upper
+            f_vals = finite_samples([np.asarray(f(float(t), float(x))) for t in np.geomspace(m, 2.0 * m, 128)[::8]
+                                     for x in (r, 2.0 * r)], "the forcing")
+            lower = 0.5 * c_bar * r ** (2.0 * params.s) * annulus_measure * float(f_vals.min())
+        envelope = (2.0 / c_bar) * c_upper * (r**params.sigma_star if params.sigma_star < 0 else 1.0)
         rho_ratio = None
         if params.sigma_star < 0.0:
             consts = BarrierConstants(base_radius=max(1.01, r / 20.0), outer_radius=r)
             barrier = make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, consts, params)
-            rho_grid = np.geomspace(r * 1.0001, 2.0 * r, 200)
-            rho_ratio = float(np.min(np.asarray(fn(rho_grid)) / np.asarray(barrier(rho_grid))))
+            rho_ratio = sampled_inf(lambda rho: fn(rho) / barrier(rho), r * 1.0001, 2.0 * r, 200)
         eta_ratio = None
-        if eta_possible and r > 1.0:
+        if params.sigma_star > 0.0 and r > 1.0:
             xs = np.geomspace(max(r, 1.0 + 1e-6), 1e4 * r, 200)
             denom = np.asarray(grown(xs)) - 1.0
             if np.any(denom <= 0.0):
                 raise ConfigurationError("the grown fundamental does not exceed 1 on the region")
-            eta_ratio = float(np.min(np.asarray(fn(xs)) / denom))
+            eta_ratio = float(np.min(finite_samples(np.asarray(fn(xs)) / denom, "the exterior ratio")))
         rows.append(TraceRow(float(r), float(m), float(lower), float(envelope),
                              rho_ratio, eta_ratio))
         if contradiction is None and f is not None and lower > envelope:
             contradiction = float(r)
-    if contradiction is None and f is not None:
-        notes.append("no contradiction radius within the grid")
-    return TraceReport(tuple(rows), contradiction, float(c_bar), c_upper, tuple(notes))
+    notes = ("no contradiction radius within the grid",) if contradiction is None and f is not None else ()
+    return TraceReport(tuple(rows), contradiction, float(c_bar), c_upper, notes)

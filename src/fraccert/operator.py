@@ -345,6 +345,13 @@ def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
     return eval_radial_many(profile, [r], params, quad)[0]
 
 
+def _batch_arrays(ovs: Sequence[OperatorValue]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, error-estimate and converged arrays of an ``eval_radial_many`` batch."""
+    return (np.asarray([ov.value for ov in ovs], dtype=float),
+            np.asarray([ov.error_estimate for ov in ovs], dtype=float),
+            np.asarray([ov.converged for ov in ovs], dtype=bool))
+
+
 def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec()) -> OperatorValue:
     """(-Delta)^s u(x) for a function on R^n.
 

@@ -515,3 +515,22 @@ def as_radial_callable(profile: RadialProfile | Callable) -> Callable:
         out = conform(profile(rho_arr), rho_arr.shape, "callable result")
         return out if np.asarray(rho).ndim else float(out[0])
     return wrapped
+
+
+def finite_samples(vals, what: str) -> np.ndarray:
+    """``vals`` as a float array; a NaN or infinite entry raises DomainError naming ``what``."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{what} is not finite at some sample")
+    return vals
+
+
+def sampled_inf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, points: int) -> float:
+    """Sampled infimum of fn over [lo, hi]: ``points`` geometric samples, then 64 evenly
+    spaced between the neighbours of the smallest.  A non-finite sample raises DomainError."""
+    grid = np.geomspace(lo, hi, points)
+    what = f"the sampled function on [{lo:.6g}, {hi:.6g}]"
+    vals = finite_samples(fn(grid), what)
+    i = int(vals.argmin())
+    fine = finite_samples(fn(np.linspace(grid[max(0, i - 1)], grid[min(points - 1, i + 1)], 64)), what)
+    return float(min(vals.min(), fine.min()))

@@ -84,9 +84,9 @@ def test_infimum_monotone_in_range_width(width, lo):
     # enlarging the range never increases the infimum
     spec = NonlinearitySpec(form="general",
                             f_general=lambda t, x: np.cos(np.asarray(t)) ** 2 + 0.3)
-    from fraccert.hypotheses import _log_grid_inf
-    narrow = _log_grid_inf(lambda t: spec.f(t, 10.0) / t, lo, lo * math.sqrt(width))
-    wide = _log_grid_inf(lambda t: spec.f(t, 10.0) / t, lo, lo * width)
+    from fraccert.profiles import sampled_inf
+    narrow = sampled_inf(lambda t: spec.f(t, 10.0) / t, lo, lo * math.sqrt(width), 400)
+    wide = sampled_inf(lambda t: spec.f(t, 10.0) / t, lo, lo * width, 400)
     # nonincreasing up to the resolution of the refined grid minimum
     assert wide <= narrow * (1.0 + 1e-6) + 1e-12
 
@@ -215,3 +215,10 @@ def test_verdicts_keep_inconclusive_discipline():
                               * np.asarray(t) / x)
     rep = check_f2prime(wiggle, P3)
     assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+def test_f2prime_refuses_nonfinite_samples():
+    spec = NonlinearitySpec(form="general",
+                            f_general=lambda t, x: np.where(np.asarray(t) > 0.9, np.nan, np.asarray(t) ** 1.4))
+    with pytest.raises(DomainError):
+        check_f2prime(spec, P3)

@@ -10,7 +10,7 @@ from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 supersolution_residual, verify_growth_bounds)
 from fraccert.operator import QuadSpec, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile, SignVariant, make_fundamental
+from fraccert.profiles import BarrierConstants, RadialProfile, SignVariant, make_fundamental
 
 P3 = FracParams(3, 0.5)
 P1 = FracParams(1, 0.75)
@@ -273,3 +273,67 @@ def test_sampler_covers_the_annulus():
     calls.clear()
     annulus_inf(u, 5.0)
     assert calls[0].size == 400 and calls[0].min() == 5.0 and calls[0].max() <= 10.0 + 1e-12
+
+
+def _nan_beyond(radius: float):
+    """The positive candidate 1 + |x|^(1/4), NaN beyond ``radius``."""
+    return lambda rho: np.where(np.asarray(rho) > radius, np.nan, 1.0 + np.asarray(rho) ** 0.25)
+
+
+def test_annulus_inf_refuses_nonfinite_samples():
+    with pytest.raises(DomainError):
+        annulus_inf(_nan_beyond(1.5), 1.0)
+    with pytest.raises(DomainError):
+        annulus_inf(lambda rho: np.where(np.asarray(rho) > 1.5, -np.inf, 1.0), 1.0)
+
+
+def test_growth_bounds_and_trace_refuse_nonfinite_infima():
+    u = _nan_beyond(300.0)
+    with pytest.raises(DomainError):
+        verify_growth_bounds(u, "SUB", list(np.geomspace(2.0, 2000.0, 8)), P3)
+    with pytest.raises(DomainError):
+        proof_quantity_trace(u, None, P3, default_r_grid(2.0, per_decade=3, decades=2.0))
+
+
+def test_trace_refuses_a_nonfinite_forcing():
+    forcing = lambda t, x: t**1.4 if x <= 50.0 else math.nan
+    with pytest.raises(DomainError):
+        proof_quantity_trace(PHI3, forcing, P3, default_r_grid(2.0, per_decade=3, decades=2.0))
+
+
+def test_trace_refuses_a_nonfinite_exterior_ratio():
+    # the annuli stay below 1e4; only the exterior ratio of the growing branch reaches beyond it
+    grid = default_r_grid(2.0, per_decade=3, decades=2.0)
+    assert 2.0 * max(grid) < 1e4
+    with pytest.raises(DomainError):
+        proof_quantity_trace(_nan_beyond(1e4), None, P1, grid)
+
+
+@pytest.mark.parametrize("unconverged, verdict", [(1, MemberVerdict.FAILS_AT), (2, MemberVerdict.INCONCLUSIVE)])
+def test_scan_member_follows_the_chain_sign_rule(monkeypatch, unconverged, verdict):
+    # one residual below zero by more than 2 err: FAILS_AT while at most 5 % of the 20 samples are
+    # unconverged, INCONCLUSIVE beyond, as a sign chain judges the same samples
+    import fraccert.chains as chains
+    import fraccert.liouville as liouville
+    from fraccert.operator import OperatorValue
+
+    values = np.ones(20)
+    values[7] = -1.0
+    converged = np.arange(20) >= unconverged
+
+    def batch(sign):
+        return lambda profile, radii, params, quad: [OperatorValue(sign * float(v), 1e-3, 1, bool(ok))
+                                                     for v, ok in zip(values, converged)]
+
+    monkeypatch.setattr(liouville, "eval_radial_many", batch(1.0))
+    fam = CandidateFamily(c_values=(1.0,), beta_values=(1.0,))
+    scan = nonexistence_scan(fam, lambda t, x: 0.0 * t, P3, (10.0, 1e3), points=20)
+    assert [row[1] for row in scan.members] == [verdict]
+    failed = verdict == MemberVerdict.FAILS_AT
+    assert (scan.certified, scan.failed, scan.inconclusive) == (0, int(failed), int(not failed))
+    direct = supersolution_residual(lambda rho: np.ones_like(rho), lambda t, x: 0.0 * t, (10.0, 1e3), P3, points=20)
+    assert not direct.certified and direct.failed == failed
+    # a sign chain needs negative values: the same samples, negated
+    monkeypatch.setattr(chains, "eval_radial_many", batch(-1.0))
+    rep = chains.verify_chain("CA1_00", FracParams(1, 0.5), BarrierConstants(2.0, 20.0), chains.SamplePolicy(points=20))
+    assert rep.verdict is (chains.Verdict.FAIL if failed else chains.Verdict.INCONCLUSIVE)
