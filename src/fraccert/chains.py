@@ -247,10 +247,6 @@ class VerificationReport:
     fitted_constant: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    def sample_arrays(self):
-        arr = np.asarray(self.samples)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
-
 
 def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierConstants,
                  sample: SamplePolicy = SamplePolicy(),

@@ -34,15 +34,12 @@ from .profiles import (BarrierConstants, barrier_gallery, make_barrier, make_fun
                        positive_fundamental, BarrierKind)
 from .reporting import to_json, write_csv, write_json
 
-_EXIT_PASS = 0
-_EXIT_FAIL = 1
-_EXIT_INCONCLUSIVE = 2
 _EXIT_USAGE = 3
 
-# one exit code per verdict, for both verdict vocabularies
-_EXIT_OF = {Verdict.PASS: _EXIT_PASS, Verdict.FAIL: _EXIT_FAIL, Verdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE,
-            HVerdict.HOLDS: _EXIT_PASS, HVerdict.FAILS: _EXIT_FAIL,
-            HVerdict.INCONCLUSIVE: _EXIT_INCONCLUSIVE}
+# every verb returns a verdict, and main maps it to the exit code here, for both verdict vocabularies
+_EXIT_OF = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INCONCLUSIVE: 2,
+            HVerdict.HOLDS: 0, HVerdict.FAILS: 1, HVerdict.INCONCLUSIVE: 2}
+_SEVERITY = (Verdict.PASS, Verdict.INCONCLUSIVE, Verdict.FAIL)  # a FAIL outranks an INCONCLUSIVE
 
 
 def _params(args) -> FracParams:
@@ -65,7 +62,7 @@ def _constants(args) -> BarrierConstants:
     return BarrierConstants(base_radius=args.r0, outer_radius=args.r)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Verdict:
     params = _params(args)
     quad = _quad(args)
     if args.profile == "fundamental":
@@ -86,20 +83,20 @@ def cmd_eval(args) -> int:
         "panels_used": ov.panels_used, "converged": ov.converged,
     }
     _emit(args, payload, "eval")
-    return _EXIT_PASS if ov.converged else _EXIT_INCONCLUSIVE
+    return Verdict.PASS if ov.converged else Verdict.INCONCLUSIVE
 
 
-def cmd_barrier(args) -> int:
+def cmd_barrier(args) -> Verdict:
     params = _params(args)
     constants = _constants(args)
     rows = barrier_gallery(constants, params)
     _emit(args, {"rows": rows, "n": args.n, "s": args.s, "r0": args.r0, "r": args.r}, "barrier-gallery")
     if args.csv:
         write_csv(args.csv, ("barrier", "radius", "value"), rows)
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
-def cmd_verify_chain(args) -> int:
+def cmd_verify_chain(args) -> Verdict:
     params = _params(args)
     chain = ChainId(args.chain.upper())
     constants = _constants(args)
@@ -122,10 +119,10 @@ def cmd_verify_chain(args) -> int:
     _emit(args, payload, "verify-chain")
     if args.csv:
         write_csv(args.csv, ("radius", "value", "err"), rep.samples)
-    return _EXIT_OF[rep.verdict]
+    return rep.verdict
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> Verdict:
     params = _params(args)
     grid = np.geomspace(args.r_min, args.r_max, args.grid_points).tolist()
     fit = measure_rate(ChainId(args.chain.upper()), params, _constants(args), grid,
@@ -134,10 +131,10 @@ def cmd_rate(args) -> int:
                "constant": fit.constant, "slope": fit.slope, "residual": fit.residual,
                "ratio_spread": fit.ratio_spread}
     _emit(args, payload, "rate-fit")
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> Verdict:
     params = _params(args)
     intervals = tuple(tuple(map(float, part.split(":"))) for part in args.domain.split(","))
     rhs = args.rhs_const
@@ -154,61 +151,50 @@ def cmd_solve(args) -> int:
     _emit(args, payload, "solve")
     if args.csv:
         write_csv(args.csv, ("node", "value"), zip(sol.nodes.tolist(), sol.values.tolist()))
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
-def cmd_maxprinciple(args) -> int:
+def cmd_maxprinciple(args) -> Verdict:
     params = _params(args)
     rng = np.random.default_rng(args.seed)
     results = {}
-    worst_exit = _EXIT_PASS
-    which = args.check
-    if which in ("comparison", "all"):
+    verdicts = [Verdict.PASS]  # one per check that judges; the measure lemma judges nothing
+    if args.check in ("comparison", "all"):
+        square = lambda coefs: (lambda x: np.polyval(coefs, np.asarray(x)) ** 2)
         violations = 0
         for _ in range(args.samples):
-            base = rng.uniform(0.0, 1.0, 5)
-            bump = rng.uniform(0.0, 1.0, 5)
-            mk = lambda coefs: (lambda x: np.polyval(coefs, np.asarray(x)) ** 2)
-            p1 = GridProblem(((-1.0, 1.0),), 1.0 / 32.0, params, mk(base))
-            p2 = GridProblem(((-1.0, 1.0),), 1.0 / 32.0, params,
-                             lambda x, b=base, u=bump: np.polyval(b, np.asarray(x)) ** 2
-                             + np.polyval(u, np.asarray(x)) ** 2)
-            rep = verify_comparison(p1, p2)
-            violations += 0 if rep.passed else 1
+            base = square(rng.uniform(0.0, 1.0, 5))
+            bump = square(rng.uniform(0.0, 1.0, 5))
+            p1 = GridProblem(((-1.0, 1.0),), 1.0 / 32.0, params, base)
+            p2 = GridProblem(((-1.0, 1.0),), 1.0 / 32.0, params, lambda x, b=base, u=bump: b(x) + u(x))
+            violations += 0 if verify_comparison(p1, p2).passed else 1
         results["comparison"] = {"pairs": args.samples, "violations": violations}
-        if violations:
-            worst_exit = _EXIT_FAIL
-    if which in ("hopf", "all"):
+        verdicts.append(Verdict.FAIL if violations else Verdict.PASS)
+    if args.check in ("hopf", "all"):
         prob = GridProblem(((-1.0, 1.0),), args.h, params,
                            lambda x: (np.abs(np.asarray(x)) < 0.1).astype(float))
         rep = verify_hopf_ratio(prob)
         results["hopf"] = rep
-        if not rep.stable:
-            worst_exit = max(worst_exit, _EXIT_INCONCLUSIVE)
-    if which in ("kslap", "all"):
+        verdicts.append(Verdict.PASS if rep.stable else Verdict.INCONCLUSIVE)
+    if args.check in ("kslap", "all"):
         battery = [ANNULUS_FORCING, ANNULUS_FORCING[:1], ANNULUS_FORCING[1:],
                    ((-1.5, -1.375), (1.375, 1.5))]
         rep = verify_kslap(annulus_forcing, battery, params, h=args.h)
         results["kslap"] = rep
-        if rep.c_bar <= 0:
-            worst_exit = _EXIT_FAIL
-    if which in ("qsmp", "all"):
+        verdicts.append(Verdict.FAIL if rep.c_bar <= 0 else Verdict.PASS)
+    if args.check in ("qsmp", "all"):
         rep = verify_qsmp(((1.0, 4.0),), ((2.0, 3.0),), ((1.5, 1.8125),), params,
                           variant=args.variant, h=args.h)
         results["qsmp"] = rep
-        if rep.c0 <= 0:
-            worst_exit = _EXIT_FAIL
-        elif not rep.stable:
-            worst_exit = max(worst_exit, _EXIT_INCONCLUSIVE)
-    if which in ("measure", "all"):
+        verdicts.append(Verdict.FAIL if rep.c0 <= 0 else Verdict.PASS if rep.stable else Verdict.INCONCLUSIVE)
+    if args.check in ("measure", "all"):
         sol = solve_dirichlet(GridProblem(ANNULUS_DOMAIN, args.h, params, annulus_forcing))
-        rep = verify_measure_lemma(sol, args.nu)
-        results["measure"] = rep
+        results["measure"] = verify_measure_lemma(sol, args.nu)
     _emit(args, {"seed": args.seed, "results": results}, "maxprinciple")
-    return worst_exit
+    return max(verdicts, key=_SEVERITY.index)
 
 
-def cmd_check_f(args) -> int:
+def cmd_check_f(args) -> HVerdict:
     params = _params(args)
     data = json.loads(Path(args.spec).read_text())
     spec = spec_from_dict(data, params)
@@ -216,10 +202,10 @@ def cmd_check_f(args) -> int:
                "f3prime": check_f3prime, "f4prime": check_f4prime}[args.condition]
     rep = checker(spec, params)
     _emit(args, rep, "check-f")
-    return _EXIT_OF[rep.verdict]
+    return rep.verdict
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Verdict:
     params = _params(args)
     family = CandidateFamily(
         c_values=tuple(np.geomspace(0.1, 10.0, args.family_side)),
@@ -237,10 +223,10 @@ def cmd_scan(args) -> int:
     _emit(args, payload, "scan")
     if args.csv:
         write_csv(args.csv, ("label", "radius", "residual", "err"), scan.curve_rows())
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> Verdict:
     params = _params(args)
     prof = positive_fundamental(params)
     f = (lambda t, x: t**args.power) if args.power > 0 else None
@@ -250,11 +236,13 @@ def cmd_trace(args) -> int:
         write_csv(args.csv, ("r", "m", "forcing_lower", "upper_envelope", "rho", "eta"),
                   [(row.r, row.m, row.forcing_lower, row.upper_envelope,
                     row.rho_ratio, row.eta_ratio) for row in rep.rows])
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> Verdict:
     data = json.loads(Path(args.file).read_text())
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{args.file} holds no report: a report is a JSON object")
     body = data.get("body", data)
     print(f"schema_version: {data.get('schema_version')}  kind: {data.get('kind')}")
     if isinstance(body, dict):
@@ -264,7 +252,7 @@ def cmd_report(args) -> int:
                 print(f"  {key}: [{len(value)} entries]")
             else:
                 print(f"  {key}: {value}")
-    return _EXIT_PASS
+    return Verdict.PASS
 
 
 # flags shared by several verbs; each verb declares only those it reads
@@ -358,11 +346,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except FraccertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        return _EXIT_OF[args.fn(args)]
+    except (FraccertError, OSError, KeyError, ValueError) as exc:  # ValueError covers malformed JSON
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,11 +194,7 @@ class DiscreteSolution:
     problem: GridProblem
     values: np.ndarray
     residual_norm: float
-    nodes: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.nodes is None:
-            self.nodes = self.problem.nodes()
+    nodes: np.ndarray
 
     def min_on(self, sets: Sequence[tuple[float, float]]) -> float:
         mask = _mask_on(self.nodes, sets)

@@ -119,6 +119,8 @@ _DECADES = 6  # the liminf checks sample |x| = r0 10^j up to j = _DECADES
 _F2_STEPS = 40  # check_f2 samples t = 2^-k for k = 1.._F2_STEPS
 _K_STEPS = 12  # the range cap runs k = 2^-j (check_f3prime) or 2^j (check_f4prime), j = 0.._K_STEPS
 _F2PRIME_BOXES = ((0.5, 2.0), (0.1, 1.0), (1.0, 10.0))  # the compact t-boxes of check_f2prime
+_F2PRIME_VERDICT = {Trend.INCREASING: Verdict.HOLDS, Trend.MIXED: Verdict.INCONCLUSIVE,
+                    Trend.DECREASING: Verdict.FAILS, Trend.PLATEAU: Verdict.FAILS}  # per box
 
 
 def psi_k(x_norm: float, k: float, spec: NonlinearitySpec, params: FracParams,
@@ -292,8 +294,7 @@ def check_f2prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisRepor
     """|x|^2s f(t,x) -> inf locally uniformly: sampled on compact t-boxes."""
     spec.validate_gamma(params)
     radii = [spec.r0 * 10.0**j for j in range(0, _DECADES + 1)]
-    worst_trend = Trend.INCREASING
-    seqs = []
+    trends, seqs = [], []
     for a, b in _F2PRIME_BOXES:
         tgrid = np.geomspace(a, b, 64)
         seq = []
@@ -307,24 +308,32 @@ def check_f2prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisRepor
         trend = _classify(seq)
         if seq[-1] < 1e-12 * max(seq):
             trend = Trend.DECREASING  # decayed to (numerical) zero
-        if trend is not Trend.INCREASING:
-            worst_trend = trend
-    verdict = Verdict.HOLDS if worst_trend is Trend.INCREASING else (
-        Verdict.FAILS if worst_trend in (Trend.DECREASING, Trend.PLATEAU) else Verdict.INCONCLUSIVE)
+        trends.append(trend)
+    # whatever the box order: any bounded box FAILS, else any MIXED box is INCONCLUSIVE
+    verdicts = [_F2PRIME_VERDICT[trend] for trend in trends]
+    verdict = next(v for v in (Verdict.FAILS, Verdict.INCONCLUSIVE, Verdict.HOLDS) if v in verdicts)
     flat = tuple(float(v) for seq in seqs for v in seq)
-    return HypothesisReport("f2prime", tuple(radii), flat, worst_trend, verdict)
+    return HypothesisReport("f2prime", tuple(radii), flat, trends[verdicts.index(verdict)], verdict)
 
 
 # ------------------------------------------------------------------ builtins
 
 
+def _number(conf: dict, key: str, default: float) -> float:
+    """The number under ``key`` of a JSON-style mapping, ``default`` when absent; a null, list or word raises."""
+    try:
+        return float(conf.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be a number, not {conf[key]!r}") from None
+
+
 def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
     """Named model nonlinearities: power, exponential, critical_splice, piecewise."""
     if name == "power":
-        p = float(kw.get("p", 1.0))
+        p = _number(kw, "p", 1.0)
         return lambda t: np.asarray(t, dtype=float) ** p
     if name == "exponential":
-        a = float(kw.get("a", 1.0))
+        a = _number(kw, "a", 1.0)
         return lambda t: np.exp(-a * np.asarray(t, dtype=float))
     if name == "critical_splice":
         if params is None:
@@ -343,6 +352,8 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
         return splice
     if name == "piecewise_powers":
         pieces = kw["pieces"]  # [{"upto": float|None, "terms": [[coef, exponent], ...]}]; null only last
+        if not isinstance(pieces, (list, tuple)) or not all(isinstance(piece, dict) for piece in pieces):
+            raise ConfigurationError("pieces must be a list of objects with upto and terms")
         if any(piece.get("upto") is None for piece in pieces[:-1]):
             raise ConfigurationError("only the last piece may have upto null")
         uptos = tuple(float(piece["upto"]) for piece in pieces if piece.get("upto") is not None)
@@ -351,25 +362,19 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
     raise ConfigurationError(f"unknown builtin nonlinearity {name!r}")
 
 
-def splice_jump(params: FracParams) -> tuple[float, float]:
-    """Left and right values of the built-in spliced example at t = 1."""
-    g = builtin_g("critical_splice", params)
-    left = float(g(np.asarray([1.0]))[0])
-    right = float(np.cos(2.0 * math.pi) + 1.0 + 1.0)
-    return left, right
-
-
 def spec_from_dict(data: dict, params: FracParams | None = None) -> NonlinearitySpec:
-    """Build a nonlinearity spec from a JSON-style mapping."""
+    """Build a nonlinearity spec from a JSON-style mapping; any other shape raises ConfigurationError."""
+    g_conf = data.get("g", {}) if isinstance(data, dict) else None
+    if not isinstance(g_conf, dict):
+        raise ConfigurationError("a nonlinearity spec is a JSON object, and so is its g")
     form = data.get("form", "separable")
     if form == "separable":
-        g_conf = data.get("g", {})
         name = g_conf.get("name", "power")
         kwargs = {k: v for k, v in g_conf.items() if k != "name"}
         g = builtin_g(name, params, **kwargs)
         return NonlinearitySpec(
-            form="separable", g=g, gamma=float(data.get("gamma", 0.0)),
-            mu_lower=float(data.get("mu_lower", 1.0)), mu_upper=float(data.get("mu_upper", 1.0)),
-            r0=float(data.get("r0", 2.0)),
+            form="separable", g=g, gamma=_number(data, "gamma", 0.0),
+            mu_lower=_number(data, "mu_lower", 1.0), mu_upper=_number(data, "mu_upper", 1.0),
+            r0=_number(data, "r0", 2.0),
         )
     raise ConfigurationError("only separable specs are supported as structured input")

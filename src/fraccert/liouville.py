@@ -122,8 +122,7 @@ class ResidualReport:
     min_residual: float
     witness_radius: float
     witness_error: float
-    certified: bool
-    failed: bool
+    verdict: Verdict
     samples: tuple[tuple[float, float, float], ...]  # (radius, residual, err)
     inconclusive_fraction: float
 
@@ -153,18 +152,17 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
                            points: int = 25) -> ResidualReport:
     """Sampled residual (-Delta)^s u - f(u(x), x) over a radius interval.
 
-    Judged by ``chains._sign_verdict``: certified as a supersolution on the
-    samples iff every residual clears zero by twice its quadrature error
-    estimate and at most 5 % of the samples are unconverged; definitely failed
-    iff some residual is below zero by the same margin and the samples are
-    converged.  ``points`` must be at least 1.
+    The verdict is ``chains._sign_verdict``'s: PASS (a supersolution on the
+    samples) iff every residual clears zero by twice its quadrature error
+    estimate and at most 5 % of the samples are unconverged; FAIL iff some
+    residual is below zero by the same margin and the samples are converged.
+    ``points`` must be at least 1.
     """
     radii = _residual_radii(region, points)
     vals, errs, converged = _batch_arrays(eval_radial_many(u, radii, params, quad))
     verdict, i, samples = _residuals(u, f, radii, vals, errs, converged)
     radius, residual, err = samples[i]
-    return ResidualReport(residual, radius, err, verdict is Verdict.PASS, verdict is Verdict.FAIL, samples,
-                          np.count_nonzero(~converged) / converged.size)
+    return ResidualReport(residual, radius, err, verdict, samples, np.count_nonzero(~converged) / converged.size)
 
 
 def power_symbol(tau: float, params: FracParams) -> float:

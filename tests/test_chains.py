@@ -35,7 +35,7 @@ def nitu_constants():
 def test_sign_chain_combined_barrier_negative(lvc_constants):
     rep = verify_chain(ChainId.LVC, P_POS, lvc_constants, FAST)
     assert rep.verdict is Verdict.PASS
-    _, vals, errs = rep.sample_arrays()
+    _, vals, errs = np.asarray(rep.samples).T
     assert np.all(vals + 2 * errs < 0.0)
 
 

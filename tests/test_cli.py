@@ -6,6 +6,7 @@ import pytest
 import fraccert.cli
 from fraccert.chains import Verdict, VerificationReport
 from fraccert.cli import main
+from fraccert.dirichlet import ComparisonReport, HopfReport
 from fraccert.errors import ConfigurationError, DegenerateInputError
 from fraccert.reporting import SCHEMA_VERSION, to_json
 
@@ -114,6 +115,32 @@ def test_malformed_spec_file_is_usage_error(capsys, tmp_path):
     code, _ = run(capsys, "check-f", "--spec", str(bad), "--condition", "f2",
                   "--n", "3", "--s", "0.5")
     assert code == 3
+
+
+_POWER = {"name": "power", "p": 1.4}
+
+
+@pytest.mark.parametrize("spec", [
+    [1, 2],  # not an object
+    {"form": "separable", "g": "power"},  # g names a builtin instead of configuring one
+    {"form": "separable", "g": {"name": "piecewise_powers", "pieces": [1.0]}},  # a piece that is no object
+    {"form": "separable", "gamma": None, "g": _POWER},  # gamma null
+    {"form": "separable", "g": {"name": "power", "p": [1.4]}},  # p a list
+])
+def test_malformed_spec_shape_is_a_configuration_error(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check-f", "--spec", str(path), "--condition", "f2", "--n", "3", "--s", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"report"', "3"])
+def test_report_of_a_file_holding_no_object_is_a_configuration_error(capsys, tmp_path, content):
+    path = tmp_path / "r.json"
+    path.write_text(content)
+    assert main(["report", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_check_f_holds_and_fails(capsys, tmp_path):
@@ -279,6 +306,18 @@ def test_maxprinciple_runs_every_verifier(capsys):
     assert {"c_bar", "per_set"} <= set(results["kslap"])
     assert {"c0", "stable"} <= set(results["qsmp"])
     assert {"c_bar", "nu"} <= set(results["measure"])
+
+
+def test_maxprinciple_fail_outranks_an_inconclusive_check(capsys, monkeypatch):
+    # a comparison violation is a FAIL; a later unstable Hopf ratio must not turn it into exit 2
+    monkeypatch.setattr(fraccert.cli, "verify_comparison", lambda p1, p2: ComparisonReport(False, 1.0))
+    monkeypatch.setattr(fraccert.cli, "verify_hopf_ratio", lambda problem: HopfReport(0.5, 1.0, 2.0, False))
+    code, out = run(capsys, "maxprinciple", "--check", "all", "--n", "1", "--s", "0.5", "--samples", "1")
+    results = json.loads(out)["body"]["results"]
+    assert results["comparison"]["violations"] == 1 and results["hopf"]["stable"] is False
+    assert code == 1
+    code, _ = run(capsys, "maxprinciple", "--check", "hopf", "--n", "1", "--s", "0.5")
+    assert code == 2
 
 
 def test_barrier_gallery_json(capsys):

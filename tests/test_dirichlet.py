@@ -207,7 +207,7 @@ def test_measure_lemma_rejects_non_supersolutions():
     from fraccert.dirichlet import DiscreteSolution
     good = solve_dirichlet(GridProblem(ANNULUS_DOMAIN, 1 / 32, P_HALF, ANNULUS_CHI))
     bad_problem = GridProblem(ANNULUS_DOMAIN, 1 / 32, P_HALF, -1.0)
-    impostor = DiscreteSolution(bad_problem, good.values, 0.0)
+    impostor = DiscreteSolution(bad_problem, good.values, 0.0, good.nodes)
     with pytest.raises(DomainError):
         verify_measure_lemma(impostor, nu=0.5)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fraccert.errors import ConfigurationError, DomainError, PositivityViolation
 from fraccert.hypotheses import (NonlinearitySpec, Trend, Verdict, alpha_tilde_star,
                                  builtin_g, check_f2, check_f2prime, check_f3prime,
-                                 check_f4prime, h_of_k, psi_k, spec_from_dict, splice_jump)
+                                 check_f4prime, h_of_k, psi_k, spec_from_dict)
 from fraccert.params import FracParams
 
 P3 = FracParams(3, 0.5)
@@ -50,11 +50,10 @@ def test_plateau_recovers_the_critical_coefficient(c):
 
 
 def test_spliced_example_jump_is_flagged_as_printed():
-    left, right = splice_jump(P3)
+    g = builtin_g("critical_splice", P3)
+    left, right = g(np.asarray([1.0, np.nextafter(1.0, 2.0)]))  # the t <= 1 branch governs t = 1
     assert left == pytest.approx(2.5)
     assert right == pytest.approx(3.0)
-    g = builtin_g("critical_splice", P3)
-    assert float(g(np.asarray([1.0]))[0]) == pytest.approx(left)  # t <= 1 branch governs t = 1
 
 
 def test_scaled_infimum_constant_ratio():
@@ -135,6 +134,16 @@ def test_locally_uniform_growth():
     decayer = NonlinearitySpec(form="general",
                                f_general=lambda t, x: np.exp(-x) * np.ones_like(np.asarray(t)))
     assert check_f2prime(decayer, P3).verdict is Verdict.FAILS
+
+
+@pytest.mark.parametrize("t_side", [np.less, np.greater])
+def test_f2prime_verdict_does_not_depend_on_box_order(t_side):
+    # |x|^2s f decays on the t-boxes that meet the 1/x^2 side and wobbles (MIXED) on the others;
+    # flipping the side reorders which box is which, and a decaying box FAILS either way
+    spec = NonlinearitySpec(form="general", f_general=lambda t, x: x**-1.0 * np.where(
+        t_side(np.asarray(t), 1.0), 1.0 / x, 2.0 + np.sin(x)))
+    rep = check_f2prime(spec, P3)
+    assert (rep.verdict, rep.trend) == (Verdict.FAILS, Trend.DECREASING)
 
 
 def test_gamma_at_threshold_rejected():

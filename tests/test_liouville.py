@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fraccert.chains import Verdict
 from fraccert.errors import ConfigurationError, DomainError
 from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 annulus_inf, default_r_grid, nonexistence_scan,
@@ -88,12 +89,12 @@ def test_power_symbol_matches_gamma_closed_form():
 def test_residual_of_fundamental_with_zero_forcing():
     rep = supersolution_residual(PHI3, lambda t, x: 0.0, (10.0, 1e4), P3)
     assert abs(rep.min_residual) <= 1e-8
-    assert not rep.failed  # never provably negative
+    assert rep.verdict is not Verdict.FAIL  # never provably negative
 
 
 def test_residual_with_subcritical_forcing_fails_everywhere():
     rep = supersolution_residual(PHI3, lambda t, x: t**1.4, (10.0, 1e4), P3)
-    assert rep.failed and not rep.certified
+    assert rep.verdict is Verdict.FAIL
     # the operator term vanishes, so the residual is minus the forcing
     r, res, _ = min(rep.samples, key=lambda row: row[0])
     u_val = float(PHI3(r))
@@ -107,7 +108,7 @@ def test_supercritical_control_member_certifies():
     eps = (0.5 * lam) ** (1.0 / (p - 1.0))
     control = RadialProfile((), (((eps, -tau, False),),))
     rep = supersolution_residual(control, lambda t, x: t**p, (10.0, 1e4), P3)
-    assert rep.certified, rep
+    assert rep.verdict is Verdict.PASS, rep
 
 
 def test_scan_subcritical_certifies_nothing():
@@ -175,13 +176,13 @@ def test_scan_scales_one_evaluation_per_beta(monkeypatch):
     # three distinct betas at abs_tol / max c, then the control at abs_tol
     assert tolerances == [1e-12 / 10.0] * 3 + [1e-12]
 
-    verdicts = {(True, False): MemberVerdict.SUPERSOLUTION, (False, True): MemberVerdict.FAILS_AT,
-                (False, False): MemberVerdict.INCONCLUSIVE}
+    verdicts = {Verdict.PASS: MemberVerdict.SUPERSOLUTION, Verdict.FAIL: MemberVerdict.FAILS_AT,
+                Verdict.INCONCLUSIVE: MemberVerdict.INCONCLUSIVE}
     members = list(fam.members(P3))
     assert [row[0] for row in scan.members] == [label for label, _ in members]
     for (label, member), row, (_, samples) in zip(members, scan.members, scan.curves):
         direct = supersolution_residual(member, f, (10.0, 1e4), P3, quad, points=12)
-        assert row[1] == verdicts[direct.certified, direct.failed], label
+        assert row[1] == verdicts[direct.verdict], label
         assert row[2] == direct.witness_radius, label
         for (r, res, err), (r_d, res_d, err_d) in zip(samples, direct.samples):
             assert r == r_d
@@ -332,7 +333,7 @@ def test_scan_member_follows_the_chain_sign_rule(monkeypatch, unconverged, verdi
     failed = verdict == MemberVerdict.FAILS_AT
     assert (scan.certified, scan.failed, scan.inconclusive) == (0, int(failed), int(not failed))
     direct = supersolution_residual(lambda rho: np.ones_like(rho), lambda t, x: 0.0 * t, (10.0, 1e3), P3, points=20)
-    assert not direct.certified and direct.failed == failed
+    assert direct.verdict is (Verdict.FAIL if failed else Verdict.INCONCLUSIVE)
     # a sign chain needs negative values: the same samples, negated
     monkeypatch.setattr(chains, "eval_radial_many", batch(-1.0))
     rep = chains.verify_chain("CA1_00", FracParams(1, 0.5), BarrierConstants(2.0, 20.0), chains.SamplePolicy(points=20))
