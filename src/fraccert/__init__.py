@@ -18,7 +18,7 @@ from .profiles import (
     make_fundamental,
     positive_fundamental,
 )
-from .operator import (OperatorValue, QuadSpec, eval_pointwise, eval_radial, eval_radial_many,
+from .operator import (OperatorValue, QuadSpec, eval_pointwise, eval_radial, eval_radial_jobs, eval_radial_many,
                        scaling_identity_check)
 from .constants import choose_constants
 from .chains import ChainId, SamplePolicy, VerificationReport, Verdict, fit_rate, measure_rate, verify_chain
@@ -65,7 +65,7 @@ __all__ = [
     "RadialProfile", "SignVariant", "make_barrier", "make_fundamental",
     "positive_fundamental",
     "OperatorValue", "QuadSpec", "eval_pointwise", "eval_radial", "eval_radial_many",
-    "scaling_identity_check",
+    "eval_radial_jobs", "scaling_identity_check",
     "choose_constants",
     "ChainId", "SamplePolicy", "VerificationReport", "Verdict",
     "fit_rate", "measure_rate", "verify_chain",

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .operator import (QuadSpec, _batch_arrays, eval_radial,  # eval_radial: rebound by perfbench/tracer.py
-                       eval_radial_many)
+from .operator import QuadSpec, eval_radial, eval_radial_jobs  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
 from .profiles import _COMPOSITES, BarrierConstants, BarrierKind, make_barrier
 
@@ -178,12 +177,12 @@ def _region_samples(spec: _ChainSpec, constants: BarrierConstants,
     return np.geomspace(lo, hi, policy.points)
 
 
-def _barrier_on_region(spec: _ChainSpec, constants: BarrierConstants, params: FracParams,
-                       policy: SamplePolicy, quad: QuadSpec):
-    """The chain's barrier evaluated on its sampled region: radii, values, error estimates, converged."""
-    prof = make_barrier(spec.barrier, constants, params)
-    xs = _region_samples(spec, constants, policy)
-    return (xs, *_batch_arrays(eval_radial_many(prof, xs, params, quad)))
+def _barriers_on_regions(probes: Sequence[tuple[_ChainSpec, BarrierConstants]], params: FracParams,
+                         policy: SamplePolicy, quad: QuadSpec) -> list[tuple[np.ndarray, ...]]:
+    """Each (chain, constants) probe's barrier on its sampled region, all in one engine pass: per probe
+    the radii, values, error estimates and converged flags."""
+    jobs = [(make_barrier(spec.barrier, c, params), _region_samples(spec, c, policy), quad) for spec, c in probes]
+    return [(xs, vals, errs, ok) for (_, xs, _), (vals, errs, _, ok) in zip(jobs, eval_radial_jobs(jobs, params))]
 
 
 def _unconverged(converged: np.ndarray) -> str | None:
@@ -261,7 +260,9 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     chain = ChainId(chain) if not isinstance(chain, ChainId) else chain
     spec = _CHAINS[chain]
     notes: list[str] = []
-    xs, vals, errs, converged = _barrier_on_region(spec, constants, params, sample, quad)
+    working = [constants] if spec.kind == "sign" else \
+        [constants, constants.with_updates(outer_radius=constants.outer_radius * math.sqrt(10.0))]  # r, sqrt(10) r
+    (xs, vals, errs, converged), *second = _barriers_on_regions([(spec, c) for c in working], params, sample, quad)
     samples = tuple(zip(xs.tolist(), vals.tolist(), errs.tolist()))
     unconverged = _unconverged(converged)
     if unconverged:
@@ -278,9 +279,8 @@ def verify_chain(chain: ChainId | str, params: FracParams, constants: BarrierCon
     # bound chains: values <= C * envelope (envelope_sign = +1) or
     # values <= -c * envelope with c > 0 (envelope_sign = -1)
     rate_vals = spec.rate(xs, constants.outer_radius, params)
-    second = constants.with_updates(outer_radius=constants.outer_radius * math.sqrt(10.0))
-    xs2, vals2, errs2, _ = _barrier_on_region(spec, second, params, sample, quad)
-    rate2 = spec.rate(xs2, second.outer_radius, params)
+    (xs2, vals2, errs2, _), = second
+    rate2 = spec.rate(xs2, working[1].outer_radius, params)
 
     if spec.envelope_sign > 0:
         c1 = float((vals / rate_vals).max())
@@ -316,11 +316,9 @@ def measure_rate(chain: ChainId | str, params: FracParams, constants: BarrierCon
     spec = _CHAINS[chain]
     if spec.rate is None:
         raise ConfigurationError(f"chain {chain.value} has no rate envelope")
-    maxima = []
-    for r in r_grid:
-        consts = constants.with_updates(outer_radius=float(r))
-        _, vals, _, _ = _barrier_on_region(spec, consts, params, SamplePolicy(points=points_per_r), quad)
-        maxima.append(float(vals.max() if spec.envelope_sign > 0 else -vals.min()))
+    probes = [(spec, constants.with_updates(outer_radius=float(r))) for r in r_grid]
+    maxima = [float(vals.max() if spec.envelope_sign > 0 else -vals.min())
+              for _, vals, _, _ in _barriers_on_regions(probes, params, SamplePolicy(points=points_per_r), quad)]
     rate_at = lambda r: float(spec.rate(np.asarray([2.0 * r]), r, params)[0]) if \
         spec.region == "exterior_2r" else float(spec.rate(np.asarray([r]), r, params)[0])
     return fit_rate(list(r_grid), maxima, rate_at)

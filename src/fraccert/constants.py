@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import ChainId, SamplePolicy, _barrier_on_region, chain_info
+from .chains import ChainId, SamplePolicy, _barriers_on_regions, chain_info
 from .errors import ConfigurationError, DegenerateInputError
 from .operator import QuadSpec, eval_radial  # eval_radial: rebound by perfbench/tracer.py
 from .params import FracParams
@@ -26,11 +26,13 @@ _PROBE_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=1e-10)
 _PROBE_POLICY = SamplePolicy(points=24, exterior_span=40.0)
 
 
-def _envelope(chain: ChainId, constants: BarrierConstants, params: FracParams) -> float:
-    """Sampled envelope constant of a bound chain: envelope_sign * max(value / rate)."""
-    spec = chain_info(chain)
-    xs, vals, _, _ = _barrier_on_region(spec, constants, params, _PROBE_POLICY, _PROBE_QUAD)
-    return spec.envelope_sign * float(np.max(vals / spec.rate(xs, constants.outer_radius, params)))
+def _envelopes(probes: list[tuple[ChainId, BarrierConstants]], params: FracParams) -> list[float]:
+    """Sampled envelope constants envelope_sign * max(value / rate) of (bound chain, constants) probes,
+    all in one engine pass."""
+    specs = [(chain_info(chain), c) for chain, c in probes]
+    return [spec.envelope_sign * float(np.max(vals / spec.rate(xs, c.outer_radius, params)))
+            for (spec, c), (xs, vals, _, _) in zip(specs, _barriers_on_regions(specs, params, _PROBE_POLICY,
+                                                                                 _PROBE_QUAD))]
 
 
 def choose_constants(chain: str, params: FracParams, r0: float = 2.0,
@@ -52,10 +54,9 @@ def choose_constants(chain: str, params: FracParams, r0: float = 2.0,
         raise ConfigurationError(f"no constants to choose for chain {name!r}")
     base = BarrierConstants(base_radius=r0, outer_radius=r)
     positive, negative = spec.parts
-    pos = _envelope(positive, base, params)
-    if name == "LVC":  # the ramp's envelope is also probed at twice the working radius
-        pos = max(pos, _envelope(positive, base.with_updates(outer_radius=2.0 * r), params))
-    neg = _envelope(negative, base, params)
+    twice = [(positive, base.with_updates(outer_radius=2.0 * r))] if name == "LVC" else []  # LVC's ramp at 2r too
+    *pos, neg = _envelopes([(positive, base)] + twice + [(negative, base)], params)
+    pos = max(pos)
     if not (neg > 0.0 and np.isfinite(pos)):
         raise DegenerateInputError(
             f"constant selection for {name} inconclusive: envelope probes "

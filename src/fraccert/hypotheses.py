@@ -319,21 +319,29 @@ def check_f2prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisRepor
 # ------------------------------------------------------------------ builtins
 
 
-def _number(conf: dict, key: str, default: float) -> float:
-    """The number under ``key`` of a JSON-style mapping, ``default`` when absent; a null, list or word raises."""
+def _number(value, what: str) -> float:
+    """A JSON-style number (``what`` names it) as a float; a null, list or word raises."""
     try:
-        return float(conf.get(key, default))
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be a number, not {conf[key]!r}") from None
+        raise ConfigurationError(f"{what} must be a number, not {value!r}") from None
+
+
+_G_KEYS = {"power": {"p"}, "exponential": {"a"}, "critical_splice": set(), "piecewise_powers": {"pieces"}}
 
 
 def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
-    """Named model nonlinearities: power, exponential, critical_splice, piecewise."""
+    """Named model nonlinearities: power, exponential, critical_splice, piecewise_powers; other keys raise."""
+    known = _G_KEYS.get(name) if isinstance(name, str) else None
+    if known is None:
+        raise ConfigurationError(f"unknown builtin nonlinearity {name!r}")
+    if set(kw) - known:
+        raise ConfigurationError(f"{name} takes no key {', '.join(map(repr, sorted(set(kw) - known)))}")
     if name == "power":
-        p = _number(kw, "p", 1.0)
+        p = _number(kw.get("p", 1.0), "p")
         return lambda t: np.asarray(t, dtype=float) ** p
     if name == "exponential":
-        a = _number(kw, "a", 1.0)
+        a = _number(kw.get("a", 1.0), "a")
         return lambda t: np.exp(-a * np.asarray(t, dtype=float))
     if name == "critical_splice":
         if params is None:
@@ -350,16 +358,19 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
             return np.where(t_arr <= 1.0, low, high)
 
         return splice
-    if name == "piecewise_powers":
-        pieces = kw["pieces"]  # [{"upto": float|None, "terms": [[coef, exponent], ...]}]; null only last
-        if not isinstance(pieces, (list, tuple)) or not all(isinstance(piece, dict) for piece in pieces):
-            raise ConfigurationError("pieces must be a list of objects with upto and terms")
-        if any(piece.get("upto") is None for piece in pieces[:-1]):
-            raise ConfigurationError("only the last piece may have upto null")
-        uptos = tuple(float(piece["upto"]) for piece in pieces if piece.get("upto") is not None)
-        terms = tuple(tuple((float(c), float(e), False) for c, e in piece["terms"]) for piece in pieces)
-        return RadialProfile(uptos, terms + ((),) * (len(uptos) == len(pieces)))  # finite last upto: zero beyond
-    raise ConfigurationError(f"unknown builtin nonlinearity {name!r}")
+    # piecewise_powers
+    pieces = kw.get("pieces")  # [{"upto": float|None, "terms": [[coef, exponent], ...]}]; null only last
+    if not isinstance(pieces, (list, tuple)) or not all(isinstance(piece, dict) for piece in pieces):
+        raise ConfigurationError("pieces must be a list of objects with upto and terms")
+    if not all(isinstance(piece.get("terms"), (list, tuple))
+               and all(isinstance(t, (list, tuple)) and len(t) == 2 for t in piece["terms"]) for piece in pieces):
+        raise ConfigurationError("the terms of a piece must be a list of [coef, exponent] pairs")
+    if any(piece.get("upto") is None for piece in pieces[:-1]):
+        raise ConfigurationError("only the last piece may have upto null")
+    uptos = tuple(_number(piece["upto"], "upto") for piece in pieces if piece.get("upto") is not None)
+    terms = tuple(tuple((_number(c, "a coefficient"), _number(e, "an exponent"), False) for c, e in piece["terms"])
+                  for piece in pieces)
+    return RadialProfile(uptos, terms + ((),) * (len(uptos) == len(pieces)))  # finite last upto: zero beyond
 
 
 def spec_from_dict(data: dict, params: FracParams | None = None) -> NonlinearitySpec:
@@ -373,8 +384,8 @@ def spec_from_dict(data: dict, params: FracParams | None = None) -> Nonlinearity
         kwargs = {k: v for k, v in g_conf.items() if k != "name"}
         g = builtin_g(name, params, **kwargs)
         return NonlinearitySpec(
-            form="separable", g=g, gamma=_number(data, "gamma", 0.0),
-            mu_lower=_number(data, "mu_lower", 1.0), mu_upper=_number(data, "mu_upper", 1.0),
-            r0=_number(data, "r0", 2.0),
+            form="separable", g=g, gamma=_number(data.get("gamma", 0.0), "gamma"),
+            mu_lower=_number(data.get("mu_lower", 1.0), "mu_lower"),
+            mu_upper=_number(data.get("mu_upper", 1.0), "mu_upper"), r0=_number(data.get("r0", 2.0), "r0"),
         )
     raise ConfigurationError("only separable specs are supported as structured input")

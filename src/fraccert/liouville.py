@@ -19,7 +19,7 @@ import numpy as np
 from .chains import Verdict, _sign_verdict
 from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
 from .errors import ConfigurationError, DomainError
-from .operator import QuadSpec, _batch_arrays, eval_radial, eval_radial_many
+from .operator import QuadSpec, eval_radial, eval_radial_jobs
 from .params import FracParams
 from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKind, \
     BarrierConstants, finite_samples, positive_fundamental, sampled_inf
@@ -159,7 +159,7 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
     ``points`` must be at least 1.
     """
     radii = _residual_radii(region, points)
-    vals, errs, converged = _batch_arrays(eval_radial_many(u, radii, params, quad))
+    vals, errs, _, converged = eval_radial_jobs([(u, radii, quad)], params)[0]
     verdict, i, samples = _residuals(u, f, radii, vals, errs, converged)
     radius, residual, err = samples[i]
     return ResidualReport(residual, radius, err, verdict, samples, np.count_nonzero(~converged) / converged.size)
@@ -291,14 +291,13 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
         raise ConfigurationError("the candidate family is empty")
     grid = [(float(c), float(beta)) for c in family.c_values for beta in family.beta_values]
     base_quad = replace(quad, abs_tol=quad.abs_tol / max([1.0] + [c for c, _ in grid]))
-    base: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # one engine pass over the bases, in order of first use; the control member, if any, is the last (beta None)
+    jobs = {beta: (member, radii, quad) if beta is None else (_family_member(1.0, beta), radii, base_quad)
+            for (_, member), (_, beta) in zip(members, grid + [(1.0, None)])}
+    base = dict(zip(jobs, eval_radial_jobs(list(jobs.values()), params)))
     rows, curves = [], []
-    # the control member, if any, comes last and is its own base (beta None, c = 1)
     for (label, member), (c, beta) in zip(members, grid + [(1.0, None)]):
-        if beta not in base:
-            prof, q = (member, quad) if beta is None else (_family_member(1.0, beta), base_quad)
-            base[beta] = _batch_arrays(eval_radial_many(prof, radii, params, q))
-        vals, errs, converged = base[beta]
+        vals, errs, _, converged = base[beta]
         verdict, i, samples = _residuals(member, f, radii, c * vals, c * errs, converged)
         rows.append((label, _MEMBER_VERDICT[verdict], *samples[i]))
         if keep_curves:

@@ -22,12 +22,12 @@ the fundamental solution's, for callables); rho in [3r/2, T]; and the tail
 through w = (T/rho)^(2s).  Every kink radius is a panel edge.  On the line,
 ``eval_pointwise`` evaluates the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
-Evaluation is batched over radii: ``eval_radial_many`` evaluates one function
-at many radii, and ``eval_radial`` is its one-radius call.  Every zone of
-every radius is an id of one ``_adaptive_many`` pass (``fraccert.quadrature``)
-with its own tolerance and panel budget.  Split decisions and panel sums are
-per id, so a radius gets the same value, bit for bit, in whatever batch it is
-evaluated.
+Evaluation is batched over jobs, a function at its radii under its QuadSpec
+each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
+``eval_radial`` one radius.  Every zone of every radius of every job is an id
+of one ``_adaptive_many`` pass (``fraccert.quadrature``) with its own
+tolerance and panel budget.  Split decisions and panel sums are per id, so a
+radius gets the same value, bit for bit, in whatever batch of jobs it is in.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "OperatorValue",
     "eval_radial",
     "eval_radial_many",
+    "eval_radial_jobs",
     "eval_pointwise",
     "scaling_identity_check",
 ]
@@ -87,10 +88,11 @@ class OperatorValue:
     converged: bool = True
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e per element with the C library's pow: numpy's vector pow may differ in the last
-    bit, and the per-radius powers keep the values of one-radius-at-a-time evaluation."""
-    return np.array([v ** e for v in x.tolist()])
+def _pow(x: np.ndarray, e) -> np.ndarray:
+    """x ** e per element, e broadcast to x, with the C library's pow: numpy's vector pow may differ in
+    the last bit, and the per-radius powers keep the values of one-radius-at-a-time evaluation."""
+    pairs = zip(x.ravel().tolist(), np.broadcast_to(e, x.shape).ravel().tolist())
+    return np.array([v ** w for v, w in pairs]).reshape(x.shape)
 
 
 def _geometric_fill(ids: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -116,18 +118,13 @@ def _geometric_fill(ids: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Engine: one integral over rho per zone, with the zones of all radii of a
-# batch as the ids of one adaptive pass
+# Engine: one integral over rho per zone, with the zones of all radii of all
+# jobs as the ids of one adaptive pass
 # ---------------------------------------------------------------------------
 
 # starting cuts of the origin and tail zones at rho = (r/2) v and rho = T / v, for these v
 _ENDPOINT_V = np.asarray([0.0, 2.0 ** -12, 2.0 ** -8, 2.0 ** -4, 2.0 ** -2, 1.0])
 _MAX_SHRINK = 12  # how often the near zone's h may shrink by 4
-
-
-def _on_points(u_vec: Callable) -> Callable:
-    """u at an array of points of any shape: callables are called on 1-d arrays."""
-    return lambda rho: u_vec(rho.ravel()).reshape(rho.shape)
 
 
 def _zone_panels(lo: np.ndarray, hi: np.ndarray,
@@ -166,32 +163,51 @@ def _check_sampled_growth(u: Callable, u_x: np.ndarray, s: float, top: np.ndarra
             )
 
 
-def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: FracParams,
-                   breaks: Sequence[float], p: float, quad: QuadSpec, sampled: bool) -> list[OperatorValue]:
-    """(-Delta)^s u at every radius of a batch in R^n, by the integral over rho.
-
-    Each radius is four integral ids m apart, one per zone (origin, fold,
-    outer, tail; see the module docstring), and a near zone.  ``p`` is the
-    power of the origin map; ``sampled`` marks a plain callable, whose far
-    field is probed for growth and oscillation.
-    """
-    n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
-    m, two_s, b = r.size, 2.0 * s, np.asarray(breaks, dtype=float)
-    a = 1.0 + two_s
-    gap = np.abs(r[:, None] - b)
-    nearest = gap.min(axis=1, initial=np.inf)
+def _job(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, breaks: Sequence[float], p: float,
+         quad: QuadSpec, sampled: bool, s: float) -> tuple:
+    """A checked ``_radial_values`` job (u on points, r, u(r), kink radii, h, scale, T, p, quad) of u on 1-d
+    arrays; p is the origin map's power, and a sampled (plain) callable's far field is probed for growth."""
+    b, u_vec = np.asarray(breaks, dtype=float), (lambda rho, u=u_vec: u(rho.ravel()).reshape(rho.shape))
+    nearest = np.abs(r[:, None] - b).min(axis=1, initial=np.inf)
     scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
     if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
         raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
-    h = np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest)
     top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
     if sampled:
         _check_sampled_growth(u_vec, u_x, s, top)
         top = np.where(_tail_is_oscillatory(u_vec, u_x, top), top * 64.0, top)
+    return u_vec, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top, p, quad
+
+
+def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
+    """(-Delta)^s at every radius of every job (see ``_job``) in R^n, in one pass.
+
+    The radii of the jobs, m in all, follow each other in job order.  Each
+    radius is four integral ids m apart, one per zone (origin, fold, outer,
+    tail; see the module docstring), and a near zone.  A job's function sees
+    its own rows only, and each distinct origin-map power is applied as a
+    scalar on its rows.  Returns value, error, panel and converged arrays.
+    """
+    n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
+    fns, rs, u_xs, bs, hs, scales, tops, ps, quads = zip(*jobs)
+    sizes, width, two_s = [x.size for x in rs], max(x.size for x in bs), 2.0 * s
+    r, u_x, h, scale, top = map(np.concatenate, (rs, u_xs, hs, scales, tops))
+    b = np.concatenate([np.broadcast_to(np.append(x, [np.nan] * (width - x.size)), (k, width))
+                        for x, k in zip(bs, sizes)])  # kink radii, NaN padded
+    row_job = np.repeat(np.arange(len(jobs)), sizes)
+    p, abs_tol, rel_tol = np.repeat([(pj, q.abs_tol, q.rel_tol) for pj, q in zip(ps, quads)], sizes, axis=0).T
+    m, a, gap, half_r, powers = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, sorted(set(ps))
 
     def f(rows: np.ndarray, rho: np.ndarray):
         """(u(r) - u(rho)) K(r, rho) / |S^(n-1)|, one row of rho per radius index, and its rounding bound."""
-        ri, ui, u = r[rows, None], u_x[rows, None], u_vec(rho)
+        ri, ui = r[rows, None], u_x[rows, None]
+        if len(fns) == 1:
+            u = fns[0](rho)
+        else:
+            u, job = np.empty_like(rho), row_job[rows]
+            for j in np.flatnonzero(np.bincount(job)).tolist():  # np.unique would import numpy.ma, ~20 ms cold
+                here = job == j
+                u[here] = fns[j](rho[here])
         big, small = np.maximum(ri, rho), np.minimum(ri, rho)
         if n == 1:
             k = 0.5 * ((big - small) ** -a + (big + small) ** -a)
@@ -214,8 +230,8 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: Frac
     def integrand(ids: np.ndarray, x: np.ndarray):
         i, zone = ids % m, ids // m
         rho, jac = x + np.where(zone == 1, r[i], 0.0)[:, None], np.ones_like(x)
-        for z, at, power in ((0, 0.5 * r, p), (3, top, -1.0 / two_s)):
-            here = zone == z
+        origin = [zone == 0] if len(powers) == 1 else [(zone == 0) & (p[i] == q) for q in powers]
+        for here, at, power in (*zip(origin, [half_r] * len(powers), powers), (zone == 3, top, -1.0 / two_s)):
             rho[here], jac[here] = _power_map(x[here], at[i[here], None], power)
         mirror = (zone == 1) & (r[i] > 0.0)  # the fold; at the origin it is one-sided
         vals, errs = f(np.concatenate([i, i[mirror]]), np.concatenate([rho, r[i[mirror], None] - x[mirror]]))
@@ -245,18 +261,18 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: Frac
     # starting panels; the endpoint zones are graded at rho = (r/2) 2^-k and T 2^k, k = 2, 4, 8, 12
     v_cut = np.divide(2.0 * b, r[:, None], out=np.full(gap.shape, np.nan), where=b < 0.5 * r[:, None])
     v_cut = np.hstack([v_cut, np.tile(_ENDPOINT_V[1:-1], (m, 1))])
-    v_cut = _pow(v_cut.ravel(), 1.0 / p).reshape(v_cut.shape)
+    v_cut = v_cut if powers == [1.0] else _pow(v_cut, (1.0 / p)[:, None])  # x ** 1 is x
     w_edge = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)])
     split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
     zones = [_zone_panels(np.zeros(m), (r > 0.0) * 1.0, v_cut), _zone_panels(h, split, gap),
-             _zone_panels(np.where(r > 0.0, 3.0 * split, split), top, np.broadcast_to(b, gap.shape)),
+             _zone_panels(np.where(r > 0.0, 3.0 * split, split), top, b),
              (np.repeat(np.arange(m), w_edge.size - 1), np.tile(w_edge[:-1], m), np.tile(w_edge[1:], m))]
     ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
     ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
     first = _panel_values(integrand, ids, lo, hi)
     near_val, near_fit, near_noise, miss_noise = near(np.arange(m), h)
     size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m)).sum(axis=0)
-    tol = np.fmax(quad.abs_tol, quad.rel_tol * size) / prefac
+    tol = np.fmax(abs_tol, rel_tol * size) / prefac
 
     # h shrinks while the fit misses its share above rounding; the fold takes [h/4, h] as a new panel
     shrink, new = (near_fit > tol / 8.0) & (near_fit > miss_noise), []
@@ -277,9 +293,8 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: Frac
                             _adaptive_many(integrand, ids, lo, hi, zone_tol, _MAX_PANELS, 4 * m, first))
     total = prefac * (near_val + val[0] + val[1] + val[2] + val[3])
     err = prefac * (near_fit + near_noise + err[0] + err[1] + err[2] + err[3])
-    converged = ok.all(0) & (err <= prefac * 4.0 * tol + np.fmax(quad.abs_tol, quad.rel_tol * np.abs(total)))
-    return [OperatorValue(*row) for row in zip(total.tolist(), err.tolist(),
-                                               panels.sum(axis=0).tolist(), converged.tolist())]
+    converged = ok.all(0) & (err <= prefac * 4.0 * tol + np.fmax(abs_tol, rel_tol * np.abs(total)))
+    return total, err, panels.sum(axis=0), converged
 
 
 # ---------------------------------------------------------------------------
@@ -287,69 +302,63 @@ def _radial_values(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, params: Frac
 # ---------------------------------------------------------------------------
 
 
-def _profile_growth_check(profile: RadialProfile, s: float) -> None:
-    if profile.max_growth_exponent() >= 2.0 * s - 0.05:
-        raise DivergenceError(
-            "profile grows at least like |x|^(2s); the defining integral diverges"
-        )
+def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np.ndarray, ...]]:
+    """(-Delta)^s of several radial functions, each at its own radii under its own QuadSpec, in one pass.
+
+    ``jobs`` holds (function, radii, quad) triples, radii a 1-d sequence.
+    Returns per job its value, error-estimate, panel-count and converged
+    arrays; each radius gets, bit for bit, what ``eval_radial`` gives at it
+    alone.  A job with no radii calls nothing.  The jobs are checked in
+    order: the first failing one (a negative radius, one next to a kink, a
+    diverging far field) raises what it raises alone.  Plain callables must
+    grow slower than |x|^(2s); they are called on 1-d arrays of radii and
+    return one value per radius (a scalar broadcasts), so scalar-only
+    functions such as ``math.exp`` need ``np.vectorize``.
+    """
+    checked, sizes, n = [], [], params.n
+    for u, radii, quad in jobs:
+        r = np.asarray(radii, dtype=float)
+        if r.ndim != 1:
+            raise DomainError("radii must be a 1-d sequence")
+        sizes.append(r.size)
+        if r.size == 0:
+            continue
+        if np.any(r < 0.0):
+            raise DomainError("radius must be nonnegative")
+        sampled = not isinstance(u, RadialProfile)
+        if sampled:
+            u_vec, breaks = as_radial_callable(u), [k for k in quad.kink_radii if k > 0.0]
+            lowest = 2.0 * params.s - n  # a callable's lowest exponent is the fundamental solution's
+        else:
+            if u.max_growth_exponent() >= 2.0 * params.s - 0.05:
+                raise DivergenceError("profile grows at least like |x|^(2s); the defining integral diverges")
+            if np.any(r == 0.0):
+                raise EvaluationPointError("profiles are evaluated at positive radii")
+            u_vec, breaks = u, u.breakpoints
+            # the origin map makes rho^(n - 1 + lowest) smooth (a log's exponent is 0)
+            lowest = min((e for _, e, _ in u.pieces[0]), default=0.0)
+        if lowest <= -n:
+            raise DivergenceError("profile is not integrable at the origin")
+        checked.append(_job(u_vec, u_vec(r), r, breaks, max(1.0, 1.0 / (n + lowest)), quad, sampled, params.s))
+    cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
+    return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 
 def eval_radial_many(profile: RadialProfile | Callable, radii, params: FracParams,
                      quad: QuadSpec = QuadSpec()) -> list[OperatorValue]:
-    """(-Delta)^s of one radial function at many radii, in one batched pass.
+    """(-Delta)^s of one radial function at many radii: the one-job call of ``eval_radial_jobs``.
 
-    Returns one OperatorValue per radius of the 1-d sequence ``radii``, in
-    its order; each is bit for bit what ``eval_radial`` gives at that radius
-    alone.  An empty ``radii`` returns an empty list and calls nothing.  A
-    radius that fails a check (negative, on or next to a kink, or with a
-    diverging far field) raises for the whole batch.
-
-    Profiles and plain radial callables alike take the integral over rho
-    against the kernel of their dimension (see the module docstring).  Plain
-    callables require growth slower than |x|^(2s).  A plain callable is
-    called on 1-d arrays of radii and returns one value per radius (or a
-    scalar, which broadcasts); scalar-only functions such as ``math.exp``
-    need ``np.vectorize``.
+    Returns one OperatorValue per radius, in order; a radius that fails a
+    check raises for the whole batch.
     """
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1:
-        raise DomainError("radii must be a 1-d sequence")
-    if r.size == 0:
-        return []
-    if np.any(r < 0.0):
-        raise DomainError("radius must be nonnegative")
-    n, sampled = params.n, not isinstance(profile, RadialProfile)
-    if sampled:
-        u_vec, breaks = as_radial_callable(profile), [k for k in quad.kink_radii if k > 0.0]
-        lowest = 2.0 * params.s - n  # a callable's lowest exponent is the fundamental solution's
-    else:
-        _profile_growth_check(profile, params.s)
-        if np.any(r == 0.0):
-            raise EvaluationPointError("profiles are evaluated at positive radii")
-        u_vec, breaks = profile, profile.breakpoints
-        # the origin map makes rho^(n - 1 + lowest) smooth (a log's exponent is 0)
-        lowest = min((e for _, e, _ in profile.pieces[0]), default=0.0)
-    if lowest <= -n:
-        raise DivergenceError("profile is not integrable at the origin")
-    return _radial_values(_on_points(u_vec), u_vec(r), r, params, breaks, max(1.0, 1.0 / (n + lowest)), quad,
-                          sampled)
+    return [OperatorValue(*row) for row in zip(*(col.tolist() for col in
+                                                 eval_radial_jobs([(profile, radii, quad)], params)[0]))]
 
 
 def eval_radial(profile: RadialProfile | Callable, r: float, params: FracParams,
                 quad: QuadSpec = QuadSpec()) -> OperatorValue:
-    """(-Delta)^s of a radial function at any point of radius r.
-
-    The one-radius call of ``eval_radial_many``, which describes the
-    profiles and callables it takes.
-    """
+    """(-Delta)^s of a radial function at any point of radius r: the one-radius call of ``eval_radial_many``."""
     return eval_radial_many(profile, [r], params, quad)[0]
-
-
-def _batch_arrays(ovs: Sequence[OperatorValue]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, error-estimate and converged arrays of an ``eval_radial_many`` batch."""
-    return (np.asarray([ov.value for ov in ovs], dtype=float),
-            np.asarray([ov.error_estimate for ov in ovs], dtype=float),
-            np.asarray([ov.converged for ov in ovs], dtype=bool))
 
 
 def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec()) -> OperatorValue:
@@ -382,8 +391,8 @@ def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec
             return 0.5 * (both[:t.size] + both[t.size:])
 
         # on the line, a point on a kink radius is not rejected
-        return _radial_values(_on_points(even), even(np.zeros(1)), np.zeros(1), params, sorted(kinks[kinks > 0.0]),
-                              1.0, quad, True)[0]
+        job = _job(even, even(np.zeros(1)), np.zeros(1), sorted(kinks[kinks > 0.0]), 1.0, quad, True, params.s)
+        return OperatorValue(*(col[0].item() for col in _radial_values([job], params)))
     direction = point / radius if radius > 0 else np.eye(params.n)[0]
     return eval_radial(lambda rho: u((rho[:, None] * direction[None, :]).T), radius, params, quad)
 

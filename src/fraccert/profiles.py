@@ -193,8 +193,12 @@ class RadialProfile:
     # ------------------------------------------------------------------ eval
 
     def _piece_index(self, rho, side: str = "left") -> np.ndarray:
-        # side='left' puts a breakpoint radius into the piece on its left
-        return np.searchsorted(np.asarray(self.breakpoints), rho, side=side)
+        # np.searchsorted's index (side='left' puts a breakpoint radius into the piece on its left, NaN goes
+        # last), counted: faster than a binary search for the few breakpoints a profile has
+        idx = np.full(np.shape(rho), len(self.breakpoints), np.min_scalar_type(len(self.breakpoints)))
+        for b in self.breakpoints:
+            idx -= (rho <= b) if side == "left" else (rho < b)
+        return idx
 
     def _piecewise(self, rho: np.ndarray, side: str = "left") -> np.ndarray:
         """Values at the positive radii rho; a breakpoint takes the piece on its ``side``."""

@@ -29,6 +29,8 @@ def _float(x: float) -> float | str | None:
 
 
 def _plain(obj: Any) -> Any:
+    if type(obj) is dict and all(type(v) is float for v in obj.values()) and math.isfinite(sum(obj.values())):
+        return {str(k): v for k, v in obj.items()}  # plain floats in one pass; a finite sum means no NaN or inf
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -135,6 +135,20 @@ def test_malformed_spec_shape_is_a_configuration_error(capsys, tmp_path, spec):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("g,named", [
+    ({"name": "power", "q": 3}, "'q'"),  # a key power does not take: no silent p = 1
+    ({"name": "piecewise_powers", "pieces": [{"upto": None, "terms": [5]}]}, "terms"),  # a term that is no pair
+    ({"name": "piecewise_powers", "pieces": [{"upto": None, "terms": 5}]}, "terms"),  # terms that are no list
+    ({"name": "piecewise_powers"}, "pieces"),  # no pieces
+])
+def test_unknown_keys_and_malformed_terms_exit_3(capsys, tmp_path, g, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"form": "separable", "g": g}))
+    assert main(["check-f", "--spec", str(path), "--condition", "f2", "--n", "3", "--s", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and named in captured.err
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", '"report"', "3"])
 def test_report_of_a_file_holding_no_object_is_a_configuration_error(capsys, tmp_path, content):
     path = tmp_path / "r.json"
@@ -278,6 +292,16 @@ def test_float_arrays_and_lists_give_the_same_json():
     assert to_json({"v": np.asarray([values, values])}) == to_json({"v": [values, values]})
     mixed = [1.5, np.float64("nan"), 2, None, "inf", float("inf")]  # not all Python floats
     assert json.loads(to_json({"v": mixed}))["body"]["v"] == [1.5, None, 2, None, "inf", "inf"]
+
+
+def test_float_dicts_give_the_same_json():
+    # rows of plain floats take one pass; NaN and inf still become null, "inf" and "-inf"
+    rows = [{"x": 1.5, "value": v, "err": 1e-300} for v in (2.5, float("nan"), float("inf"), -float("inf"))]
+    rows += [{"a": 1e308, "b": 1e308}, {1: 0.5}, {}]  # an overflowing sum, a key that is no string, no keys
+    numpy_rows = [{k: np.float64(v) for k, v in row.items()} for row in rows]
+    text = to_json({"samples": rows})
+    assert text == to_json({"samples": numpy_rows})
+    assert [row["value"] for row in json.loads(text)["body"]["samples"][1:4]] == [None, "inf", "-inf"]
 
 
 def test_scan_writes_json_and_csv(capsys, tmp_path):

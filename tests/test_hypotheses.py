@@ -217,6 +217,28 @@ def test_piecewise_powers_rejects_malformed_pieces(pieces):
         spec_from_dict({"g": {"name": "piecewise_powers", "pieces": pieces}}, P3)
 
 
+@pytest.mark.parametrize("name,kw", [
+    ("power", {"q": 3}), ("power", {"p": 2.0, "P": 3.0}), ("exponential", {"p": 1.0}),
+    ("critical_splice", {"p": 1.0}), ("piecewise_powers", {"pieces": _PIECEWISE, "upto": 1.0}),
+])
+def test_builtin_g_rejects_keys_it_does_not_take(name, kw):
+    with pytest.raises(ConfigurationError, match="takes no key"):
+        builtin_g(name, P3, **kw)
+
+
+@pytest.mark.parametrize("g", [
+    {"name": "piecewise_powers", "pieces": [{"upto": None, "terms": [5]}]},  # a term that is no pair
+    {"name": "piecewise_powers", "pieces": [{"upto": None, "terms": 5}]},  # terms that are no list
+    {"name": "piecewise_powers", "pieces": [{"upto": None, "terms": [[1.0, None]]}]},  # a null exponent
+    {"name": "piecewise_powers", "pieces": [{"upto": [1.0], "terms": [[1.0, 1.0]]}, {"upto": None, "terms": []}]},
+    {"name": "piecewise_powers"},  # no pieces
+    {"name": ["power"]},  # a name that is no string
+])
+def test_malformed_piecewise_terms_raise_configuration_errors(g):
+    with pytest.raises(ConfigurationError):
+        spec_from_dict({"g": g}, P3)
+
+
 def test_verdicts_keep_inconclusive_discipline():
     # a short, non-monotone sequence must never produce HOLDS/FAILS
     wiggle = NonlinearitySpec(form="general",

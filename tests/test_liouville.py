@@ -9,7 +9,7 @@ from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 annulus_inf, default_r_grid, nonexistence_scan,
                                 power_symbol, proof_quantity_trace,
                                 supersolution_residual, verify_growth_bounds)
-from fraccert.operator import QuadSpec, eval_radial_many
+from fraccert.operator import QuadSpec, eval_radial_jobs
 from fraccert.params import FracParams
 from fraccert.profiles import BarrierConstants, RadialProfile, SignVariant, make_fundamental
 
@@ -166,11 +166,11 @@ def test_scan_scales_one_evaluation_per_beta(monkeypatch):
     quad = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
     tolerances = []
 
-    def spy(profile, radii, params, quad):
-        tolerances.append(quad.abs_tol)
-        return eval_radial_many(profile, radii, params, quad)
+    def spy(jobs, params):
+        tolerances.extend(q.abs_tol for _, _, q in jobs)
+        return eval_radial_jobs(jobs, params)
 
-    monkeypatch.setattr(liouville, "eval_radial_many", spy)
+    monkeypatch.setattr(liouville, "eval_radial_jobs", spy)
     scan = nonexistence_scan(fam, f, P3, (10.0, 1e4), quad, points=12, keep_curves=True)
     monkeypatch.undo()
     # three distinct betas at abs_tol / max c, then the control at abs_tol
@@ -316,17 +316,16 @@ def test_scan_member_follows_the_chain_sign_rule(monkeypatch, unconverged, verdi
     # unconverged, INCONCLUSIVE beyond, as a sign chain judges the same samples
     import fraccert.chains as chains
     import fraccert.liouville as liouville
-    from fraccert.operator import OperatorValue
 
     values = np.ones(20)
     values[7] = -1.0
     converged = np.arange(20) >= unconverged
 
     def batch(sign):
-        return lambda profile, radii, params, quad: [OperatorValue(sign * float(v), 1e-3, 1, bool(ok))
-                                                     for v, ok in zip(values, converged)]
+        return lambda jobs, params: [(sign * values, np.full(20, 1e-3), np.ones(20, dtype=int), converged)
+                                     for _ in jobs]
 
-    monkeypatch.setattr(liouville, "eval_radial_many", batch(1.0))
+    monkeypatch.setattr(liouville, "eval_radial_jobs", batch(1.0))
     fam = CandidateFamily(c_values=(1.0,), beta_values=(1.0,))
     scan = nonexistence_scan(fam, lambda t, x: 0.0 * t, P3, (10.0, 1e3), points=20)
     assert [row[1] for row in scan.members] == [verdict]
@@ -335,6 +334,6 @@ def test_scan_member_follows_the_chain_sign_rule(monkeypatch, unconverged, verdi
     direct = supersolution_residual(lambda rho: np.ones_like(rho), lambda t, x: 0.0 * t, (10.0, 1e3), P3, points=20)
     assert direct.verdict is (Verdict.FAIL if failed else Verdict.INCONCLUSIVE)
     # a sign chain needs negative values: the same samples, negated
-    monkeypatch.setattr(chains, "eval_radial_many", batch(-1.0))
+    monkeypatch.setattr(chains, "eval_radial_jobs", batch(-1.0))
     rep = chains.verify_chain("CA1_00", FracParams(1, 0.5), BarrierConstants(2.0, 20.0), chains.SamplePolicy(points=20))
     assert rep.verdict is (chains.Verdict.FAIL if failed else chains.Verdict.INCONCLUSIVE)

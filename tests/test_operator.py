@@ -13,7 +13,7 @@ import pytest
 from fraccert.errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from fraccert.liouville import annulus_inf
 from fraccert.operator import (QuadSpec, OperatorValue, _geometric_fill, eval_pointwise, eval_radial,
-                               eval_radial_many, scaling_identity_check)
+                               eval_radial_jobs, eval_radial_many, scaling_identity_check)
 from fraccert.params import FracParams
 from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, make_barrier, make_fundamental,
                                power_profile)
@@ -421,3 +421,38 @@ def test_eval_radial_many_errors_and_empty_batch():
     calls = []
     assert eval_radial_many(lambda rho: calls.append(rho) or rho, [], p) == []
     assert calls == []
+
+
+def _raised(call) -> tuple[type, str] | None:
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_eval_jobs_match_their_own_calls(n, s):
+    # a kinked profile, a plain callable with a kink radius, and a profile whose origin map has p = 2,
+    # each under its own tolerances: one pass gives every radius its own eval_radial bit for bit
+    params = FracParams(n, s)
+    steps = RadialProfile((2.0, 5.0), (((1.0, 0.0, False),), ((2.0, -1.0, False),), ((5.0, -2.0, False),)))
+    jobs = [(steps, [1.0, 3.0, 8.0], QuadSpec(rel_tol=1e-6)),
+            (_cap, [0.0, 0.6, 2.5], QuadSpec(abs_tol=1e-10, kink_radii=(1.0,))),
+            (RadialProfile((), (((1.0, 0.5 - n, False),),)), [0.7, 4.0], QuadSpec(rel_tol=1e-9, abs_tol=1e-13)),
+            (_bubble, [], QuadSpec())]
+    alone = [[eval_radial(u, r, params, quad) for r in radii] for u, radii, quad in jobs]
+    assert eval_radial_jobs([], params) == []
+    assert [col.size for col in eval_radial_jobs(jobs[3:], params)[0]] == [0, 0, 0, 0]
+    for order in [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (3, 2, 1, 0), (2, 0, 3, 1)]:
+        out = eval_radial_jobs([jobs[j] for j in order], params)
+        for j, cols in zip(order, out):
+            assert [OperatorValue(*row) for row in zip(*(col.tolist() for col in cols))] == alone[j], (order, j)
+    # a failing job raises what it raises alone, and the first failing one in order wins
+    on_kink = (RadialProfile((2.0,), (((1.0, 0.0, False),), ())), [1.0, 2.0000001], QuadSpec())
+    grows = (lambda rho: np.asarray(rho) ** 2.0, [0.5, 3.0], QuadSpec())
+    for bad in (on_kink, grows):
+        want = _raised(lambda: eval_radial_many(bad[0], bad[1], params, bad[2]))
+        assert want is not None and want[0] in (EvaluationPointError, DivergenceError)
+        assert _raised(lambda: eval_radial_jobs([jobs[0], bad] + [on_kink, grows], params)) == want

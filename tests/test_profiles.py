@@ -237,3 +237,16 @@ def test_gallery_covers_valid_kinds():
     names = {name for name, _, _ in rows}
     assert "capped_power" in names and "exterior_with_shell" in names
     assert "power_ramp" not in names  # wrong branch for these parameters
+
+
+@pytest.mark.parametrize("breakpoints", [(), (2.0,), (1.0, 2.0, 20.0, 40.0), tuple(np.geomspace(1.0, 1e3, 300))])
+def test_piece_index_is_searchsorted(breakpoints):
+    # the counted piece index is np.searchsorted's on both sides: breakpoints themselves, NaN and +-inf included
+    prof = RadialProfile(breakpoints, ((),) * (len(breakpoints) + 1))
+    rho = np.concatenate([np.geomspace(1e-3, 1e4, 500), breakpoints, [np.nan, np.inf, -np.inf, 0.0]])
+    for side in ("left", "right"):
+        want = np.searchsorted(np.asarray(breakpoints), rho, side=side)
+        np.testing.assert_array_equal(prof._piece_index(rho, side), want)
+        even = rho.size // 2 * 2  # a 2-d array too
+        np.testing.assert_array_equal(prof._piece_index(rho[:even].reshape(-1, 2), side), want[:even].reshape(-1, 2))
+        assert [prof._piece_index(float(x), side) for x in rho[:20]] == want[:20].tolist()
