@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,17 @@ def _quad(args) -> QuadSpec:
     return QuadSpec(rel_tol=5e-8, abs_tol=1e-14)
 
 
+def _read_object(path: str) -> dict:
+    """The JSON object in the file at path; anything else there is a configuration error."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON, or bytes that are no UTF-8
+        raise ConfigurationError(f"{path} holds no JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} holds no JSON object")
+    return data
+
+
 def _emit(args, payload, kind: str) -> None:
     if args.report:
         write_json(args.report, payload, kind)
@@ -63,19 +75,14 @@ def _constants(args) -> BarrierConstants:
 
 
 def cmd_eval(args) -> Verdict:
-    params = _params(args)
-    quad = _quad(args)
-    if args.profile == "fundamental":
-        prof = make_fundamental(params)
-        ov = eval_radial(prof, args.at, params, quad)
-    elif args.profile == "cos":
+    params, quad = _params(args), _quad(args)
+    if args.profile == "cos":
         if args.n != 1:
-            raise ConfigurationError(
-                f"cos is not a radial function: --profile cos needs --n 1, not --n {args.n}")
+            raise ConfigurationError(f"cos is not a radial function: --profile cos needs --n 1, not --n {args.n}")
         ov = eval_pointwise(np.cos, args.at, params, quad)
     else:
-        constants = _constants(args)
-        prof = make_barrier(BarrierKind(args.profile), constants, params)
+        prof = make_fundamental(params) if args.profile == "fundamental" else \
+            make_barrier(BarrierKind(args.profile), _constants(args), params)
         ov = eval_radial(prof, args.at, params, quad)
     payload = {
         "profile": args.profile, "at": args.at, "n": args.n, "s": args.s,
@@ -97,9 +104,7 @@ def cmd_barrier(args) -> Verdict:
 
 
 def cmd_verify_chain(args) -> Verdict:
-    params = _params(args)
-    chain = ChainId(args.chain.upper())
-    constants = _constants(args)
+    params, chain, constants = _params(args), ChainId(args.chain), _constants(args)
     # bound chains take --r0/--r as given; sign chains with bound parts get their amplitude chosen
     try:
         if args.auto_constants and chain_info(chain).parts:
@@ -125,9 +130,8 @@ def cmd_verify_chain(args) -> Verdict:
 def cmd_rate(args) -> Verdict:
     params = _params(args)
     grid = np.geomspace(args.r_min, args.r_max, args.grid_points).tolist()
-    fit = measure_rate(ChainId(args.chain.upper()), params, _constants(args), grid,
-                       quad=_quad(args))
-    payload = {"chain": args.chain.upper(), "n": args.n, "s": args.s, "r_grid": grid,
+    fit = measure_rate(ChainId(args.chain), params, _constants(args), grid, quad=_quad(args))
+    payload = {"chain": args.chain, "n": args.n, "s": args.s, "r_grid": grid,
                "constant": fit.constant, "slope": fit.slope, "residual": fit.residual,
                "ratio_spread": fit.ratio_spread}
     _emit(args, payload, "rate-fit")
@@ -136,13 +140,9 @@ def cmd_rate(args) -> Verdict:
 
 def cmd_solve(args) -> Verdict:
     params = _params(args)
-    intervals = tuple(tuple(map(float, part.split(":"))) for part in args.domain.split(","))
-    rhs = args.rhs_const
-    exterior = ExteriorData(args.exterior)
-    problem = GridProblem(intervals, args.h, params, rhs, exterior)
-    sol = solve_dirichlet(problem)
+    sol = solve_dirichlet(GridProblem(args.domain, args.h, params, args.rhs_const, ExteriorData(args.exterior)))
     payload = {
-        "domain": intervals, "h": args.h, "n": args.n, "s": args.s,
+        "domain": args.domain, "h": args.h, "n": args.n, "s": args.s,
         "exterior": args.exterior, "rhs_const": args.rhs_const,
         "residual_norm": sol.residual_norm,
         "min_value": float(sol.values.min()), "max_value": float(sol.values.max()),
@@ -196,8 +196,7 @@ def cmd_maxprinciple(args) -> Verdict:
 
 def cmd_check_f(args) -> HVerdict:
     params = _params(args)
-    data = json.loads(Path(args.spec).read_text())
-    spec = spec_from_dict(data, params)
+    spec = spec_from_dict(_read_object(args.spec), params)
     checker = {"f2": check_f2, "f2prime": check_f2prime,
                "f3prime": check_f3prime, "f4prime": check_f4prime}[args.condition]
     rep = checker(spec, params)
@@ -240,9 +239,7 @@ def cmd_trace(args) -> Verdict:
 
 
 def cmd_report(args) -> Verdict:
-    data = json.loads(Path(args.file).read_text())
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{args.file} holds no report: a report is a JSON object")
+    data = _read_object(args.file)
     body = data.get("body", data)
     print(f"schema_version: {data.get('schema_version')}  kind: {data.get('kind')}")
     if isinstance(body, dict):
@@ -255,15 +252,33 @@ def cmd_report(args) -> Verdict:
     return Verdict.PASS
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: the text converted by ``kind``, where ``ok`` accepts it; else a usage error."""
+    def convert(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
+
+
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")  # radii, spacings, spans
+_COUNT = _checked(int, lambda v: v > 0, "a positive integer")
+_INTERVALS = _checked(lambda text: tuple(tuple(map(float, part.split(":"))) for part in text.split(",")),
+                      lambda d: all(len(iv) == 2 and all(map(math.isfinite, iv)) for iv in d),
+                      "comma-separated a:b intervals with finite ends")
+
 # flags shared by several verbs; each verb declares only those it reads
 _SHARED_FLAGS = {
     "n": dict(type=int, default=1),
     "s": dict(type=float, default=0.5),
-    "r0": dict(type=float, default=2.0),
-    "r": dict(type=float, default=20.0),
+    "r0": dict(type=_POSITIVE, default=2.0),
+    "r": dict(type=_POSITIVE, default=20.0),
     "tol": dict(type=float, default=None),
-    "samples": dict(type=int, default=200),
-    "seed": dict(type=int, default=0),
+    "samples": dict(type=_checked(int, lambda v: v > 0, "a positive number of sample points"), default=200),
+    "seed": dict(type=_checked(int, lambda v: v >= 0, "a nonnegative integer"), default=0),
     "report": dict(type=str, default=None, help="write the JSON report here"),
     "csv": dict(type=str, default=None, help="write CSV plot data here"),
 }
@@ -286,26 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = verb("eval", cmd_eval, "evaluate the operator on a profile", "r0", "r", "tol")
-    p.add_argument("--profile", default="fundamental")
+    p.add_argument("--profile", choices=("fundamental", "cos", *(k.value for k in BarrierKind)), default="fundamental")
     p.add_argument("--at", type=float, required=True)
 
     verb("barrier", cmd_barrier, "emit the barrier gallery", "r0", "r", "csv")
 
     p = verb("verify-chain", cmd_verify_chain, "verify a sign or rate certificate",
              "r0", "r", "tol", "samples", "csv")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--auto-constants", action="store_true", default=True)
+    p.add_argument("--chain", type=str.upper, choices=[c.value for c in ChainId], required=True)
     p.add_argument("--no-auto-constants", dest="auto_constants", action="store_false")
 
     p = verb("rate", cmd_rate, "fit the decay rate of a bound chain", "r0", "r", "tol")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--r-min", type=float, default=10.0)
-    p.add_argument("--r-max", type=float, default=1000.0)
-    p.add_argument("--grid-points", type=int, default=5)
+    p.add_argument("--chain", type=str.upper, choices=[c.value for c in ChainId], required=True)
+    p.add_argument("--r-min", type=_POSITIVE, default=10.0)
+    p.add_argument("--r-max", type=_POSITIVE, default=1000.0)
+    p.add_argument("--grid-points", type=_COUNT, default=5)
 
     p = verb("solve", cmd_solve, "solve a 1-d nonlocal Dirichlet problem", "csv")
-    p.add_argument("--domain", default="-1:1", help="comma-separated a:b intervals")
-    p.add_argument("--h", type=float, default=1.0 / 128.0)
+    p.add_argument("--domain", type=_INTERVALS, default="-1:1", help="comma-separated a:b intervals")
+    p.add_argument("--h", type=_POSITIVE, default=1.0 / 128.0)
     p.add_argument("--rhs-const", type=float, default=1.0)
     p.add_argument("--exterior", choices=("zero", "fundamental"), default="zero")
 
@@ -313,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
              "samples", "seed")
     p.add_argument("--check", choices=("comparison", "hopf", "kslap", "qsmp", "measure", "all"),
                    default="all")
-    p.add_argument("--h", type=float, default=1.0 / 32.0)
+    p.add_argument("--h", type=_POSITIVE, default=1.0 / 32.0)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--variant", choices=("I", "II"), default="I")
 
@@ -322,15 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=("f2", "f2prime", "f3prime", "f4prime"), required=True)
 
     p = verb("scan", cmd_scan, "run a nonexistence scan over a candidate family", "samples", "csv")
-    p.add_argument("--power", type=float, default=1.4)
-    p.add_argument("--family-side", type=int, default=20)
+    p.add_argument("--power", type=_checked(float, math.isfinite, "a finite number"), default=1.4)
+    p.add_argument("--family-side", type=_COUNT, default=20)
     p.add_argument("--control", action="store_true")
-    p.add_argument("--r-min", type=float, default=10.0)
-    p.add_argument("--r-max", type=float, default=1e4)
+    p.add_argument("--r-min", type=_POSITIVE, default=10.0)
+    p.add_argument("--r-max", type=_POSITIVE, default=1e4)
 
     p = verb("trace", cmd_trace, "trace the proof quantities along a radius grid", "r0", "csv")
-    p.add_argument("--power", type=float, default=1.4, help="forcing power; 0 disables forcing")
-    p.add_argument("--decades", type=float, default=2.0)
+    p.add_argument("--power", type=_checked(float, lambda v: 0.0 <= v < math.inf, "a nonnegative finite number"),
+                   default=1.4, help="forcing power; 0 disables forcing")
+    p.add_argument("--decades", type=_POSITIVE, default=2.0)
 
     p = sub.add_parser("report", help="summarize a JSON report file")
     p.add_argument("file")
@@ -347,7 +362,7 @@ def main(argv=None) -> int:
         return _EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return _EXIT_OF[args.fn(args)]
-    except (FraccertError, OSError, KeyError, ValueError) as exc:  # ValueError covers malformed JSON
+    except (FraccertError, OSError) as exc:  # anything else is a defect: it propagates with its traceback
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -19,8 +19,9 @@ shrinks by 4 while the fit misses its share of the tolerance.  Adaptive zones:
 the fold on [h, r/2]; rho in (0, r/2] through rho = (r/2) v^p, with
 p = max(1, 1/(n + b)) for the lowest power b of the first piece (b = 2s - n,
 the fundamental solution's, for callables); rho in [3r/2, T]; and the tail
-through w = (T/rho)^(2s).  Every kink radius is a panel edge.  On the line,
-``eval_pointwise`` evaluates the even part (u(x + t) + u(x - t)) / 2 at t = 0.
+through w = (T/rho)^(2s), with T 64 times later where a plain callable's far
+field oscillates.  Every kink radius is a panel edge.  On the line,
+``eval_pointwise`` is ``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -69,8 +70,8 @@ class QuadSpec:
     kink_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if min(self.rel_tol, self.abs_tol) <= 0.0:
-            raise ConfigurationError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):  # NaN fails too
+            raise ConfigurationError("tolerances must be positive and finite")
         object.__setattr__(self, "kink_radii", tuple(sorted(float(k) for k in self.kink_radii)))
 
 
@@ -140,47 +141,25 @@ def _zone_panels(lo: np.ndarray, hi: np.ndarray,
     return _geometric_fill(rows[1:][gap], e[:-1][gap], e[1:][gap])
 
 
-def _tail_is_oscillatory(u: Callable, u_x: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Detect non-settling (oscillatory) far fields; monotone tails give False."""
+def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> np.ndarray:
+    """The tail start of a plain callable u from one probe at top 2^k, k = 0 ... 8: 64 top where the far
+    field swings without settling, else top.  Growth like rho^(2s) over top {1, 4, 16, 64} raises."""
     vals = u(top[:, None] * 2.0 ** np.arange(0, 9))
-    swing = np.abs(np.diff(vals, axis=1)).sum(axis=1)
-    trend = np.abs(vals[:, -1] - vals[:, 0])
-    amp = np.abs(vals).max(axis=1)
-    ref = np.maximum(np.maximum(np.abs(u_x), amp), 1e-300)
-    return (swing > 4.0 * trend + 1e-9 * ref) & (amp > 1e-9 * ref)
-
-
-def _check_sampled_growth(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> None:
-    """Raise DivergenceError when u beyond top grows like rho^(2s) or faster."""
-    mags = np.abs(u_x[:, None] - u(top[:, None] * np.asarray([1.0, 4.0, 16.0, 64.0])))
+    mags = np.abs(u_x[:, None] - vals[:, 0:7:2])
     rising = (mags[:, 3] > 1e3 * np.maximum(1.0, np.abs(u_x))) & (mags[:, 3] > mags[:, 2]) \
         & (mags[:, 2] > mags[:, 1])
     for i in np.flatnonzero(rising):
         slope = math.log(mags[i, 3] / mags[i, 2]) / math.log(4.0)
         if slope >= 2.0 * s - 0.05:
-            raise DivergenceError(
-                f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}"
-            )
-
-
-def _job(u_vec: Callable, u_x: np.ndarray, r: np.ndarray, breaks: Sequence[float], p: float,
-         quad: QuadSpec, sampled: bool, s: float) -> tuple:
-    """A checked ``_radial_values`` job (u on points, r, u(r), kink radii, h, scale, T, p, quad) of u on 1-d
-    arrays; p is the origin map's power, and a sampled (plain) callable's far field is probed for growth."""
-    b, u_vec = np.asarray(breaks, dtype=float), (lambda rho, u=u_vec: u(rho.ravel()).reshape(rho.shape))
-    nearest = np.abs(r[:, None] - b).min(axis=1, initial=np.inf)
-    scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
-    if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
-        raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
-    top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
-    if sampled:
-        _check_sampled_growth(u_vec, u_x, s, top)
-        top = np.where(_tail_is_oscillatory(u_vec, u_x, top), top * 64.0, top)
-    return u_vec, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top, p, quad
+            raise DivergenceError(f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}")
+    swing, trend = np.abs(np.diff(vals, axis=1)).sum(axis=1), np.abs(vals[:, -1] - vals[:, 0])
+    amp = np.abs(vals).max(axis=1)
+    ref = np.maximum(np.maximum(np.abs(u_x), amp), 1e-300)
+    return np.where((swing > 4.0 * trend + 1e-9 * ref) & (amp > 1e-9 * ref), top * 64.0, top)
 
 
 def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
-    """(-Delta)^s at every radius of every job (see ``_job``) in R^n, in one pass.
+    """(-Delta)^s at every radius of every checked job (see ``eval_radial_jobs``) in R^n, in one pass.
 
     The radii of the jobs, m in all, follow each other in job order.  Each
     radius is four integral ids m apart, one per zone (origin, fold, outer,
@@ -309,22 +288,20 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
     Returns per job its value, error-estimate, panel-count and converged
     arrays; each radius gets, bit for bit, what ``eval_radial`` gives at it
     alone.  A job with no radii calls nothing.  The jobs are checked in
-    order: the first failing one (a negative radius, one next to a kink, a
-    diverging far field) raises what it raises alone.  Plain callables must
-    grow slower than |x|^(2s); they are called on 1-d arrays of radii and
-    return one value per radius (a scalar broadcasts), so scalar-only
-    functions such as ``math.exp`` need ``np.vectorize``.
+    order: the first failing one (a negative or non-finite radius, one next
+    to a kink, a diverging far field) raises what it raises alone.  Plain
+    callables must grow slower than |x|^(2s); they are called on 1-d arrays
+    of radii and return one value per radius (a scalar broadcasts), so
+    scalar-only functions such as ``math.exp`` need ``np.vectorize``.
     """
     checked, sizes, n = [], [], params.n
     for u, radii, quad in jobs:
         r = np.asarray(radii, dtype=float)
-        if r.ndim != 1:
-            raise DomainError("radii must be a 1-d sequence")
+        if r.ndim != 1 or not np.all((r >= 0.0) & (r < np.inf)):
+            raise DomainError("radii must be a 1-d sequence of finite nonnegative numbers")
         sizes.append(r.size)
         if r.size == 0:
             continue
-        if np.any(r < 0.0):
-            raise DomainError("radius must be nonnegative")
         sampled = not isinstance(u, RadialProfile)
         if sampled:
             u_vec, breaks = as_radial_callable(u), [k for k in quad.kink_radii if k > 0.0]
@@ -335,11 +312,19 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
             if np.any(r == 0.0):
                 raise EvaluationPointError("profiles are evaluated at positive radii")
             u_vec, breaks = u, u.breakpoints
-            # the origin map makes rho^(n - 1 + lowest) smooth (a log's exponent is 0)
-            lowest = min((e for _, e, _ in u.pieces[0]), default=0.0)
+            lowest = min((e for _, e, _ in u.pieces[0]), default=0.0)  # a log's exponent is 0
         if lowest <= -n:
             raise DivergenceError("profile is not integrable at the origin")
-        checked.append(_job(u_vec, u_vec(r), r, breaks, max(1.0, 1.0 / (n + lowest)), quad, sampled, params.s))
+        b, u_x = np.asarray(breaks, dtype=float), u_vec(r)
+        fn = lambda rho, g=u_vec: g(rho.ravel()).reshape(rho.shape)  # the engine passes 2-d arrays
+        nearest = np.abs(r[:, None] - b).min(axis=1, initial=np.inf)
+        scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
+        if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
+            raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
+        top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
+        # the job: fn, r, u(r), kink radii, h, scale, T, and the origin map's power, which smooths rho^(n-1+lowest)
+        checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale,
+                        _far_field(fn, u_x, params.s, top) if sampled else top, max(1.0, 1.0 / (n + lowest)), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 
@@ -375,14 +360,15 @@ def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec
     point = np.asarray(x, dtype=float)
     if point.ndim == 0:
         point = np.pad(point[None], (0, params.n - 1))
-    if point.size != params.n:
-        raise DomainError(f"x has {point.size} coordinates in dimension {params.n}")
+    if point.size != params.n or not np.all(np.isfinite(point)):
+        raise DomainError(f"x must have {params.n} finite coordinates, not {point.ravel().tolist()}")
     point = point.ravel()
     radius = float(np.linalg.norm(point))
     if isinstance(u, RadialProfile):
         return eval_radial(u, radius, params, quad)
     if params.n == 1:
-        # the even part v(t) = (u(x + t) + u(x - t)) / 2 is radial in t and has the operator value at t = 0
+        # the even part v(t) = (u(x + t) + u(x - t)) / 2 is radial in t and has the operator value at t = 0;
+        # at t = 0 the origin zone is empty, and a point on a kink radius is not rejected
         x0, u_vec, k = float(point[0]), as_radial_callable(u), np.asarray(quad.kink_radii)
         kinks = np.abs(np.concatenate([x0 - k, x0 + k]))
 
@@ -390,9 +376,7 @@ def eval_pointwise(u: Callable, x, params: FracParams, quad: QuadSpec = QuadSpec
             both = u_vec(np.concatenate([x0 + t, x0 - t]))
             return 0.5 * (both[:t.size] + both[t.size:])
 
-        # on the line, a point on a kink radius is not rejected
-        job = _job(even, even(np.zeros(1)), np.zeros(1), sorted(kinks[kinks > 0.0]), 1.0, quad, True, params.s)
-        return OperatorValue(*(col[0].item() for col in _radial_values([job], params)))
+        return eval_radial(even, 0.0, params, replace(quad, kink_radii=tuple(kinks[kinks > 0.0])))
     direction = point / radius if radius > 0 else np.eye(params.n)[0]
     return eval_radial(lambda rho: u((rho[:, None] * direction[None, :]).T), radius, params, quad)
 

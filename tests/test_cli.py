@@ -111,10 +111,10 @@ def test_eval_cos_in_several_dimensions_is_usage_error(capsys):
 
 def test_malformed_spec_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run(capsys, "check-f", "--spec", str(bad), "--condition", "f2",
-                  "--n", "3", "--s", "0.5")
-    assert code == 3
+    for content in (b"{not json", b"\xff\xfe{"):  # malformed JSON, bytes that are no UTF-8
+        bad.write_bytes(content)
+        assert main(["check-f", "--spec", str(bad), "--condition", "f2", "--n", "3", "--s", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
 
 _POWER = {"name": "power", "p": 1.4}
@@ -149,7 +149,7 @@ def test_unknown_keys_and_malformed_terms_exit_3(capsys, tmp_path, g, named):
     assert captured.out == "" and captured.err.startswith("error:") and named in captured.err
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", '"report"', "3"])
+@pytest.mark.parametrize("content", ["[1, 2]", '"report"', "3", "{not json"])
 def test_report_of_a_file_holding_no_object_is_a_configuration_error(capsys, tmp_path, content):
     path = tmp_path / "r.json"
     path.write_text(content)
@@ -384,3 +384,37 @@ def test_tol_loosens_the_error_target(capsys):
 def test_flag_the_verb_does_not_read_is_usage_error(capsys, argv):
     assert main(list(argv)) == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a ValueError inside the verb before, which only the wide catch in main turned into exit 3
+    ("verify-chain", "--chain", "XYZ"), ("rate", "--chain", "XYZ"), ("eval", "--profile", "xyz", "--at", "1"),
+    ("solve", "--domain=a:b"), ("solve", "--domain=-1:0:1"), ("solve", "--domain=1"), ("solve", "--domain=nan:1"),
+    ("rate", "--chain", "CA3D", "--r-min", "0"), ("trace", "--r0", "0"), ("trace", "--decades", "-1"),
+    ("scan", "--family-side", "-1"), ("maxprinciple", "--seed", "-1"),
+    # inputs that ran before, silently or to an INCONCLUSIVE null value
+    ("trace", "--decades", "0"), ("maxprinciple", "--check", "comparison", "--samples", "0"),
+    ("trace", "--power", "nan"), ("trace", "--power", "-1"), ("scan", "--power", "nan"),
+    ("verify-chain", "--chain", "CA3D", "--n", "1", "--s", "0.75", "--samples", "8", "--auto-constants"),
+    ("eval", "--at", "nan"), ("eval", "--at", "inf"), ("eval", "--profile", "cos", "--at", "nan"),
+    ("eval", "--at", "2", "--tol", "nan"),
+], ids=" ".join)
+def test_out_of_range_input_is_a_usage_error(capsys, argv):
+    assert main(list(argv)) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_chain_names_are_read_in_any_case():
+    args = fraccert.cli.build_parser().parse_args(["rate", "--chain", "ca3d"])
+    assert args.chain == "CA3D"
+
+
+def test_a_value_error_inside_the_numerics_propagates(capsys, monkeypatch):
+    # only FraccertError and OSError are usage errors; a ValueError is a defect and keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(fraccert.cli, "measure_rate", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["rate", "--chain", "CA3D", "--n", "1", "--s", "0.75"])
+    assert capsys.readouterr().out == ""

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import fraccert.operator
 from fraccert.errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from fraccert.liouville import annulus_inf
 from fraccert.operator import (QuadSpec, OperatorValue, _geometric_fill, eval_pointwise, eval_radial,
@@ -414,6 +415,13 @@ def test_eval_radial_many_errors_and_empty_batch():
         eval_radial_many(grows, [0.5, 1.0, 3.0], FracParams(1, 0.5))
     with pytest.raises(DomainError):
         eval_radial_many(prof, [[1.0, 3.0]], p)
+    for bad in (math.nan, math.inf):  # a non-finite radius or point raises; it gives no null value
+        with pytest.raises(DomainError):
+            eval_radial_many(prof, [1.0, bad], p)
+        with pytest.raises(DomainError):
+            eval_radial_many(np.cos, [bad], p)
+        with pytest.raises(DomainError):
+            eval_pointwise(np.cos, bad, p)
     for n in (1, 2, 3):  # rho^(-n) and steeper: the integral over the ball diverges at the origin
         for expo in (-n, -n - 0.5):
             with pytest.raises(DivergenceError):
@@ -456,3 +464,25 @@ def test_eval_jobs_match_their_own_calls(n, s):
         want = _raised(lambda: eval_radial_many(bad[0], bad[1], params, bad[2]))
         assert want is not None and want[0] in (EvaluationPointError, DivergenceError)
         assert _raised(lambda: eval_radial_jobs([jobs[0], bad] + [on_kink, grows], params)) == want
+
+
+@pytest.mark.parametrize("rel_tol,abs_tol", [(math.nan, 1e-12), (1e-8, math.nan), (0.0, 1e-12), (1e-8, -1.0),
+                                             (math.inf, 1e-12)])
+def test_quadspec_rejects_tolerances_that_are_not_positive_and_finite(rel_tol, abs_tol):
+    with pytest.raises(ConfigurationError):
+        QuadSpec(rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+def test_plain_callable_far_field_is_probed_once_per_job(monkeypatch):
+    # with the integral over rho stubbed out, a plain callable is called at its radii and then once,
+    # at 9 far-field points per radius, for both the growth check and the oscillation test
+    monkeypatch.setattr(fraccert.operator, "_radial_values", lambda jobs, params: tuple(
+        np.zeros(sum(job[1].size for job in jobs), dtype=t) for t in (float, float, int, bool)))
+    sizes = []
+
+    def bubble(rho):
+        sizes.append(rho.size)
+        return 1.0 / (1.0 + rho * rho)
+
+    eval_radial_jobs([(bubble, [1.0, 2.0], QuadSpec()), (bubble, [0.0, 5.0, 9.0], QuadSpec())], FracParams(3, 0.5))
+    assert sizes == [2, 2 * 9, 3, 3 * 9]
