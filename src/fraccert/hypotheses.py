@@ -374,10 +374,12 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
 
 
 def spec_from_dict(data: dict, params: FracParams | None = None) -> NonlinearitySpec:
-    """Build a nonlinearity spec from a JSON-style mapping; any other shape raises ConfigurationError."""
-    g_conf = data.get("g", {}) if isinstance(data, dict) else None
+    """A nonlinearity spec from a mapping of g and optionally form, gamma, mu_lower, mu_upper, r0; others raise."""
+    g_conf = data.get("g") if isinstance(data, dict) else None
     if not isinstance(g_conf, dict):
-        raise ConfigurationError("a nonlinearity spec is a JSON object, and so is its g")
+        raise ConfigurationError("a nonlinearity spec is a JSON object with a g, which is one too")
+    if extra := sorted(set(data) - {"form", "g", "gamma", "mu_lower", "mu_upper", "r0"}, key=str):
+        raise ConfigurationError(f"a nonlinearity spec takes no key {', '.join(map(repr, extra))}")
     form = data.get("form", "separable")
     if form == "separable":
         name = g_conf.get("name", "power")

@@ -16,12 +16,14 @@ m = min(r, rho), which does not cancel.  Near rho = r the fold g(delta) =
 f(r + delta) + f(r - delta) of f = (u(r) - u(rho)) K is fitted by
 delta^(1-2s), delta^2 and delta^(3-2s) and integrated exactly on (0, h]; h
 shrinks by 4 while the fit misses its share of the tolerance.  Adaptive zones:
-the fold on [h, r/2]; rho in (0, r/2] through rho = (r/2) v^p, with
-p = max(1, 1/(n + b)) for the lowest power b of the first piece (b = 2s - n,
-the fundamental solution's, for callables); rho in [3r/2, T]; and the tail
-through w = (T/rho)^(2s), with T 64 times later where a plain callable's far
-field oscillates.  Every kink radius is a panel edge.  On the line,
-``eval_pointwise`` is ``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
+the fold on [h, r/2] and rho in [3r/2, T].  A profile's origin zone (0, r/2]
+and tail [T, inf) take no panels: there q <= 1/2 and q <= 1/8, and each term
+of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in closed
+form against each term of each piece (``profiles._kernel_series``).  A plain
+callable takes them through rho = (r/2) v^p, p = max(1, 1/(2s)), and
+w = (T/rho)^(2s), with T 64 times later where its far field oscillates.  Every
+kink radius is a panel edge.  On the line, ``eval_pointwise`` is
+``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import _EPS, RadialProfile, _hyp2f1_aa, as_radial_callable
+from .profiles import _EPS, RadialProfile, _hyp2f1_aa, _kernel_series, as_radial_callable
 from .quadrature import _adaptive_many, _panel_values, _power_map
 
 __all__ = [
@@ -70,8 +72,9 @@ class QuadSpec:
     kink_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):  # NaN fails too
-            raise ConfigurationError("tolerances must be positive and finite")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf  # NaN fails too; a negative kink
+                and all(map(math.isfinite, self.kink_radii))):  # radius is a kink point left of x on the line
+            raise ConfigurationError("tolerances must be positive and finite, and kink radii finite")
         object.__setattr__(self, "kink_radii", tuple(sorted(float(k) for k in self.kink_radii)))
 
 
@@ -89,11 +92,10 @@ class OperatorValue:
     converged: bool = True
 
 
-def _pow(x: np.ndarray, e) -> np.ndarray:
-    """x ** e per element, e broadcast to x, with the C library's pow: numpy's vector pow may differ in
-    the last bit, and the per-radius powers keep the values of one-radius-at-a-time evaluation."""
-    pairs = zip(x.ravel().tolist(), np.broadcast_to(e, x.shape).ravel().tolist())
-    return np.array([v ** w for v, w in pairs]).reshape(x.shape)
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per element with the C library's pow: numpy's vector pow may differ in the last bit, and
+    the per-radius powers keep the values of one-radius-at-a-time evaluation."""
+    return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _geometric_fill(ids: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -158,24 +160,53 @@ def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> np.nd
     return np.where((swing > 4.0 * trend + 1e-9 * ref) & (amp > 1e-9 * ref), top * 64.0, top)
 
 
+def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, top: np.ndarray, params: FracParams):
+    """A profile's origin zone and tail as weights on antiderivatives of ``profiles._kernel_series`` at the ends
+    of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, r/T] a zone is r^(-2s) times
+    int (u(r) - u(rho)) t^(k-1) F(t^2) dt, k = n and 2s, c rho^e is c r^e t^(+-e) and c log rho is c (log r +- log t).
+    Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum."""
+    edges, zero, two_s, out = (0.0, *u.breakpoints, math.inf), np.zeros(r.size), 2.0 * params.s, []
+    inner = [(terms, np.minimum(a / r, 0.5), np.minimum(b / r, 0.5)) for terms, a, b in zip(u.pieces, edges, edges[1:])]
+    for zone, sign, k, pieces in ((0, 1.0, params.n, inner), (3, -1.0, two_s, [(u.pieces[-1], zero, r / top)])):
+        out.append((zone, k, False, u_x, pieces[-1][2]))
+        for terms, lo, hi in pieces:
+            for c, e, is_log in terms:
+                parts = [(k, False, -c * np.log(r)), (k, True, zero - sign * c)] if is_log \
+                    else [(k + sign * e, False, -c * r ** e)]
+                out += [(zone, kj, lg, np.where(lo < hi, x * w, 0.0), end)  # an empty interval adds nothing
+                        for kj, lg, w in parts for x, end in ((1.0, hi), (-1.0, lo))]
+    zone, k, is_log, w, t = zip(*out)
+    w, t = np.concatenate(w) * np.tile(r ** -two_s, len(out)), np.concatenate(t)
+    at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
+    return tuple(x[at] for x in (np.repeat(zone, r.size), np.tile(np.arange(r.size), len(out)), w,
+                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size)))
+
+
 def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
     """(-Delta)^s at every radius of every checked job (see ``eval_radial_jobs``) in R^n, in one pass.
 
     The radii of the jobs, m in all, follow each other in job order.  Each
     radius is four integral ids m apart, one per zone (origin, fold, outer,
     tail; see the module docstring), and a near zone.  A job's function sees
-    its own rows only, and each distinct origin-map power is applied as a
-    scalar on its rows.  Returns value, error, panel and converged arrays.
+    its own rows only.  A profile's origin and tail ids get no panels: the
+    kernel's series gives them.  Returns value, error, panel and converged arrays.
     """
     n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
-    fns, rs, u_xs, bs, hs, scales, tops, ps, quads = zip(*jobs)
+    fns, rs, u_xs, bs, hs, scales, tops, series, quads = zip(*jobs)
     sizes, width, two_s = [x.size for x in rs], max(x.size for x in bs), 2.0 * s
     r, u_x, h, scale, top = map(np.concatenate, (rs, u_xs, hs, scales, tops))
     b = np.concatenate([np.broadcast_to(np.append(x, [np.nan] * (width - x.size)), (k, width))
                         for x, k in zip(bs, sizes)])  # kink radii, NaN padded
-    row_job = np.repeat(np.arange(len(jobs)), sizes)
-    p, abs_tol, rel_tol = np.repeat([(pj, q.abs_tol, q.rel_tol) for pj, q in zip(ps, quads)], sizes, axis=0).T
-    m, a, gap, half_r, powers = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, sorted(set(ps))
+    row_job, mapped = np.repeat(np.arange(len(jobs)), sizes), np.repeat([e is None for e in series], sizes)
+    abs_tol, rel_tol = np.repeat([(q.abs_tol, q.rel_tol) for q in quads], sizes, axis=0).T
+    m, a, gap, half_r, p = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, max(1.0, 1.0 / two_s)
+    picked = [(e[0] * m + e[1] + at, *e[2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e is not None]
+    series_val = series_bar = np.zeros((4, m))
+    if picked:  # the profiles' origin and tail zones by the series
+        ids, w, *args = map(np.concatenate, zip(*picked))  # in chunks that keep the temporaries like a panel chunk's
+        val, bar = (np.concatenate(x) for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
+                                                     for j in range(0, max(ids.size, 1), 512))))
+        series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
 
     def f(rows: np.ndarray, rho: np.ndarray):
         """(u(r) - u(rho)) K(r, rho) / |S^(n-1)|, one row of rho per radius index, and its rounding bound."""
@@ -209,8 +240,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     def integrand(ids: np.ndarray, x: np.ndarray):
         i, zone = ids % m, ids // m
         rho, jac = x + np.where(zone == 1, r[i], 0.0)[:, None], np.ones_like(x)
-        origin = [zone == 0] if len(powers) == 1 else [(zone == 0) & (p[i] == q) for q in powers]
-        for here, at, power in (*zip(origin, [half_r] * len(powers), powers), (zone == 3, top, -1.0 / two_s)):
+        for here, at, power in ((zone == 0, half_r, p), (zone == 3, top, -1.0 / two_s)):
             rho[here], jac[here] = _power_map(x[here], at[i[here], None], power)
         mirror = (zone == 1) & (r[i] > 0.0)  # the fold; at the origin it is one-sided
         vals, errs = f(np.concatenate([i, i[mirror]]), np.concatenate([rho, r[i[mirror], None] - x[mirror]]))
@@ -240,17 +270,17 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     # starting panels; the endpoint zones are graded at rho = (r/2) 2^-k and T 2^k, k = 2, 4, 8, 12
     v_cut = np.divide(2.0 * b, r[:, None], out=np.full(gap.shape, np.nan), where=b < 0.5 * r[:, None])
     v_cut = np.hstack([v_cut, np.tile(_ENDPOINT_V[1:-1], (m, 1))])
-    v_cut = v_cut if powers == [1.0] else _pow(v_cut, (1.0 / p)[:, None])  # x ** 1 is x
-    w_edge = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)])
+    v_cut[mapped] = v_cut[mapped] if p == 1.0 else _pow(v_cut[mapped], 1.0 / p)  # x ** 1 is x
+    w_edge, tails = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)]), np.flatnonzero(mapped)
     split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
-    zones = [_zone_panels(np.zeros(m), (r > 0.0) * 1.0, v_cut), _zone_panels(h, split, gap),
+    zones = [_zone_panels(np.zeros(m), ((r > 0.0) & mapped) * 1.0, v_cut), _zone_panels(h, split, gap),
              _zone_panels(np.where(r > 0.0, 3.0 * split, split), top, b),
-             (np.repeat(np.arange(m), w_edge.size - 1), np.tile(w_edge[:-1], m), np.tile(w_edge[1:], m))]
+             (np.repeat(tails, w_edge.size - 1), np.tile(w_edge[:-1], tails.size), np.tile(w_edge[1:], tails.size))]
     ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
     ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
     first = _panel_values(integrand, ids, lo, hi)
     near_val, near_fit, near_noise, miss_noise = near(np.arange(m), h)
-    size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m)).sum(axis=0)
+    size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m) + series_val).sum(axis=0)
     tol = np.fmax(abs_tol, rel_tol * size) / prefac
 
     # h shrinks while the fit misses its share above rounding; the fold takes [h/4, h] as a new panel
@@ -270,6 +300,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     zone_tol = np.concatenate([tol / 4.0, tol / 4.0, tol / 4.0, tol / 8.0])
     val, err, panels, ok = (col.reshape(4, m) for col in
                             _adaptive_many(integrand, ids, lo, hi, zone_tol, _MAX_PANELS, 4 * m, first))
+    val, err = val + series_val, err + series_bar
     total = prefac * (near_val + val[0] + val[1] + val[2] + val[3])
     err = prefac * (near_fit + near_noise + err[0] + err[1] + err[2] + err[3])
     converged = ok.all(0) & (err <= prefac * 4.0 * tol + np.fmax(abs_tol, rel_tol * np.abs(total)))
@@ -303,18 +334,13 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if r.size == 0:
             continue
         sampled = not isinstance(u, RadialProfile)
-        if sampled:
-            u_vec, breaks = as_radial_callable(u), [k for k in quad.kink_radii if k > 0.0]
-            lowest = 2.0 * params.s - n  # a callable's lowest exponent is the fundamental solution's
-        else:
-            if u.max_growth_exponent() >= 2.0 * params.s - 0.05:
-                raise DivergenceError("profile grows at least like |x|^(2s); the defining integral diverges")
-            if np.any(r == 0.0):
-                raise EvaluationPointError("profiles are evaluated at positive radii")
-            u_vec, breaks = u, u.breakpoints
-            lowest = min((e for _, e, _ in u.pieces[0]), default=0.0)  # a log's exponent is 0
-        if lowest <= -n:
+        if not sampled and u.max_growth_exponent() >= 2.0 * params.s - 0.05:
+            raise DivergenceError("profile grows at least like |x|^(2s); the defining integral diverges")
+        if not sampled and np.any(r == 0.0):
+            raise EvaluationPointError("profiles are evaluated at positive radii")
+        if not sampled and min((e for _, e, _ in u.pieces[0]), default=0.0) <= -n:  # a log's exponent is 0
             raise DivergenceError("profile is not integrable at the origin")
+        u_vec, breaks = as_radial_callable(u), [k for k in quad.kink_radii if k > 0.0] if sampled else u.breakpoints
         b, u_x = np.asarray(breaks, dtype=float), u_vec(r)
         fn = lambda rho, g=u_vec: g(rho.ravel()).reshape(rho.shape)  # the engine passes 2-d arrays
         nearest = np.abs(r[:, None] - b).min(axis=1, initial=np.inf)
@@ -322,9 +348,10 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
             raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
         top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
-        # the job: fn, r, u(r), kink radii, h, scale, T, and the origin map's power, which smooths rho^(n-1+lowest)
+        # the job: fn, r, u(r), kink radii, h, scale, T, and a profile's series elements
         checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale,
-                        _far_field(fn, u_x, params.s, top) if sampled else top, max(1.0, 1.0 / (n + lowest)), quad))
+                        *((_far_field(fn, u_x, params.s, top), None) if sampled
+                          else (top, _series_elements(u, r, u_x, top, params))), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 

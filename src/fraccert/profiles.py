@@ -3,8 +3,8 @@
 A profile is a function of the radius rho > 0 given, on each of finitely many
 intervals, by a finite sum of terms a*rho^b and a*log(rho).  Profiles stay
 symbolic (term lists, never samples): their breakpoints are panel edges of
-the operator's quadrature, their first piece sets its origin map, and sums,
-multiples and dilations stay profiles.
+the operator's quadrature, the kernel's series integrates their origin zone
+and tail term by term, and sums, multiples and dilations stay profiles.
 
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
@@ -166,6 +166,20 @@ def _hyp2f1_aa(a: float, z, w=None) -> tuple[np.ndarray, np.ndarray]:
         val[~low], bound = c1 * f1 + c2 * f2, abs(c1) * a1 + np.abs(c2) * a2
     err[~low] = 16.0 * _EPS * bound
     return val, err
+
+
+def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarray]:
+    """An antiderivative of t^(k-1) F(t^2), times log t where is_log, at each 0 < t <= 1/2, and its bar: F is
+    2F1(1+s, (n+2s)/2; n/2; .), the kernel of ``fraccert.operator``, whose first 32 terms c_j z^j integrate to
+    t^p / p (log t at p = 0) or t^p (log t - 1/p) / p, p = k + 2j, which vanish at t = 0 if k > 0.  Later terms
+    fall by at most c_32 / c_31 t^2 < 1/2 each, so the last kept one bounds them; 16 eps |terms| bound rounding."""
+    j = np.arange(31.0)
+    c = np.cumprod(np.append(1.0, (1.0 + s + j) * (0.5 * n + s + j) / ((0.5 * n + j) * (j + 1.0))))[:, None]
+    p, log_t, z = k + 2.0 * np.arange(32.0)[:, None], np.log(t), np.broadcast_to(t * t, (31, t.size))
+    power = c * t ** k * np.cumprod(np.concatenate([np.ones((1, t.size)), z]), axis=0)  # c_j t^p
+    terms = np.divide(power, p, out=c * log_t, where=p != 0.0)
+    terms[:, is_log] *= log_t[is_log] - 1.0 / p[:, is_log]
+    return terms.cumsum(axis=0)[-1], np.abs(terms[-1]) + 16.0 * _EPS * np.abs(terms).cumsum(axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -401,8 +415,8 @@ class BarrierConstants:
     def __post_init__(self) -> None:
         if not self.base_radius > 1.0:
             raise ConfigurationError("base_radius must exceed 1")
-        if not self.outer_radius > self.base_radius:
-            raise ConfigurationError("outer_radius must exceed base_radius")
+        if not self.base_radius < self.outer_radius < math.inf:
+            raise ConfigurationError("outer_radius must be finite and exceed base_radius")
         for name in ("power_bump_coef", "log_bump_coef", "plateau_height", "shell_coef", "indicator_coef"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")

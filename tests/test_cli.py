@@ -126,6 +126,8 @@ _POWER = {"name": "power", "p": 1.4}
     {"form": "separable", "g": {"name": "piecewise_powers", "pieces": [1.0]}},  # a piece that is no object
     {"form": "separable", "gamma": None, "g": _POWER},  # gamma null
     {"form": "separable", "g": {"name": "power", "p": [1.4]}},  # p a list
+    {"form": "separable"},  # no g: no silent power law at p = 1
+    {"form": "separable", "gama": 0.3, "g": _POWER},  # a misspelt gamma: no silent gamma = 0
 ])
 def test_malformed_spec_shape_is_a_configuration_error(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"

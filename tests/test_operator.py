@@ -250,9 +250,9 @@ def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, con
     assert (ov.panels_used, ov.converged) == (panels, converged)
 
 
-# the n = 2 fundamental solution, exactly annihilated, through the integral over rho:
-# (s, r, panels_used); every value is converged and within 2 err of 0
-_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 18), (0.4, 7.0, 18), (0.75, 1.5, 20), (0.75, 7.0, 20)]
+# the n = 2 fundamental solution, exactly annihilated, through the integral over rho (its origin and tail
+# zones by the kernel's series): (s, r, panels_used); every value is converged and within 2 err of 0
+_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 6), (0.4, 7.0, 6), (0.75, 1.5, 6), (0.75, 7.0, 6)]
 
 
 @pytest.mark.parametrize("s,r,panels", _PLANAR_FUNDAMENTAL, ids=_pin_ids(_PLANAR_FUNDAMENTAL, 2))
@@ -326,24 +326,25 @@ _MANY_CASES = {
     "cap_n3": (lambda p: _cap, 3, 0.5, (1.0,)),
 }
 # values of the integral over rho in every dimension (default tolerances), each within the
-# combined bars of the spherical-mean or angular-mean value pinned before it:
+# combined bars of the spherical-mean or angular-mean value pinned before it, and the profiles' (their
+# origin and tail zones by the kernel's series) within those of their panel values:
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
-    ("ramp_with_bump", 3.0, 0.003914491856773142, 7.932395981177246e-11, 22, True),
-    ("ramp_with_bump", 25.0, -0.06512638765830338, 2.904719602417855e-10, 20, True),
-    ("ramp_with_bump", 33.0, 0.31880858304376164, 1.2439661295184408e-09, 19, True),
-    ("ramp_with_bump", 100.0, -0.0012840364229004275, 8.494060615920175e-13, 19, True),
-    ("exterior_with_shell", 10.0, -0.00013133124353946414, 1.598018024607373e-14, 19, True),
-    ("exterior_with_shell", 25.0, 0.0003328755067035074, 7.156627534232763e-13, 19, True),
-    ("exterior_with_shell", 45.0, 4.0858795979617565e-07, 1.0257589667656657e-14, 20, True),
-    ("exterior_with_shell", 200.0, 7.806372988207581e-09, 3.286674983408192e-14, 19, True),
-    ("exterior_with_shell_n2", 10.0, -0.0034587099191787075, 2.4665122130231827e-12, 21, True),
-    ("exterior_with_shell_n2", 25.0, 0.010264274319269769, 5.836514156194843e-12, 21, True),
-    ("exterior_with_shell_n2", 45.0, -0.00014417364481436812, 5.903645365621488e-13, 22, True),
-    ("exterior_with_shell_n2", 200.0, 7.578015740382274e-08, 8.046333365670827e-14, 20, True),
-    ("ball_indicator", 0.5, 1.5482246682888945, 4.484367981777535e-10, 19, True),
-    ("ball_indicator", 2.0, -0.03735701450616389, 6.466491160385372e-14, 17, True),
-    ("ball_indicator", 8.0, -0.00010559236906141588, 1.4636490640995182e-19, 17, True),
+    ("ramp_with_bump", 3.0, 0.003914491861141723, 4.715075467429535e-11, 10, True),
+    ("ramp_with_bump", 25.0, -0.06512638765777914, 2.865810484986868e-10, 8, True),
+    ("ramp_with_bump", 33.0, 0.3188085830441589, 1.2409572231354482e-09, 7, True),
+    ("ramp_with_bump", 100.0, -0.0012840364227693706, 1.7690247612716685e-17, 5, True),
+    ("exterior_with_shell", 10.0, -0.00013133124353946414, 1.5980181814338706e-14, 7, True),
+    ("exterior_with_shell", 25.0, 0.0003328755067035074, 7.156462908611236e-13, 7, True),
+    ("exterior_with_shell", 45.0, 4.0858795979617157e-07, 1.0257665481677768e-14, 7, True),
+    ("exterior_with_shell", 200.0, 7.806372988207523e-09, 3.2866750017625514e-14, 5, True),
+    ("exterior_with_shell_n2", 10.0, -0.0034587099191755438, 3.6266521770685717e-13, 7, True),
+    ("exterior_with_shell_n2", 25.0, 0.010264274319288075, 2.4411792104638855e-12, 9, True),
+    ("exterior_with_shell_n2", 45.0, -0.00014417364481421165, 4.864540926210567e-13, 7, True),
+    ("exterior_with_shell_n2", 200.0, 7.578015768985588e-08, 2.7392842450223495e-14, 6, True),
+    ("ball_indicator", 0.5, 1.5482246682888945, 4.4843845139118976e-10, 7, True),
+    ("ball_indicator", 2.0, -0.037357014506163876, 1.3272727150646175e-16, 5, True),
+    ("ball_indicator", 8.0, -0.00010559236906141584, 3.7513945394144287e-19, 5, True),
     ("bubble_n1", 0.0, 1.0215400745270187, 1.4099127125074247e-10, 11, True),
     ("bubble_n1", 0.7, 0.25993594151370675, 1.3379145315049343e-09, 21, True),
     ("bubble_n1", 12.0, -0.008091461436812325, 2.431644245141019e-11, 25, True),
@@ -471,6 +472,14 @@ def test_eval_jobs_match_their_own_calls(n, s):
 def test_quadspec_rejects_tolerances_that_are_not_positive_and_finite(rel_tol, abs_tol):
     with pytest.raises(ConfigurationError):
         QuadSpec(rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize("kink", [math.nan, math.inf, -math.inf])
+def test_quadspec_rejects_kink_radii_that_are_not_finite(kink):
+    # a NaN kink radius would leave the cap's kink at 1 off the panel edges
+    with pytest.raises(ConfigurationError):
+        QuadSpec(kink_radii=(1.0, kink))
+    assert QuadSpec(kink_radii=(1.0, -2.0)).kink_radii == (-2.0, 1.0)  # a kink point left of x on the line
 
 
 def test_plain_callable_far_field_is_probed_once_per_job(monkeypatch):

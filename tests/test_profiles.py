@@ -230,6 +230,9 @@ def test_constants_validation():
         BarrierConstants(base_radius=2.0, outer_radius=1.0)
     with pytest.raises(ConfigurationError):
         BarrierConstants(base_radius=2.0, outer_radius=20.0, plateau_height=-1.0)
+    for base, outer in [(2.0, math.inf), (2.0, math.nan), (math.inf, math.inf), (math.nan, 20.0)]:
+        with pytest.raises(ConfigurationError):
+            BarrierConstants(base_radius=base, outer_radius=outer)
 
 
 def test_gallery_covers_valid_kinds():
