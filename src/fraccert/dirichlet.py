@@ -3,10 +3,10 @@
 Collocation on a cell-centered uniform lattice x_j = (j + 1/2) h.  At a node,
 the operator is split into the half-cell around the node (quadratic Taylor
 correction), exact kernel integrals over whole cells out to a truncation
-distance, and a closed-form/quadrature tail fed by the exterior data.  All
-off-diagonal weights are nonpositive and every row is strictly diagonally
-dominant, so the operator matrix is an M-matrix and ordered data produce
-ordered solutions.
+distance, and closed-form tails beyond it: the kernel's on the diagonal, the
+fundamental exterior data's on the rhs.  All off-diagonal weights are
+nonpositive and every row is strictly diagonally dominant, so the operator
+matrix is an M-matrix and ordered data produce ordered solutions.
 
 The matrix is never formed.  It is A = c_ns (T_SS + E_C P_C^T): T is the
 symmetric Toeplitz kernel on the hull lattice of the domain and T_SS its
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, NumericalError
-from .quadrature import _adaptive_many, _gauss_nodes, _panel_values, _power_map
+from .quadrature import _gauss_nodes
 from .params import FracParams
 from .profiles import conform, positive_fundamental
 
@@ -83,8 +83,6 @@ _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
 # _pcg, the one CG: iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
-# _exterior_tail_batch: nodes per chunk (bounds its temporaries), tolerance relative to the node's tail, panels per zone
-_TAIL_ROWS, _TAIL_REL_TOL, _TAIL_PANELS = 2048, 1e-13, 200
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,9 @@ class ExteriorData:
     """Values of the unknown outside the domain.
 
     kind 'zero' vanishes identically; 'fundamental' uses the nonnegative
-    fundamental-solution branch for the given order; 'custom' evaluates a
-    callable on the truncation window and is assumed to vanish beyond it.
+    fundamental-solution branch for the given order, its tail beyond the window
+    in closed form; 'custom', the only kind that takes a callable, evaluates it
+    on the truncation window and is assumed to vanish beyond it.
     """
 
     kind: str = "zero"
@@ -102,8 +101,8 @@ class ExteriorData:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "fundamental", "custom"):
             raise ConfigurationError(f"unknown exterior kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ConfigurationError("custom exterior data needs a callable")
+        if (self.kind == "custom") != (self.fn is not None):
+            raise ConfigurationError("custom exterior data need a callable, and only they take one")
 
     def evaluate(self, x: np.ndarray, params: FracParams) -> np.ndarray:
         if self.kind == "zero":
@@ -111,9 +110,6 @@ class ExteriorData:
         if self.kind == "fundamental":
             return np.asarray(positive_fundamental(params)(np.abs(x)), dtype=float)
         return conform(self.fn(x), x.shape, "exterior data")
-
-    def has_tail(self) -> bool:
-        return self.kind == "fundamental"
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,8 @@ class GridProblem:
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if a2 < b1:
                 raise ConfigurationError("intervals must be disjoint and sorted")
+        if self.exterior.kind == "fundamental" and self.params.s <= 0.5 and any(0.0 in iv for iv in ivs):
+            raise ConfigurationError("fundamental exterior data are unbounded at the boundary point 0 for s <= 1/2")
         object.__setattr__(self, "intervals", ivs)
 
     # -- lattice ----------------------------------------------------------
@@ -215,38 +213,24 @@ def _mask_on(x: np.ndarray, sets: Sequence[tuple[float, float]]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exterior_tail_batch(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                         T: float, s: float) -> np.ndarray:
-    """int_T^inf t^(-1-2s) (g(x+t) + g(x-t)) dt for every x, one adaptive pass per chunk of nodes.
+def _fundamental_tail(x: np.ndarray, T: float, params: FracParams) -> np.ndarray:
+    """int_T^inf t^(-1-2s) (Phi(|x+t|) + Phi(|x-t|)) dt at the nodes x != 0, Phi the fundamental data.
 
-    Data singular at the origin are singular at t = a = |x| too.  With b = max(T, a), every node has the
-    zones [T, b] and [b, 2b], graded toward t = b where a >= T (u ~ w^p, p = max(1/s, 2): u^(2s-1) du is
-    smooth in w for s <= 1/2, du for s > 1/2), and [2b, inf) through t = 2b v^-4.  Next to t = b the data's
-    argument is formed from the offset u = t - b, as (a - b) - u, so it loses no digits.  A zone that
-    misses its tolerance raises NumericalError."""
-    def chunk(x: np.ndarray) -> np.ndarray:
-        m, a, sign = x.size, np.abs(x), np.where(x < 0.0, -1.0, 1.0)
-        b, p = np.maximum(a, T), np.where(a >= T, max(1.0 / s, 2.0), 1.0)
-        # t = c + U w^P zone by zone: [T, b] (backward from b, empty where a <= T), [b, 2b], [2b, inf)
-        c, U, P = np.hstack([[b, T - b, p], [b, b, p], [np.zeros(m), 2.0 * b, np.full(m, -4.0)]])
-
-        def f(ids, w):
-            k, ck = ids[:, None] % m, c[ids, None]
-            u, du = _power_map(w, U[ids, None], P[ids, None])
-            t = ck + u
-            vals = np.abs(du) * t ** (-1.0 - 2.0 * s) * (g(sign[k] * (a[k] + t)) + g(sign[k] * (a[k] - ck - u)))
-            return vals, np.zeros_like(vals)
-
-        ids = np.flatnonzero(U)
-        lo, hi = np.zeros(ids.size), np.ones(ids.size)
-        first = _panel_values(f, ids, lo, hi)
-        tol = _TAIL_REL_TOL * np.tile(np.bincount(ids % m, np.abs(first[0]), m), 3)
-        val, _, _, ok = _adaptive_many(f, ids, lo, hi, tol, _TAIL_PANELS, 3 * m, first)
-        if not ok.all():
-            raise NumericalError(f"exterior tail: a zone missed its tolerance within {_TAIL_PANELS} panels")
-        return val.reshape(3, m).sum(axis=0)
-
-    return np.concatenate([chunk(xs[j:j + _TAIL_ROWS]) for j in range(0, xs.size, _TAIL_ROWS)])
+    u = 1/t turns it into int_0^(1/T) Phi(|1 + xu|) + Phi(|1 - xu|) du, less 2 log u on the log branch,
+    whose antiderivative is elementary in e = |x|/T: (G(1 + e) - G(1 - e)) / (2s |x|), G(v) = sign(v) |v|^(2s),
+    for |y|^(2s-1).  Below |x| = T the two ends come from log1p (and expm1), so small e does not cancel;
+    above it they add.  The branch is read from the data's own term, so the two cannot disagree."""
+    [[(coef, expo, is_log)]] = positive_fundamental(params).pieces
+    a = np.abs(x)
+    below = a < T
+    e, lo, d = a / T, np.where(below, a / T, 0.0), np.maximum(a - T, 0.0) / T  # lo = e below T, d = e - 1 above
+    if is_log:
+        ends = np.where(below, (1.0 + lo) * np.log1p(lo) - (1.0 - lo) * np.log1p(-lo),
+                        (1.0 + e) * np.log1p(e) + d * np.log(np.where(d > 0.0, d, 1.0)))
+        return coef * ((ends - 2.0 * e) / a + 2.0 * (1.0 + math.log(T)) / T)
+    k = expo + 1.0  # 2s
+    ends = np.where(below, np.expm1(k * np.log1p(lo)) - np.expm1(k * np.log1p(-lo)), (1.0 + e) ** k + d**k)
+    return coef * ends / (k * a)
 
 
 def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
@@ -531,7 +515,7 @@ class _Assembly:
         params, h, li, x, C = self.params, self.h, self.li, self.nodes, self.C
         x_b, rows, iB, dB = self.x_b, self.rows, self.iB, self.dB
         omega, omega1, c2 = self.omega, self.omega1, self.c2
-        s, two_s = params.s, 2.0 * params.s
+        two_s = 2.0 * params.s
         g_b = exterior.evaluate(x_b + np.copysign(1e-12, x_b - x[C]), params)
         reach = self.K + 1
         lat = np.arange(li[0] - reach, li[-1] + reach + 1)
@@ -551,8 +535,8 @@ class _Assembly:
         kernel[[reach - 1, reach + 1]] += c2
         f = 1 << (g.size - 1).bit_length()
         ext = irfft(rfft(g, f) * rfft(kernel, f), f)[2 * reach + li - li[0]] if g.any() else 0.0
-        if exterior.has_tail():
-            ext = ext + _exterior_tail_batch(lambda y: exterior.evaluate(y, params), x, self.T, s)
+        if exterior.kind == "fundamental":
+            ext = ext + _fundamental_tail(x, self.T, params)
         return self.c_ns * (ext + fix)
 
 

@@ -3,9 +3,9 @@
 This is the n x n assembly the structured solver in ``fraccert.dirichlet``
 replaced: every matrix entry is formed explicitly, for a dense LU solve.  The
 matrix depends on the grid alone; ``ext_rhs`` gives the rhs share of each
-kind of exterior data on it.  It shares ``_pair_weights`` (and the rate-profile and tail
-integrals) with the package, so a change to the cell weights moves both sides
-of a parity check together.
+kind of exterior data on it.  It shares ``_pair_weights`` (and the rate-profile
+integral and the closed-form tail of the fundamental data) with the package, so
+a change to the cell weights moves both sides of a parity check together.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from fraccert.dirichlet import (ExteriorData, GridProblem, _exterior_tail_batch, _pair_weights,
+from fraccert.dirichlet import (ExteriorData, GridProblem, _fundamental_tail, _pair_weights,
                                 _rate_profile_integral)
 from fraccert.quadrature import _gauss_nodes
 
@@ -129,7 +129,6 @@ class DenseAssembly:
         kernel[reach + 1] += c2
         kernel[reach - 1] += c2
         ext = 0.0 if not gvals.any() else np.convolve(gvals, kernel, mode="valid")[li - (lat_lo + reach)]
-        if exterior.has_tail():
-            g_line = lambda x: exterior.evaluate(np.asarray(x, dtype=float), params)
-            ext = ext + _exterior_tail_batch(g_line, xs_nodes, self.T, s)
+        if exterior.kind == "fundamental":
+            ext = ext + _fundamental_tail(xs_nodes, self.T, params)
         return params.c_ns * (ext + boundary_fix_rhs)

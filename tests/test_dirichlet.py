@@ -12,7 +12,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 import fraccert
 from dense_dirichlet import DenseAssembly
 from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _Assembly, _assembly,
-                                _exterior_tail_batch, _pair_weights, _toeplitz_first_column, apply_operator,
+                                _fundamental_tail, _pair_weights, _toeplitz_first_column, apply_operator,
                                 solve_dirichlet, verify_comparison, verify_hopf_ratio,
                                 verify_kslap, verify_measure_lemma, verify_qsmp)
 from fraccert.errors import (ConfigurationError, DegenerateInputError, DomainError,
@@ -340,24 +340,25 @@ def _mp_tail(mpmath, a, T, s):
     return (side(-1, a - T) if a > T else 0) + side(1, b) + far
 
 
-def _fundamental_tail(problem, x):
-    params = problem.params
+def _tail(problem, x):
     T = (problem.window() + 0.5) * problem.h
-    return T, _exterior_tail_batch(lambda y: ExteriorData("fundamental").evaluate(y, params), x, T, params.s)
+    return T, _fundamental_tail(x, T, problem.params)
 
 
-@pytest.mark.parametrize("domain", [((9.0, 10.0),), ((-10.0, -9.0), (9.0, 10.0))])
+@pytest.mark.parametrize("domain", [((9.0, 10.0),), ((-10.0, -9.0), (9.0, 10.0)), ((-1.0, 1.0),), ((1.0, 4.0),)])
 @pytest.mark.parametrize("s", [0.01, 0.03, 0.25, 0.5, 0.75])
 def test_exterior_tail_matches_mpmath(domain, s):
-    # on (9, 10) the window ends at T = 4 + h/2, so t = |x| lies inside the tail; on the pair T = 80 + h/2
+    # on (9, 10) the window ends at T = 4 + h/2, so t = |x| lies inside the tail; on the pair T = 80 + h/2;
+    # on (-1, 1) the node next to the origin has |x|/T = 2e-3, where a plain difference of the ends cancels
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     problem = GridProblem(domain, 2.0**-5, FracParams(1, s), exterior=ExteriorData("fundamental"))
-    x = problem.nodes()[[0, 16, -1]]
-    T, got = _fundamental_tail(problem, x)
+    nodes = problem.nodes()
+    x = np.unique(nodes[[0, 16, np.abs(nodes).argmin(), -1]])
+    T, got = _tail(problem, x)
     for xi, value in zip(x, got):
         want = float(_mp_tail(mpmath, mpmath.mpf(abs(float(xi))), mpmath.mpf(T), mpmath.mpf(s)))
-        assert value == pytest.approx(want, rel=1e-10), xi
+        assert value == pytest.approx(want, rel=1e-13), xi
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -370,31 +371,34 @@ def test_exterior_tail_at_the_window_edge(s):
     T = (problem.window() + 0.5) * problem.h
     x = T + problem.h * np.asarray([-1.0, 0.0, 1.0])
     assert np.isin(x, problem.nodes()).all()
-    _, got = _fundamental_tail(problem, x)
+    _, got = _tail(problem, x)
     for xi, value in zip(x, got):
         want = float(_mp_tail(mpmath, mpmath.mpf(float(xi)), mpmath.mpf(T), mpmath.mpf(s)))
-        assert value == pytest.approx(want, rel=1e-10), xi
+        assert value == pytest.approx(want, rel=1e-13), xi
 
 
 @pytest.mark.parametrize("domain", [((3.5, 4.5),), ((-4.5, -3.5),), ((9.0, 10.0),),
                                     ((-10.0, -9.0), (9.0, 10.0)), ((-1.0, 1.0),)])
 @pytest.mark.parametrize("s", [0.01, 0.99])
 def test_exterior_tail_is_finite_at_extreme_orders(domain, s):
-    # warnings are errors here: the grading power 1/s = 100 must not underflow u to the singular point
+    # warnings are errors here: neither branch of the closed form may be evaluated where it does not apply
     for h in (2.0**-5, 2.0**-9):
         problem = GridProblem(domain, h, FracParams(1, s), exterior=ExteriorData("fundamental"))
-        assert np.isfinite(_fundamental_tail(problem, problem.nodes())[1]).all()
+        assert np.isfinite(_tail(problem, problem.nodes())[1]).all()
 
 
-def test_unconverged_exterior_tail_raises(monkeypatch):
-    # a zone that misses its tolerance within the panel budget fails the solve: no silent tail
-    import fraccert.dirichlet as dirichlet
-
-    monkeypatch.setattr(dirichlet, "_TAIL_PANELS", 1)
-    monkeypatch.setattr(dirichlet, "_ASSEMBLY_CACHE", {})
-    with pytest.raises(NumericalError, match="exterior tail"):
-        solve_dirichlet(GridProblem(((9.0, 10.0),), 2.0**-5, FracParams(1, 0.25),
-                                    exterior=ExteriorData("fundamental")))
+@pytest.mark.parametrize("domain", [((0.0, 1.0),), ((-1.0, 0.0),), ((-1.0, 0.0), (0.0, 1.0))])
+def test_fundamental_data_with_the_origin_on_the_boundary(domain):
+    # for s <= 1/2 the data are unbounded at the boundary point 0: a solve would return finite, wrong values
+    for s in (0.25, 0.5):
+        with pytest.raises(ConfigurationError, match="unbounded"):
+            GridProblem(domain, 2.0**-5, FracParams(1, s), exterior=ExteriorData("fundamental"))
+    # for s > 1/2 they vanish there: the solve converges to Phi = |x|^(1/2) (like h^(1/2), from the origin)
+    params = FracParams(1, 0.75)
+    miss = [np.abs(sol.values - positive_fundamental(params)(np.abs(sol.nodes))).max()
+            for sol in (solve_dirichlet(GridProblem(domain, h, params, exterior=ExteriorData("fundamental")))
+                        for h in (2.0**-5, 2.0**-7))]
+    assert miss[1] <= 0.6 * miss[0] <= 0.07
 
 
 def test_fundamental_data_reproduced_beyond_the_window():
@@ -486,6 +490,14 @@ def test_scalar_callables_broadcast_and_wrong_shapes_raise():
     with pytest.raises(ConfigurationError):
         solve_dirichlet(GridProblem(((-1.0, 1.0),), 1 / 32, P_HALF, 0.0,
                                     ExteriorData("custom", fn=lambda x: np.ones(3))))
+
+
+@pytest.mark.parametrize("kind, fn", [("zero", lambda x: 1.0), ("fundamental", lambda x: 1.0),
+                                      ("custom", None), ("dipole", None)])
+def test_exterior_data_take_a_callable_only_when_custom(kind, fn):
+    # only custom data read a callable: any other kind would ignore it silently
+    with pytest.raises(ConfigurationError):
+        ExteriorData(kind, fn=fn)
 
 
 def _first_column_residual(asm: _Assembly, x: np.ndarray) -> float:
