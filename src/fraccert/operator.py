@@ -21,9 +21,11 @@ and tail [T, inf) take no panels: there q <= 1/2 and q <= 1/8, and each term
 of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in closed
 form against each term of each piece (``profiles._kernel_series``).  A plain
 callable takes them through rho = (r/2) v^p, p = max(1, 1/(2s)), and
-w = (T/rho)^(2s), with T 64 times later where its far field oscillates.  Every
-kink radius is a panel edge.  On the line, ``eval_pointwise`` is
-``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
+w = (T/rho)^(2s), after one far-field probe that raises on growth like
+rho^(2s).  The n = 2 kernel's 2F1 is ``profiles._hyp2f1_planar``, whose
+rounding bound enters the error estimate.  Every kink radius is a panel edge.
+On the line, ``eval_pointwise`` is ``eval_radial`` of the even part
+(u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import _EPS, RadialProfile, _hyp2f1_aa, _kernel_series, as_radial_callable
+from .profiles import _EPS, RadialProfile, _hyp2f1_planar, _kernel_series, as_radial_callable
 from .quadrature import _adaptive_many, _panel_values, _power_map
 
 __all__ = [
@@ -143,21 +145,15 @@ def _zone_panels(lo: np.ndarray, hi: np.ndarray,
     return _geometric_fill(rows[1:][gap], e[:-1][gap], e[1:][gap])
 
 
-def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> np.ndarray:
-    """The tail start of a plain callable u from one probe at top 2^k, k = 0 ... 8: 64 top where the far
-    field swings without settling, else top.  Growth like rho^(2s) over top {1, 4, 16, 64} raises."""
-    vals = u(top[:, None] * 2.0 ** np.arange(0, 9))
-    mags = np.abs(u_x[:, None] - vals[:, 0:7:2])
+def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> None:
+    """Raise where a plain callable u grows like rho^(2s) or faster over top {1, 4, 16, 64}: one probe."""
+    mags = np.abs(u_x[:, None] - u(top[:, None] * 4.0 ** np.arange(4)))
     rising = (mags[:, 3] > 1e3 * np.maximum(1.0, np.abs(u_x))) & (mags[:, 3] > mags[:, 2]) \
         & (mags[:, 2] > mags[:, 1])
     for i in np.flatnonzero(rising):
         slope = math.log(mags[i, 3] / mags[i, 2]) / math.log(4.0)
         if slope >= 2.0 * s - 0.05:
             raise DivergenceError(f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}")
-    swing, trend = np.abs(np.diff(vals, axis=1)).sum(axis=1), np.abs(vals[:, -1] - vals[:, 0])
-    amp = np.abs(vals).max(axis=1)
-    ref = np.maximum(np.maximum(np.abs(u_x), amp), 1e-300)
-    return np.where((swing > 4.0 * trend + 1e-9 * ref) & (amp > 1e-9 * ref), top * 64.0, top)
 
 
 def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, top: np.ndarray, params: FracParams):
@@ -222,7 +218,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         if n == 1:
             k = 0.5 * ((big - small) ** -a + (big + small) ** -a)
         elif n == 2:
-            hyp, hyp_err = _hyp2f1_aa(1.0 + s, (small / big) ** 2, (big - small) * (big + small) / (big * big))
+            hyp, hyp_err = _hyp2f1_planar(s, (small / big) ** 2, (big - small) * (big + small) / (big * big))
             k = rho * big ** (-2.0 - two_s)
             k, k_err = k * hyp, k * hyp_err
         else:
@@ -348,10 +344,11 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
             raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
         top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
+        if sampled:
+            _far_field(fn, u_x, params.s, top)
         # the job: fn, r, u(r), kink radii, h, scale, T, and a profile's series elements
-        checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale,
-                        *((_far_field(fn, u_x, params.s, top), None) if sampled
-                          else (top, _series_elements(u, r, u_x, top, params))), quad))
+        checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top,
+                        None if sampled else _series_elements(u, r, u_x, top, params), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 

@@ -8,11 +8,14 @@ and tail term by term, and sums, multiples and dilations stay profiles.
 
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
+
+The operator's kernel series live here too: ``_kernel_series`` (32 terms)
+and ``_hyp2f1_planar``, the n = 2 kernel 2F1(1+s, 1+s; 1; q^2) and a bound on
+its rounding, from 80 terms of series in q^2 or 1 - q^2, whichever is <= 1/2.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -63,108 +66,77 @@ def _anti(terms: tuple[Term, ...], r: np.ndarray) -> np.ndarray:
 
 
 _EPS = float(np.finfo(float).eps)
+_TERMS = 80  # terms of the planar kernel's series: at |z| <= 1/2 the 80th is below 1e-20 of the sum
 
 
-@functools.cache
-def _digamma_half(x: float) -> float:
-    """psi(x) at x = 1/2, 1, 3/2, ...: psi(1) = -gamma, psi(1/2) = psi(1) - 2 log 2, psi(x + 1) = psi(x) + 1/x."""
-    y, val = (1.0, -0.5772156649015329) if x == math.floor(x) else (0.5, -0.5772156649015329 - 2.0 * math.log(2.0))
-    while y < x:
-        val, y = val + 1.0 / y, y + 1.0
-    return val
+def _series(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray, log_z: np.ndarray | None = None,
+            shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k c_k z^k, c_0 = 1, c_(k+1) = ratio(k) c_k, or sum_k c_k z^k (log_z - shift[k]), over k < _TERMS.
 
-
-def _series(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray, k_min: int = 0,
-            log_z: np.ndarray | None = None, shift: Callable[[np.ndarray], np.ndarray] | None = None):
-    """sum_k c_k z^k, c_0 = 1, c_(k+1) = ratio(k) c_k, or sum_k c_k z^k (log_z - shift(k)).
-
-    ``ratio`` and ``shift`` take arrays of k.  Returns (sum, sum of |terms|).
-    Each element stops on its own, at the first k >= k_min whose term is
-    below eps times its sum, so its value does not depend on the other
-    elements: the terms come 8 at a time, with running products and sums
-    down each element's column in term order.
+    ``ratio`` takes a column of k, ``shift`` is a column of _TERMS values.  Returns (sum, sum of |terms|).
+    The terms are running products down each element's column, 256 columns at a time (two 0.16 MB arrays,
+    worked in place), and each column is summed in term order, so an element's value does not depend on
+    the other elements.
     """
     shape, z = z.shape, z.ravel()
-    lz = None if log_z is None else log_z.ravel()
-    total, absum = np.empty(z.size), np.empty(z.size)
-    live, power = np.arange(z.size), np.ones(z.size)
-    shift0 = 0.0 if lz is None else shift(np.zeros(1)).item()
-    run_sum = power.copy() if lz is None else lz - shift0
-    run_abs = power.copy() if lz is None else np.abs(lz) + abs(shift0)
-    k = np.arange(8.0)[:, None]  # one row per term, one column per element
-    while live.size:
-        powers = np.cumprod(np.concatenate([power[None], ratio(k) * z[live]]), axis=0)[1:]
-        if lz is None:
-            terms, sizes = powers, np.abs(powers)
-        else:
-            sh = shift(k + 1.0)
-            terms, sizes = powers * (lz[live] - sh), np.abs(powers) * (np.abs(lz[live]) + np.abs(sh))
-        sums = np.cumsum(np.concatenate([run_sum[None], terms]), axis=0)[1:]
-        abss = np.cumsum(np.concatenate([run_abs[None], sizes]), axis=0)[1:]
-        stop = ~(sizes > _EPS * np.abs(sums)) & (k + 1.0 >= k_min)
-        done, at = stop.any(axis=0), stop.argmax(axis=0)
-        total[live[done]], absum[live[done]] = sums[at[done], done], abss[at[done], done]
-        live, power, run_sum, run_abs = live[~done], powers[-1, ~done], sums[-1, ~done], abss[-1, ~done]
-        k = k + 8.0
+    step, total, absum = ratio(np.arange(_TERMS - 1.0)[:, None]), np.empty(z.size), np.empty(z.size)
+    for j in range(0, z.size, 256):
+        at = slice(j, j + 256)
+        terms = np.ones((_TERMS, z[at].size))
+        np.multiply(step, z[at], out=terms[1:])
+        np.cumprod(terms, axis=0, out=terms)
+        sizes = np.abs(terms)
+        if log_z is not None:
+            lz = log_z.ravel()[at]
+            sizes *= np.abs(lz) + np.abs(shift)
+            terms *= lz - shift
+        total[at], absum[at] = np.cumsum(terms, axis=0, out=terms)[-1], np.cumsum(sizes, axis=0, out=sizes)[-1]
     return total.reshape(shape), absum.reshape(shape)
 
 
 def _hyp_series(a: float, b: float, c: float, z: np.ndarray):
-    """Gauss's series 2F1(a, b; c; z) and the sum of its |terms|, for |z| <= 1/2 or a terminating series."""
-    return _series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z, math.ceil(-c) + 1 if c < 0.0 else 0)
+    """Gauss's series 2F1(a, b; c; z) and the sum of its |terms|, for |z| <= 1/2."""
+    return _series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z)
 
 
-def _hyp2f1_aa(a: float, z, w=None) -> tuple[np.ndarray, np.ndarray]:
-    """2F1(a, a; 1; z) on 0 <= z < 1, elementwise, with a bound on its rounding error.
+def _hyp2f1_planar(s: float, z, w) -> tuple[np.ndarray, np.ndarray]:
+    """2F1(1+s, 1+s; 1; z) on 0 <= z < 1, the n = 2 kernel, elementwise, with a bound on its rounding error.
 
-    ``w`` is 1 - z, for a caller that has it more accurately than 1 - z.
-    The power series serves z <= 1/2 (and every z when a is a nonpositive
-    integer).  Above 1/2 the expansion is in w: for a > 1/2 first Euler's
-    2F1(a, a; 1; z) = w^(1-2a) 2F1(1-a, 1-a; 1; z), then with m = 1 - 2a >= 0
-    the connection formula A&S 15.3.6, or 15.3.10-11 when m is an integer.
-    Near an integer m the two terms of 15.3.6 grow like 1/m and cancel; the
-    bound carries that loss.
+    ``w`` is 1 - z, which the caller has more accurately than 1 - z.  The power series serves z <= 1/2.
+    Above 1/2, Euler's w^(-m) 2F1(-s, -s; 1; z), m = 1 + 2s, then the connection formula A&S 15.3.6 in
+    w, or 15.3.11 at m = 2.  Near s = 1/2 the two terms of 15.3.6 grow like 1 / (1 - 2s) and cancel,
+    and a power w^(+-m) with m rounded is off by up to eps m |log w|; the bound carries both.
     """
-    z = np.asarray(z, dtype=float)
-    w = 1.0 - z if w is None else np.asarray(w, dtype=float)
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
     val, err = np.empty_like(z), np.empty_like(z)
-    low = (z <= 0.5) | (a <= 0.0 and a == math.floor(a))  # a nonpositive integer a: a polynomial
-    val[low], err[low] = _hyp_series(a, a, 1.0, z[low])
+    low = z <= 0.5
+    val[low], err[low] = _hyp_series(1.0 + s, 1.0 + s, 1.0, z[low])
     err[low] *= 16.0 * _EPS
     if low.all():
         return val, err
-    wh = w[~low]
-    if a > 0.5:
-        f, e = _hyp2f1_aa(1.0 - a, z[~low], wh)
-        g = wh ** (1.0 - 2.0 * a)
-        val[~low], err[~low] = f * g, (e + 4.0 * _EPS * np.abs(f)) * g
-        return val, err
-    m = 1.0 - 2.0 * a
-    if m == math.floor(m):
-        # A&S 15.3.11 (15.3.10 at m = 0) with b = a, c = 1: a + m = 1 - a
-        k = int(m)
-        head, head_abs, coef, power = 0.0, 0.0, 1.0, np.ones_like(wh)  # the finite sum over n < m
-        for n in range(k):
-            if n:
-                coef, power = coef * (a + n - 1.0) ** 2 / (n * (n - k)), power * wh
-            head, head_abs = head + coef * power, head_abs + abs(coef) * power
-        shift = lambda n: np.asarray([[_digamma_half(j + 1.0) + _digamma_half(j + 1.0 + k)
-                                       - 2.0 * _digamma_half(1.0 - a + j)] for j in n.ravel().tolist()])
-        tail, tail_abs = _series(lambda n: (1.0 - a + n) ** 2 / ((n + 1.0) * (n + 1.0 + k)), wh,
-                                 log_z=np.log(wh), shift=shift)
-        c1 = math.gamma(k) / math.gamma(1.0 - a) ** 2 if k else 0.0
-        c2 = -((-wh) ** k) / (math.gamma(a) ** 2 * math.factorial(k))
-        val[~low], bound = c1 * head + c2 * tail, abs(c1) * head_abs + np.abs(c2) * tail_abs
+    wh, m, log_w = w[~low], 1.0 + 2.0 * s, np.log(w[~low])
+    if s == 0.5:
+        # A&S 15.3.11 with a = b = -1/2, c = 1, m = 2: the finite sum is 1 - w/4, and the shifts
+        # psi(j + 1) + psi(j + 3) - 2 psi(j + 3/2) are sums of 1/i and 1/(i + 1/2)
+        j = np.arange(_TERMS + 2.0)
+        harmonic, half = np.append(0.0, np.cumsum(1.0 / (j + 1.0))), np.cumsum(1.0 / (j[:_TERMS] + 0.5))
+        shift = (harmonic[:_TERMS] + harmonic[2:_TERMS + 2] - 2.0 * half + 4.0 * math.log(2.0))[:, None]
+        tail, tail_abs = _series(lambda n: (1.5 + n) ** 2 / ((n + 1.0) * (n + 3.0)), wh, log_w, shift)
+        c1, c2 = 4.0 / math.pi, -wh * wh / (8.0 * math.pi)  # Gamma(2) / Gamma(3/2)^2, -w^2 / (Gamma(-1/2)^2 2!)
+        f, bound = c1 * (1.0 - 0.25 * wh) + c2 * tail, c1 * (1.0 + 0.25 * wh) + np.abs(c2) * tail_abs
     else:
-        f1, a1 = _hyp_series(a, a, 2.0 * a, wh)
-        f2, a2 = _hyp_series(1.0 - a, 1.0 - a, 2.0 - 2.0 * a, wh)
-        # Gamma(-m) by reflection: m = 1 - 2a rounds, 2a does not, and next to a pole of Gamma(-m)
-        # the first term's 1 / (2a + n) must meet the same distance to it
-        sin_pm = math.sin(math.pi * (2.0 * a - round(2.0 * a))) * (-1.0) ** round(2.0 * a)
-        c1 = math.gamma(m) / math.gamma(1.0 - a) ** 2
-        c2 = wh ** m * (-math.pi / (sin_pm * math.gamma(1.0 + m) * math.gamma(a) ** 2))
-        val[~low], bound = c1 * f1 + c2 * f2, abs(c1) * a1 + np.abs(c2) * a2
-    err[~low] = 16.0 * _EPS * bound
+        f1, a1 = _hyp_series(-s, -s, -2.0 * s, wh)
+        f2, a2 = _hyp_series(1.0 + s, 1.0 + s, 1.0 + m, wh)
+        # Gamma(-m) by reflection, with sin(pi m) from 2s - round(2s), which is exact: next to the pole at
+        # s = 1/2 it meets the first series' 1 / (1 - 2s) at the same distance
+        k = round(2.0 * s)
+        sin_pm = -math.sin(math.pi * (2.0 * s - k)) * (-1.0) ** k
+        c1 = math.gamma(m) / math.gamma(1.0 + s) ** 2
+        c2 = wh ** m * (-math.pi / (sin_pm * math.gamma(1.0 + m) * math.gamma(-s) ** 2))
+        f, bound = c1 * f1 + c2 * f2, abs(c1) * a1 + np.abs(c2) * a2 * (1.0 + m * np.abs(log_w))
+    g = wh ** -m
+    val[~low] = f * g
+    err[~low] = (16.0 * _EPS * bound + 4.0 * _EPS * (1.0 + m * np.abs(log_w)) * np.abs(f)) * g
     return val, err
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fraccert.chains
 from fraccert.chains import (ChainId, SamplePolicy, Verdict, chain_info, fit_rate,
                              measure_rate, verify_chain)
 from fraccert.constants import choose_constants
@@ -223,3 +224,29 @@ def test_choose_constants_rejects_chains_without_parts():
     for chain in ("CA3D", "CA1_00", "nonsense"):
         with pytest.raises(ConfigurationError):
             choose_constants(chain, P_POS)
+
+
+# bound chains on stubbed engine values v = scale_i * envelope with bars err * envelope at the two working radii:
+# (chain, scales, err, verdict, note); CA3D is a positive envelope, CA3PR a negative one
+_BOUND_VERDICTS = [
+    (ChainId.CA3D, (1.0, 2.0), 0.0, Verdict.FAIL, "envelope constant unstable across radii: 1 vs 2"),
+    (ChainId.CA3PR, (-1e-3, -1e-3), 1.0, Verdict.INCONCLUSIVE,
+     "negative envelope constant not resolved above error bars"),
+]
+
+
+@pytest.mark.parametrize("chain,scales,err,verdict,note", _BOUND_VERDICTS,
+                         ids=[row[0].value for row in _BOUND_VERDICTS])
+def test_bound_chain_verdicts_from_the_envelope_constants(monkeypatch, chain, scales, err, verdict, note):
+    def stub(probes, params, policy, quad):
+        out = []
+        for (spec, c), scale in zip(probes, scales):
+            xs = np.geomspace(c.base_radius, 2.0 * c.outer_radius, 8)
+            rate = spec.rate(xs, c.outer_radius, params)
+            out.append((xs, scale * rate, err * rate, np.ones(xs.size, dtype=bool)))
+        return out
+
+    monkeypatch.setattr(fraccert.chains, "_barriers_on_regions", stub)
+    rep = verify_chain(chain, P_POS, BarrierConstants(2.0, 20.0), FAST)
+    assert rep.verdict is verdict
+    assert rep.notes == (note,)

@@ -92,6 +92,14 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_rate_fits_the_envelope_slope(capsys):
+    code, out = run(capsys, "rate", "--chain", "CA3D", "--n", "1", "--s", "0.75")
+    assert code == 0
+    body = json.loads(out)["body"]
+    assert set(body) == {"chain", "n", "s", "r_grid", "constant", "slope", "residual", "ratio_spread"}
+    assert abs(body["slope"] + 1.0) <= 0.15
+
+
 def test_rate_on_a_sign_chain_is_usage_error(capsys):
     assert main(["rate", "--chain", "LVC", "--n", "1", "--s", "0.75"]) == 3
     assert "no rate envelope" in capsys.readouterr().err

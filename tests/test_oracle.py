@@ -31,7 +31,7 @@ import pytest
 
 from fraccert.operator import QuadSpec, eval_radial, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile, _hyp2f1_aa, make_fundamental
+from fraccert.profiles import RadialProfile, _hyp2f1_planar, make_fundamental
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -186,17 +186,20 @@ def test_planar_power_converges_within_error_bars(s):
         assert not _gate(ovs, power_multiplier(2, s, tau) * radii ** (-tau - 2.0 * s))
 
 
-# a = 1 + s is the kernel of the n = 2 operator (Euler's transformation, then the connection formula)
-@pytest.mark.parametrize("a", [0.5, 0.5 + 1e-6, 0.5 - 1e-6, -0.5, 0.6, 0.25, -1.0,
-                               1.05, 1.1, 1.5, 1.5 + 1e-6, 1.9])
+# the kernel of the n = 2 operator, 2F1(1+s, 1+s; 1; z), against mpmath at the true order 1 + s (Euler's
+# transformation, then the connection formula; its log form at s = 1/2). Each order a is run at s = a - 1, exact
+# for a in [1, 2], and at the decimal s next to it, as the engine receives s, where 1 + s is not a double.
+@pytest.mark.parametrize("a", [1.01, 1.05, 1.1, 1.25, 1.4, 1.5, 1.5 - 1e-6, 1.5 + 1e-6, 1.5 + 1e-9,
+                               1.75, 1.9, 1.99])
 def test_hyp2f1_aa_against_mpmath(a):
     mpmath.mp.dps = 30
     z = np.concatenate([np.linspace(0.0, 0.99, 100), [0.5, np.nextafter(0.5, 1.0)],
-                        1.0 - np.geomspace(1e-2, 1e-12, 41)])
-    val, bound = _hyp2f1_aa(a, z)
-    exact = np.asarray([float(mpmath.hyp2f1(a, a, 1, mpmath.mpf(x))) for x in z])
-    err = np.abs(val - exact)
-    assert np.all(err <= bound)
-    m = 1.0 - 2.0 * a
-    if abs(m - round(m)) >= 0.01:
-        assert np.all(err <= 1e-13 * np.abs(exact))
+                        1.0 - np.geomspace(1e-2, 1e-14, 49)])
+    for s in (a - 1.0, float(f"{a - 1.0:.12g}")):
+        val, bound = _hyp2f1_planar(s, z, 1.0 - z)
+        order = 1 + mpmath.mpf(s)
+        exact = np.asarray([float(mpmath.hyp2f1(order, order, 1, mpmath.mpf(x))) for x in z])
+        err = np.abs(val - exact)
+        assert np.all(err <= bound)
+        if abs(s - 0.5) >= 0.01:
+            assert np.all(err <= 1e-13 * np.abs(exact))
