@@ -16,11 +16,13 @@ m = min(r, rho), which does not cancel.  Near rho = r the fold g(delta) =
 f(r + delta) + f(r - delta) of f = (u(r) - u(rho)) K is fitted by
 delta^(1-2s), delta^2 and delta^(3-2s) and integrated exactly on (0, h]; h
 shrinks by 4 while the fit misses its share of the tolerance.  Adaptive zones:
-the fold on [h, r/2] and rho in [3r/2, T].  A profile's origin zone (0, r/2]
-and tail [T, inf) take no panels: there q <= 1/2 and q <= 1/8, and each term
-of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in closed
-form against each term of each piece (``profiles._kernel_series``).  A plain
-callable takes them through rho = (r/2) v^p, p = max(1, 1/(2s)), and
+the fold on [h, r/2] and rho in [3r/2, 2r] for a profile, [3r/2, T] for a
+plain callable, T = max(8r, twice the last kink radius).  A profile's origin
+zone (0, r/2] and tail [2r, inf) take no panels: on both q <= 1/2, and each
+term of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in
+closed form against each term of each piece (``profiles._kernel_series``,
+summed once per distinct end of a pass).  A plain callable takes them, (0, r/2]
+and [T, inf), through rho = (r/2) v^p, p = max(1, 1/(2s)), and
 w = (T/rho)^(2s), after one far-field probe that raises on growth like
 rho^(2s).  The n = 2 kernel's 2F1 is ``profiles._hyp2f1_planar``, whose
 rounding bound enters the error estimate.  Every kink radius is a panel edge.
@@ -59,7 +61,7 @@ __all__ = [
 ]
 
 
-# the near zone ends, and the mapped tail starts, at these multiples of the evaluation scale (the
+# the near zone ends, and a plain callable's mapped tail starts, at these multiples of the evaluation scale (the
 # evaluation radius, or the first kink radius when evaluating at the origin)
 _NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
 _MAX_PANELS = 600  # panel budget of each zone of each radius
@@ -156,18 +158,18 @@ def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> None:
             raise DivergenceError(f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}")
 
 
-def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, top: np.ndarray, params: FracParams):
+def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: FracParams):
     """A profile's origin zone and tail as weights on antiderivatives of ``profiles._kernel_series`` at the ends
-    of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, r/T] a zone is r^(-2s) times
+    of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, 1/2] (rho >= 2r) a zone is r^(-2s) times
     int (u(r) - u(rho)) t^(k-1) F(t^2) dt, k = n and 2s, c rho^e is c r^e t^(+-e) and c log rho is c (log r +- log t).
     Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum."""
-    edges, zero, two_s, out = (0.0, *u.breakpoints, math.inf), np.zeros(r.size), 2.0 * params.s, []
-    inner = [(terms, np.minimum(a / r, 0.5), np.minimum(b / r, 0.5)) for terms, a, b in zip(u.pieces, edges, edges[1:])]
-    for zone, sign, k, pieces in ((0, 1.0, params.n, inner), (3, -1.0, two_s, [(u.pieces[-1], zero, r / top)])):
-        out.append((zone, k, False, u_x, pieces[-1][2]))
-        for terms, lo, hi in pieces:
+    edges, two_s, out = np.asarray((0.0, *u.breakpoints, math.inf))[:, None], 2.0 * params.s, []
+    inner, outer = np.minimum(edges, 0.5 * r) / r, r / np.maximum(edges, 2.0 * r)  # t at each piece edge
+    for zone, sign, k, ends in ((0, 1.0, params.n, zip(inner, inner[1:])), (3, -1.0, two_s, zip(outer[1:], outer))):
+        out.append((zone, k, False, u_x, np.full(r.size, 0.5)))
+        for terms, (lo, hi) in zip(u.pieces, ends):
             for c, e, is_log in terms:
-                parts = [(k, False, -c * np.log(r)), (k, True, zero - sign * c)] if is_log \
+                parts = [(k, False, -c * np.log(r)), (k, True, np.full(r.size, -sign * c))] if is_log \
                     else [(k + sign * e, False, -c * r ** e)]
                 out += [(zone, kj, lg, np.where(lo < hi, x * w, 0.0), end)  # an empty interval adds nothing
                         for kj, lg, w in parts for x, end in ((1.0, hi), (-1.0, lo))]
@@ -185,7 +187,8 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     radius is four integral ids m apart, one per zone (origin, fold, outer,
     tail; see the module docstring), and a near zone.  A job's function sees
     its own rows only.  A profile's origin and tail ids get no panels: the
-    kernel's series gives them.  Returns value, error, panel and converged arrays.
+    kernel's series gives them, once per distinct (k, t, log flag) end.
+    Returns value, error, panel and converged arrays.
     """
     n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
     fns, rs, u_xs, bs, hs, scales, tops, series, quads = zip(*jobs)
@@ -198,10 +201,14 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     m, a, gap, half_r, p = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, max(1.0, 1.0 / two_s)
     picked = [(e[0] * m + e[1] + at, *e[2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e is not None]
     series_val = series_bar = np.zeros((4, m))
-    if picked:  # the profiles' origin and tail zones by the series
-        ids, w, *args = map(np.concatenate, zip(*picked))  # in chunks that keep the temporaries like a panel chunk's
-        val, bar = (np.concatenate(x) for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
-                                                     for j in range(0, max(ids.size, 1), 512))))
+    if picked:  # the profiles' origin and tail zones by the series, at each distinct (k, t, log flag) end once
+        ids, w, *args = map(np.concatenate, zip(*picked))
+        order, new = np.lexsort(args), np.ones(ids.size, bool)  # by sorting: np.unique imports numpy.ma, ~20 ms
+        new[1:] = np.any([x[order[1:]] != x[order[:-1]] for x in args], axis=0)
+        back, args = np.empty_like(order), [x[order[new]] for x in args]
+        back[order] = np.cumsum(new) - 1  # in chunks that keep the temporaries like a panel chunk's
+        val, bar = (np.concatenate(x)[back] for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
+                                                           for j in range(0, max(args[0].size, 1), 512))))
         series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
 
     def f(rows: np.ndarray, rho: np.ndarray):
@@ -343,12 +350,12 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         scale = np.where(r > 0.0, r, max(min(breaks, default=1.0), 1.0))  # at the origin: the first kink radius
         if np.any(nearest < 0.5 * _NEAR_RADIUS * scale):
             raise EvaluationPointError(f"evaluation point within {_NEAR_RADIUS:g}*scale of a kink radius")
-        top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf))
+        top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf)) if sampled else 2.0 * r
         if sampled:
             _far_field(fn, u_x, params.s, top)
-        # the job: fn, r, u(r), kink radii, h, scale, T, and a profile's series elements
+        # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), a profile's series
         checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top,
-                        None if sampled else _series_elements(u, r, u_x, top, params), quad))
+                        None if sampled else _series_elements(u, r, u_x, params), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 

@@ -3,8 +3,8 @@
 A profile is a function of the radius rho > 0 given, on each of finitely many
 intervals, by a finite sum of terms a*rho^b and a*log(rho).  Profiles stay
 symbolic (term lists, never samples): their breakpoints are panel edges of
-the operator's quadrature, the kernel's series integrates their origin zone
-and tail term by term, and sums, multiples and dilations stay profiles.
+the operator's quadrature, the kernel's series integrates them term by term
+on rho <= r/2 and rho >= 2r, and sums, multiples and dilations stay profiles.
 
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
@@ -143,8 +143,9 @@ def _hyp2f1_planar(s: float, z, w) -> tuple[np.ndarray, np.ndarray]:
 def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarray]:
     """An antiderivative of t^(k-1) F(t^2), times log t where is_log, at each 0 < t <= 1/2, and its bar: F is
     2F1(1+s, (n+2s)/2; n/2; .), the kernel of ``fraccert.operator``, whose first 32 terms c_j z^j integrate to
-    t^p / p (log t at p = 0) or t^p (log t - 1/p) / p, p = k + 2j, which vanish at t = 0 if k > 0.  Later terms
-    fall by at most c_32 / c_31 t^2 < 1/2 each, so the last kept one bounds them; 16 eps |terms| bound rounding."""
+    t^p / p (log t at p = 0) or t^p (log t - 1/p) / p, p = k + 2j, which vanish at t = 0 if k > 0 (k <= 0, from a
+    tail piece rho^e with e > 2s, ends above 0).  Later terms fall by at most c_32 / c_31 t^2 < 1/2 each, so the
+    last kept one bounds them; 16 eps |terms| bound rounding."""
     j = np.arange(31.0)
     c = np.cumprod(np.append(1.0, (1.0 + s + j) * (0.5 * n + s + j) / ((0.5 * n + j) * (j + 1.0))))[:, None]
     p, log_t, z = k + 2.0 * np.arange(32.0)[:, None], np.log(t), np.broadcast_to(t * t, (31, t.size))

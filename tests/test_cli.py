@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -374,7 +375,8 @@ def test_eval_on_a_barrier_profile(capsys):
 
 
 def test_tol_loosens_the_error_target(capsys):
-    argv = ("eval", "--n", "3", "--s", "0.5", "--profile", "fundamental", "--at", "2.0")
+    # a plain callable whose panels adapt (profiles now converge on their starting panels); exact: cos x
+    argv = ("eval", "--n", "1", "--s", "0.9", "--profile", "cos", "--at", "0.7")
     code, out = run(capsys, *argv)
     default = json.loads(out)["body"]
     code_tol, out_tol = run(capsys, *argv, "--tol", "1e-4")
@@ -382,7 +384,9 @@ def test_tol_loosens_the_error_target(capsys):
     assert code == code_tol == 0
     assert set(loose) == set(default)
     assert loose["error_estimate"] > default["error_estimate"]
-    assert abs(loose["value"]) <= 2.0 * loose["error_estimate"]
+    assert loose["panels_used"] < default["panels_used"]
+    for body in (default, loose):
+        assert abs(body["value"] - math.cos(0.7)) <= 2.0 * body["error_estimate"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,7 +31,7 @@ import pytest
 
 from fraccert.operator import QuadSpec, eval_radial, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile, _hyp2f1_planar, make_fundamental
+from fraccert.profiles import RadialProfile, _hyp2f1_planar, _kernel_series, make_fundamental
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -203,3 +203,27 @@ def test_hyp2f1_aa_against_mpmath(a):
         assert np.all(err <= bound)
         if abs(s - 0.5) >= 0.01:
             assert np.all(err <= 1e-13 * np.abs(exact))
+
+
+# the kernel series of the origin and tail zones, sum_j c_j int t^(k-1+2j) (log t) dt, against mpmath quadrature of
+# t^(k-1) 2F1(1+s, (n+2s)/2; n/2; t^2) (times log t) on sub-intervals of (0, 1/2], as a profile's pieces clip
+# them.  k = n and 2s are the u(r) and log elements; k = 2s - e <= 0 comes from a tail piece c rho^e with e > 2s,
+# whose p = k + 2j passes through 0 (the log antiderivative) when k is an even integer <= 0
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.85])
+def test_kernel_series_against_mpmath(n, s):
+    mpmath.mp.dps = 30
+    cases = [(k, False) for k in (n, 2.0 * s, 0.0, -1.3, -2.0, -4.0)] + [(n, True), (2.0 * s, True)]
+    for lo, hi in ((0.2, 0.5), (0.01, 0.5), (0.3, 0.31), (0.0, 0.5)):
+        for k, is_log in cases:
+            if lo == 0.0 and k <= 0.0:
+                continue  # the antiderivative vanishes at t = 0 only for k > 0: no piece there has k <= 0
+            kernel = lambda t: mpmath.hyp2f1(1 + s, (n + 2 * s) / 2, n / 2, t * t) * (mpmath.log(t) if is_log else 1)
+            if k > 0.0:  # in v = t^k, which takes the singularity t^(k-1) at t = 0 out of the quadrature
+                want = float(mpmath.quad(lambda v: kernel(v ** (1 / mpmath.mpf(k))) / k, [lo ** k, hi ** k]))
+            else:
+                want = float(mpmath.quad(lambda t: t ** (k - 1) * kernel(t), [lo, hi]))
+            ends = np.asarray([hi, lo]) if lo > 0.0 else np.asarray([hi])
+            val, bar = _kernel_series(n, s, np.full(ends.size, k), ends, np.full(ends.size, is_log))
+            got = val[0] - (val[1] if lo > 0.0 else 0.0)
+            assert abs(got - want) <= bar.sum(), (lo, hi, k, is_log, got, want, bar.sum())
