@@ -206,7 +206,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         order, new = np.lexsort(args), np.ones(ids.size, bool)  # by sorting: np.unique imports numpy.ma, ~20 ms
         new[1:] = np.any([x[order[1:]] != x[order[:-1]] for x in args], axis=0)
         back, args = np.empty_like(order), [x[order[new]] for x in args]
-        back[order] = np.cumsum(new) - 1  # in chunks that keep the temporaries like a panel chunk's
+        back[order] = np.cumsum(new) - 1  # then the series, in chunks that keep the temporaries like a panel chunk's
         val, bar = (np.concatenate(x)[back] for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
                                                            for j in range(0, max(args[0].size, 1), 512))))
         series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
