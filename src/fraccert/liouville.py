@@ -21,7 +21,7 @@ from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
 from .errors import ConfigurationError, DomainError
 from .operator import QuadSpec, eval_radial, eval_radial_jobs
 from .params import FracParams
-from .profiles import RadialProfile, as_radial_callable, make_barrier, BarrierKind, \
+from .profiles import RadialProfile, _power_symbol, as_radial_callable, make_barrier, BarrierKind, \
     BarrierConstants, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _SCAN_QUAD = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
-_SYMBOL_QUAD = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
 
 
 def annulus_inf(u: RadialProfile | Callable, r: float, points: int = 400) -> float:
@@ -168,13 +167,12 @@ def supersolution_residual(u: RadialProfile | Callable, f: Callable, region: tup
 def power_symbol(tau: float, params: FracParams) -> float:
     """Multiplier lambda(tau) with (-Delta)^s |x|^(-tau) = lambda |x|^(-tau-2s).
 
-    Evaluated by quadrature at radius 1; positive for 0 < tau < n - 2s and
-    zero at the fundamental exponent.
+    The Gamma-function ratio ``profiles._power_symbol`` at the exponent -tau;
+    positive for 0 < tau < n - 2s and zero at the fundamental exponent.
     """
     if not 0.0 < tau < params.n:
         raise DomainError("the power must lie in (0, n) for an admissible profile")
-    prof = RadialProfile((), (((1.0, -tau, False),),))
-    return eval_radial(prof, 1.0, params, _SYMBOL_QUAD).value
+    return _power_symbol(params.n, params.s, -tau)[0]
 
 
 # ------------------------------------------------------------------ scanning

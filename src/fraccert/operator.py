@@ -21,13 +21,18 @@ plain callable, T = max(8r, twice the last kink radius).  A profile's origin
 zone (0, r/2] and tail [2r, inf) take no panels: on both q <= 1/2, and each
 term of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in
 closed form against each term of each piece (``profiles._kernel_series``,
-summed once per distinct end of a pass).  A plain callable takes them, (0, r/2]
-and [T, inf), through rho = (r/2) v^p, p = max(1, 1/(2s)), and
-w = (T/rho)^(2s), after one far-field probe that raises on growth like
-rho^(2s).  The n = 2 kernel's 2F1 is ``profiles._hyp2f1_planar``, whose
-rounding bound enters the error estimate.  Every kink radius is a panel edge.
-On the line, ``eval_pointwise`` is ``eval_radial`` of the even part
-(u(x + t) + u(x - t)) / 2 at t = 0.
+summed once per distinct end of a pass).  Where [r/2, 2r] holds no breakpoint
+(a closed radius) no zone does: each term c rho^e (c log rho) of the piece there
+adds c M r^(e-2s), M the power multiplier less the term's one-piece origin zone
+and tail, all continued in e (``profiles._multiplier``).  The rule: a piece with
+an exponent within _POLE_GAP = 0.01 of a pole e = 2s + 2j or -n - 2j keeps the
+panels, for there two of these grow like 1 / distance and cancel.  A plain
+callable takes the origin zone and tail, (0, r/2] and [T, inf), through
+rho = (r/2) v^p, p = max(1, 1/(2s)), and w = (T/rho)^(2s), after one
+far-field probe that raises on growth like rho^(2s).  The n = 2 kernel's 2F1
+is ``profiles._hyp2f1_planar``, whose rounding bound enters the error
+estimate.  Every kink radius is a panel edge.  On the line, ``eval_pointwise``
+is ``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -47,7 +52,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import _EPS, RadialProfile, _hyp2f1_planar, _kernel_series, as_radial_callable
+from .profiles import (_EPS, RadialProfile, _hyp2f1_planar, _kernel_series, _multiplier, _pole_distance,
+                       as_radial_callable)
 from .quadrature import _adaptive_many, _panel_values, _power_map
 
 __all__ = [
@@ -65,6 +71,7 @@ __all__ = [
 # evaluation radius, or the first kink radius when evaluating at the origin)
 _NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
 _MAX_PANELS = 600  # panel budget of each zone of each radius
+_POLE_GAP = 0.01  # a piece with an exponent this close to a pole of the power multiplier keeps its panels
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,8 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
     """A profile's origin zone and tail as weights on antiderivatives of ``profiles._kernel_series`` at the ends
     of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, 1/2] (rho >= 2r) a zone is r^(-2s) times
     int (u(r) - u(rho)) t^(k-1) F(t^2) dt, k = n and 2s, c rho^e is c r^e t^(+-e) and c log rho is c (log r +- log t).
-    Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum."""
+    Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum, the closed radii
+    (see the module docstring), and per term of their pieces but constants (M(0) = 0) rows, c r^(e-2s), e, log flag."""
     edges, two_s, out = np.asarray((0.0, *u.breakpoints, math.inf))[:, None], 2.0 * params.s, []
     inner, outer = np.minimum(edges, 0.5 * r) / r, r / np.maximum(edges, 2.0 * r)  # t at each piece edge
     for zone, sign, k, ends in ((0, 1.0, params.n, zip(inner, inner[1:])), (3, -1.0, two_s, zip(outer[1:], outer))):
@@ -174,10 +182,17 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
                 out += [(zone, kj, lg, np.where(lo < hi, x * w, 0.0), end)  # an empty interval adds nothing
                         for kj, lg, w in parts for x, end in ((1.0, hi), (-1.0, lo))]
     zone, k, is_log, w, t = zip(*out)
-    w, t = np.concatenate(w) * np.tile(r ** -two_s, len(out)), np.concatenate(t)
+    r_2s = r ** -two_s
+    w, t = np.concatenate(w) * np.tile(r_2s, len(out)), np.concatenate(t)
     at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
+    closed, piece, mids = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), []
+    for i, terms in enumerate(u.pieces):
+        closed &= (piece != i) | all(_pole_distance(params.n, params.s, e) >= _POLE_GAP for _, e, _ in terms)
+        rows = np.flatnonzero(closed & (piece == i))
+        mids += [(rows, c * r[rows] ** e * r_2s[rows], np.full(rows.size, e), np.full(rows.size, lg))
+                 for c, e, lg in terms if (e or lg) and rows.size]
     return tuple(x[at] for x in (np.repeat(zone, r.size), np.tile(np.arange(r.size), len(out)), w,
-                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size)))
+                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mids
 
 
 def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
@@ -187,7 +202,8 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     radius is four integral ids m apart, one per zone (origin, fold, outer,
     tail; see the module docstring), and a near zone.  A job's function sees
     its own rows only.  A profile's origin and tail ids get no panels: the
-    kernel's series gives them, once per distinct (k, t, log flag) end.
+    kernel's series gives them, once per distinct (k, t, log flag) end, and a
+    closed radius's fold id its multiplier sum, once per distinct (e, log flag).
     Returns value, error, panel and converged arrays.
     """
     n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
@@ -197,9 +213,11 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     b = np.concatenate([np.broadcast_to(np.append(x, [np.nan] * (width - x.size)), (k, width))
                         for x, k in zip(bs, sizes)])  # kink radii, NaN padded
     row_job, mapped = np.repeat(np.arange(len(jobs)), sizes), np.repeat([e is None for e in series], sizes)
+    closed = np.concatenate([np.zeros(x.size, bool) if e is None else e[1] for x, e in zip(rs, series)])
     abs_tol, rel_tol = np.repeat([(q.abs_tol, q.rel_tol) for q in quads], sizes, axis=0).T
     m, a, gap, half_r, p = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, max(1.0, 1.0 / two_s)
-    picked = [(e[0] * m + e[1] + at, *e[2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e is not None]
+    picked = [(e[0][0] * m + e[0][1] + at, *e[0][2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e]
+    mids = [(i + at, *x) for e, at in zip(series, np.cumsum(sizes) - sizes) if e for i, *x in e[2]]
     series_val = series_bar = np.zeros((4, m))
     if picked:  # the profiles' origin and tail zones by the series, at each distinct (k, t, log flag) end once
         ids, w, *args = map(np.concatenate, zip(*picked))
@@ -210,6 +228,13 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         val, bar = (np.concatenate(x)[back] for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
                                                            for j in range(0, max(args[0].size, 1), 512))))
         series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
+    if mids:  # a closed radius's [r/2, 2r]: c M r^(e-2s) a term, M at each distinct (e, log flag) once
+        rows, w, *terms = map(np.concatenate, zip(*mids))
+        keys = {key: i for i, key in enumerate(dict.fromkeys(zip(*(x.tolist() for x in terms))))}
+        at = [keys[key] for key in zip(*(x.tolist() for x in terms))]
+        val, bar = (x[at] for x in _multiplier(n, s, prefac, *(np.asarray(x) for x in zip(*keys))))
+        series_val[1] += np.bincount(rows, w * val, m)
+        series_bar[1] += np.bincount(rows, np.abs(w) * bar, m)
 
     def f(rows: np.ndarray, rho: np.ndarray):
         """(u(r) - u(rho)) K(r, rho) / |S^(n-1)|, one row of rho per radius index, and its rounding bound."""
@@ -270,19 +295,24 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
                 h * (noise[:, :3] * np.abs(w_int)).sum(1),
                 kappa * h * (noise[:, 3] + (noise[:, :3] * np.abs(w_fit)).sum(1)))
 
-    # starting panels; the endpoint zones are graded at rho = (r/2) 2^-k and T 2^k, k = 2, 4, 8, 12
-    v_cut = np.divide(2.0 * b, r[:, None], out=np.full(gap.shape, np.nan), where=b < 0.5 * r[:, None])
-    v_cut = np.hstack([v_cut, np.tile(_ENDPOINT_V[1:-1], (m, 1))])
-    v_cut[mapped] = v_cut[mapped] if p == 1.0 else _pow(v_cut[mapped], 1.0 / p)  # x ** 1 is x
-    w_edge, tails = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)]), np.flatnonzero(mapped)
-    split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
-    zones = [_zone_panels(np.zeros(m), ((r > 0.0) & mapped) * 1.0, v_cut), _zone_panels(h, split, gap),
-             _zone_panels(np.where(r > 0.0, 3.0 * split, split), top, b),
-             (np.repeat(tails, w_edge.size - 1), np.tile(w_edge[:-1], tails.size), np.tile(w_edge[1:], tails.size))]
-    ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
-    ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
-    first = _panel_values(integrand, ids, lo, hi)
-    near_val, near_fit, near_noise, miss_noise = near(np.arange(m), h)
+    # starting panels of the radii not closed; the endpoint zones are graded at rho = (r/2) 2^-k and T 2^k, k = 2 ... 12
+    rows, ids, first = np.flatnonzero(~closed), np.zeros(0, np.intp), np.zeros((3, 0))
+    (lo, hi), (near_val, near_fit, near_noise, miss_noise) = first[:2], np.zeros((4, m))
+    if rows.size:
+        v_cut = np.divide(2.0 * b, r[:, None], out=np.full(gap.shape, np.nan), where=b < 0.5 * r[:, None])
+        v_cut = np.hstack([v_cut, np.tile(_ENDPOINT_V[1:-1], (m, 1))])
+        v_cut[mapped] = v_cut[mapped] if p == 1.0 else _pow(v_cut[mapped], 1.0 / p)  # x ** 1 is x
+        w_edge, tails = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)]), np.flatnonzero(mapped)
+        split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
+        zones = [_zone_panels(np.zeros(m), ((r > 0.0) & mapped) * 1.0, v_cut),  # a closed radius: empty zones
+                 _zone_panels(np.where(closed, split, h), split, gap),
+                 _zone_panels(np.where(closed, top, np.where(r > 0.0, 3.0 * split, split)), top, b),
+                 (np.repeat(tails, w_edge.size - 1), np.tile(w_edge[:-1], tails.size),
+                  np.tile(w_edge[1:], tails.size))]
+        ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
+        ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
+        first = _panel_values(integrand, ids, lo, hi)
+        near_val[rows], near_fit[rows], near_noise[rows], miss_noise[rows] = near(rows, h[rows])
     size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m) + series_val).sum(axis=0)
     tol = np.fmax(abs_tol, rel_tol * size) / prefac
 
@@ -305,7 +335,8 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
                             _adaptive_many(integrand, ids, lo, hi, zone_tol, _MAX_PANELS, 4 * m, first))
     val, err = val + series_val, err + series_bar
     total = prefac * (near_val + val[0] + val[1] + val[2] + val[3])
-    err = prefac * (near_fit + near_noise + err[0] + err[1] + err[2] + err[3])
+    err = prefac * (near_fit + near_noise + err[0] + err[1] + err[2] + err[3]
+                    + 8.0 * _EPS * (np.abs(near_val) + np.abs(val).sum(axis=0)))  # the rounding of the sum
     converged = ok.all(0) & (err <= prefac * 4.0 * tol + np.fmax(abs_tol, rel_tol * np.abs(total)))
     return total, err, panels.sum(axis=0), converged
 
@@ -354,6 +385,7 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if sampled:
             _far_field(fn, u_x, params.s, top)
         # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), a profile's series
+        # ends, closed radii and multiplier terms
         checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top,
                         None if sampled else _series_elements(u, r, u_x, params), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]

@@ -11,7 +11,8 @@ are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
 
 The operator's kernel series live here too: ``_kernel_series`` (32 terms)
 and ``_hyp2f1_planar``, the n = 2 kernel 2F1(1+s, 1+s; 1; q^2) and a bound on
-its rounding, from 80 terms of series in q^2 or 1 - q^2, whichever is <= 1/2.
+its rounding, from 80 terms of series in q^2 or 1 - q^2, whichever is <= 1/2;
+and ``_multiplier``, the closed form of a kink-free [r/2, 2r].
 """
 
 from __future__ import annotations
@@ -153,6 +154,47 @@ def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarr
     terms = np.divide(power, p, out=c * log_t, where=p != 0.0)
     terms[:, is_log] *= log_t[is_log] - 1.0 / p[:, is_log]
     return terms.cumsum(axis=0)[-1], np.abs(terms[-1]) + 16.0 * _EPS * np.abs(terms).cumsum(axis=0)[-1]
+
+
+def _pole_distance(n: int, s: float, e: float) -> float:
+    """Distance from the exponent e to the poles e = 2s + 2j and -n - 2j (j = 0, 1, ...) of ``_power_symbol``."""
+    return min(abs(x - 2.0 * max(round(0.5 * x), 0)) for x in (e - 2.0 * s, -n - e))
+
+
+def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[float, float]:
+    """lambda(e) = 4^s G((2s-e)/2) G((n+e)/2) / (G(-e/2) G((n-2s+e)/2)), G = Gamma: (-Delta)^s rho^e = lambda(e)
+    r^(e-2s) in R^n, -n < e < 2s, continued off the poles with 1/G = 0 at its own (for log rho, lambda'(0)).  And a
+    rounding bound: an argument x, rounded once, moves G(x)^(+-1) by eps |x psi(x)| <= eps |x| (1/d + log(2+|x|) + 1)
+    relative, d its distance to the poles 0, -1, ... (1/G(-j) by eps j! j); math.gamma adds 8 eps (4 against mpmath on
+    [-8, 12]), the products 8 eps."""
+    lam, bar = 4.0 ** s, 0.0  # a running product and its rounding
+    for i, x in enumerate((math.fsum((s, -0.5 * e)), 0.5 * (n + e), -0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e)))):
+        d = abs(x - min(round(x), 0))
+        if is_log and i == 2:  # d/de 1/G(-e/2) at e = 0
+            g, eta = -0.5, 0.0
+        elif i > 1 and d == 0.0:
+            g, eta = 0.0, math.factorial(round(-x)) * abs(x)
+        else:
+            g = math.gamma(x) ** (1 if i < 2 else -1)
+            eta = abs(g) * (8.0 + abs(x) * (1.0 / d + math.log(2.0 + abs(x)) + 1.0))
+        lam, bar = lam * g, bar * abs(g) + abs(lam) * eta
+    return lam, _EPS * (bar + 8.0 * abs(lam))
+
+
+def _multiplier(n: int, s: float, prefac: float, e: np.ndarray, is_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M = lambda / prefac - O - T and its bar at each exponent e (log rho where is_log): a term c rho^e of a piece
+    holding [r/2, 2r] adds c M r^(e-2s) there (``fraccert.operator``).  O and T, its one-piece origin zone and tail
+    continued in e, are A(n) - A(n+e) and A(2s) - A(2s-e) (-A_log(n), A_log(2s)), A = ``_kernel_series`` at t = 1/2.
+    At distance d from a pole lambda and T grow like 1/d, and their rounded arguments part them by eps (n+2+|e|) / d."""
+    two_s, pairs = 2.0 * s, list(zip(e.tolist(), is_log.tolist()))
+    # the ends of M: A(n+e) + A(2s-e) - A(n) - A(2s), or A_log(n) - A_log(2s) for log rho
+    k, sign, log = (np.asarray(x) for x in zip(*[row for x, lg in pairs for row in (
+        (n + x, 1.0, lg), (two_s - x, 1.0 - 2.0 * lg, lg), (n, lg - 1.0, False), (two_s, lg - 1.0, False))]))
+    val, bar = _kernel_series(n, s, k, np.full(k.size, 0.5), log)
+    parts, bars = (sign * val).reshape(-1, 4), (np.abs(sign) * bar).reshape(-1, 4)
+    lam, lam_bar = (np.asarray(x) / prefac for x in zip(*(_power_symbol(n, s, x, lg) for x, lg in pairs)))
+    grow = 16.0 + 4.0 * (n + 2.0 + np.abs(e)) / np.asarray([_pole_distance(n, s, x) for x, _ in pairs])
+    return lam + parts.sum(axis=1), lam_bar + bars.sum(axis=1) + _EPS * grow * (np.abs(lam) + np.abs(parts).sum(axis=1))
 
 
 @dataclass(frozen=True)

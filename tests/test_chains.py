@@ -180,14 +180,15 @@ def test_chosen_constants_carry_safety_margin(lvc_constants):
 # within the combined bars of its probes: RI by 4e-4 relative (its probe at |x| = 800 had a 4 % bar
 # on the spherical means), VASK by 8e-7, the others by at most 1e-7.  With the profiles' origin and
 # tail zones by the kernel's series, NBBN moved by 1e-7 relative, the others by at most 5e-11; with the
-# tail series from rho = 2r, VASK and RI by 6e-12 and 2e-12 relative (bars 3e-5 and 8e-6 relative before)
+# tail series from rho = 2r, VASK and RI by 6e-12 and 2e-12 relative (bars 3e-5 and 8e-6 relative before); with
+# [r/2, 2r] by the power multiplier where it holds no breakpoint, each by at most 0.21 of the combined bars
 _CHOSEN = {
-    ("LVC", 1, 0.75): {"power_bump_coef": 5.513960347229179},
-    ("NBBN", 1, 0.5): {"log_bump_coef": 9.980388860847341},
-    ("NITU", 3, 0.5): {"plateau_height": 7.171550832985771},
-    ("VASK", 3, 0.5): {"indicator_coef": 3.692160139398257, "exterior_sign_radius": 12.148948366554817},
-    ("RI", 3, 0.5): {"shell_coef": 760.1200880516916},
-    ("LVC", 1, 0.8): {"power_bump_coef": 5.519112016502966},
+    ("LVC", 1, 0.75): {"power_bump_coef": 5.513960347255037},
+    ("NBBN", 1, 0.5): {"log_bump_coef": 9.98038886084237},
+    ("NITU", 3, 0.5): {"plateau_height": 7.171550832985888},
+    ("VASK", 3, 0.5): {"indicator_coef": 3.6921601394193657, "exterior_sign_radius": 12.148948366554817},
+    ("RI", 3, 0.5): {"shell_coef": 760.1200880528468},
+    ("LVC", 1, 0.8): {"power_bump_coef": 5.519112016462621},
 }
 
 

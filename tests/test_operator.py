@@ -224,9 +224,15 @@ def test_plain_callables_are_called_on_arrays(entry):
 
 
 def test_operator_value_reports_panels():
+    # a profile radius takes panels only where a breakpoint lies in [r/2, 2r], or where its piece has an
+    # exponent within 0.01 of a pole of the power multiplier (here 2s - n = 0.008 - n, next to -n)
     ov = eval_radial(make_fundamental(P1H), 2.0, P1H)
     assert isinstance(ov, OperatorValue)
-    assert ov.panels_used > 0 and ov.error_estimate >= 0.0
+    assert ov.panels_used == 0 and ov.error_estimate >= 0.0
+    split = RadialProfile((3.0,), make_fundamental(P1H).pieces * 2)
+    assert eval_radial(split, 2.0, P1H).panels_used > 0
+    near_pole = FracParams(3, 0.004)
+    assert eval_radial(make_fundamental(near_pole), 2.0, near_pole).panels_used > 0
 
 
 def _pin_ids(rows, keys: int) -> list[str]:
@@ -238,7 +244,7 @@ def _pin_ids(rows, keys: int) -> list[str]:
 # over rho, each move within the combined bars:
 # (u, s, r, value, error_estimate, panels_used, converged) at default tolerances
 _PLANAR_PINS = [
-    ("bubble", 0.5, 2.5, -0.020732402943124163, 3.686131068911184e-11, 18, True),
+    ("bubble", 0.5, 2.5, -0.020732402943124163, 3.6862755107600006e-11, 18, True),
 ]
 
 
@@ -251,8 +257,9 @@ def test_planar_values_match_per_circle_pins(kind, s, r, value, err, panels, con
 
 
 # the n = 2 fundamental solution, exactly annihilated, through the integral over rho (its origin and tail
-# zones by the kernel's series): (s, r, panels_used); every value is converged and within 2 err of 0
-_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 4), (0.4, 7.0, 4), (0.75, 1.5, 4), (0.75, 7.0, 4)]
+# zones by the kernel's series, [r/2, 2r] by the power multiplier): (s, r, panels_used); every value is
+# converged and within 2 err of 0
+_PLANAR_FUNDAMENTAL = [(0.4, 1.5, 0), (0.4, 7.0, 0), (0.75, 1.5, 0), (0.75, 7.0, 0)]
 
 
 @pytest.mark.parametrize("s,r,panels", _PLANAR_FUNDAMENTAL, ids=_pin_ids(_PLANAR_FUNDAMENTAL, 2))
@@ -345,35 +352,36 @@ _MANY_CASES = {
 }
 # values of the integral over rho in every dimension (default tolerances), each within the
 # combined bars of the spherical-mean or angular-mean value pinned before it, and the profiles' (their
-# origin and tail zones by the kernel's series) within those of their panel values:
+# origin and tail zones by the kernel's series, and [r/2, 2r] by the power multiplier where it holds no
+# breakpoint) within those of their panel values:
 # (case, r, value, error_estimate, panels_used, converged)
 _MANY_PINS = [
-    ("ramp_with_bump", 3.0, 0.00391449186114175, 4.6322873534368116e-11, 4, True),
-    ("ramp_with_bump", 25.0, -0.06512638765777914, 2.2241338013313172e-10, 6, True),
-    ("ramp_with_bump", 33.0, 0.3188085830441589, 2.93472788067672e-10, 5, True),
-    ("ramp_with_bump", 100.0, -0.0012840364227693706, 1.7690247612716685e-17, 4, True),
-    ("exterior_with_shell", 10.0, -0.00013133124353946411, 7.237874871186108e-19, 4, True),
-    ("exterior_with_shell", 25.0, 0.00033287550670350744, 1.9792302321398055e-13, 5, True),
-    ("exterior_with_shell", 45.0, 4.0858795979617914e-07, 3.2525331595392854e-17, 5, True),
-    ("exterior_with_shell", 200.0, 7.806372988213631e-09, 3.491626338440677e-19, 4, True),
-    ("exterior_with_shell_n2", 10.0, -0.0034587099191755433, 2.2459504662956388e-17, 4, True),
-    ("exterior_with_shell_n2", 25.0, 0.010264274319288075, 3.657285997007969e-13, 6, True),
-    ("exterior_with_shell_n2", 45.0, -0.00014417364481421167, 5.53761430667603e-14, 5, True),
-    ("exterior_with_shell_n2", 200.0, 7.578015768985634e-08, 5.569516066612573e-15, 4, True),
-    ("ball_indicator", 0.5, 1.5482246682888954, 1.8993344175084904e-12, 4, True),
-    ("ball_indicator", 2.0, -0.037357014506163876, 1.3272727150646175e-16, 4, True),
-    ("ball_indicator", 8.0, -0.00010559236906141584, 3.7513945394144287e-19, 4, True),
-    ("bubble_n1", 0.0, 1.0215400745270187, 1.4099127125074247e-10, 11, True),
-    ("bubble_n1", 0.7, 0.25993594151370675, 1.3379145315049343e-09, 21, True),
-    ("bubble_n1", 12.0, -0.008091461436812325, 2.431644245141019e-11, 25, True),
-    ("bubble_n2", 0.0, 1.7540569034419347, 1.4696695654205878e-10, 11, True),
-    ("bubble_n2", 2.5, -0.020732402943124163, 3.686131068911184e-11, 18, True),
-    ("bubble_n3", 0.0, 2.233334613177978, 1.8711620644029378e-10, 11, True),
-    ("bubble_n3", 1.5, 0.14502177104394362, 1.2810575081873107e-10, 18, True),
-    ("cap_n1", 0.0, 0.9999999996433584, 2.2705318150632855e-09, 23, True),
-    ("cap_n1", 0.3, 0.9999999996612504, 2.2105592724375624e-09, 28, True),
-    ("cap_n1", 2.0, -0.15470053845974932, 5.115927608425592e-10, 28, True),
-    ("cap_n3", 0.0, 1.9999999997479667, 1.6097194663801336e-09, 24, True),
+    ("ramp_with_bump", 3.0, 0.0039144918608180175, 4.964775954054794e-15, 0, True),
+    ("ramp_with_bump", 25.0, -0.06512638765777914, 2.2241353634629496e-10, 6, True),
+    ("ramp_with_bump", 33.0, 0.3188085830441589, 2.9347335438547897e-10, 5, True),
+    ("ramp_with_bump", 100.0, -0.0012840364227693706, 1.9971154494342088e-17, 0, True),
+    ("exterior_with_shell", 10.0, -0.00013133124353946411, 9.57078639806878e-19, 0, True),
+    ("exterior_with_shell", 25.0, 0.00033287550670350744, 1.9792361741469923e-13, 5, True),
+    ("exterior_with_shell", 45.0, 4.0858795979617914e-07, 3.25645521395022e-17, 5, True),
+    ("exterior_with_shell", 200.0, 7.806372988219714e-09, 4.2500280346199965e-21, 0, True),
+    ("exterior_with_shell_n2", 10.0, -0.0034587099191755433, 2.860340768338535e-17, 0, True),
+    ("exterior_with_shell_n2", 25.0, 0.010264274319288075, 3.657470027990768e-13, 6, True),
+    ("exterior_with_shell_n2", 45.0, -0.00014417364481421167, 5.537694082184894e-14, 5, True),
+    ("exterior_with_shell_n2", 200.0, 7.578015775264261e-08, 4.1645555651049985e-19, 0, True),
+    ("ball_indicator", 0.5, 1.5482246682888954, 9.31255684347825e-15, 0, True),
+    ("ball_indicator", 2.0, -0.037357014506163876, 1.9908665972406033e-16, 0, True),
+    ("ball_indicator", 8.0, -0.00010559236906141584, 5.627091809121644e-19, 0, True),
+    ("bubble_n1", 0.0, 1.0215400745270187, 1.409930858704406e-10, 11, True),
+    ("bubble_n1", 0.7, 0.25993594151370675, 1.3379156604996286e-09, 21, True),
+    ("bubble_n1", 12.0, -0.008091461436812325, 2.4316457657655335e-11, 25, True),
+    ("bubble_n2", 0.0, 1.7540569034419347, 1.4697007237303592e-10, 11, True),
+    ("bubble_n2", 2.5, -0.020732402943124163, 3.6862755107600006e-11, 18, True),
+    ("bubble_n3", 0.0, 2.233334613177978, 1.8712017363950857e-10, 11, True),
+    ("bubble_n3", 1.5, 0.14502177104394362, 1.2810608992247047e-10, 18, True),
+    ("cap_n1", 0.0, 0.9999999996433584, 2.270533591420124e-09, 23, True),
+    ("cap_n1", 0.3, 0.9999999996612504, 2.2105612571252265e-09, 28, True),
+    ("cap_n1", 2.0, -0.15470053845974932, 5.115930356459188e-10, 28, True),
+    ("cap_n3", 0.0, 1.9999999997479667, 1.609723019093812e-09, 24, True),
 ]
 # closed forms, checked under |value - exact| <= 2 err + 1e-14 |exact|: (case, r, exact).
 # The fundamental solution is annihilated; the bubble is Dyda's 2F1 (tests/test_oracle.py); the cap (1 - rho^2)_+^s is
@@ -389,14 +397,14 @@ _MANY_EXACT = [
 # the oscillatory cos tail on the line, unconverged (exact: cos x), each within the combined bars of
 # its two-point-mean value: (s, x, value, error_estimate, panels_used, converged)
 _COS_PINS = [
-    (0.3, 0.0, 1.0000025151597274, 0.001070888695425424, 744, False),
-    (0.6, 0.7, 0.7648423743905786, 2.9253676552987643e-06, 738, False),
+    (0.3, 0.0, 1.0000025151597274, 0.0010708886954272003, 744, False),
+    (0.6, 0.7, 0.7648423743905786, 2.925367656657397e-06, 738, False),
 ]
 
 
 def _assert_pinned(ov, value, err, panels, converged):
     assert ov.value == pytest.approx(value, rel=1e-9, abs=1e-6 * err)
-    assert ov.error_estimate == pytest.approx(err, rel=1e-6)
+    assert ov.error_estimate == pytest.approx(err, rel=1e-6, abs=0.0)
     assert (ov.panels_used, ov.converged) == (panels, converged)
 
 

@@ -23,15 +23,24 @@ fundamental solution (exactly annihilated) down to s = 0.01 in every
 dimension; and the cap (1 - |x|^2)_+^s in n = 1 and 3, also at
 r = 0.8 ... 0.95 next to its kink, against its constant value
 4^s G(1+s) G(n/2+s) / G(n/2) inside the ball and an mpmath integral over the
-support outside.
+support outside.  At the extreme orders s = 0.01, 0.02, 0.98 and 0.99 the
+fundamental solution and the powers converge in every dimension.
+
+A profile radius with no breakpoint in [r/2, 2r] takes that part in closed
+form (the multiplier less the one-piece origin zone and tail, checked against
+mpmath here), so every fundamental-solution and power case also runs split in
+two equal pieces at 1.3 r, on panels, and the two must agree within their
+combined bars.
 """
 
 import numpy as np
 import pytest
 
-from fraccert.operator import QuadSpec, eval_radial, eval_radial_many
+from fraccert.errors import ConfigurationError
+from fraccert.operator import _POLE_GAP, QuadSpec, eval_radial, eval_radial_jobs, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import RadialProfile, _hyp2f1_planar, _kernel_series, make_fundamental
+from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, _hyp2f1_planar, _kernel_series,
+                               _multiplier, _power_symbol, make_barrier, make_fundamental)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -48,6 +57,17 @@ def dyda(n: int, s: float, b: float, r: float) -> float:
         # transformation terminates, and zeroprec lets its sum be zero
         f = (1 - z) ** (c - b - s - hb) * mpmath.hyp2f1(c - b - s, c - hb, c, z, zeroprec=mpmath.mp.prec)
     return float(pref * f)
+
+
+def _split_misses(u: RadialProfile, radii, params) -> list:
+    """The radii where a one-piece profile, whose [r/2, 2r] takes the closed form, and the same terms as two pieces
+    split at 1.3 r, whose [r/2, 2r] takes panels, miss |v1 - v2| <= err1 + err2, or where either is unconverged."""
+    (terms,) = u.pieces
+    one = eval_radial_many(u, radii, params)
+    split = eval_radial_jobs([(RadialProfile((1.3 * r,), (terms, terms)), [r], QuadSpec()) for r in radii], params)
+    assert all(a.panels_used == 0 and b[2][0] > 0 for a, b in zip(one, split))
+    return [(r, a.value, b[0][0], a.error_estimate, b[1][0]) for r, a, b in zip(radii, one, split)
+            if not (a.converged and b[3][0]) or abs(a.value - b[0][0]) > a.error_estimate + b[1][0]]
 
 
 def _gate(ovs, exact) -> list:
@@ -132,6 +152,7 @@ def test_singular_power_within_error_bars(n, s):
         for r, ov, want in zip(radii, eval_radial_many(u, radii, params), exact):
             if not ov.converged or abs(ov.value - want) > 2.0 * ov.error_estimate + 1e-14 * abs(want):
                 misses.append((tau, r, ov.value, want, ov.error_estimate))
+        misses += _split_misses(u, radii.tolist(), params)
     assert not misses
 
 
@@ -140,9 +161,11 @@ def test_growing_power_within_error_bars(n, s, e):
     # |x|^e with 0 < e < 2s, the multiplier formula at tau = -e: most of the integral lies in the tail, which
     # the kernel's series integrates in closed form (its mapped panels once came back 2.1 bars off)
     params, radii = FracParams(n, s), np.asarray([0.3, 1.0, 3.0, 10.0, 50.0])
-    ovs = eval_radial_many(RadialProfile((), (((1.0, e, False),),)), radii, params)
+    u = RadialProfile((), (((1.0, e, False),),))
+    ovs = eval_radial_many(u, radii, params)
     assert all(ov.converged for ov in ovs)
     assert not _gate(ovs, power_multiplier(n, s, -e) * radii ** (e - 2.0 * s))
+    assert not _split_misses(u, radii.tolist(), params)
 
 
 _PLANAR_RADII = [0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
@@ -154,6 +177,7 @@ def test_planar_fundamental_converges_within_error_bars(s):
     ovs = eval_radial_many(make_fundamental(params), _PLANAR_RADII, params)
     assert all(ov.converged for ov in ovs)
     assert not _gate(ovs, [0.0] * len(ovs))
+    assert not _split_misses(make_fundamental(params), _PLANAR_RADII, params)
 
 
 @pytest.mark.parametrize("s", [0.01, 0.02, 0.05, 0.1, 0.25])
@@ -163,6 +187,7 @@ def test_planar_fundamental_at_small_s_is_honest_or_unconverged(s):
     ovs = eval_radial_many(make_fundamental(params), _PLANAR_RADII, params)
     assert all(ov.converged for ov in ovs)
     assert not _gate(ovs, [0.0] * len(ovs))
+    assert not _split_misses(make_fundamental(params), _PLANAR_RADII, params)
 
 
 @pytest.mark.parametrize("n,s", [(n, s) for n in (1, 3) for s in (0.01, 0.02, 0.1, 0.25, 0.4, 0.75)])
@@ -174,6 +199,7 @@ def test_fundamental_converges_within_error_bars(n, s):
     ovs = eval_radial_many(make_fundamental(params), radii, params)
     assert all(ov.converged for ov in ovs)
     assert not _gate(ovs, [0.0] * len(ovs))
+    assert not _split_misses(make_fundamental(params), radii, params)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9])
@@ -181,10 +207,28 @@ def test_planar_power_converges_within_error_bars(s):
     params, radii = FracParams(2, s), np.asarray(_PLANAR_RADII)
     for frac in (0.2, 0.5, 0.8):
         tau = frac * (2.0 - 2.0 * s)
-        ovs = eval_radial_many(RadialProfile((), (((1.0, -tau, False),),)), radii, params)
+        u = RadialProfile((), (((1.0, -tau, False),),))
+        ovs = eval_radial_many(u, radii, params)
         assert all(ov.converged for ov in ovs)
         assert not _gate(ovs, power_multiplier(2, s, tau) * radii ** (-tau - 2.0 * s))
+        assert not _split_misses(u, radii.tolist(), params)
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.01, 0.02, 0.98, 0.99])
+def test_extreme_orders_converge_within_error_bars(n, s):
+    # the fundamental solution and the powers |x|^e, -n < e < 2s - 0.05, at the extreme orders (warnings are errors).
+    # On panels the n = 2 fundamental solution at s >= 0.98 left 3 or 4 of 5 radii unconverged
+    params, radii = FracParams(n, s), np.asarray(_PLANAR_RADII)
+    powers = [-frac * (n - 2.0 * s) for frac in (0.2, 0.5, 0.8)] + [frac * 2.0 * s for frac in (0.2, 0.5, 0.8)]
+    cases = [(make_fundamental(params), np.zeros(radii.size))] + [
+        (RadialProfile((), (((1.0, e, False),),)), power_multiplier(n, s, -e) * radii ** (e - 2.0 * s))
+        for e in powers if e < 2.0 * s - 0.05]
+    for u, exact in cases:
+        ovs = eval_radial_many(u, radii, params)
+        assert all(ov.converged for ov in ovs), u
+        assert not _gate(ovs, exact), u
 
 # the kernel of the n = 2 operator, 2F1(1+s, 1+s; 1; z), against mpmath at the true order 1 + s (Euler's
 # transformation, then the connection formula; its log form at s = 1/2). Each order a is run at s = a - 1, exact
@@ -227,3 +271,53 @@ def test_kernel_series_against_mpmath(n, s):
             val, bar = _kernel_series(n, s, np.full(ends.size, k), ends, np.full(ends.size, is_log))
             got = val[0] - (val[1] if lo > 0.0 else 0.0)
             assert abs(got - want) <= bar.sum(), (lo, hi, k, is_log, got, want, bar.sum())
+
+
+def _antiderivative(n, s, k, is_log: bool):
+    """sum_j c_j t^p / p, p = k + 2j, at t = 1/2 (the kernel series of ``_kernel_series``) as the closed form
+    (t^k / k) 3F2(1+s, n/2+s, k/2; n/2, k/2+1; t^2), or for log t its derivative in k."""
+    t = mpmath.mpf(1) / 2
+    a = lambda k: t ** k / k * mpmath.hyp3f2(1 + s, n / 2 + s, k / 2, n / 2, k / 2 + 1, t * t)
+    return mpmath.diff(a, k) if is_log else a(k)
+
+
+def _multiplier_reference(n: int, s: float, e: float, is_log: bool) -> tuple:
+    """lambda(e) (lambda'(0) for log rho) and M = lambda / (c_ns |S^(n-1)|) - O - T at 30 digits."""
+    mpmath.mp.dps = 30
+    n, s, e = mpmath.mpf(n), mpmath.mpf(s), mpmath.mpf(e)
+    lam = lambda e: (4 ** s * mpmath.gamma((2 * s - e) / 2) * mpmath.gamma((n + e) / 2)
+                     * mpmath.rgamma(-e / 2) * mpmath.rgamma((n - 2 * s + e) / 2))
+    prefac = 2 * 4 ** s * mpmath.gamma(n / 2 + s) / (mpmath.gamma(n / 2) * abs(mpmath.gamma(-s)))  # c_ns |S^(n-1)|
+    if is_log:
+        lam0 = -4 ** s * mpmath.gamma(s) * mpmath.gamma(n / 2) * mpmath.rgamma(n / 2 - s) / 2
+        o, t = -_antiderivative(n, s, n, True), _antiderivative(n, s, 2 * s, True)
+    else:
+        lam0 = lam(e)
+        o = _antiderivative(n, s, n, False) - _antiderivative(n, s, n + e, False) if e else 0
+        t = _antiderivative(n, s, 2 * s, False) - _antiderivative(n, s, 2 * s - e, False) if e else 0
+    return lam0, lam0 / prefac - o - t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_multiplier_against_mpmath(n):
+    # lambda and M = lambda / prefac - O - T of the closed-form [r/2, 2r] (profiles._multiplier): every exponent of
+    # every catalog barrier that builds, log rho, and exponents 1.01, 3 and 10 _POLE_GAP from the poles on both sides
+    misses = []
+    for s in (0.01, 0.02, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.98, 0.99):
+        params, cases = FracParams(n, s), {(0.0, True)}
+        for kind in BarrierKind:
+            try:
+                barrier = make_barrier(kind, BarrierConstants(), params)
+            except ConfigurationError:
+                continue
+            cases |= {(0.0 if lg else e, lg) for piece in barrier.pieces for _, e, lg in piece}
+        for pole in (2 * s, 2 * s + 2, -n, -n - 2):
+            cases |= {(pole + side * gap * _POLE_GAP, False) for side in (-1, 1) for gap in (1.01, 3, 10)}
+        e, is_log = (np.asarray(x) for x in zip(*sorted(cases)))
+        m, m_bar = _multiplier(n, s, params.c_ns * params.sphere_measure, e, is_log)
+        for x, lg, got, bar in zip(e.tolist(), is_log.tolist(), m, m_bar):
+            lam, lam_bar = _power_symbol(n, s, x, lg)
+            want_lam, want = _multiplier_reference(n, s, x, lg)
+            if abs(lam - want_lam) > lam_bar or abs(got - want) > bar:
+                misses.append((s, x, lg, float(abs(lam - want_lam) / lam_bar), float(abs(got - want) / bar)))
+    assert not misses
