@@ -170,7 +170,7 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
     of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, 1/2] (rho >= 2r) a zone is r^(-2s) times
     int (u(r) - u(rho)) t^(k-1) F(t^2) dt, k = n and 2s, c rho^e is c r^e t^(+-e) and c log rho is c (log r +- log t).
     Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum, the closed radii
-    (see the module docstring), and per term of their pieces but constants (M(0) = 0) rows, c r^(e-2s), e, log flag."""
+    (see the module docstring), and at each radius the sum and bar of c M r^(e-2s) over its terms if it is closed."""
     edges, two_s, out = np.asarray((0.0, *u.breakpoints, math.inf))[:, None], 2.0 * params.s, []
     inner, outer = np.minimum(edges, 0.5 * r) / r, r / np.maximum(edges, 2.0 * r)  # t at each piece edge
     for zone, sign, k, ends in ((0, 1.0, params.n, zip(inner, inner[1:])), (3, -1.0, two_s, zip(outer[1:], outer))):
@@ -185,14 +185,17 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
     r_2s = r ** -two_s
     w, t = np.concatenate(w) * np.tile(r_2s, len(out)), np.concatenate(t)
     at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
-    closed, piece, mids = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), []
+    closed, piece, mid = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), np.zeros((2, r.size))
     for i, terms in enumerate(u.pieces):
         closed &= (piece != i) | all(_pole_distance(params.n, params.s, e) >= _POLE_GAP for _, e, _ in terms)
         rows = np.flatnonzero(closed & (piece == i))
-        mids += [(rows, c * r[rows] ** e * r_2s[rows], np.full(rows.size, e), np.full(rows.size, lg))
-                 for c, e, lg in terms if (e or lg) and rows.size]
+        for c, e, lg in terms:
+            if rows.size and (e or lg):  # M(0) = 0: a constant adds nothing
+                val, bar = _multiplier(params, e, lg)
+                weight = c * r[rows] ** e * r_2s[rows]
+                mid[:, rows] += weight * val, np.abs(weight) * bar
     return tuple(x[at] for x in (np.repeat(zone, r.size), np.tile(np.arange(r.size), len(out)), w,
-                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mids
+                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mid
 
 
 def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
@@ -203,7 +206,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     tail; see the module docstring), and a near zone.  A job's function sees
     its own rows only.  A profile's origin and tail ids get no panels: the
     kernel's series gives them, once per distinct (k, t, log flag) end, and a
-    closed radius's fold id its multiplier sum, once per distinct (e, log flag).
+    closed radius's fold id its multiplier sum.
     Returns value, error, panel and converged arrays.
     """
     n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
@@ -214,11 +217,11 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
                         for x, k in zip(bs, sizes)])  # kink radii, NaN padded
     row_job, mapped = np.repeat(np.arange(len(jobs)), sizes), np.repeat([e is None for e in series], sizes)
     closed = np.concatenate([np.zeros(x.size, bool) if e is None else e[1] for x, e in zip(rs, series)])
+    mid = np.concatenate([np.zeros((2, x.size)) if e is None else e[2] for x, e in zip(rs, series)], axis=1)
     abs_tol, rel_tol = np.repeat([(q.abs_tol, q.rel_tol) for q in quads], sizes, axis=0).T
     m, a, gap, half_r, p = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, max(1.0, 1.0 / two_s)
     picked = [(e[0][0] * m + e[0][1] + at, *e[0][2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e]
-    mids = [(i + at, *x) for e, at in zip(series, np.cumsum(sizes) - sizes) if e for i, *x in e[2]]
-    series_val = series_bar = np.zeros((4, m))
+    series_val, series_bar = np.zeros((2, 4, m))
     if picked:  # the profiles' origin and tail zones by the series, at each distinct (k, t, log flag) end once
         ids, w, *args = map(np.concatenate, zip(*picked))
         order, new = np.lexsort(args), np.ones(ids.size, bool)  # by sorting: np.unique imports numpy.ma, ~20 ms
@@ -228,13 +231,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         val, bar = (np.concatenate(x)[back] for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
                                                            for j in range(0, max(args[0].size, 1), 512))))
         series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
-    if mids:  # a closed radius's [r/2, 2r]: c M r^(e-2s) a term, M at each distinct (e, log flag) once
-        rows, w, *terms = map(np.concatenate, zip(*mids))
-        keys = {key: i for i, key in enumerate(dict.fromkeys(zip(*(x.tolist() for x in terms))))}
-        at = [keys[key] for key in zip(*(x.tolist() for x in terms))]
-        val, bar = (x[at] for x in _multiplier(n, s, prefac, *(np.asarray(x) for x in zip(*keys))))
-        series_val[1] += np.bincount(rows, w * val, m)
-        series_bar[1] += np.bincount(rows, np.abs(w) * bar, m)
+    series_val[1], series_bar[1] = mid  # a closed radius's [r/2, 2r] by the multiplier
 
     def f(rows: np.ndarray, rho: np.ndarray):
         """(u(r) - u(rho)) K(r, rho) / |S^(n-1)|, one row of rho per radius index, and its rounding bound."""

@@ -17,6 +17,7 @@ and ``_multiplier``, the closed form of a kink-free [r/2, 2r].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -181,20 +182,19 @@ def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[flo
     return lam, _EPS * (bar + 8.0 * abs(lam))
 
 
-def _multiplier(n: int, s: float, prefac: float, e: np.ndarray, is_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M = lambda / prefac - O - T and its bar at each exponent e (log rho where is_log): a term c rho^e of a piece
-    holding [r/2, 2r] adds c M r^(e-2s) there (``fraccert.operator``).  O and T, its one-piece origin zone and tail
-    continued in e, are A(n) - A(n+e) and A(2s) - A(2s-e) (-A_log(n), A_log(2s)), A = ``_kernel_series`` at t = 1/2.
-    At distance d from a pole lambda and T grow like 1/d, and their rounded arguments part them by eps (n+2+|e|) / d."""
-    two_s, pairs = 2.0 * s, list(zip(e.tolist(), is_log.tolist()))
-    # the ends of M: A(n+e) + A(2s-e) - A(n) - A(2s), or A_log(n) - A_log(2s) for log rho
-    k, sign, log = (np.asarray(x) for x in zip(*[row for x, lg in pairs for row in (
-        (n + x, 1.0, lg), (two_s - x, 1.0 - 2.0 * lg, lg), (n, lg - 1.0, False), (two_s, lg - 1.0, False))]))
-    val, bar = _kernel_series(n, s, k, np.full(k.size, 0.5), log)
-    parts, bars = (sign * val).reshape(-1, 4), (np.abs(sign) * bar).reshape(-1, 4)
-    lam, lam_bar = (np.asarray(x) / prefac for x in zip(*(_power_symbol(n, s, x, lg) for x, lg in pairs)))
-    grow = 16.0 + 4.0 * (n + 2.0 + np.abs(e)) / np.asarray([_pole_distance(n, s, x) for x, _ in pairs])
-    return lam + parts.sum(axis=1), lam_bar + bars.sum(axis=1) + _EPS * grow * (np.abs(lam) + np.abs(parts).sum(axis=1))
+@functools.cache
+def _multiplier(params: FracParams, e: float, is_log: bool) -> tuple[float, float]:
+    """M = lambda / (c_ns |S^(n-1)|) - O - T and its bar at the exponent e (of log rho if is_log): a term c rho^e of
+    a piece holding [r/2, 2r] adds c M r^(e-2s) there (``fraccert.operator``).  O and T, its one-piece origin zone and
+    tail continued in e, are A(n) - A(n+e) and A(2s) - A(2s-e) (-A_log(n), A_log(2s)), A = ``_kernel_series`` at
+    t = 1/2.  At distance d from a pole lambda and T grow like 1/d, and their rounded arguments part them by
+    eps (n+2+|e|) / d.  Cached: an engine pass asks for M once per term of each closed radius's piece."""
+    n, s = params.n, params.s
+    k, sign = ((n, 2.0 * s), (1.0, -1.0)) if is_log else ((n + e, 2.0 * s - e, n, 2.0 * s), (1.0, 1.0, -1.0, -1.0))
+    val, bar = _kernel_series(n, s, np.asarray(k), np.full(len(k), 0.5), np.full(len(k), is_log))
+    lam, lam_bar = (x / (params.c_ns * params.sphere_measure) for x in _power_symbol(n, s, e, is_log))
+    parts, grow = np.asarray(sign) * val, 16.0 + 4.0 * (n + 2.0 + abs(e)) / _pole_distance(n, s, e)
+    return lam + parts.sum(), lam_bar + bar.sum() + _EPS * grow * (abs(lam) + np.abs(parts).sum())
 
 
 @dataclass(frozen=True)
