@@ -25,14 +25,15 @@ summed once per distinct end of a pass).  Where [r/2, 2r] holds no breakpoint
 (a closed radius) no zone does: each term c rho^e (c log rho) of the piece there
 adds c M r^(e-2s), M the power multiplier less the term's one-piece origin zone
 and tail, all continued in e (``profiles._multiplier``).  The rule: a piece with
-an exponent within _POLE_GAP = 0.01 of a pole e = 2s + 2j or -n - 2j keeps the
-panels, for there two of these grow like 1 / distance and cancel.  A plain
-callable takes the origin zone and tail, (0, r/2] and [T, inf), through
-rho = (r/2) v^p, p = max(1, 1/(2s)), and w = (T/rho)^(2s), after one
-far-field probe that raises on growth like rho^(2s).  The n = 2 kernel's 2F1
-is ``profiles._hyp2f1_planar``, whose rounding bound enters the error
-estimate.  Every kink radius is a panel edge.  On the line, ``eval_pointwise``
-is ``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
+a term c rho^e, e != 0, or c log rho within ``profiles._POLE_GAP`` = 0.01 of a
+pole e = 2s + 2j or -n - 2j keeps the panels, for there two of these grow like
+1 / distance and cancel.  A plain callable takes the origin zone and tail,
+(0, r/2] and [T, inf), through rho = (r/2) v^p, p = max(1, 1/(2s)), and
+w = (T/rho)^(2s), after one far-field probe that raises on growth like
+rho^(2s).  The n = 2 kernel's 2F1 is ``profiles._hyp2f1_planar``, whose
+rounding bound enters the error estimate.  Every kink radius is a panel edge.
+On the line, ``eval_pointwise`` is ``eval_radial`` of the even part
+(u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -52,8 +53,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
 from .params import FracParams
-from .profiles import (_EPS, RadialProfile, _hyp2f1_planar, _kernel_series, _multiplier, _pole_distance,
-                       as_radial_callable)
+from .profiles import _EPS, RadialProfile, _hyp2f1_planar, _kernel_series, _multiplier, as_radial_callable
 from .quadrature import _adaptive_many, _panel_values, _power_map
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
 # evaluation radius, or the first kink radius when evaluating at the origin)
 _NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
 _MAX_PANELS = 600  # panel budget of each zone of each radius
-_POLE_GAP = 0.01  # a piece with an exponent this close to a pole of the power multiplier keeps its panels
 
 
 @dataclass(frozen=True)
@@ -187,13 +186,12 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
     at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
     closed, piece, mid = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), np.zeros((2, r.size))
     for i, terms in enumerate(u.pieces):
-        closed &= (piece != i) | all(_pole_distance(params.n, params.s, e) >= _POLE_GAP for _, e, _ in terms)
+        mults = [(c, e, _multiplier(params, e, lg)) for c, e, lg in terms if e or lg]  # M(0) = 0 for a constant
+        closed &= (piece != i) | all(mult for *_, mult in mults)
         rows = np.flatnonzero(closed & (piece == i))
-        for c, e, lg in terms:
-            if rows.size and (e or lg):  # M(0) = 0: a constant adds nothing
-                val, bar = _multiplier(params, e, lg)
-                weight = c * r[rows] ** e * r_2s[rows]
-                mid[:, rows] += weight * val, np.abs(weight) * bar
+        for c, e, (val, bar) in mults if rows.size else ():
+            weight = c * r[rows] ** e * r_2s[rows]
+            mid[:, rows] += weight * val, np.abs(weight) * bar
     return tuple(x[at] for x in (np.repeat(zone, r.size), np.tile(np.arange(r.size), len(out)), w,
                                  np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mid
 
@@ -382,7 +380,7 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if sampled:
             _far_field(fn, u_x, params.s, top)
         # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), a profile's series
-        # ends, closed radii and multiplier terms
+        # ends, closed radii and multiplier sums
         checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top,
                         None if sampled else _series_elements(u, r, u_x, params), quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]

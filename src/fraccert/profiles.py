@@ -157,11 +157,6 @@ def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarr
     return terms.cumsum(axis=0)[-1], np.abs(terms[-1]) + 16.0 * _EPS * np.abs(terms).cumsum(axis=0)[-1]
 
 
-def _pole_distance(n: int, s: float, e: float) -> float:
-    """Distance from the exponent e to the poles e = 2s + 2j and -n - 2j (j = 0, 1, ...) of ``_power_symbol``."""
-    return min(abs(x - 2.0 * max(round(0.5 * x), 0)) for x in (e - 2.0 * s, -n - e))
-
-
 def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[float, float]:
     """lambda(e) = 4^s G((2s-e)/2) G((n+e)/2) / (G(-e/2) G((n-2s+e)/2)), G = Gamma: (-Delta)^s rho^e = lambda(e)
     r^(e-2s) in R^n, -n < e < 2s, continued off the poles with 1/G = 0 at its own (for log rho, lambda'(0)).  And a
@@ -182,18 +177,25 @@ def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[flo
     return lam, _EPS * (bar + 8.0 * abs(lam))
 
 
-@functools.cache
-def _multiplier(params: FracParams, e: float, is_log: bool) -> tuple[float, float]:
+_POLE_GAP = 0.01  # no multiplier this close to a pole of lambda: the piece keeps its panels
+
+
+@functools.lru_cache(maxsize=4096)
+def _multiplier(params: FracParams, e: float, is_log: bool) -> tuple[float, float] | None:
     """M = lambda / (c_ns |S^(n-1)|) - O - T and its bar at the exponent e (of log rho if is_log): a term c rho^e of
     a piece holding [r/2, 2r] adds c M r^(e-2s) there (``fraccert.operator``).  O and T, its one-piece origin zone and
     tail continued in e, are A(n) - A(n+e) and A(2s) - A(2s-e) (-A_log(n), A_log(2s)), A = ``_kernel_series`` at
-    t = 1/2.  At distance d from a pole lambda and T grow like 1/d, and their rounded arguments part them by
-    eps (n+2+|e|) / d.  Cached: an engine pass asks for M once per term of each closed radius's piece."""
+    t = 1/2.  At distance d from a pole e = 2s + 2j or -n - 2j (j = 0, 1, ...) lambda and T grow like 1/d, and their
+    rounded arguments part them by eps (n+2+|e|) / d; None if d < _POLE_GAP.  Cached: an engine pass asks for M once
+    per term of each piece."""
     n, s = params.n, params.s
+    d = min(abs(x - 2.0 * max(round(0.5 * x), 0)) for x in (e - 2.0 * s, -n - e))
+    if d < _POLE_GAP:
+        return None
     k, sign = ((n, 2.0 * s), (1.0, -1.0)) if is_log else ((n + e, 2.0 * s - e, n, 2.0 * s), (1.0, 1.0, -1.0, -1.0))
     val, bar = _kernel_series(n, s, np.asarray(k), np.full(len(k), 0.5), np.full(len(k), is_log))
     lam, lam_bar = (x / (params.c_ns * params.sphere_measure) for x in _power_symbol(n, s, e, is_log))
-    parts, grow = np.asarray(sign) * val, 16.0 + 4.0 * (n + 2.0 + abs(e)) / _pole_distance(n, s, e)
+    parts, grow = np.asarray(sign) * val, 16.0 + 4.0 * (n + 2.0 + abs(e)) / d
     return lam + parts.sum(), lam_bar + bar.sum() + _EPS * grow * (abs(lam) + np.abs(parts).sum())
 
 

@@ -224,7 +224,7 @@ def test_plain_callables_are_called_on_arrays(entry):
 
 
 def test_operator_value_reports_panels():
-    # a profile radius takes panels only where a breakpoint lies in [r/2, 2r], or where its piece has an
+    # a profile radius takes panels only where a breakpoint lies in [r/2, 2r], or where its piece has a nonzero
     # exponent within 0.01 of a pole of the power multiplier (here 2s - n = 0.008 - n, next to -n)
     ov = eval_radial(make_fundamental(P1H), 2.0, P1H)
     assert isinstance(ov, OperatorValue)
@@ -233,6 +233,13 @@ def test_operator_value_reports_panels():
     assert eval_radial(split, 2.0, P1H).panels_used > 0
     near_pole = FracParams(3, 0.004)
     assert eval_radial(make_fundamental(near_pole), 2.0, near_pole).panels_used > 0
+    # a constant adds exactly 0 to [r/2, 2r], so its e = 0, here 0.008 from the pole 2s, keeps no panels; the same
+    # terms split at 2.6 take panels, and the two agree within their bars
+    inner, outer = ((1.0, 0.0, False), (1.0, -1.0, False)), ((1.0, -1.0, False),)
+    one, split = (eval_radial(RadialProfile(b, p), 2.0, near_pole)
+                  for b, p in (((10.0,), (inner, outer)), ((2.6, 10.0), (inner, inner, outer))))
+    assert (one.panels_used, one.converged, split.converged) == (0, True, True) and split.panels_used > 0
+    assert abs(one.value - split.value) <= one.error_estimate + split.error_estimate
 
 
 def _pin_ids(rows, keys: int) -> list[str]:

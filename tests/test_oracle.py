@@ -37,10 +37,10 @@ import numpy as np
 import pytest
 
 from fraccert.errors import ConfigurationError
-from fraccert.operator import _POLE_GAP, QuadSpec, eval_radial, eval_radial_jobs, eval_radial_many
+from fraccert.operator import QuadSpec, eval_radial, eval_radial_jobs, eval_radial_many
 from fraccert.params import FracParams
 from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, _hyp2f1_planar, _kernel_series,
-                               _multiplier, _power_symbol, make_barrier, make_fundamental)
+                               _POLE_GAP, _multiplier, _power_symbol, make_barrier, make_fundamental)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -301,6 +301,7 @@ def _multiplier_reference(n: int, s: float, e: float, is_log: bool) -> tuple:
 def test_power_multiplier_against_mpmath(n):
     # lambda and M = lambda / prefac - O - T of the closed-form [r/2, 2r] (profiles._multiplier): every exponent of
     # every catalog barrier that builds, log rho, and exponents 1.01, 3 and 10 _POLE_GAP from the poles on both sides
+    # (none at 0.99 _POLE_GAP, where the piece keeps its panels)
     misses = []
     for s in (0.01, 0.02, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.98, 0.99):
         params, cases = FracParams(n, s), {(0.0, True)}
@@ -312,6 +313,7 @@ def test_power_multiplier_against_mpmath(n):
             cases |= {(0.0 if lg else e, lg) for piece in barrier.pieces for _, e, lg in piece}
         for pole in (2 * s, 2 * s + 2, -n, -n - 2):
             cases |= {(pole + side * gap * _POLE_GAP, False) for side in (-1, 1) for gap in (1.01, 3, 10)}
+            assert all(_multiplier(params, pole + side * 0.99 * _POLE_GAP, False) is None for side in (-1, 1))
         for x, lg in sorted(cases):
             got, bar = _multiplier(params, x, lg)
             lam, lam_bar = _power_symbol(n, s, x, lg)
