@@ -22,18 +22,14 @@ zone (0, r/2] and tail [2r, inf) take no panels: on both q <= 1/2, and each
 term of K = rho^(n-1) M^(-n-2s) 2F1(1+s, (n+2s)/2; n/2; q^2) integrates in
 closed form against each term of each piece (``profiles._kernel_series``,
 summed once per distinct end of a pass).  Where [r/2, 2r] holds no breakpoint
-(a closed radius) no zone does: each term c rho^e (c log rho) of the piece there
-adds c M r^(e-2s), M the power multiplier less the term's one-piece origin zone
-and tail, all continued in e (``profiles._multiplier``).  The rule: a piece with
-a term c rho^e, e != 0, or c log rho within ``profiles._POLE_GAP`` = 0.01 of a
-pole e = 2s + 2j or -n - 2j keeps the panels, for there two of these grow like
-1 / distance and cancel.  A plain callable takes the origin zone and tail,
-(0, r/2] and [T, inf), through rho = (r/2) v^p, p = max(1, 1/(2s)), and
-w = (T/rho)^(2s), after one far-field probe that raises on growth like
-rho^(2s).  The n = 2 kernel's 2F1 is ``profiles._hyp2f1_planar``, whose
-rounding bound enters the error estimate.  Every kink radius is a panel edge.
-On the line, ``eval_pointwise`` is ``eval_radial`` of the even part
-(u(x + t) + u(x - t)) / 2 at t = 0.
+no zone takes panels: the piece there gives the whole value in closed form
+(``profiles._multiplier``, which names the poles where it does not).  A plain
+callable takes the origin zone and tail, (0, r/2] and [T, inf), through
+rho = (r/2) v^p, p = max(1, 1/(2s)), and w = (T/rho)^(2s), after one far-field
+probe that raises on growth like rho^(2s).  The n = 2 kernel's 2F1 is
+``profiles._hyp2f1_planar``, whose rounding bound enters the error estimate.
+Every kink radius is a panel edge.  On the line, ``eval_pointwise`` is
+``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
 Evaluation is batched over jobs, a function at its radii under its QuadSpec
 each: ``eval_radial_jobs`` takes several, ``eval_radial_many`` one and
@@ -168,8 +164,8 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
     """A profile's origin zone and tail as weights on antiderivatives of ``profiles._kernel_series`` at the ends
     of its pieces: in t = rho / r on (0, 1/2] and t = r / rho on (0, 1/2] (rho >= 2r) a zone is r^(-2s) times
     int (u(r) - u(rho)) t^(k-1) F(t^2) dt, k = n and 2s, c rho^e is c r^e t^(+-e) and c log rho is c (log r +- log t).
-    Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum, the closed radii
-    (see the module docstring), and at each radius the sum and bar of c M r^(e-2s) over its terms if it is closed."""
+    Returns the zone ids (0, 3), rows, weights, k, t and log flags of the ends that add to a sum; the closed radii,
+    whose [r/2, 2r] the multiplier gives (see the module docstring); and per radius its sum c M r^(e-2s) and bar."""
     edges, two_s, out = np.asarray((0.0, *u.breakpoints, math.inf))[:, None], 2.0 * params.s, []
     inner, outer = np.minimum(edges, 0.5 * r) / r, r / np.maximum(edges, 2.0 * r)  # t at each piece edge
     for zone, sign, k, ends in ((0, 1.0, params.n, zip(inner, inner[1:])), (3, -1.0, two_s, zip(outer[1:], outer))):
@@ -180,8 +176,7 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
                     else [(k + sign * e, False, -c * r ** e)]
                 out += [(zone, kj, lg, np.where(lo < hi, x * w, 0.0), end)  # an empty interval adds nothing
                         for kj, lg, w in parts for x, end in ((1.0, hi), (-1.0, lo))]
-    zone, k, is_log, w, t = zip(*out)
-    r_2s = r ** -two_s
+    (zone, k, is_log, w, t), r_2s = zip(*out), r ** -two_s
     w, t = np.concatenate(w) * np.tile(r_2s, len(out)), np.concatenate(t)
     at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
     closed, piece, mid = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), np.zeros((2, r.size))
@@ -193,7 +188,7 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
             weight = c * r[rows] ** e * r_2s[rows]
             mid[:, rows] += weight * val, np.abs(weight) * bar
     return tuple(x[at] for x in (np.repeat(zone, r.size), np.tile(np.arange(r.size), len(out)), w,
-                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mid
+                                 np.repeat(k, r.size), t, np.repeat(is_log, r.size))), closed, mid.T
 
 
 def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarray, ...]:
@@ -203,22 +198,20 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
     radius is four integral ids m apart, one per zone (origin, fold, outer,
     tail; see the module docstring), and a near zone.  A job's function sees
     its own rows only.  A profile's origin and tail ids get no panels: the
-    kernel's series gives them, once per distinct (k, t, log flag) end, and a
-    closed radius's fold id its multiplier sum.
+    kernel's series gives them, once per distinct (k, t, log flag) end.  A
+    closed radius takes none at all; its fold id holds its sum c M r^(e-2s).
     Returns value, error, panel and converged arrays.
     """
     n, s, prefac = params.n, params.s, params.c_ns * params.sphere_measure
-    fns, rs, u_xs, bs, hs, scales, tops, series, quads = zip(*jobs)
+    fns, rs, u_xs, bs, hs, scales, tops, series, closed, mid, quads = zip(*jobs)
     sizes, width, two_s = [x.size for x in rs], max(x.size for x in bs), 2.0 * s
-    r, u_x, h, scale, top = map(np.concatenate, (rs, u_xs, hs, scales, tops))
+    r, u_x, h, scale, top, closed, mid = map(np.concatenate, (rs, u_xs, hs, scales, tops, closed, mid))
     b = np.concatenate([np.broadcast_to(np.append(x, [np.nan] * (width - x.size)), (k, width))
                         for x, k in zip(bs, sizes)])  # kink radii, NaN padded
     row_job, mapped = np.repeat(np.arange(len(jobs)), sizes), np.repeat([e is None for e in series], sizes)
-    closed = np.concatenate([np.zeros(x.size, bool) if e is None else e[1] for x, e in zip(rs, series)])
-    mid = np.concatenate([np.zeros((2, x.size)) if e is None else e[2] for x, e in zip(rs, series)], axis=1)
     abs_tol, rel_tol = np.repeat([(q.abs_tol, q.rel_tol) for q in quads], sizes, axis=0).T
     m, a, gap, half_r, p = r.size, 1.0 + two_s, np.abs(r[:, None] - b), 0.5 * r, max(1.0, 1.0 / two_s)
-    picked = [(e[0][0] * m + e[0][1] + at, *e[0][2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e]
+    picked = [(e[0] * m + e[1] + at, *e[2:]) for e, at in zip(series, np.cumsum(sizes) - sizes) if e is not None]
     series_val, series_bar = np.zeros((2, 4, m))
     if picked:  # the profiles' origin and tail zones by the series, at each distinct (k, t, log flag) end once
         ids, w, *args = map(np.concatenate, zip(*picked))
@@ -229,7 +222,7 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         val, bar = (np.concatenate(x)[back] for x in zip(*(_kernel_series(n, s, *(a[j:j + 512] for a in args))
                                                            for j in range(0, max(args[0].size, 1), 512))))
         series_val, series_bar = (np.bincount(ids, x, 4 * m).reshape(4, m) for x in (w * val, np.abs(w) * bar))
-    series_val[1], series_bar[1] = mid  # a closed radius's [r/2, 2r] by the multiplier
+    series_val[1], series_bar[1] = mid.T  # a closed radius's [r/2, 2r] by the multiplier
 
     def f(rows: np.ndarray, rho: np.ndarray):
         """(u(r) - u(rho)) K(r, rho) / |S^(n-1)|, one row of rho per radius index, and its rounding bound."""
@@ -299,13 +292,12 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
         v_cut[mapped] = v_cut[mapped] if p == 1.0 else _pow(v_cut[mapped], 1.0 / p)  # x ** 1 is x
         w_edge, tails = np.concatenate([[0.0], _pow(_ENDPOINT_V[1:], two_s)]), np.flatnonzero(mapped)
         split = np.where(r > 0.0, 0.5 * r, scale)  # the fold ends here; the outer zone starts at 3r/2 (r > 0)
-        zones = [_zone_panels(np.zeros(m), ((r > 0.0) & mapped) * 1.0, v_cut),  # a closed radius: empty zones
-                 _zone_panels(np.where(closed, split, h), split, gap),
-                 _zone_panels(np.where(closed, top, np.where(r > 0.0, 3.0 * split, split)), top, b),
-                 (np.repeat(tails, w_edge.size - 1), np.tile(w_edge[:-1], tails.size),
-                  np.tile(w_edge[1:], tails.size))]
+        zones = [_zone_panels(np.zeros(m), ((r > 0.0) & mapped) * 1.0, v_cut), _zone_panels(h, split, gap),
+                 _zone_panels(np.where(r > 0.0, 3.0 * split, split), top, b),
+                 (np.repeat(tails, w_edge.size - 1), np.tile(w_edge[:-1], tails.size), np.tile(w_edge[1:], tails.size))]
         ids, lo, hi = (np.concatenate(col) for col in zip(*zones))
-        ids += np.repeat(m * np.arange(4), [z[0].size for z in zones])
+        keep, ids = ~closed[ids], ids + np.repeat(m * np.arange(4), [z[0].size for z in zones])
+        ids, lo, hi = ids[keep], lo[keep], hi[keep]  # a closed radius takes no panel
         first = _panel_values(integrand, ids, lo, hi)
         near_val[rows], near_fit[rows], near_noise[rows], miss_noise[rows] = near(rows, h[rows])
     size = np.abs(near_val) + np.abs(np.bincount(ids, first[0], 4 * m).reshape(4, m) + series_val).sum(axis=0)
@@ -379,10 +371,10 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         top = np.maximum(_TAIL_RADIUS * scale, 2.0 * b.max(initial=-np.inf)) if sampled else 2.0 * r
         if sampled:
             _far_field(fn, u_x, params.s, top)
-        # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), a profile's series
-        # ends, closed radii and multiplier sums
-        checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top,
-                        None if sampled else _series_elements(u, r, u_x, params), quad))
+        series = (None, np.zeros(r.size, bool), np.zeros((r.size, 2))) if sampled else \
+            _series_elements(u, r, u_x, params)  # a profile's series ends, closed radii and (M sum, bar) per radius
+        # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), those three, quad
+        checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top, *series, quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 
@@ -444,10 +436,7 @@ def scaling_identity_check(u: Callable | RadialProfile, lam: float, x, params: F
     """Relative deviation between (-Delta)^s[u(lam .)](x) and lam^(2s) ((-Delta)^s u)(lam x)."""
     if lam <= 0.0:
         raise DomainError("scaling factor must be positive")
-    if isinstance(u, RadialProfile):
-        u_scaled: Callable | RadialProfile = u.dilate(lam)
-    else:
-        u_scaled = (lambda y: u(lam * np.asarray(y)))
+    u_scaled = u.dilate(lam) if isinstance(u, RadialProfile) else (lambda y: u(lam * np.asarray(y)))
     lhs = eval_pointwise(u_scaled, x, params,
                          replace(quad, kink_radii=tuple(k / lam for k in quad.kink_radii))).value
     rhs_point = lam * np.asarray(x, dtype=float)

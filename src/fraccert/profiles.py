@@ -69,6 +69,7 @@ def _anti(terms: tuple[Term, ...], r: np.ndarray) -> np.ndarray:
 
 _EPS = float(np.finfo(float).eps)
 _TERMS = 80  # terms of the planar kernel's series: at |z| <= 1/2 the 80th is below 1e-20 of the sum
+_POLE_GAP = 0.01  # ``_multiplier`` gives no M this close to a pole of lambda
 
 
 def _series(ratio: Callable[[np.ndarray], np.ndarray], z: np.ndarray, log_z: np.ndarray | None = None,
@@ -166,10 +167,8 @@ def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[flo
     lam, bar = 4.0 ** s, 0.0  # a running product and its rounding
     for i, x in enumerate((math.fsum((s, -0.5 * e)), 0.5 * (n + e), -0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e)))):
         d = abs(x - min(round(x), 0))
-        if is_log and i == 2:  # d/de 1/G(-e/2) at e = 0
-            g, eta = -0.5, 0.0
-        elif i > 1 and d == 0.0:
-            g, eta = 0.0, math.factorial(round(-x)) * abs(x)
+        if i > 1 and d == 0.0:  # 1/G is 0 at a pole; for log rho, d/de 1/G(-e/2) = -1/2 at e = 0
+            g, eta = (-0.5, 0.0) if is_log and i == 2 else (0.0, math.factorial(round(-x)) * abs(x))
         else:
             g = math.gamma(x) ** (1 if i < 2 else -1)
             eta = abs(g) * (8.0 + abs(x) * (1.0 / d + math.log(2.0 + abs(x)) + 1.0))
@@ -177,17 +176,14 @@ def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[flo
     return lam, _EPS * (bar + 8.0 * abs(lam))
 
 
-_POLE_GAP = 0.01  # no multiplier this close to a pole of lambda: the piece keeps its panels
-
-
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=32)
 def _multiplier(params: FracParams, e: float, is_log: bool) -> tuple[float, float] | None:
     """M = lambda / (c_ns |S^(n-1)|) - O - T and its bar at the exponent e (of log rho if is_log): a term c rho^e of
     a piece holding [r/2, 2r] adds c M r^(e-2s) there (``fraccert.operator``).  O and T, its one-piece origin zone and
     tail continued in e, are A(n) - A(n+e) and A(2s) - A(2s-e) (-A_log(n), A_log(2s)), A = ``_kernel_series`` at
     t = 1/2.  At distance d from a pole e = 2s + 2j or -n - 2j (j = 0, 1, ...) lambda and T grow like 1/d, and their
-    rounded arguments part them by eps (n+2+|e|) / d; None if d < _POLE_GAP.  Cached: an engine pass asks for M once
-    per term of each piece."""
+    rounded arguments part them by eps (n+2+|e|) / d; so None if d < _POLE_GAP, and the piece keeps its panels.
+    Cached: keys recur (the README's verify-chain and rate lines ask 33 times for 3, a catalog sweep 2,240 for 15)."""
     n, s = params.n, params.s
     d = min(abs(x - 2.0 * max(round(0.5 * x), 0)) for x in (e - 2.0 * s, -n - e))
     if d < _POLE_GAP:
