@@ -176,7 +176,8 @@ def _series_elements(u: RadialProfile, r: np.ndarray, u_x: np.ndarray, params: F
                     else [(k + sign * e, False, -c * r ** e)]
                 out += [(zone, kj, lg, np.where(lo < hi, x * w, 0.0), end)  # an empty interval adds nothing
                         for kj, lg, w in parts for x, end in ((1.0, hi), (-1.0, lo))]
-    (zone, k, is_log, w, t), r_2s = zip(*out), r ** -two_s
+    zone, k, is_log, w, t = zip(*out)
+    r_2s = r ** -two_s
     w, t = np.concatenate(w) * np.tile(r_2s, len(out)), np.concatenate(t)
     at = (w != 0.0) & (t > 0.0)  # the antiderivative vanishes at t = 0
     closed, piece, mid = ~((edges > 0.5 * r) & (edges < 2.0 * r)).any(axis=0), u._piece_index(r), np.zeros((2, r.size))
@@ -436,7 +437,10 @@ def scaling_identity_check(u: Callable | RadialProfile, lam: float, x, params: F
     """Relative deviation between (-Delta)^s[u(lam .)](x) and lam^(2s) ((-Delta)^s u)(lam x)."""
     if lam <= 0.0:
         raise DomainError("scaling factor must be positive")
-    u_scaled = u.dilate(lam) if isinstance(u, RadialProfile) else (lambda y: u(lam * np.asarray(y)))
+    if isinstance(u, RadialProfile):
+        u_scaled: Callable | RadialProfile = u.dilate(lam)
+    else:
+        u_scaled = (lambda y: u(lam * np.asarray(y)))
     lhs = eval_pointwise(u_scaled, x, params,
                          replace(quad, kink_radii=tuple(k / lam for k in quad.kink_radii))).value
     rhs_point = lam * np.asarray(x, dtype=float)
