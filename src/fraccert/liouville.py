@@ -18,10 +18,10 @@ import numpy as np
 
 from .chains import Verdict, _sign_verdict
 from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DivergenceError, DomainError
 from .operator import QuadSpec, eval_radial, eval_radial_jobs
 from .params import FracParams
-from .profiles import RadialProfile, _power_symbol, as_radial_callable, make_barrier, BarrierKind, \
+from .profiles import RadialProfile, _bubble_symbol, _power_symbol, as_radial_callable, make_barrier, BarrierKind, \
     BarrierConstants, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
@@ -182,10 +182,11 @@ def power_symbol(tau: float, params: FracParams) -> float:
 class CandidateFamily:
     """Radial candidates c (1+|x|^2)^(-beta/2) over parameter grids.
 
-    Every c must be finite and positive and every beta finite, so that each
-    member is a positive function.  ``include_control`` appends the exact
-    power profile eps |x|^(-tau) with tau = 2s/(p-1) and eps derived from the
-    operator multiplier: the member every supercritical scan must certify.
+    Every c must be finite and positive and every beta finite (a scan needs
+    -beta < 2s - 0.05), so that each member is a positive function, whose
+    operator has a closed form.  ``include_control`` appends the exact power
+    profile eps |x|^(-tau), tau = 2s/(p-1), eps from the operator multiplier:
+    the member every supercritical scan must certify.
     """
 
     c_values: tuple[float, ...] = tuple(np.geomspace(0.1, 10.0, 20))
@@ -275,24 +276,29 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
     shows the harness is not rejecting vacuously.  Members scan independently
     and the report is ordered by the parameter grid.
 
-    (-Delta)^s is linear, so the operator is evaluated once per distinct beta,
-    on the base function (1+|x|^2)^(-beta/2), and member c takes c times its
-    values and error estimates.  The base runs with ``quad.abs_tol`` divided
-    by max(1, max c), so every scaled member meets an error target at least
-    as strict as its own evaluation with ``quad``; the control member is
-    evaluated directly.  Each member is judged as in ``supersolution_residual``.
-    ``points`` must be at least 1.
+    A beta with -beta >= 2s - 0.05 (the profile rule of ``eval_radial_jobs``)
+    raises DivergenceError before any base is evaluated.  (-Delta)^s is linear:
+    each distinct beta is evaluated once, on (1+|x|^2)^(-beta/2), and member c
+    takes c times its values and bars.  A base takes ``profiles._bubble_symbol``
+    and its rounding bar or, where that is None (see its rule), one
+    ``eval_radial_jobs`` pass with the control member, at ``quad.abs_tol`` over
+    max(1, max c), so that every scaled member meets a target at least as strict
+    as ``quad``.  Members are judged as in ``supersolution_residual``; points >= 1.
     """
     radii = _residual_radii(r_range, points)
     members = list(family.members(params))
     if not members:
         raise ConfigurationError("the candidate family is empty")
+    if max((-beta for beta in family.beta_values), default=-np.inf) >= 2.0 * params.s - 0.05:
+        raise DivergenceError("a candidate grows at least like |x|^(2s); the defining integral diverges")
     grid = [(float(c), float(beta)) for c in family.c_values for beta in family.beta_values]
     base_quad = replace(quad, abs_tol=quad.abs_tol / max([1.0] + [c for c, _ in grid]))
-    # one engine pass over the bases, in order of first use; the control member, if any, is the last (beta None)
+    closed = ((b, _bubble_symbol(params.n, params.s, 0.5 * b, radii)) for b in set(map(float, family.beta_values)))
+    base = {beta: (*out, np.zeros(radii.size, int), np.ones(radii.size, bool)) for beta, out in closed if out}
+    # one engine pass over the other bases, in order of first use; the control member, if any, is the last (beta None)
     jobs = {beta: (member, radii, quad) if beta is None else (_family_member(1.0, beta), radii, base_quad)
-            for (_, member), (_, beta) in zip(members, grid + [(1.0, None)])}
-    base = dict(zip(jobs, eval_radial_jobs(list(jobs.values()), params)))
+            for (_, member), (_, beta) in zip(members, grid + [(1.0, None)]) if beta not in base}
+    base.update(zip(jobs, eval_radial_jobs(list(jobs.values()), params)))
     rows, curves = [], []
     for (label, member), (c, beta) in zip(members, grid + [(1.0, None)]):
         vals, errs, _, converged = base[beta]

@@ -158,22 +158,56 @@ def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarr
     return terms.cumsum(axis=0)[-1], np.abs(terms[-1]) + 16.0 * _EPS * np.abs(terms).cumsum(axis=0)[-1]
 
 
-def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[float, float]:
-    """lambda(e) = 4^s G((2s-e)/2) G((n+e)/2) / (G(-e/2) G((n-2s+e)/2)), G = Gamma: (-Delta)^s rho^e = lambda(e)
-    r^(e-2s) in R^n, -n < e < 2s, continued off the poles with 1/G = 0 at its own (for log rho, lambda'(0)).  And a
-    rounding bound: an argument x, rounded once, moves G(x)^(+-1) by eps |x psi(x)| <= eps |x| (1/d + log(2+|x|) + 1)
-    relative, d its distance to the poles 0, -1, ... (1/G(-j) by eps j! j); math.gamma adds 8 eps (4 against mpmath on
-    [-8, 12]), the products 8 eps."""
+def _gamma_quotient(s: float, args: tuple[float, ...], is_log: bool = False) -> tuple[float, float]:
+    """4^s G(x0) G(x1) / (G(x2) G(x3)), G = Gamma, with 1/G = 0 at its poles (for log rho, 1/G(x2) at x2 = 0 is its
+    derivative in e, -1/2), and a rounding bound: an argument x, rounded once, moves G(x)^(+-1) by eps |x psi(x)| <=
+    eps |x| (1/d + log(2+|x|) + 1) relative, d its distance to the poles 0, -1, ... (1/G(-j) by eps j! j); math.gamma
+    adds 8 eps (4 against mpmath on [-8, 12]), the products 8 eps."""
     lam, bar = 4.0 ** s, 0.0  # a running product and its rounding
-    for i, x in enumerate((math.fsum((s, -0.5 * e)), 0.5 * (n + e), -0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e)))):
+    for i, x in enumerate(args):
         d = abs(x - min(round(x), 0))
-        if i > 1 and d == 0.0:  # 1/G is 0 at a pole; for log rho, d/de 1/G(-e/2) = -1/2 at e = 0
+        if i > 1 and d == 0.0:
             g, eta = (-0.5, 0.0) if is_log and i == 2 else (0.0, math.factorial(round(-x)) * abs(x))
         else:
             g = math.gamma(x) ** (1 if i < 2 else -1)
             eta = abs(g) * (8.0 + abs(x) * (1.0 / d + math.log(2.0 + abs(x)) + 1.0))
         lam, bar = lam * g, bar * abs(g) + abs(lam) * eta
     return lam, _EPS * (bar + 8.0 * abs(lam))
+
+
+def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[float, float]:
+    """lambda(e) = 4^s G((2s-e)/2) G((n+e)/2) / (G(-e/2) G((n-2s+e)/2)), G = Gamma: (-Delta)^s rho^e = lambda(e)
+    r^(e-2s) in R^n, -n < e < 2s, continued off the poles (for log rho, lambda'(0)), and its ``_gamma_quotient`` bar."""
+    return _gamma_quotient(s, (math.fsum((s, -0.5 * e)), 0.5 * (n + e), -0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e))),
+                           is_log)
+
+
+def _bubble_symbol(n: int, s: float, b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(-Delta)^s (1+rho^2)^(-b) in R^n at the radii r and a bound on its rounding (Dyda, Fract. Calc. Appl. Anal. 15
+    (2012) 536-555): 4^s G(b+s) G(n/2+s) / (G(b) G(n/2)) x^(b+s) 2F1(b+s, -s; n/2; 1-x), x = 1/(1+r^2), by Pfaff, for
+    r <= 1; above, A&S 15.3.6 in x, m = n/2 - b: 4^s / G(b) [G(b+s) G(m) / G(m-s) x^(b+s) 2F1(b+s, -s; 1-m; x) +
+    G(n/2+s) G(-m) / G(-s) x^(n/2+s) 2F1(m-s, n/2+s; 1+m; x)].  Its terms grow like 1/d at distance d from an integer
+    m and cancel: None if d < _POLE_GAP, or if a series' terms from the _TERMS-th on may pass eps at 1/2 (b > ~8).
+    The bar: ``_gamma_quotient``'s; per series (15 _TERMS + 1) eps sum |terms| (sum, ratio steps, rounded argument,
+    tail) and (1 + 2|m|)(1/d + 11) eps for its rounded 1 -+ m; the powers', 4 eps per product.  It holds at zeros."""
+    m, k = 0.5 * n - b, np.arange(float(_TERMS))
+    d, series = abs(m - round(m)), ((b + s, -s, 0.5 * n), (b + s, -s, 1.0 - m), (m - s, 0.5 * n + s, 1.0 + m))
+    a1, a2, c = np.asarray(series).T[:, :, None]  # from term _TERMS on each term is at most rho times the one before
+    rho = 0.5 * (1.0 + abs(a1 - 1.0) / (_TERMS + 1.0)) * (1.0 + abs(a2 - c) / np.fmax(c + _TERMS, _EPS))  # c > -K
+    if d < _POLE_GAP or not np.all(np.prod(np.abs((a1 + k) * (a2 + k) / ((c + k) * (k + 1.0))) / 2.0, axis=1,
+                                           keepdims=True) <= _EPS * (1.0 - rho)):
+        return None
+    x, low = 1.0 / (1.0 + r * r), r <= 1.0
+    val, bar, near = np.zeros_like(x), np.zeros_like(x), (1.0 + 2.0 * abs(m)) * (1.0 / d + 11.0)
+    for at, args, y, (a1, a2, c), z, gap in (
+            (low, (b + s, 0.5 * n + s, b, 0.5 * n), b + s, series[0], r * r * x, 0.0),
+            (~low, (b + s, m, b, math.fsum((0.5 * n, -b, -s))), b + s, series[1], x, near),
+            (~low, (0.5 * n + s, -m, b, -s), 0.5 * n + s, series[2], x, near)):
+        (coef, coef_bar), (f, f_abs), g = _gamma_quotient(s, args), _hyp_series(a1, a2, c, z[at]), x[at] ** y
+        val[at] += coef * g * f
+        bar[at] += coef_bar * g * np.abs(f) + abs(coef) * g * _EPS * (
+            (1.0 + 15.0 * _TERMS + gap) * f_abs + (5.0 + y * (3.0 + np.abs(np.log(x[at])))) * np.abs(f))
+    return val, bar
 
 
 @functools.lru_cache(maxsize=32)

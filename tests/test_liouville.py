@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fraccert.chains import Verdict
-from fraccert.errors import ConfigurationError, DomainError
+from fraccert.errors import ConfigurationError, DivergenceError, DomainError
 from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 annulus_inf, default_r_grid, nonexistence_scan,
                                 power_symbol, proof_quantity_trace,
@@ -195,6 +196,52 @@ def test_scan_scales_one_evaluation_per_beta(monkeypatch):
         for c in ("0.1", "10"):
             assert np.allclose(errors[f"c={c},beta={beta}"],
                                float(c) * errors[f"c=1,beta={beta}"], rtol=1e-14, atol=0.0)
+
+
+def test_scan_takes_bases_off_the_pole_rule_in_closed_form(monkeypatch):
+    # beta = 0.7, 2.2 and 4.4 (n/2 - beta/2 = 1.15, 0.4, -0.7) take profiles._bubble_symbol: the engine sees only
+    # the control, and every member agrees with its own direct residual
+    import fraccert.liouville as liouville
+
+    fam = CandidateFamily(c_values=(0.1, 1.0, 10.0), beta_values=(0.7, 2.2, 0.7, 4.4),
+                          include_control=True, control_power=3.0)
+    f = lambda t, x: t**3.0
+    quad = QuadSpec(rel_tol=1e-6, abs_tol=1e-12)
+    seen = []
+
+    def spy(jobs, params):
+        seen.extend((u, q.abs_tol) for u, _, q in jobs)
+        return eval_radial_jobs(jobs, params)
+
+    monkeypatch.setattr(liouville, "eval_radial_jobs", spy)
+    scan = nonexistence_scan(fam, f, P3, (10.0, 1e4), quad, points=12, keep_curves=True)
+    monkeypatch.undo()
+    members = list(fam.members(P3))
+    assert seen == [(members[-1][1], 1e-12)]
+    for (label, member), row, (_, samples) in zip(members, scan.members, scan.curves):
+        direct = supersolution_residual(member, f, (10.0, 1e4), P3, quad, points=12)
+        assert row[1] == liouville._MEMBER_VERDICT[direct.verdict], label
+        assert row[2] == direct.witness_radius, label
+        for (r, res, err), (r_d, res_d, err_d) in zip(samples, direct.samples):
+            assert r == r_d
+            assert abs(res - res_d) <= err + err_d, (label, r)
+
+
+def test_scan_rejects_a_growing_candidate_before_evaluating(monkeypatch):
+    # -beta >= 2s - 0.05, the profile rule of eval_radial_jobs: at (3, 1/2), beta = -0.96 used to pass the far-field
+    # probe, overflow in the tail and come back INCONCLUSIVE with worst_residual -inf and RuntimeWarnings
+    import fraccert.liouville as liouville
+
+    def evaluated(*args):
+        raise AssertionError("a base was evaluated")
+
+    monkeypatch.setattr(liouville, "eval_radial_jobs", evaluated)
+    monkeypatch.setattr(liouville, "_bubble_symbol", evaluated)
+    for beta in (-0.96, -0.95):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                nonexistence_scan(CandidateFamily((1.0,), (2.0, beta)), lambda t, x: t**1.4, P3, (10.0, 1e4))
 
 
 @pytest.mark.parametrize("c_values,beta_values", [

@@ -39,14 +39,15 @@ import pytest
 from fraccert.errors import ConfigurationError
 from fraccert.operator import QuadSpec, eval_radial, eval_radial_jobs, eval_radial_many
 from fraccert.params import FracParams
-from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, _hyp2f1_planar, _kernel_series,
-                               _POLE_GAP, _multiplier, _power_symbol, make_barrier, make_fundamental)
+from fraccert.profiles import (BarrierConstants, BarrierKind, RadialProfile, _bubble_symbol, _hyp2f1_planar,
+                               _kernel_series, _POLE_GAP, _multiplier, _power_symbol, make_barrier, make_fundamental)
 
 mpmath = pytest.importorskip("mpmath")
 
 
 def dyda(n: int, s: float, b: float, r: float) -> float:
     mpmath.mp.dps = 30
+    b = mpmath.mpf(b)  # b + s in doubles would round, which moves the value by eps / b next to b = 0
     pref = (mpmath.mpf(2) ** (2 * s) * mpmath.gamma(b + s) * mpmath.gamma(mpmath.mpf(n) / 2 + s)
             / (mpmath.gamma(b) * mpmath.gamma(mpmath.mpf(n) / 2)))
     hb, c, z = mpmath.mpf(n) / 2 + s, mpmath.mpf(n) / 2, -mpmath.mpf(r) ** 2
@@ -103,6 +104,42 @@ def test_bubble_within_error_bars(n, s, two_b):
     ovs = eval_radial_many(u, _RADII, FracParams(n, s))
     assert not _gate(ovs, [dyda(n, s, b, r) for r in _RADII])
     assert all(ov.converged for ov in ovs)
+
+
+# the scan's bases in closed form (profiles._bubble_symbol): the beta grids of the CLI and criterion 11, of the
+# benchmark's scan and of the scan tests, and n/2 - b at 1.01 and 3 _POLE_GAP from integers on both sides, on radii
+# on both sides of r = 1 (its series in 1 - x, then A&S 15.3.6 in x); within _POLE_GAP (0.99 of it here) it gives None
+_BETAS = np.concatenate([np.linspace(0.1, 6.0, 20), np.linspace(0.1, 6.0, 8), [0.7, 2.2, 4.4]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bubble_symbol_against_mpmath(n):
+    radii = np.asarray([0.05, 0.5, 1.0, 1.5, 30.0, 1e4])
+    misses = []
+    for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+        near = [n / 2 - j + side * gap * _POLE_GAP for j in range(-2, 2) for side in (-1, 1) for gap in (1.01, 3)]
+        for b in np.concatenate([_BETAS / 2, near]):
+            if _bubble_symbol(n, s, b, radii) is None:  # beta = 6 in n = 2 (m = -2) goes to the engine
+                assert abs(n / 2 - b - round(n / 2 - b)) < _POLE_GAP
+                continue
+            val, bar = _bubble_symbol(n, s, b, radii)
+            exact = np.asarray([dyda(n, s, b, r) for r in radii])
+            misses += [(s, b, r) for r, miss in zip(radii, np.abs(val - exact) > bar) if miss]
+        for j in range(-2, 2):
+            assert all(_bubble_symbol(n, s, n / 2 - j + side * 0.99 * _POLE_GAP, radii) is None for side in (-1, 1))
+    assert not misses
+
+
+def test_bubble_symbol_at_its_zeros():
+    # n = 1, s = 1/2, b = 1 vanishes at r = 1 (mpmath needs zeroprec there); b = 0 is the constant 1, whose operator
+    # is 0: exactly, through 1/G(0) = 0, in n = 1 and 3, while in n = 2 its m = 1 is on the pole rule
+    val, bar = _bubble_symbol(1, 0.5, 1.0, np.asarray([1.0]))
+    assert dyda(1, 0.5, 1.0, 1.0) == 0.0 and abs(val[0]) <= bar[0]
+    radii = np.asarray([0.1, 1.0, 10.0])
+    for n in (1, 3):
+        val, bar = _bubble_symbol(n, 0.5, 0.0, radii)
+        assert np.all(np.abs(val) <= bar)
+    assert _bubble_symbol(2, 0.5, 0.0, radii) is None
 
 
 def cap(n: int, s: float, r: float) -> float:
