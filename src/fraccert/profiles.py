@@ -9,10 +9,10 @@ on rho <= r/2 and rho >= 2r, and sums, multiples and dilations stay profiles.
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
 
-The operator's kernel series live here too: ``_kernel_series`` (32 terms)
-and ``_hyp2f1_planar``, the n = 2 kernel 2F1(1+s, 1+s; 1; q^2) and a bound on
-its rounding, from 80 terms of series in q^2 or 1 - q^2, whichever is <= 1/2;
-and ``_multiplier``, the closed form of a kink-free [r/2, 2r].
+The operator's kernel series live here too: ``_kernel_series`` (32 terms) and ``_hyp2f1_planar``, the
+n = 2 kernel 2F1(1+s, 1+s; 1; q^2) and a bound on its rounding, from 80 terms of series in q^2 or 1 - q^2,
+whichever is <= 1/2; ``_multiplier``, the closed form of a kink-free [r/2, 2r]; and ``_bubble_symbol``,
+the closed form of the scan's candidates (1+rho^2)^(-b), by Gauss's series of ``_hyp_series``.
 """
 
 from __future__ import annotations
