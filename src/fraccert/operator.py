@@ -27,7 +27,8 @@ no zone takes panels: the piece there gives the whole value in closed form
 callable takes the origin zone and tail, (0, r/2] and [T, inf), through
 rho = (r/2) v^p, p = max(1, 1/(2s)), and w = (T/rho)^(2s), after one far-field
 probe that raises on growth like rho^(2s).  The n = 2 kernel's 2F1 is
-``profiles._hyp2f1_planar``, whose rounding bound enters the error estimate.
+``profiles._hyp2f1_planar``, A&S 15.3.6 by ``profiles._hyp_rows`` as the scan's
+bases; its rounding bound enters the error estimate.  Non-finite results raise.
 Every kink radius is a panel edge.  On the line, ``eval_pointwise`` is
 ``eval_radial`` of the even part (u(x + t) + u(x - t)) / 2 at t = 0.
 
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError
+from .errors import ConfigurationError, DivergenceError, DomainError, EvaluationPointError, NumericalError
 from .params import FracParams
 from .profiles import _EPS, RadialProfile, _hyp2f1_planar, _kernel_series, _multiplier, as_radial_callable
 from .quadrature import _adaptive_many, _panel_values, _power_map
@@ -342,7 +343,8 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
     arrays; each radius gets, bit for bit, what ``eval_radial`` gives at it
     alone.  A job with no radii calls nothing.  The jobs are checked in
     order: the first failing one (a negative or non-finite radius, one next
-    to a kink, a diverging far field) raises what it raises alone.  Plain
+    to a kink, a diverging far field) raises what it raises alone; then a
+    value or error estimate that is not finite raises NumericalError.  Plain
     callables must grow slower than |x|^(2s); they are called on 1-d arrays
     of radii and return one value per radius (a scalar broadcasts), so
     scalar-only functions such as ``math.exp`` need ``np.vectorize``.
@@ -377,6 +379,10 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         # the job: fn, r, u(r), kink radii, h, scale, the outer zone's end (T; 2r for a profile), those three, quad
         checked.append((fn, r, u_x, b, np.minimum(_NEAR_RADIUS * scale, 0.45 * nearest), scale, top, *series, quad))
     cols = _radial_values(checked, params) if checked else [np.zeros(0, dtype=t) for t in (float, float, int, bool)]
+    bad = ~(np.isfinite(cols[0]) & np.isfinite(cols[1]))
+    if bad.any():  # e.g. growth just below |x|^(2s) that the far-field probe lets through
+        r = np.concatenate([job[1] for job in checked])[bad][0]
+        raise NumericalError(f"value or error estimate at radius {r:g} is not finite")
     return [tuple(col[end - k:end] for col in cols) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 

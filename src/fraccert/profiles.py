@@ -9,10 +9,10 @@ on rho <= r/2 and rho >= 2r, and sums, multiples and dilations stay profiles.
 Evaluation at a breakpoint uses the piece on the left; jump discontinuities
 are kept as constructed and can be listed with :meth:`RadialProfile.jumps`.
 
-The operator's kernel series live here too: ``_kernel_series`` (32 terms) and ``_hyp2f1_planar``, the
-n = 2 kernel 2F1(1+s, 1+s; 1; q^2) and a bound on its rounding, from 80 terms of series in q^2 or 1 - q^2,
-whichever is <= 1/2; ``_multiplier``, the closed form of a kink-free [r/2, 2r]; and ``_bubble_symbol``,
-the closed form of the scan's candidates (1+rho^2)^(-b), by Gauss's series of ``_hyp_series``.
+The operator's kernel series live here too: ``_kernel_series`` (32 terms); ``_multiplier``, the closed form of
+a kink-free [r/2, 2r]; and two sums of Gauss series (``_hyp_series``, 80 terms at argument <= 1/2) by one helper,
+``_hyp_rows``, with its rounding bound: ``_hyp2f1_planar``, the n = 2 kernel 2F1(1+s, 1+s; 1; q^2), and
+``_bubble_symbol``, the closed form of the scan's candidates (1+rho^2)^(-b), each A&S 15.3.6 above 1/2.
 """
 
 from __future__ import annotations
@@ -102,45 +102,63 @@ def _hyp_series(a: float, b: float, c: float, z: np.ndarray):
     return _series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z)
 
 
-def _hyp2f1_planar(s: float, z, w) -> tuple[np.ndarray, np.ndarray]:
-    """2F1(1+s, 1+s; 1; z) on 0 <= z < 1, the n = 2 kernel, elementwise, with a bound on its rounding error.
+def _gamma_quotient(scale: float, num: tuple, den: tuple, is_log: bool = False) -> tuple[float, float]:
+    """scale G(num[0]) G(num[1]) ... / (G(den[0]) G(den[1]) ...), G = Gamma, with 1/G = 0 at its poles (for log rho,
+    1/G(den[0]) at den[0] = 0 is its derivative in e, -1/2), and a rounding bound: an argument x, rounded once, moves
+    G(x)^(+-1) by eps |x psi(x)| <= eps |x| (1/d + log(2+|x|) + 1) relative, d its distance to the poles 0, -1, ...
+    (1/G(-j) by eps j! j); math.gamma adds 8 eps (4 against mpmath on [-8, 12]), the products 8 eps."""
+    lam, bar = scale, 0.0  # a running product and its rounding
+    for i, x in enumerate(num + den):
+        d = abs(x - min(round(x), 0))
+        if i >= len(num) and d == 0.0:
+            g, eta = (-0.5, 0.0) if is_log and i == len(num) else (0.0, math.factorial(round(-x)) * abs(x))
+        else:
+            g = math.gamma(x) ** (1 if i < len(num) else -1)
+            eta = abs(g) * (8.0 + abs(x) * (1.0 / d + math.log(2.0 + abs(x)) + 1.0))
+        lam, bar = lam * g, bar * abs(g) + abs(lam) * eta
+    return lam, _EPS * (bar + 8.0 * abs(lam))
 
-    ``w`` is 1 - z, which the caller has more accurately than 1 - z.  The power series serves z <= 1/2.
-    Above 1/2, Euler's w^(-m) 2F1(-s, -s; 1; z), m = 1 + 2s, then the connection formula A&S 15.3.6 in
-    w, or 15.3.11 at m = 2.  Near s = 1/2 the two terms of 15.3.6 grow like 1 / (1 - 2s) and cancel,
-    and a power w^(+-m) with m rounded is off by up to eps m |log w|; the bound carries both.
+
+def _hyp_rows(scale: float, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The sum over rows (at, num, den, y, (f, f_abs), gap) of scale G(num..) / G(den..) x^y f on the mask at, f a
+    series of |terms| f_abs (``_hyp_series`` on |z| <= 1/2), and a bound on its rounding: ``_gamma_quotient``'s; per
+    series (15 _TERMS + 1 + gap) eps f_abs (sum, ratio steps, rounded argument, tail, and gap for a rounded third
+    parameter next to a pole); (5 + |y| (3 + |log x|)) eps |f| for the power of a rounded x and y, and the products'."""
+    val, bar = np.zeros_like(x), np.zeros_like(x)
+    for at, num, den, y, (f, f_abs), gap in rows:
+        g, log_x = (x[at] ** y, np.abs(np.log(x[at]))) if y else (1.0, 0.0)  # 1 and 0 exactly at y = 0
+        coef, coef_bar = _gamma_quotient(scale, num, den)
+        val[at] += coef * g * f
+        bar[at] += coef_bar * g * np.abs(f) + abs(coef) * g * _EPS * (
+            (1.0 + 15.0 * _TERMS + gap) * f_abs + (5.0 + abs(y) * (3.0 + log_x)) * np.abs(f))
+    return val, bar
+
+
+def _hyp2f1_planar(s: float, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2F1(1+s, 1+s; 1; z) on 0 <= z < 1, the n = 2 kernel, elementwise, with ``_hyp_rows``' bound on its rounding.
+
+    ``w`` is 1 - z, which the caller has more accurately than 1 - z.  The power series serves z <= 1/2.  Above 1/2,
+    Euler's w^(-m) 2F1(-s, -s; 1; z), m = 1 + 2s, then A&S 15.3.6 in w: G(m) / G(1+s)^2 w^(-m) 2F1(-s, -s; -2s; w)
+    + G(-m) / G(-s)^2 2F1(1+s, 1+s; 1+m; w), G = Gamma.  Next to s = 1/2 the two grow like 1 / (1 - 2s) and cancel;
+    the pole distance enters exactly, in -2s + 1 (so no gap) and in G(-m) = G(1-2s) G(2s) / G(2+2s).  At s = 1/2,
+    A&S 15.3.11 at m = 2, in the same rows: G(2) / G(3/2)^2 w^(-2) (1 - w/4) - sum_n c_n w^n (log w - shift_n)
+    / (G(-1/2)^2 G(3)), shift_n = psi(n+1) + psi(n+3) - 2 psi(n+3/2), sums of 1/i and 1/(i + 1/2).
     """
-    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
-    val, err = np.empty_like(z), np.empty_like(z)
     low = z <= 0.5
-    val[low], err[low] = _hyp_series(1.0 + s, 1.0 + s, 1.0, z[low])
-    err[low] *= 16.0 * _EPS
-    if low.all():
-        return val, err
-    wh, m, log_w = w[~low], 1.0 + 2.0 * s, np.log(w[~low])
-    if s == 0.5:
-        # A&S 15.3.11 with a = b = -1/2, c = 1, m = 2: the finite sum is 1 - w/4, and the shifts
-        # psi(j + 1) + psi(j + 3) - 2 psi(j + 3/2) are sums of 1/i and 1/(i + 1/2)
+    wh, rows = w[~low], ()  # no rows above 1/2 where every z <= 1/2
+    if wh.size and s == 0.5:
         j = np.arange(_TERMS + 2.0)
         harmonic, half = np.append(0.0, np.cumsum(1.0 / (j + 1.0))), np.cumsum(1.0 / (j[:_TERMS] + 0.5))
         shift = (harmonic[:_TERMS] + harmonic[2:_TERMS + 2] - 2.0 * half + 4.0 * math.log(2.0))[:, None]
-        tail, tail_abs = _series(lambda n: (1.5 + n) ** 2 / ((n + 1.0) * (n + 3.0)), wh, log_w, shift)
-        c1, c2 = 4.0 / math.pi, -wh * wh / (8.0 * math.pi)  # Gamma(2) / Gamma(3/2)^2, -w^2 / (Gamma(-1/2)^2 2!)
-        f, bound = c1 * (1.0 - 0.25 * wh) + c2 * tail, c1 * (1.0 + 0.25 * wh) + np.abs(c2) * tail_abs
-    else:
-        f1, a1 = _hyp_series(-s, -s, -2.0 * s, wh)
-        f2, a2 = _hyp_series(1.0 + s, 1.0 + s, 1.0 + m, wh)
-        # Gamma(-m) by reflection, with sin(pi m) from 2s - round(2s), which is exact: next to the pole at
-        # s = 1/2 it meets the first series' 1 / (1 - 2s) at the same distance
-        k = round(2.0 * s)
-        sin_pm = -math.sin(math.pi * (2.0 * s - k)) * (-1.0) ** k
-        c1 = math.gamma(m) / math.gamma(1.0 + s) ** 2
-        c2 = wh ** m * (-math.pi / (sin_pm * math.gamma(1.0 + m) * math.gamma(-s) ** 2))
-        f, bound = c1 * f1 + c2 * f2, abs(c1) * a1 + np.abs(c2) * a2 * (1.0 + m * np.abs(log_w))
-    g = wh ** -m
-    val[~low] = f * g
-    err[~low] = (16.0 * _EPS * bound + 4.0 * _EPS * (1.0 + m * np.abs(log_w)) * np.abs(f)) * g
-    return val, err
+        tail, tail_abs = _series(lambda n: (1.5 + n) ** 2 / ((n + 1.0) * (n + 3.0)), wh, np.log(wh), shift)
+        rows = (((2.0,), (1.5, 1.5), -2.0, (1.0 - 0.25 * wh, 1.0 + 0.25 * wh)),
+                ((), (-0.5, -0.5, 3.0), 0.0, (-tail, tail_abs)))
+    elif wh.size:
+        a, m = 1.0 + s, 1.0 + 2.0 * s
+        rows = (((m,), (a, a), -m, _hyp_series(-s, -s, -2.0 * s, wh)),
+                ((1.0 - 2.0 * s, 2.0 * s), (2.0 * a, -s, -s), 0.0, _hyp_series(a, a, 2.0 * a, wh)))
+    return _hyp_rows(1.0, w, [(low, (), (), 0.0, _hyp_series(1.0 + s, 1.0 + s, 1.0, z[low]), 0.0)]
+                     + [(~low, *row, 0.0) for row in rows])
 
 
 def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarray]:
@@ -158,28 +176,11 @@ def _kernel_series(n: int, s: float, k, t, is_log) -> tuple[np.ndarray, np.ndarr
     return terms.cumsum(axis=0)[-1], np.abs(terms[-1]) + 16.0 * _EPS * np.abs(terms).cumsum(axis=0)[-1]
 
 
-def _gamma_quotient(s: float, args: tuple[float, ...], is_log: bool = False) -> tuple[float, float]:
-    """4^s G(x0) G(x1) / (G(x2) G(x3)), G = Gamma, with 1/G = 0 at its poles (for log rho, 1/G(x2) at x2 = 0 is its
-    derivative in e, -1/2), and a rounding bound: an argument x, rounded once, moves G(x)^(+-1) by eps |x psi(x)| <=
-    eps |x| (1/d + log(2+|x|) + 1) relative, d its distance to the poles 0, -1, ... (1/G(-j) by eps j! j); math.gamma
-    adds 8 eps (4 against mpmath on [-8, 12]), the products 8 eps."""
-    lam, bar = 4.0 ** s, 0.0  # a running product and its rounding
-    for i, x in enumerate(args):
-        d = abs(x - min(round(x), 0))
-        if i > 1 and d == 0.0:
-            g, eta = (-0.5, 0.0) if is_log and i == 2 else (0.0, math.factorial(round(-x)) * abs(x))
-        else:
-            g = math.gamma(x) ** (1 if i < 2 else -1)
-            eta = abs(g) * (8.0 + abs(x) * (1.0 / d + math.log(2.0 + abs(x)) + 1.0))
-        lam, bar = lam * g, bar * abs(g) + abs(lam) * eta
-    return lam, _EPS * (bar + 8.0 * abs(lam))
-
-
 def _power_symbol(n: int, s: float, e: float, is_log: bool = False) -> tuple[float, float]:
     """lambda(e) = 4^s G((2s-e)/2) G((n+e)/2) / (G(-e/2) G((n-2s+e)/2)), G = Gamma: (-Delta)^s rho^e = lambda(e)
     r^(e-2s) in R^n, -n < e < 2s, continued off the poles (for log rho, lambda'(0)), and its ``_gamma_quotient`` bar."""
-    return _gamma_quotient(s, (math.fsum((s, -0.5 * e)), 0.5 * (n + e), -0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e))),
-                           is_log)
+    return _gamma_quotient(4.0 ** s, (math.fsum((s, -0.5 * e)), 0.5 * (n + e)),
+                           (-0.5 * e, math.fsum((0.5 * n, -s, 0.5 * e))), is_log)
 
 
 def _bubble_symbol(n: int, s: float, b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -188,8 +189,7 @@ def _bubble_symbol(n: int, s: float, b: float, r: np.ndarray) -> tuple[np.ndarra
     r <= 1; above, A&S 15.3.6 in x, m = n/2 - b: 4^s / G(b) [G(b+s) G(m) / G(m-s) x^(b+s) 2F1(b+s, -s; 1-m; x) +
     G(n/2+s) G(-m) / G(-s) x^(n/2+s) 2F1(m-s, n/2+s; 1+m; x)].  Its terms grow like 1/d at distance d from an integer
     m and cancel: None if d < _POLE_GAP, or if a series' terms from the _TERMS-th on may pass eps at 1/2 (b > ~8).
-    The bar: ``_gamma_quotient``'s; per series (15 _TERMS + 1) eps sum |terms| (sum, ratio steps, rounded argument,
-    tail) and (1 + 2|m|)(1/d + 11) eps for its rounded 1 -+ m; the powers', 4 eps per product.  It holds at zeros."""
+    The bar is ``_hyp_rows``', with gap (1 + 2|m|)(1/d + 11) for the rounded 1 -+ m.  It holds at zeros."""
     m, k = 0.5 * n - b, np.arange(float(_TERMS))
     d, series = abs(m - round(m)), ((b + s, -s, 0.5 * n), (b + s, -s, 1.0 - m), (m - s, 0.5 * n + s, 1.0 + m))
     a1, a2, c = np.asarray(series).T[:, :, None]  # from term _TERMS on each term is at most rho times the one before
@@ -197,17 +197,11 @@ def _bubble_symbol(n: int, s: float, b: float, r: np.ndarray) -> tuple[np.ndarra
     if d < _POLE_GAP or not np.all(np.prod(np.abs((a1 + k) * (a2 + k) / ((c + k) * (k + 1.0))) / 2.0, axis=1,
                                            keepdims=True) <= _EPS * (1.0 - rho)):
         return None
-    x, low = 1.0 / (1.0 + r * r), r <= 1.0
-    val, bar, near = np.zeros_like(x), np.zeros_like(x), (1.0 + 2.0 * abs(m)) * (1.0 / d + 11.0)
-    for at, args, y, (a1, a2, c), z, gap in (
-            (low, (b + s, 0.5 * n + s, b, 0.5 * n), b + s, series[0], r * r * x, 0.0),
-            (~low, (b + s, m, b, math.fsum((0.5 * n, -b, -s))), b + s, series[1], x, near),
-            (~low, (0.5 * n + s, -m, b, -s), 0.5 * n + s, series[2], x, near)):
-        (coef, coef_bar), (f, f_abs), g = _gamma_quotient(s, args), _hyp_series(a1, a2, c, z[at]), x[at] ** y
-        val[at] += coef * g * f
-        bar[at] += coef_bar * g * np.abs(f) + abs(coef) * g * _EPS * (
-            (1.0 + 15.0 * _TERMS + gap) * f_abs + (5.0 + y * (3.0 + np.abs(np.log(x[at])))) * np.abs(f))
-    return val, bar
+    x, low, near = 1.0 / (1.0 + r * r), r <= 1.0, (1.0 + 2.0 * abs(m)) * (1.0 / d + 11.0)
+    return _hyp_rows(4.0 ** s, x, (
+        (low, (b + s, 0.5 * n + s), (b, 0.5 * n), b + s, _hyp_series(*series[0], (r * r * x)[low]), 0.0),
+        (~low, (b + s, m), (b, math.fsum((0.5 * n, -b, -s))), b + s, _hyp_series(*series[1], x[~low]), near),
+        (~low, (0.5 * n + s, -m), (b, -s), 0.5 * n + s, _hyp_series(*series[2], x[~low]), near)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -77,7 +77,8 @@ def _gate(ovs, exact) -> list:
             if abs(ov.value - want) > 2.0 * ov.error_estimate + 1e-14 * abs(want)]
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+# s = 1/2 -+ 1e-6: the kernel's A&S 15.3.6 next to its pole, where the Gamma(-m) row must carry 1 - 2s exactly
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.5 - 1e-6, 0.5 + 1e-6])
 @pytest.mark.parametrize("b", [0.6, 1.5, 2.5])
 def test_planar_bubble_within_error_bars(s, b):
     params = FracParams(2, s)
@@ -284,6 +285,8 @@ def test_hyp2f1_aa_against_mpmath(a):
         assert np.all(err <= bound)
         if abs(s - 0.5) >= 0.01:
             assert np.all(err <= 1e-13 * np.abs(exact))
+        elif s != 0.5:  # the two terms of 15.3.6 cancel: digits go like log10(1 / |1 - 2s|), and no faster
+            assert np.all(err <= 1e-15 * np.abs(exact) / abs(1.0 - 2.0 * s))
 
 
 # the kernel series of the origin and tail zones, sum_j c_j int t^(k-1+2j) (log t) dt, against mpmath quadrature of
