@@ -285,7 +285,7 @@ def test_hyp2f1_aa_against_mpmath(a):
         assert np.all(err <= bound)
         if abs(s - 0.5) >= 0.01:
             assert np.all(err <= 1e-13 * np.abs(exact))
-        elif s != 0.5:  # the two terms of 15.3.6 cancel: digits go like log10(1 / |1 - 2s|), and no faster
+        elif s != 0.5:  # the two terms of 15.3.6 cancel: the digits lost grow like log10(1 / |1 - 2s|), no faster
             assert np.all(err <= 1e-15 * np.abs(exact) / abs(1.0 - 2.0 * s))
 
 
