@@ -16,15 +16,18 @@ the dist^s cell-average column scaling and the rewritten boundary rows.  T^-1
 is applied by the Gohberg-Semencul formula (four triangular-Toeplitz
 products in four batched FFTs, from the first column of T^-1).  One
 preconditioned CG, ``_pcg``, does every Krylov solve: that first column
-(T. Chan's circulant as preconditioner) and, with gap nodes in the hull,
+(Strang's circulant as preconditioner, positive definite by the same
+Gershgorin margin that certifies T) and, with gap nodes in the hull,
 T_SS^-1 (preconditioned by (T^-1)_SS: domain embedding, Borgers & Widlund
 1990), the Woodbury columns T_SS^-1 E_C as one block in one Krylov space.
 On the annulus, three intervals and (-10, -9) u (9, 10) the block takes 3
 steps at h = 2^-6 and 3-6 at 2^-12, a single rhs 5-7 and 6-11: slowly more
 as h shrinks, about one step per two halvings.  The edits go through the
-Woodbury capacitance I + (T_SS^-1 E_C)_C.  A solve is O(n log n) and
-memory O(n |C|) on every domain.  The sign-pattern and dominance checks
-read the kernel vector and the layer columns.
+Woodbury capacitance I + (T_SS^-1 E_C)_C.  A block of rows goes through
+the FFTs of T and T^-1 in row groups of at most _FFT_ELEMENTS elements
+(one row where nfft is larger), so the temporaries stay hull-sized.  A
+solve is O(n log n) and memory O(n |C|) on every domain.  The sign-pattern
+and dominance checks read the kernel vector and the layer columns.
 
 Verifiers on top of the solver estimate the boundary-rate ratio, the
 forcing-mass lower bound on annuli, compact-set positivity constants, and the
@@ -83,6 +86,11 @@ _HOPF_STABILITY, _QSMP_STABILITY = 0.2, 0.3
 _MEASURE_X0_COUNT, _MEASURE_GRID_RATIO, _MEASURE_MAX_STEPS = 12, 1.25, 60
 # _pcg, the one CG: iteration cap, steps between true-residual replacements
 _CG_MAX_ITER, _CG_CHECK_EVERY = 300, 8
+# _Assembly._t and _tinv: rows x nfft per FFT call.  Hulls of nfft >= 2^13 (h <= 2^-11 on (-1, 1))
+# go row by row, which with the node-by-node moments of _pair_weights cut the peak RSS of a
+# dirichlet benchmark pass by 2.1 MB.  One row everywhere cut no more, but slowed the 12-row gap
+# CG of the 192-node hull (nfft 512) that liouville's c_bar builds at h = 1/32 from 3.0 to 4.5 ms
+_FFT_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -250,8 +258,16 @@ def _pair_weights(K: int, h: float, s: float) -> tuple[np.ndarray, float]:
     omega[1] += first_cell
     if K >= 2:
         off, w = _gauss_nodes(np.asarray([-0.5, 0.5]) * h, 12)  # t - kh across one cell
-        f = (np.arange(2, K + 1)[:, None] * h + off) ** (-1.0 - two_s) * w
-        m0, m1, m2 = (f @ np.stack([np.ones_like(off), off, off**2], axis=1)).T
+        centre = np.arange(2, K + 1) * h
+        m0, m1, m2 = np.zeros((3, K - 1))
+        for o, wo in zip(off.tolist(), w.tolist()):  # node by node: no (K x 12) block
+            f = (centre + o) ** (-1.0 - two_s)
+            f *= wo
+            m0 += f
+            f *= o
+            m1 += f
+            f *= o
+            m2 += f
         omega[1:K] += (m2 - h * m1) / (2.0 * h**2)
         omega[2:K + 1] += m0 - m2 / h**2
         omega[3:K + 2] += (m2 + h * m1) / (2.0 * h**2)
@@ -308,16 +324,28 @@ def _pcg(apply_a: Callable, apply_m: Callable, b: np.ndarray, tol: float, what: 
                          f"after {_CG_MAX_ITER} iterations")
 
 
+def _strang_spectrum(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Strang's circulant for the symmetric Toeplitz T with first column t: the
+    circulant of length N with first column t_0, t_1 ... t_(N//2), wrapped (c_j = c_(N-j))."""
+    N = t.size
+    return rfft(np.r_[t[:N // 2 + 1], t[(N - 1) // 2:0:-1]]).real
+
+
 def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the symmetric Toeplitz T with first column t.
 
-    ``_pcg`` on T x = e_1, preconditioned by T. Chan's optimal circulant
-    (first column c_j = ((N-j) t_j + j t_(N-j)) / N, applied by FFT of
-    length N); T v goes through the circulant embedding of T.  Strict
-    diagonal dominance, t_0 - 2 sum |t_m| > 0 summed exactly, certifies by
-    Gershgorin that T is positive definite; without it the kernel is
-    rejected.  The solve stops at |T x - e_1| <= eps |T|_inf |x| on the
-    true residual.
+    ``_pcg`` on T x = e_1, preconditioned by Strang's circulant (R. Chan &
+    Strang 1989; ``_strang_spectrum``, applied by FFT of length N); T v goes
+    through the circulant embedding of T.  Strict diagonal dominance,
+    t_0 - 2 sum |t_m| > 0 summed exactly, certifies by Gershgorin that T is
+    positive definite; without it the kernel is rejected.  Strang's
+    off-diagonal entries are t_m for m <= N/2, each at most twice, so the
+    same margin bounds its spectrum from below.  The solve stops at
+    |T x - e_1| <= eps |T|_inf |x| on the true residual.  For
+    0.1 <= s <= 0.99, h = 2^-5 ... 2^-13 on (-1, 1), (-3, 3) and (-10, 10)
+    it applies T 9-22 times, about flat in N; T. Chan's optimal circulant
+    took up to 270 and hit the cap.  At s = 0.01 the stop sits at the FFT
+    rounding floor, and fine grids can hit the cap under either.
     """
     N = t.size
     spare = math.fsum([t[0], *(-2.0 * np.abs(t[1:])).tolist()]) if np.isfinite(t).all() else math.nan
@@ -325,8 +353,7 @@ def _toeplitz_first_column(t: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"Toeplitz kernel is not positive definite by Gershgorin "
                                  f"(t_0 - 2 sum |t_m| = {spare:.3g})")
     nfft, ft = _circulant(t)
-    j = np.arange(1, N)
-    spec = rfft(np.r_[t[0], ((N - j) * t[1:] + j * t[:0:-1]) / N]).real
+    spec = _strang_spectrum(t)
     return _pcg(lambda v: irfft(ft * rfft(v, nfft), nfft)[..., :N], lambda r: irfft(rfft(r) / spec, N),
                 np.eye(1, N), _EPS * (t[0] + 2.0 * np.abs(t[1:]).sum()), "Toeplitz first column")[0]
 
@@ -476,17 +503,27 @@ class _Assembly:
         probe.flags.writeable = False  # shared by every comparison on the grid
         return probe
 
+    def _in_row_groups(self, op: Callable, u: np.ndarray) -> np.ndarray:
+        """op on the rows of u, in groups of at most _FFT_ELEMENTS // nfft rows (at least one)."""
+        rows = max(1, _FFT_ELEMENTS // self.nfft)
+        if u.ndim < 2 or len(u) <= rows:
+            return op(u)
+        return np.concatenate([op(u[i:i + rows]) for i in range(0, len(u), rows)])
+
     def _t(self, u: np.ndarray) -> np.ndarray:
         """T u for the hull Toeplitz T along the last axis, through its circulant embedding."""
-        return irfft(self.ft * rfft(u, self.nfft), self.nfft)[..., :self.N]
+        return self._in_row_groups(lambda v: irfft(self.ft * rfft(v, self.nfft), self.nfft)[..., :self.N], u)
 
     def _tinv(self, w: np.ndarray) -> np.ndarray:
-        """T^-1 w for the hull Toeplitz T along the last axis, in four FFT calls."""
+        """T^-1 w for the hull Toeplitz T along the last axis, in four FFT calls per row group."""
         f, N = self.nfft, self.N
         gs = self.gs.reshape((2,) + (1,) * (w.ndim - 1) + (-1,))
-        ab = irfft(gs * rfft(w[..., ::-1], f), f)[..., :N][..., ::-1]  # L(x)^T w and L(y)^T w
-        lab = gs * rfft(ab, f)
-        return irfft(lab[0] - lab[1], f)[..., :N] / self.x0
+
+        def group(v: np.ndarray) -> np.ndarray:
+            ab = irfft(gs * rfft(v[..., ::-1], f), f)[..., :N][..., ::-1]  # L(x)^T v and L(y)^T v
+            lab = gs * rfft(ab, f)
+            return irfft(lab[0] - lab[1], f)[..., :N] / self.x0
+        return self._in_row_groups(group, w)
 
     def _on_s(self, op: Callable, v: np.ndarray) -> np.ndarray:
         """P_S op(P_S^T v): a hull operator with v at the interior nodes and zero at the gap nodes."""

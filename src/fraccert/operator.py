@@ -248,8 +248,10 @@ def _radial_values(jobs: Sequence[tuple], params: FracParams) -> tuple[np.ndarra
             k = rho / (2.0 * a * np.where(ri > 0.0, ri, 1.0)) * (big + small) ** -a \
                 * np.expm1(a * np.log1p(2.0 * small / (big - small)))
         at = r[rows] == 0.0
-        if at.any():  # every kernel tends to rho^(-a) as r -> 0
+        if at.any():  # every kernel tends to rho^(-a) as r -> 0, with no 2F1 and no bar of its own
             k[at] = rho[at] ** -a
+            if n == 2:
+                k_err[at] = 0.0
         d, noise = ui - u, 4 * _EPS * (np.abs(ui) + np.abs(u)) * k
         if n == 2:
             noise += np.abs(d) * k_err

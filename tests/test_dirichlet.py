@@ -12,9 +12,10 @@ from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 import fraccert
 from dense_dirichlet import DenseAssembly
 from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _Assembly, _assembly,
-                                _fundamental_tail, _pair_weights, _toeplitz_first_column, apply_operator,
-                                solve_dirichlet, verify_comparison, verify_hopf_ratio,
-                                verify_kslap, verify_measure_lemma, verify_qsmp)
+                                _fundamental_tail, _pair_weights, _strang_spectrum, _toeplitz_first_column,
+                                apply_operator,
+                                solve_dirichlet, verify_comparison, verify_hopf_ratio, verify_kslap,
+                                verify_measure_lemma, verify_qsmp)
 from fraccert.errors import (ConfigurationError, DegenerateInputError, DomainError,
                              FraccertError, NumericalError)
 from fraccert.operator import QuadSpec, eval_pointwise, eval_radial
@@ -290,6 +291,20 @@ def test_fine_grid_solve_allocates_no_dense_matrix():
     assert peak < 64 * 2**20  # one 8192 x 8192 float64 matrix alone takes 512 MB
 
 
+def test_assembly_temporaries_are_window_sized():
+    # the assembly's largest arrays are O(K) for the window K = 32,768 here: the pair weights'
+    # moments are formed node by node, not as a (K x 12) block, and the Woodbury columns go through
+    # the FFTs a row group at a time, not as (2 x 6 x nfft) complex arrays (32.5 x 8K bytes with both)
+    problem = GridProblem(((-1.0, 1.0),), 2.0 ** -12, P_HALF, 1.0)
+    tracemalloc.start()
+    try:
+        _Assembly(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 8 * problem.window()
+
+
 def _mp_omega(mpmath, m: int, h: float, s: float):
     """omega[m] from the moments of cells m-1, m, m+1 about their centres, by mpmath."""
     h, s = mpmath.mpf(h), mpmath.mpf(s)
@@ -521,15 +536,36 @@ def test_toeplitz_first_column_matches_scipy(s):
     np.testing.assert_array_equal(_toeplitz_first_column(np.array([4.0])), [0.25])
 
 
-@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
-def test_toeplitz_first_column_residual_on_fine_grids(s):
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_toeplitz_first_column_residual_on_fine_grids(monkeypatch, s):
     # the kernel T depends on the hull and the window only, so the hull of
-    # ANNULUS_DOMAIN stands for the annulus itself without its gap columns
+    # ANNULUS_DOMAIN stands for the annulus itself without its gap columns.
+    # Strang's circulant keeps the CG within 20 applications of T (T. Chan's
+    # took 77-124 at s = 0.9 and hit the iteration cap at s = 0.99), and its
+    # spectrum is at least the Gershgorin margin that certifies T
+    import fraccert.dirichlet as dirichlet
+
     params = FracParams(1, s)
     hull = ((ANNULUS_DOMAIN[0][0], ANNULUS_DOMAIN[-1][1]),)
+    pcg, applications = dirichlet._pcg, []
+
+    def counted(apply_a, *args):
+        def counting(v):
+            applications[-1] += 1
+            return apply_a(v)
+
+        applications.append(0)
+        return pcg(counting, *args)
+
     for domain, k in ((((-1.0, 1.0),), 13), (((-1.0, 1.0),), 14), (hull, 11)):
         asm = _assembly(GridProblem(domain, 2.0 ** -k, params, 1.0))
-        assert _first_column_residual(asm, _toeplitz_first_column(asm.t)) <= 1e-13
+        with monkeypatch.context() as m:
+            m.setattr(dirichlet, "_pcg", counted)
+            x = _toeplitz_first_column(asm.t)
+        assert _first_column_residual(asm, x) <= 1e-13
+        assert len(applications) == 1 and applications.pop() <= 20
+        spare = math.fsum([asm.t[0], *(-2.0 * np.abs(asm.t[1:])).tolist()])
+        assert _strang_spectrum(asm.t).min() >= spare > 0.0
 
 
 def test_toeplitz_first_column_raises_at_the_iteration_cap(monkeypatch):

@@ -381,7 +381,7 @@ _MANY_PINS = [
     ("bubble_n1", 0.0, 1.0215400745270187, 1.409930858704406e-10, 11, True),
     ("bubble_n1", 0.7, 0.25993594151370675, 1.3379156604996286e-09, 21, True),
     ("bubble_n1", 12.0, -0.008091461436812325, 2.4316457657655335e-11, 25, True),
-    ("bubble_n2", 0.0, 1.7540569034419347, 1.4743666806186057e-10, 11, True),
+    ("bubble_n2", 0.0, 1.7540569034419347, 1.4696384071108167e-10, 11, True),
     ("bubble_n2", 2.5, -0.020732402943124163, 3.6969599229582186e-11, 18, True),
     ("bubble_n3", 0.0, 2.233334613177978, 1.8712017363950857e-10, 11, True),
     ("bubble_n3", 1.5, 0.14502177104394362, 1.2810608992247047e-10, 18, True),
