@@ -13,9 +13,8 @@ import fraccert
 from dense_dirichlet import DenseAssembly
 from fraccert.dirichlet import (ANNULUS_DOMAIN, ExteriorData, GridProblem, _Assembly, _assembly,
                                 _fundamental_tail, _pair_weights, _strang_spectrum, _toeplitz_first_column,
-                                apply_operator,
-                                solve_dirichlet, verify_comparison, verify_hopf_ratio, verify_kslap,
-                                verify_measure_lemma, verify_qsmp)
+                                apply_operator, solve_dirichlet, verify_comparison, verify_hopf_ratio,
+                                verify_kslap, verify_measure_lemma, verify_qsmp)
 from fraccert.errors import (ConfigurationError, DegenerateInputError, DomainError,
                              FraccertError, NumericalError)
 from fraccert.operator import QuadSpec, eval_pointwise, eval_radial
@@ -541,8 +540,8 @@ def test_toeplitz_first_column_residual_on_fine_grids(monkeypatch, s):
     # the kernel T depends on the hull and the window only, so the hull of
     # ANNULUS_DOMAIN stands for the annulus itself without its gap columns.
     # Strang's circulant keeps the CG within 20 applications of T (T. Chan's
-    # took 77-124 at s = 0.9 and hit the iteration cap at s = 0.99), and its
-    # spectrum is at least the Gershgorin margin that certifies T
+    # took 90 or more here at s = 0.9 and hit the iteration cap at s = 0.99),
+    # and its spectrum is at least the Gershgorin margin that certifies T
     import fraccert.dirichlet as dirichlet
 
     params = FracParams(1, s)
