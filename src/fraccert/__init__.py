@@ -13,7 +13,6 @@ from .profiles import (
     BarrierKind,
     Branch,
     RadialProfile,
-    SignVariant,
     make_barrier,
     make_fundamental,
     positive_fundamental,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FracParams", "normalization_constant",
     "BarrierConstants", "BarrierKind", "Branch",
-    "RadialProfile", "SignVariant", "make_barrier", "make_fundamental",
+    "RadialProfile", "make_barrier", "make_fundamental",
     "positive_fundamental",
     "OperatorValue", "QuadSpec", "eval_pointwise", "eval_radial", "eval_radial_many",
     "eval_radial_jobs", "scaling_identity_check",

@@ -48,7 +48,7 @@ from numpy.fft import irfft, rfft
 from .errors import ConfigurationError, DegenerateInputError, DomainError, NumericalError
 from .quadrature import _gauss_nodes
 from .params import FracParams
-from .profiles import conform, positive_fundamental
+from .profiles import Branch, _branch_of, conform, positive_fundamental
 
 __all__ = [
     "ExteriorData",
@@ -124,9 +124,9 @@ class ExteriorData:
 class GridProblem:
     """Dirichlet problem for (-Delta)^s on a union of intervals.
 
-    Interval endpoints must be integer multiples of the grid spacing; nodes
-    sit at cell centers, strictly inside the domain.  ``rhs`` is a callable
-    on interior nodes or an array of nodal samples.
+    Interval endpoints must be integer multiples of the grid spacing; nodes sit at cell centers, strictly inside
+    the domain.  ``rhs`` is a callable on interior nodes or an array of nodal samples.  Fundamental exterior data
+    with an interval endpoint at 0 need the growing branch (``profiles._branch_of``): the others are unbounded there.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -154,8 +154,9 @@ class GridProblem:
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if a2 < b1:
                 raise ConfigurationError("intervals must be disjoint and sorted")
-        if self.exterior.kind == "fundamental" and self.params.s <= 0.5 and any(0.0 in iv for iv in ivs):
-            raise ConfigurationError("fundamental exterior data are unbounded at the boundary point 0 for s <= 1/2")
+        if self.exterior.kind == "fundamental" and _branch_of(self.params) is not Branch.POWER_POS \
+                and any(0.0 in iv for iv in ivs):
+            raise ConfigurationError("fundamental exterior data off the growing branch are unbounded at the endpoint 0")
         object.__setattr__(self, "intervals", ivs)
 
     # -- lattice ----------------------------------------------------------

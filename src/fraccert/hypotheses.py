@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PositivityViolation
 from .params import FracParams
-from .profiles import RadialProfile, finite_samples, positive_fundamental, sampled_inf
+from .profiles import Branch, RadialProfile, _branch_of, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
     "NonlinearitySpec",
@@ -104,8 +104,8 @@ class HypothesisReport:
 
 
 def alpha_tilde_star(params: FracParams, gamma: float = 0.0) -> float:
-    """Critical range exponent 1 + (2s - gamma)/(n - 2s)."""
-    if abs(params.sigma_star) < 1e-14:
+    """Critical range exponent 1 + (2s - gamma)/(n - 2s); the log branch (``profiles._branch_of``) raises."""
+    if _branch_of(params) is Branch.LOG:
         raise DomainError("the exponent is undefined at sigma_star = 0 "
                           "(that regime uses the exponential condition)")
     return 1.0 + (2.0 * params.s - gamma) / (-params.sigma_star)
@@ -117,6 +117,7 @@ def alpha_tilde_star(params: FracParams, gamma: float = 0.0) -> float:
 _GRID_POINTS = 400
 _DECADES = 6  # the liminf checks sample |x| = r0 10^j up to j = _DECADES
 _F2_STEPS = 40  # check_f2 samples t = 2^-k for k = 1.._F2_STEPS
+_LOG_MAX = 709.0  # exp of a log below this is a finite float
 _K_STEPS = 12  # the range cap runs k = 2^-j (check_f3prime) or 2^j (check_f4prime), j = 0.._K_STEPS
 _F2PRIME_BOXES = ((0.5, 2.0), (0.1, 1.0), (1.0, 10.0))  # the compact t-boxes of check_f2prime
 _F2PRIME_VERDICT = {Trend.INCREASING: Verdict.HOLDS, Trend.MIXED: Verdict.INCONCLUSIVE,
@@ -164,14 +165,15 @@ def h_of_k(k: float, spec: NonlinearitySpec, params: FracParams,
 # ------------------------------------------------------------------ trends
 
 
-def _classify(seq: Sequence[float], window: int = 5, flat_tol: float = 0.02) -> Trend:
+def _classify(seq: Sequence[float], window: int = 5, flat_tol: float = 0.02, logs: bool = False) -> Trend:
+    """Trend of the last ``window`` values: by log steps if all are positive (``logs``: they are logs), else steps."""
     tail = list(seq)[-window:]
     if len(tail) < 2:
         return Trend.MIXED
-    if any(v <= 0.0 for v in tail):
+    if not logs and any(v <= 0.0 for v in tail):
         diffs = np.diff(tail)
     else:
-        diffs = np.diff(np.log(tail))
+        diffs = np.diff(tail if logs else np.log(tail))
         if np.all(np.abs(diffs) < flat_tol):
             return Trend.PLATEAU
     if np.all(diffs > 0.0):
@@ -185,20 +187,25 @@ def _classify(seq: Sequence[float], window: int = 5, flat_tol: float = 0.02) -> 
 
 
 def check_f2(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
-    """Small-argument mass: liminf of t^(-n/(n-2s)) f(t) as t -> 0."""
-    if not params.n > 2.0 * params.s:
+    """Small-argument mass: liminf of q = t^(-n/(n-2s)) f(t) as t -> 0 (decaying branch), the trend read from
+    log q = log f(t) - e* log t, which stays finite where q overflows (such a q reads inf)."""
+    if _branch_of(params) is not Branch.POWER_NEG:
         raise ConfigurationError("this condition lives in the n > 2s regime")
     expo = params.n / (params.n - 2.0 * params.s)
     ts = [2.0 ** (-k) for k in range(1, _F2_STEPS + 1)]
-    qs = []
+    qs, log_qs = [], []
     for t in ts:
         f_val = float(finite_samples(spec.f(np.asarray([t]), spec.r0), f"the nonlinearity at t={t}")[0])
         f_val *= spec.r0**spec.gamma if spec.form == "separable" else 1.0
         if f_val <= 0.0:
             raise PositivityViolation(f"nonlinearity nonpositive at t={t}")
-        qs.append(t**(-expo) * f_val)
+        log_qs.append(math.log(f_val) - expo * math.log(t))
+        try:
+            qs.append(t**(-expo) * f_val)  # a product past the float range is inf; only the power raises
+        except OverflowError:
+            qs.append(math.exp(log_qs[-1]) if log_qs[-1] < _LOG_MAX else math.inf)
     # the sequence runs toward t -> 0, so the trend is read along the run
-    trend = _classify(qs)
+    trend = _classify(log_qs, logs=True)
     notes: list[str] = []
     if trend is Trend.INCREASING:
         verdict = Verdict.HOLDS
@@ -275,7 +282,7 @@ def _k_sequence_check(condition: str, spec: NonlinearitySpec, params: FracParams
 def check_f3prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """Blow-up of the sampled liminf quantity as the range cap k -> 0."""
     spec.validate_gamma(params)
-    if params.sigma_star < 0.0:
+    if _branch_of(params) is Branch.POWER_NEG:
         raise ConfigurationError("this condition lives in the n <= 2s regime")
     ks = [2.0 ** (-j) for j in range(0, _K_STEPS + 1)]
     return _k_sequence_check("f3prime", spec, params, "F3", ks)
@@ -284,7 +291,7 @@ def check_f3prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisRepor
 def check_f4prime(spec: NonlinearitySpec, params: FracParams) -> HypothesisReport:
     """Blow-up of the sampled liminf quantity as the range cap k -> +inf."""
     spec.validate_gamma(params)
-    if params.sigma_star >= 0.0:
+    if _branch_of(params) is not Branch.POWER_NEG:
         raise ConfigurationError("this condition lives in the n > 2s regime")
     ks = [2.0**j for j in range(0, _K_STEPS + 1)]
     return _k_sequence_check("f4prime", spec, params, "F4", ks)
@@ -346,7 +353,7 @@ def builtin_g(name: str, params: FracParams | None = None, **kw) -> Callable:
     if name == "critical_splice":
         if params is None:
             raise ConfigurationError("critical_splice needs operator parameters")
-        if not params.n > 2.0 * params.s:
+        if _branch_of(params) is not Branch.POWER_NEG:
             raise ConfigurationError("critical_splice lives in the n > 2s regime")
         expo = params.n / (params.n - 2.0 * params.s)
 

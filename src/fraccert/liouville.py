@@ -19,10 +19,10 @@ import numpy as np
 from .chains import Verdict, _sign_verdict
 from .dirichlet import ANNULUS_FORCING, annulus_forcing, verify_kslap
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .operator import QuadSpec, eval_radial, eval_radial_jobs
+from .operator import _GROWTH_MARGIN, QuadSpec, eval_radial, eval_radial_jobs
 from .params import FracParams
 from .profiles import RadialProfile, _bubble_symbol, _power_symbol, as_radial_callable, make_barrier, BarrierKind, \
-    BarrierConstants, finite_samples, positive_fundamental, sampled_inf
+    BarrierConstants, Branch, _branch_of, finite_samples, positive_fundamental, sampled_inf
 
 __all__ = [
     "CandidateFamily",
@@ -60,22 +60,18 @@ class GrowthReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-_GROWTH_CASES = ("SUP_HALF", "SUP_GT_HALF", "SUB")
-
-
-def verify_growth_bounds(u: RadialProfile | Callable, case: str, r_grid: Sequence[float],
+def verify_growth_bounds(u: RadialProfile | Callable, r_grid: Sequence[float],
                          params: FracParams, points: int = 200) -> GrowthReport:
-    """Fit the annulus infima against the two-sided envelope of the case.
+    """Fit the annulus infima against the two-sided envelope of the branch.
 
-    SUP_GT_HALF expects constants <= m(r) <= C r^(2s-1); SUP_HALF uses the
-    log envelope; SUB expects c r^(-n+2s) <= m(r) <= C.  PASS means finite
-    positive fitted constants whose halves agree within a factor 4 and a
-    log-log slope inside the envelope corridor.  ``points`` is the annulus
-    sample count of each infimum (see ``annulus_inf``).
+    The branch is ``profiles._branch_of``'s, and the report's ``case`` is its
+    value: the growing power expects constants <= m(r) <= C r^(2s-n), the log
+    branch the log envelope, the decaying power c r^(2s-n) <= m(r) <= C.
+    PASS means finite positive fitted constants whose halves agree within a
+    factor 4 and a log-log slope inside the envelope corridor.  ``points`` is
+    the annulus sample count of each infimum (see ``annulus_inf``).
     """
-    case = case.upper()
-    if case not in _GROWTH_CASES:
-        raise ConfigurationError(f"unknown growth case {case!r}")
+    branch = _branch_of(params)
     r_arr = np.asarray(sorted(r_grid), dtype=float)
     if r_arr.size < 4 or r_arr.max() / r_arr.min() < 100.0:
         raise ConfigurationError("growth verification needs >= 4 radii over two decades")
@@ -83,16 +79,12 @@ def verify_growth_bounds(u: RadialProfile | Callable, case: str, r_grid: Sequenc
     if np.any(m_vals <= 0.0):
         raise DomainError("annulus infimum nonpositive; the profile is not admissible here")
 
-    ones = np.ones_like(r_arr)
-    if case == "SUP_GT_HALF":
-        lower_env, upper_env = ones, r_arr**params.sigma_star
-        corridor = (-0.05, params.sigma_star + 0.05)
-    elif case == "SUP_HALF":
-        lower_env, upper_env = ones, np.log(np.maximum(r_arr, 1.0 + 1e-9))
-        corridor = (-0.05, 0.35)  # log growth shows a small positive log-log slope
-    else:
-        lower_env, upper_env = r_arr**params.sigma_star, ones
-        corridor = (params.sigma_star - 0.05, 0.05)
+    ones, sig = np.ones_like(r_arr), params.sigma_star
+    lower_env, upper_env, corridor = {
+        Branch.POWER_POS: (ones, r_arr**sig, (-0.05, sig + 0.05)),
+        Branch.LOG: (ones, np.log(np.maximum(r_arr, 1.0 + 1e-9)), (-0.05, 0.35)),  # log growth: a small positive slope
+        Branch.POWER_NEG: (r_arr**sig, ones, (sig - 0.05, 0.05)),
+    }[branch]
 
     upper = float((m_vals / upper_env).max())
     lower = float((m_vals / lower_env).min())
@@ -109,7 +101,7 @@ def verify_growth_bounds(u: RadialProfile | Callable, case: str, r_grid: Sequenc
     if not stable:
         notes.append("envelope constant drifts across the grid halves")
     passed = bool(np.isfinite(upper) and lower > 0.0 and in_corridor and stable)
-    return GrowthReport(case, tuple(r_arr.tolist()), tuple(m_vals.tolist()),
+    return GrowthReport(branch.value, tuple(r_arr.tolist()), tuple(m_vals.tolist()),
                         lower, upper, slope, passed, tuple(notes))
 
 
@@ -183,10 +175,10 @@ class CandidateFamily:
     """Radial candidates c (1+|x|^2)^(-beta/2) over parameter grids.
 
     Every c must be finite and positive and every beta finite (a scan needs
-    -beta < 2s - 0.05), so that each member is a positive function, whose
-    operator has a closed form.  ``include_control`` appends the exact power
-    profile eps |x|^(-tau), tau = 2s/(p-1), eps from the operator multiplier:
-    the member every supercritical scan must certify.
+    -beta < 2s - ``operator._GROWTH_MARGIN``), so that each member is a
+    positive function, whose operator has a closed form.  ``include_control``
+    appends the exact power profile eps |x|^(-tau), tau = 2s/(p-1), eps from
+    the operator multiplier: the member every supercritical scan must certify.
     """
 
     c_values: tuple[float, ...] = tuple(np.geomspace(0.1, 10.0, 20))
@@ -276,20 +268,21 @@ def nonexistence_scan(family: CandidateFamily, f: Callable, params: FracParams,
     shows the harness is not rejecting vacuously.  Members scan independently
     and the report is ordered by the parameter grid.
 
-    A beta with -beta >= 2s - 0.05 (the profile rule of ``eval_radial_jobs``)
-    raises DivergenceError before any base is evaluated.  (-Delta)^s is linear:
-    each distinct beta is evaluated once, on (1+|x|^2)^(-beta/2), and member c
-    takes c times its values and bars.  A base takes ``profiles._bubble_symbol``
-    and its rounding bar or, where that is None (see its rule), one
-    ``eval_radial_jobs`` pass with the control member, at ``quad.abs_tol`` over
-    max(1, max c), so that every scaled member meets a target at least as strict
-    as ``quad``.  Members are judged as in ``supersolution_residual``; points >= 1.
+    A beta with -beta >= 2s - ``operator._GROWTH_MARGIN`` (the profile rule of
+    ``eval_radial_jobs``) raises DivergenceError before any base is evaluated.
+    (-Delta)^s is linear: each distinct beta is evaluated once, on
+    (1+|x|^2)^(-beta/2), and member c takes c times its values and bars.  A
+    base takes ``profiles._bubble_symbol`` and its rounding bar or, where that
+    is None (see its rule), one ``eval_radial_jobs`` pass with the control
+    member, at ``quad.abs_tol`` over max(1, max c), so that every scaled member
+    meets a target at least as strict as ``quad``.  Members are judged as in
+    ``supersolution_residual``; points >= 1.
     """
     radii = _residual_radii(r_range, points)
     members = list(family.members(params))
     if not members:
         raise ConfigurationError("the candidate family is empty")
-    if max((-beta for beta in family.beta_values), default=-np.inf) >= 2.0 * params.s - 0.05:
+    if max((-beta for beta in family.beta_values), default=-np.inf) >= 2.0 * params.s - _GROWTH_MARGIN:
         raise DivergenceError("a candidate grows at least like |x|^(2s); the defining integral diverges")
     grid = [(float(c), float(beta)) for c in family.c_values for beta in family.beta_values]
     base_quad = replace(quad, abs_tol=quad.abs_tol / max([1.0] + [c for c, _ in grid]))
@@ -351,8 +344,9 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
     Per radius: the annulus infimum m(r) (200 samples), the forcing-mass
     lower bound (annulus measure times the sampled minimum of f(t, |x|) over
     t in [m, 2m] and |x| in {r, 2r}, scaled with the comparison constant
-    c_bar of ``verify_kslap``), the decay envelope C r^(-n+2s) for m(r), the
-    barrier ratio rho(r) against the unit-shell exterior barrier, and, on the
+    c_bar of ``verify_kslap``), the envelope C r^(2s-n) for m(r) and the
+    barrier ratio rho(r) against the unit-shell exterior barrier on the
+    decaying branch (``profiles._branch_of``), C on the others, and, on the
     growing branch, the exterior ratio against the grown fundamental minus
     one.  A contradiction is flagged at the first radius where the lower
     bound exceeds the envelope.
@@ -365,7 +359,9 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
     m_vals = np.asarray([annulus_inf(u, float(r), 200) for r in r_arr])
     if np.any(m_vals <= 0.0):
         raise DomainError("annulus infimum nonpositive along the grid")
-    c_upper = float((m_vals / (r_arr**params.sigma_star if params.sigma_star < 0 else 1.0)).max())
+    branch = _branch_of(params)
+    decays = branch is Branch.POWER_NEG
+    c_upper = float((m_vals / (r_arr**params.sigma_star if decays else 1.0)).max())
 
     grown = positive_fundamental(params)
     rows = []
@@ -377,14 +373,14 @@ def proof_quantity_trace(u: RadialProfile | Callable, f: Callable | None, params
             f_vals = finite_samples([np.asarray(f(float(t), float(x))) for t in np.geomspace(m, 2.0 * m, 128)[::8]
                                      for x in (r, 2.0 * r)], "the forcing")
             lower = 0.5 * c_bar * r ** (2.0 * params.s) * annulus_measure * float(f_vals.min())
-        envelope = (2.0 / c_bar) * c_upper * (r**params.sigma_star if params.sigma_star < 0 else 1.0)
+        envelope = (2.0 / c_bar) * c_upper * (r**params.sigma_star if decays else 1.0)
         rho_ratio = None
-        if params.sigma_star < 0.0:
+        if decays:
             consts = BarrierConstants(base_radius=max(1.01, r / 20.0), outer_radius=r)
             barrier = make_barrier(BarrierKind.EXTERIOR_WITH_SHELL, consts, params)
             rho_ratio = sampled_inf(lambda rho: fn(rho) / barrier(rho), r * 1.0001, 2.0 * r, 200)
         eta_ratio = None
-        if params.sigma_star > 0.0 and r > 1.0:
+        if branch is Branch.POWER_POS and r > 1.0:
             xs = np.geomspace(max(r, 1.0 + 1e-6), 1e4 * r, 200)
             denom = np.asarray(grown(xs)) - 1.0
             if np.any(denom <= 0.0):

@@ -68,6 +68,7 @@ __all__ = [
 # evaluation radius, or the first kink radius when evaluating at the origin)
 _NEAR_RADIUS, _TAIL_RADIUS = 1e-2, 8.0
 _MAX_PANELS = 600  # panel budget of each zone of each radius
+_GROWTH_MARGIN = 0.05  # a function the engine takes grows slower than |x|^(2s - _GROWTH_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _far_field(u: Callable, u_x: np.ndarray, s: float, top: np.ndarray) -> None:
         & (mags[:, 2] > mags[:, 1])
     for i in np.flatnonzero(rising):
         slope = math.log(mags[i, 3] / mags[i, 2]) / math.log(4.0)
-        if slope >= 2.0 * s - 0.05:
+        if slope >= 2.0 * s - _GROWTH_MARGIN:
             raise DivergenceError(f"sampled far-field growth exponent {slope:.3f} reaches 2s={2*s:.3f}")
 
 
@@ -360,7 +361,7 @@ def eval_radial_jobs(jobs: Sequence[tuple], params: FracParams) -> list[tuple[np
         if r.size == 0:
             continue
         sampled = not isinstance(u, RadialProfile)
-        if not sampled and u.max_growth_exponent() >= 2.0 * params.s - 0.05:
+        if not sampled and u.max_growth_exponent() >= 2.0 * params.s - _GROWTH_MARGIN:
             raise DivergenceError("profile grows at least like |x|^(2s); the defining integral diverges")
         if not sampled and np.any(r == 0.0):
             raise EvaluationPointError("profiles are evaluated at positive radii")

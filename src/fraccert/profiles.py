@@ -390,41 +390,29 @@ class Branch(Enum):
     POWER_POS = "power_pos"  # sigma_star > 0: -(growing power)
 
 
-class SignVariant(Enum):
-    PLAIN = "plain"      # the branch table as is
-    NEGATED = "negated"  # its negative (the other fundamental family)
-
-
 _SIGMA_ZERO_TOL = 1e-14
 
 
 def _branch_of(params: FracParams) -> Branch:
+    """The fundamental solution's branch: the one comparison of sigma* = 2s - n, log where |sigma*| <= 1e-14."""
     if abs(params.sigma_star) <= _SIGMA_ZERO_TOL:
         return Branch.LOG
     return Branch.POWER_NEG if params.sigma_star < 0 else Branch.POWER_POS
 
 
-def make_fundamental(params: FracParams, sign_variant: SignVariant = SignVariant.PLAIN) -> RadialProfile:
-    """Fundamental solution profile for the parameter branch.
-
-    The plain variant is r^sigma* (sigma* < 0), -log r (sigma* = 0) or
-    -r^sigma* (sigma* > 0); the negated variant flips the sign, which is the
-    member that is positive and increasing when sigma* > 0.  Away from the
-    origin (-Delta)^s annihilates both.
-    """
+def make_fundamental(params: FracParams) -> RadialProfile:
+    """Fundamental solution profile of the branch (``_branch_of``): r^sigma* (decaying power), -log r (log) or
+    -r^sigma* (growing power).  Away from the origin (-Delta)^s annihilates it and its negative."""
     branch = _branch_of(params)
     if branch is Branch.LOG:
-        base = log_profile(-1.0)
-    else:
-        base = power_profile(1.0 if branch is Branch.POWER_NEG else -1.0, params.sigma_star)
-    return base if sign_variant is SignVariant.PLAIN else -base
+        return log_profile(-1.0)
+    return power_profile(1.0 if branch is Branch.POWER_NEG else -1.0, params.sigma_star)
 
 
 def positive_fundamental(params: FracParams) -> RadialProfile:
-    """The fundamental-solution variant that is nonnegative outside the unit ball."""
-    if _branch_of(params) is Branch.POWER_NEG:
-        return make_fundamental(params, SignVariant.PLAIN)
-    return make_fundamental(params, SignVariant.NEGATED)
+    """``make_fundamental`` on the decaying branch, its negative on the others: nonnegative outside the unit ball."""
+    base = make_fundamental(params)
+    return base if _branch_of(params) is Branch.POWER_NEG else -base
 
 
 # ---------------------------------------------------------------------------

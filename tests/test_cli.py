@@ -413,6 +413,7 @@ def test_flag_the_verb_does_not_read_is_usage_error(capsys, argv):
     ("eval", "--at", "nan"), ("eval", "--at", "inf"), ("eval", "--profile", "cos", "--at", "nan"),
     ("eval", "--at", "2", "--tol", "nan"),
     ("solve", "--s", "0.25", "--domain=0:1", "--exterior", "fundamental"),  # data unbounded at the boundary
+    ("solve", "--s", "0.5000000000000005", "--domain=0:1", "--exterior", "fundamental"),  # the log branch, too
 ], ids=" ".join)
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     assert main(list(argv)) == 3

@@ -161,6 +161,30 @@ def test_wrong_regime_rejected():
         check_f4prime(power_spec(1.0), P1)
 
 
+def test_regimes_next_to_n_equal_2s_are_the_log_ones():
+    # sigma* = -1e-15 is the log branch (profiles._branch_of), as s = 1/2: f2 and f4' refuse, f3' runs;
+    # check_f2 used to overflow there, and f3' and f4' had swapped roles
+    near = FracParams(1, 0.4999999999999995)
+    for check in (check_f2, check_f4prime):
+        with pytest.raises(ConfigurationError):
+            check(power_spec(1.4), near)
+    assert check_f3prime(power_spec(1.4), near).condition == "f3prime"
+    with pytest.raises(DomainError):
+        alpha_tilde_star(near)
+    with pytest.raises(ConfigurationError):
+        builtin_g("critical_splice", near)
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.49), (2, 0.97)])
+def test_small_argument_mass_past_the_float_range(n, s):
+    # e* = n/(n - 2s) = 50 and 33.3: t^(-e*) overflows a float before t = 2^-40; the trend is read from log q
+    rep = check_f2(power_spec(1.4), FracParams(n, s))
+    assert rep.verdict is Verdict.HOLDS and rep.trend is Trend.INCREASING
+    assert math.isinf(rep.quantities[-1])
+    finite = [q for q in rep.quantities if math.isfinite(q)]
+    assert finite == sorted(finite) and all(q > 0.0 for q in finite)
+
+
 def test_positivity_violation_reported():
     spec = NonlinearitySpec(form="general",
                             f_general=lambda t, x: np.asarray(t) - 5.0)

@@ -12,13 +12,13 @@ from fraccert.liouville import (CandidateFamily, MemberVerdict,
                                 supersolution_residual, verify_growth_bounds)
 from fraccert.operator import QuadSpec, eval_radial_jobs
 from fraccert.params import FracParams
-from fraccert.profiles import BarrierConstants, RadialProfile, SignVariant, make_fundamental
+from fraccert.profiles import BarrierConstants, RadialProfile, make_fundamental, positive_fundamental
 
 P3 = FracParams(3, 0.5)
 P1 = FracParams(1, 0.75)
 
 PHI3 = make_fundamental(P3)                      # decaying power
-PHI1_GROWN = make_fundamental(P1, SignVariant.NEGATED)  # growing power
+PHI1_GROWN = -make_fundamental(P1)              # growing power
 
 
 def test_annulus_infimum_on_monotone_profiles():
@@ -36,23 +36,23 @@ def test_annulus_ratio_matches_power_scaling():
 
 def test_growth_bounds_exact_power():
     grid = list(np.geomspace(2.0, 2000.0, 8))
-    rep = verify_growth_bounds(PHI1_GROWN, "SUP_GT_HALF", grid, P1)
-    assert rep.passed
+    rep = verify_growth_bounds(PHI1_GROWN, grid, P1)
+    assert rep.passed and rep.case == "power_pos"
     assert rep.slope == pytest.approx(P1.sigma_star, abs=1e-9)
     assert rep.upper_constant == pytest.approx(1.0, rel=1e-9)
 
 
 def test_growth_bounds_bounded_profile():
     one_plus = lambda rho: 1.0 + np.asarray(rho, dtype=float) ** -2.0
-    rep = verify_growth_bounds(one_plus, "SUB", list(np.geomspace(2.0, 2000.0, 8)), P3)
-    assert rep.passed
+    rep = verify_growth_bounds(one_plus, list(np.geomspace(2.0, 2000.0, 8)), P3)
+    assert rep.passed and rep.case == "power_neg"
 
 
 def test_growth_bounds_log_envelope():
     grown_log = lambda rho: 1.0 + np.log(np.asarray(rho, dtype=float))
-    rep = verify_growth_bounds(grown_log, "SUP_HALF", list(np.geomspace(3.0, 3000.0, 8)),
-                               FracParams(1, 0.5))
-    assert rep.passed
+    for s in (0.5, 0.4999999999999995, 0.5000000000000005):  # |sigma*| <= 1e-14 is the log branch
+        rep = verify_growth_bounds(grown_log, list(np.geomspace(3.0, 3000.0, 8)), FracParams(1, s))
+        assert rep.passed and rep.case == "log"
 
 
 def test_growth_bounds_on_radially_extended_discrete_solution():
@@ -64,16 +64,15 @@ def test_growth_bounds_on_radially_extended_discrete_solution():
     nodes, values = sol.nodes[right], sol.values[right]
     radial = lambda rho: np.interp(np.asarray(rho, dtype=float), nodes, values)
     grid = list(np.geomspace(0.0025, 0.25, 8))
-    rep = verify_growth_bounds(radial, "SUP_GT_HALF", grid, params, points=100)
+    rep = verify_growth_bounds(radial, grid, params, points=100)
     assert rep.passed, rep.notes
 
 
 def test_growth_bounds_input_validation():
     with pytest.raises(ConfigurationError):
-        verify_growth_bounds(PHI3, "SUB", [10.0, 20.0, 40.0], P3)  # too narrow
+        verify_growth_bounds(PHI3, [10.0, 20.0, 40.0], P3)  # too narrow
     with pytest.raises(DomainError):
-        verify_growth_bounds(lambda rho: -np.ones_like(np.asarray(rho)), "SUB",
-                             list(np.geomspace(2.0, 2000.0, 8)), P3)
+        verify_growth_bounds(lambda rho: -np.ones_like(np.asarray(rho)), list(np.geomspace(2.0, 2000.0, 8)), P3)
 
 
 def test_power_symbol_matches_gamma_closed_form():
@@ -299,6 +298,16 @@ def test_trace_reports_barrier_and_exterior_ratios():
     assert max(etas) <= 4.0 * min(etas)
 
 
+def test_trace_next_to_n_equal_2s_is_the_log_trace():
+    # sigma* = -1e-15 is the log branch: the trace is s = 1/2's, with neither ratio, where it used to ask the
+    # power_neg exterior barrier for rho(r) and refuse
+    grid = default_r_grid(2.0)
+    reps = [proof_quantity_trace(positive_fundamental(params), lambda t, x: t**1.4, params, grid)
+            for params in (FracParams(1, 0.4999999999999995), FracParams(1, 0.5))]
+    assert reps[0].contradiction_radius == reps[1].contradiction_radius == 47.42747411323311
+    assert all(row.rho_ratio is None and row.eta_ratio is None for rep in reps for row in rep.rows)
+
+
 def test_trace_rejects_nonpositive_profiles():
     grid = default_r_grid(1.0, per_decade=3, decades=1.0)
     with pytest.raises(DomainError):
@@ -338,7 +347,7 @@ def test_annulus_inf_refuses_nonfinite_samples():
 def test_growth_bounds_and_trace_refuse_nonfinite_infima():
     u = _nan_beyond(300.0)
     with pytest.raises(DomainError):
-        verify_growth_bounds(u, "SUB", list(np.geomspace(2.0, 2000.0, 8)), P3)
+        verify_growth_bounds(u, list(np.geomspace(2.0, 2000.0, 8)), P3)
     with pytest.raises(DomainError):
         proof_quantity_trace(u, None, P3, default_r_grid(2.0, per_decade=3, decades=2.0))
 

@@ -10,7 +10,6 @@ from fraccert.profiles import (
     BarrierConstants,
     BarrierKind,
     RadialProfile,
-    SignVariant,
     barrier_gallery,
     constant_profile,
     log_profile,
@@ -30,7 +29,7 @@ BC = BarrierConstants(base_radius=2.0, outer_radius=20.0, power_bump_coef=3.0,
 def test_fundamental_branch_table():
     assert make_fundamental(P_NEG)(2.0) == pytest.approx(0.25)       # r^-2 at 2
     assert make_fundamental(P_LOG)(1.0) == pytest.approx(0.0)        # -log r at 1
-    assert make_fundamental(P_POS, SignVariant.NEGATED)(4.0) == pytest.approx(2.0)  # r^0.5 at 4
+    assert (-make_fundamental(P_POS))(4.0) == pytest.approx(2.0)  # r^0.5 at 4
 
 
 def test_positive_fundamental_picks_nonnegative_branch():

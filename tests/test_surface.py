@@ -15,12 +15,13 @@ def test_fixed_settings_are_neither_fields_nor_parameters():
     assert _fields(chains.SamplePolicy) == ["points", "exterior_span"]
     assert "truncation_radius" not in _fields(dirichlet.GridProblem)
     assert not hasattr(liouville, "AnnulusSampler")
+    assert not hasattr(profiles, "SignVariant")  # the branch alone picks the fundamental solution
     removed = {
         constants.choose_constants: {"quad", "probe_points"},
         liouville.proof_quantity_trace: {"quad", "c_bar", "c_multiplier", "mu", "sampler"},
         liouville.power_symbol: {"quad"},
         liouville.annulus_inf: {"sampler"},
-        liouville.verify_growth_bounds: {"sampler"},
+        liouville.verify_growth_bounds: {"sampler", "case"},
         dirichlet.verify_hopf_ratio: {"stability_tol"},
         dirichlet.verify_qsmp: {"stability_tol"},
         hypotheses.check_f2: {"k_max"},
@@ -29,6 +30,7 @@ def test_fixed_settings_are_neither_fields_nor_parameters():
         hypotheses.check_f2prime: {"boxes", "decades"},
         hypotheses.h_of_k: {"decades"},
         profiles.RadialProfile.jumps: {"rel_tol"},
+        profiles.make_fundamental: {"sign_variant"},
     }
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
